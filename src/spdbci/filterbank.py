@@ -2,7 +2,9 @@
 
 Raw multi-channel trials are passed through a bank of causal Chebyshev
 Type II bandpass filters and cut into non-overlapping windows, producing
-a windows x bands x channels x samples tensor per trial.
+a windows x bands x channels x samples tensor per trial.  Filter designs
+are cached per (band, sample rate, order, attenuation), so a bank is
+designed once per process and every later trial only filters.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ class TrialTensor:
         self.channels = m
 
 
+#: Successful designs of :func:`design_bandpass`, by their arguments.
+_DESIGNS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def design_bandpass(
     band: tuple[float, float],
     sample_rate: float,
@@ -82,8 +88,17 @@ def design_bandpass(
     ``atten_db``.  Raises :class:`InvalidBand` for edges outside
     ``(0, sample_rate / 2)`` and :class:`UnstableDesign` if any pole is
     not strictly inside the unit circle.
+
+    Designs are cached by ``(low, high, sample_rate, order, atten_db)``
+    and shared between callers, so ``b`` and ``a`` are read-only.  Only
+    successful designs are cached; a rejected band is checked again on
+    every call.
     """
     low, high = band
+    key = (low, high, sample_rate, order, atten_db)
+    cached = _DESIGNS.get(key)
+    if cached is not None:
+        return cached
     nyquist = sample_rate / 2.0
     if not (0.0 < low < high < nyquist):
         raise InvalidBand(
@@ -93,6 +108,9 @@ def design_bandpass(
     poles = np.roots(a)
     if poles.size and np.max(np.abs(poles)) >= 1.0:
         raise UnstableDesign(f"pole magnitude {np.max(np.abs(poles)):.6f} >= 1")
+    b.setflags(write=False)
+    a.setflags(write=False)
+    _DESIGNS[key] = (b, a)
     return b, a
 
 
@@ -107,10 +125,13 @@ def check_gabor(window_len_samples: int, sample_rate: float, band_width_hz: floa
 def segment(trials, spec: BandSpec, window_len: int) -> list[tuple[int, TrialTensor]]:
     """Filter and window every trial of a :class:`~spdbci.eeg_io.RawTrialSet`.
 
-    Each trial is bandpass-filtered per band (causal, forward-only),
-    then split into ``S = floor(samples / window_len)`` non-overlapping
-    windows covering a prefix of the trial; trailing samples are
-    dropped.  Returns ``[(label, TrialTensor), ...]`` in trial order.
+    Each trial is bandpass-filtered per band (causal, forward-only), then
+    split into ``S = floor(samples / window_len)`` non-overlapping windows
+    covering a prefix of the trial; trailing samples are dropped.  Each
+    band's windows are copied once, by a reshape and a transpose, into
+    the trial's C-contiguous (S, F, M, L) array, so every window is
+    contiguous too.  Returns ``[(label, TrialTensor), ...]`` in trial
+    order.
     """
     fs = trials.sample_rate_hz
     if not check_gabor(window_len, fs, spec.narrowest_width_hz):
@@ -127,13 +148,15 @@ def segment(trials, spec: BandSpec, window_len: int) -> list[tuple[int, TrialTen
         for band in spec.bands
     ]
     n_windows = trials.samples_per_trial // window_len
+    used = n_windows * window_len
     out = []
     for label, data in trials.trials:
         m = data.shape[0]
         tensor = np.empty((n_windows, len(spec.bands), m, window_len))
         for f, (b, a) in enumerate(coeffs):
             filtered = signal.lfilter(b, a, data, axis=1)
-            for s in range(n_windows):
-                tensor[s, f] = filtered[:, s * window_len : (s + 1) * window_len]
+            # (M, S*L) -> (M, S, L) -> (S, M, L), copied once into place.
+            windows = filtered[:, :used].reshape(m, n_windows, window_len)
+            tensor[:, f] = windows.swapaxes(0, 1)
         out.append((label, TrialTensor(tensor, window_len)))
     return out

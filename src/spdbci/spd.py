@@ -46,26 +46,39 @@ def check_spd(x: np.ndarray, name: str = "matrix") -> None:
         raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
-def covariance(window: np.ndarray, shrinkage: float = 0.0) -> np.ndarray:
-    """Spatial covariance of one window, ``(1/L) Z Z^T + eps I``.
+def covariance(window: np.ndarray, shrinkage=0.0) -> np.ndarray:
+    """Spatial covariance ``(1/L) Z Z^T + eps I`` of one window or a batch.
 
-    ``window`` is channels x samples; ``Z`` is the row-mean-centered
-    window.  With ``shrinkage == 0`` a rank-deficient result raises
+    ``window`` is channels x samples, or ``(..., M, L)`` for a batch of
+    windows; ``Z`` is the row-mean-centered window.  ``shrinkage`` is
+    ``eps``: a scalar, or one value per window (shape ``(...)``).  A
+    window with zero shrinkage whose result is rank-deficient raises
     :class:`DegenerateInput`; any positive shrinkage guarantees an SPD
-    output.
+    output.  Each matrix of a batch equals the 2-D call on its window
+    bit for bit when the windows are C-contiguous.
     """
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] < 1:
-        raise DimensionMismatch(f"window must be 2-D with L >= 1, got {window.shape}")
-    if shrinkage < 0:
+    if window.ndim < 2 or window.shape[-1] < 1:
+        raise DimensionMismatch(
+            f"window must be (..., M, L) with L >= 1, got {window.shape}"
+        )
+    shrinkage = np.asarray(shrinkage, dtype=np.float64)
+    if shrinkage.shape not in ((), window.shape[:-2]):
+        raise DimensionMismatch(
+            f"shrinkage must be a scalar or of shape {window.shape[:-2]}, "
+            f"got {shrinkage.shape}"
+        )
+    if np.any(shrinkage < 0):
         raise ValueError("shrinkage must be nonnegative")
-    m, length = window.shape
-    z = window - window.mean(axis=1, keepdims=True)
-    cov = (z @ z.T) / length + shrinkage * np.eye(m)
+    m, length = window.shape[-2:]
+    z = window - window.mean(axis=-1, keepdims=True)
+    cov = (z @ np.swapaxes(z, -1, -2)) / length + shrinkage[..., None, None] * np.eye(m)
     cov = sym(cov)
-    if shrinkage == 0.0:
-        w = np.linalg.eigvalsh(cov)
-        if w[0] <= SPD_RTOL * max(w[-1], 0.0) or w[-1] <= 0:
+    unshrunk = np.broadcast_to(shrinkage == 0.0, window.shape[:-2])
+    if np.any(unshrunk):
+        w = np.linalg.eigvalsh(cov[unshrunk])
+        wmin, wmax = w[:, 0], w[:, -1]
+        if np.any(wmin <= SPD_RTOL * np.maximum(wmax, 0.0)) or np.any(wmax <= 0):
             raise DegenerateInput(
                 f"covariance is singular (rank < {m}) and shrinkage is zero"
             )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from spdbci.eeg_io import RawTrialSet
 from spdbci.errors import GaborViolation, InvalidBand, WindowTooLong
@@ -39,6 +40,30 @@ class TestDesign:
     def test_inverted_band_rejected(self):
         with pytest.raises(InvalidBand):
             design_bandpass((12.0, 8.0), 250.0)
+
+    def test_cached_design_equals_direct_design(self):
+        direct = signal.cheby2(4, 40.0, [8.0, 12.0], btype="bandpass", fs=250.0)
+        for _ in range(2):
+            b, a = design_bandpass((8.0, 12.0), 250.0, order=4, atten_db=40.0)
+            assert np.array_equal(b, direct[0]) and np.array_equal(a, direct[1])
+
+    def test_cached_design_is_read_only(self):
+        b, a = design_bandpass((8.0, 12.0), 250.0)
+        for coeffs in (b, a):
+            with pytest.raises(ValueError):
+                coeffs[0] = 0.0
+
+    def test_sample_rate_changes_design(self):
+        b250, a250 = design_bandpass((8.0, 12.0), 250.0)
+        b500, a500 = design_bandpass((8.0, 12.0), 500.0)
+        assert not np.array_equal(a250, a500)
+        direct = signal.cheby2(4, 40.0, [8.0, 12.0], btype="bandpass", fs=500.0)
+        assert np.array_equal(b500, direct[0]) and np.array_equal(a500, direct[1])
+
+    def test_invalid_band_rejected_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(InvalidBand):
+                design_bandpass((100.0, 130.0), 250.0)
 
 
 class TestGabor:
@@ -82,6 +107,7 @@ class TestSegment:
         trials = _trial_set(rng.standard_normal((3, 1000)))
         out = segment(trials, BandSpec(), window_len=250)
         assert all(t.data.shape == (4, 9, 3, 250) for _, t in out)
+        assert all(t.data.flags.c_contiguous for _, t in out)
 
     def test_band_selectivity_on_sinusoid(self):
         fs = 250.0

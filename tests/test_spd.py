@@ -44,6 +44,36 @@ class TestCovariance:
         out = covariance(window, shrinkage=1e-3)
         assert np.all(np.linalg.eigvalsh(out) > 0)
 
+    def test_batch_equals_stacked_2d_calls(self):
+        windows = np.random.default_rng(5).standard_normal((3, 4, 5, 40))
+        shrinkage = np.linspace(0.0, 1e-2, 12).reshape(3, 4)
+        batch = covariance(windows, shrinkage)
+        assert batch.shape == (3, 4, 5, 5)
+        for i in range(3):
+            for j in range(4):
+                one = covariance(windows[i, j], float(shrinkage[i, j]))
+                assert np.array_equal(batch[i, j], one)
+        scalar = covariance(windows, 1e-3)
+        assert np.array_equal(scalar[2, 1], covariance(windows[2, 1], 1e-3))
+
+    def test_batch_with_one_degenerate_window_raises(self):
+        windows = np.random.default_rng(6).standard_normal((4, 3, 50))
+        windows[2, 1] = windows[2, 0]
+        with pytest.raises(DegenerateInput):
+            covariance(windows, shrinkage=0.0)
+        shrinkage = np.zeros(4)
+        shrinkage[2] = 1e-3
+        assert np.all(np.linalg.eigvalsh(covariance(windows, shrinkage)) > 0)
+
+    def test_shrinkage_shape_must_match_batch(self):
+        windows = np.zeros((4, 3, 50))
+        with pytest.raises(DimensionMismatch):
+            covariance(windows, np.full(3, 1e-3))
+
+    def test_window_without_samples_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            covariance(np.zeros((2, 3, 0)), 1e-3)
+
 
 class TestSymEig:
     def test_diagonal(self):

@@ -1,7 +1,10 @@
 """Training loop, evaluation harnesses, configuration, and the CLI."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import signal
 
 from spdbci.cli import main as cli_main
 from spdbci.config import (
@@ -12,7 +15,9 @@ from spdbci.config import (
 )
 from spdbci.eeg_io import load_model, save_trials
 from spdbci.errors import ConfigError, InsufficientData, SchemaMismatch
+from spdbci.filterbank import design_bandpass
 from spdbci.model import count_parameters, model_from_bundle, model_to_bundle
+from spdbci.spd import covariance
 from spdbci.synth import synthetic_trials, two_class_covariances
 from spdbci.trainer import (
     bench_inference,
@@ -37,6 +42,29 @@ SMALL = dict(
     bimap_layers=1,
     karcher_iterations=5,
 )
+
+
+def per_window_covariances(trials, cfg):
+    """Reference for ``prepare_dataset``: filter each band of each trial,
+    slice the windows out one by one and call the 2-D ``covariance`` once
+    per window."""
+    spec = cfg.band_spec()
+    n_windows = trials.samples_per_trial // cfg.window_len
+    out = []
+    for _, data in trials.trials:
+        m = data.shape[0]
+        covs = np.empty((n_windows, len(spec.bands), m, m))
+        for f, band in enumerate(spec.bands):
+            b, a = design_bandpass(band, trials.sample_rate_hz, spec.filter_order,
+                                   spec.stopband_atten_db)
+            filtered = signal.lfilter(b, a, data, axis=1)
+            for s in range(n_windows):
+                window = filtered[:, s * cfg.window_len : (s + 1) * cfg.window_len].copy()
+                z = window - window.mean(axis=1, keepdims=True)
+                eps = cfg.shrinkage_scale * float(np.sum(z * z)) / (cfg.window_len * m)
+                covs[s, f] = covariance(window, max(eps, 1e-12))
+        out.append(covs)
+    return np.stack(out)
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +188,31 @@ class TestTrain:
         assert count_parameters(model) == expected
 
 
+class TestPrepareDataset:
+    @pytest.mark.parametrize("options", [SMALL, {"window_len": 64}],
+                             ids=["small", "default-bank"])
+    def test_equals_per_window_reference(self, small_trials, options):
+        cfg = TrainConfig(**options)
+        covs, labels = prepare_dataset(small_trials, cfg)
+        assert covs.shape == (24, 2, len(cfg.bands), 4, 4)
+        assert np.array_equal(covs, per_window_covariances(small_trials, cfg))
+        assert labels.tolist() == [label for label, _ in small_trials.trials]
+
+    def test_each_trial_equals_its_slice_of_the_batch(self, small_trials):
+        cfg = TrainConfig(**SMALL)
+        covs, _ = prepare_dataset(small_trials, cfg)
+        for k, item in enumerate(small_trials.trials):
+            single = dataclasses.replace(small_trials, trials=[item])
+            one, label = prepare_dataset(single, cfg)
+            assert np.array_equal(one, covs[k : k + 1])
+            assert label.tolist() == [item[0]]
+
+    def test_empty_trial_set(self, small_trials):
+        empty = dataclasses.replace(small_trials, trials=[])
+        with pytest.raises(InsufficientData):
+            prepare_dataset(empty, TrainConfig(**SMALL))
+
+
 class TestFolds:
     def test_partition(self):
         labels = np.array([0, 1] * 50)
@@ -205,6 +258,17 @@ class TestEvaluate:
         stats = bench_inference(bundle, small_trials, repetitions=1)
         assert stats["samples"] == len(small_trials.trials)
         assert 0 < stats["mean_s"] <= stats["max_s"]
+        assert stats["design_s"] > 0
+
+    def test_bench_rejects_zero_repetitions(self, small_trials):
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        with pytest.raises(ConfigError):
+            bench_inference(bundle, small_trials, repetitions=0)
+
+    def test_bench_rejects_empty_trial_set(self, small_trials):
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        with pytest.raises(InsufficientData):
+            bench_inference(bundle, dataclasses.replace(small_trials, trials=[]))
 
 
 def _write_small_config(path):
@@ -247,6 +311,12 @@ class TestCli:
         assert cli_main(["bench", "--model", str(model_path), "--data", str(data),
                          "--reps", "1", "--report", str(bench)]) == 0
         assert "mean_s" in bench.read_text()
+        assert "design_s" in bench.read_text()
+
+        capsys.readouterr()
+        assert cli_main(["bench", "--model", str(model_path), "--data", str(data),
+                         "--reps", "0", "--report", str(bench)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.eegb"
