@@ -41,6 +41,16 @@ class TrainConfig:
             raise ConfigError("reeig_epsilon > 0 and shrinkage_scale >= 0 required")
         if self.std_divisor not in ("population", "sample"):
             raise ConfigError("std_divisor must be 'population' or 'sample'")
+        if self.filter_order < 1 or self.stopband_atten_db <= 0:
+            raise ConfigError("filter_order >= 1 and stopband_atten_db > 0 required")
+        if self.seed < 0 or self.bimap_layers < 0 or self.conv_out < 1:
+            raise ConfigError("seed >= 0, bimap_layers >= 0 and conv_out >= 1 required")
+        if self.karcher_iterations < 1 or not 0.0 <= self.rbn_momentum < 1.0:
+            raise ConfigError("karcher_iterations >= 1 and rbn_momentum in [0, 1) required")
+        if self.selection_max_iters < 1 or self.selection_tol <= 0:
+            raise ConfigError("selection_max_iters >= 1 and selection_tol > 0 required")
+        if self.channel_scoring not in ("row-norm", "argmax"):
+            raise ConfigError("channel_scoring must be 'row-norm' or 'argmax'")
 
     def band_spec(self) -> BandSpec:
         return BandSpec(self.bands, self.filter_order, self.stopband_atten_db)

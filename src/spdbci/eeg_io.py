@@ -15,6 +15,7 @@ Floats are stored verbatim, so load(save(b)) is bit-identical to b.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -133,7 +134,7 @@ def load_trials(path) -> RawTrialSet:
     return RawTrialSet(float(rate), m, samples, trials, n_classes)
 
 
-def load_trial_csv(path, label: int, sample_rate_hz: float) -> tuple[int, np.ndarray]:
+def load_trial_csv(path, label: int) -> tuple[int, np.ndarray]:
     """Import one hand-made trial from CSV (rows = channels)."""
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
@@ -141,7 +142,6 @@ def load_trial_csv(path, label: int, sample_rate_hz: float) -> tuple[int, np.nda
         raise IoFailure(str(exc)) from exc
     if not np.all(np.isfinite(data)):
         raise NonFiniteValue("CSV trial contains NaN or Inf")
-    del sample_rate_hz  # kept for call-site symmetry with EEGB loading
     return label, data
 
 
@@ -212,18 +212,24 @@ def load_model(path) -> ModelBundle:
         manifest = json.loads(payload[12 : 12 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedHeader("bad bundle manifest") from exc
+    try:
+        config = dict(manifest["config"])
+        parameter_count = int(manifest["parameter_count"])
+        entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
+                   for e in manifest["arrays"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedHeader("bundle manifest lacks or garbles a required field") from exc
     offset = 12 + meta_len
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in entries:
+        if any(d < 0 for d in shape):
+            raise MalformedHeader(f"array {name!r} has a negative dimension")
+        count = math.prod(shape)
+        if offset + 8 * count > len(payload):
+            raise DimensionMismatch(f"array {name!r} runs past the end of the payload")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = arr.reshape(shape).copy()
+        arrays[name] = arr.reshape(shape).copy()
         offset += 8 * count
     if offset != len(payload):
         raise DimensionMismatch("bundle payload size disagrees with manifest")
-    return ModelBundle(
-        config=dict(manifest["config"]),
-        arrays=arrays,
-        parameter_count=int(manifest["parameter_count"]),
-    )
+    return ModelBundle(config=config, arrays=arrays, parameter_count=parameter_count)

@@ -22,7 +22,7 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientWeight,
 )
-from .spd import inv_sqrtm, spd_exp, spd_log, spd_power, sym
+from .spd import eig_fn, inv_sqrtm, spd_exp, spd_log, sym
 
 DEGENERATE_EIG_TOL = 1e-12
 
@@ -33,20 +33,22 @@ DEGENERATE_EIG_TOL = 1e-12
 
 def stiefel_project(q: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Project a Euclidean gradient ``z`` onto the tangent space of the
-    Stiefel manifold at ``q`` (``q^T q = I``)."""
-    return z - q @ sym(q.T @ z)
+    Stiefel manifold at ``q`` (``q^T q = I``); both may be stacks
+    ``(..., n, p)``."""
+    return z - q @ sym(np.swapaxes(q, -1, -2) @ z)
 
 
 def stiefel_retract(q: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """QR retraction of ``q + delta`` back onto the Stiefel manifold.
+    """QR retraction of ``q + delta`` back onto the Stiefel manifold
+    (batched over leading axes).
 
     The sign of each R diagonal is fixed so the retraction is a
     deterministic, continuous map.
     """
     qn, r = np.linalg.qr(q + delta)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return qn * signs
+    return qn * signs[..., None, :]
 
 
 def random_stiefel(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
@@ -55,28 +57,38 @@ def random_stiefel(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue-function machinery shared by ReEig / LogEig
+# On spd.eig_fn: the shared Daleckii-Krein backward and the eigenvalue
+# maps of LogEig, the Karcher mean and the geodesic
 # ---------------------------------------------------------------------------
 
-def _eig_fn_forward(batch: np.ndarray, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    w, u = np.linalg.eigh(sym(batch))
-    ut = np.swapaxes(u, -1, -2)
-    out = (u * fn(w)[..., None, :]) @ ut
-    return out, w, u
-
-
-def _eig_fn_backward(grad: np.ndarray, w: np.ndarray, u: np.ndarray, fn, dfn) -> np.ndarray:
-    """Daleckii-Krein backward: grad_X = U (K o (U^T sym(G) U)) U^T with
-    K_ij = (f(w_i) - f(w_j)) / (w_i - w_j) and K_ii = f'(w_i)."""
-    fw = fn(w)
+def _eig_fn_backward(
+    grad: np.ndarray, w: np.ndarray, u: np.ndarray, fw: np.ndarray, dfw: np.ndarray
+) -> np.ndarray:
+    """Daleckii-Krein backward of :func:`~spdbci.spd.eig_fn`:
+    grad_X = U (K o (U^T sym(G) U)) U^T with K_ij = (f(w_i) - f(w_j)) /
+    (w_i - w_j) and K_ii = f'(w_i), given ``fw = f(w)`` and ``dfw = f'(w)``."""
     diff = w[..., :, None] - w[..., None, :]
     near = np.abs(diff) < DEGENERATE_EIG_TOL
     denom = np.where(near, 1.0, diff)
-    k = np.where(near, dfn(w)[..., :, None] * np.ones_like(diff),
-                 (fw[..., :, None] - fw[..., None, :]) / denom)
+    k = np.where(near, dfw[..., :, None], (fw[..., :, None] - fw[..., None, :]) / denom)
     ut = np.swapaxes(u, -1, -2)
     inner = ut @ sym(grad) @ u
     return u @ (k * inner) @ ut
+
+
+def _log_positive(w: np.ndarray) -> np.ndarray:
+    if np.any(w[..., 0] <= 0):
+        raise NotPositiveDefinite("LogEig input is not positive definite")
+    return np.log(w)
+
+
+def _sqrt_and_inv_sqrt(w: np.ndarray) -> np.ndarray:
+    """Eigenvalue functions of ``(x^(1/2), x^(-1/2))``, stacked so one
+    :func:`~spdbci.spd.eig_fn` call returns both."""
+    if np.any(w[..., 0] <= 0):
+        raise NotPositiveDefinite("matrix square root requires a positive definite input")
+    sq = np.sqrt(w)
+    return np.stack([sq, 1.0 / sq])
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +96,9 @@ def _eig_fn_backward(grad: np.ndarray, w: np.ndarray, u: np.ndarray, fn, dfn) ->
 # ---------------------------------------------------------------------------
 
 class BiMapLayer:
-    """Bilinear map X -> W X W^T with an optional orthonormal-row constraint."""
+    """Bilinear map X -> W X W^T with orthonormal rows kept by the step."""
 
-    def __init__(self, weight: np.ndarray, enforce_orthonormal: bool = True):
+    def __init__(self, weight: np.ndarray):
         weight = np.asarray(weight, dtype=np.float64)
         m_out, m_in = weight.shape
         if m_out > m_in:
@@ -95,7 +107,6 @@ class BiMapLayer:
         if sv[-1] <= 1e-12 * sv[0]:
             raise RankDeficientWeight("BiMap weight is rank deficient")
         self.weight = weight
-        self.enforce_orthonormal = enforce_orthonormal
         self.grad_weight: np.ndarray | None = None
         self._cache: np.ndarray | None = None
 
@@ -130,12 +141,9 @@ class BiMapLayer:
     def step(self, lr: float) -> None:
         if self.grad_weight is None:
             return
-        if self.enforce_orthonormal:
-            q = self.weight.T  # columns orthonormal
-            g = self.grad_weight.T
-            self.weight = stiefel_retract(q, -lr * stiefel_project(q, g)).T
-        else:
-            self.weight = self.weight - lr * self.grad_weight
+        q = self.weight.T  # columns orthonormal
+        g = self.grad_weight.T
+        self.weight = stiefel_retract(q, -lr * stiefel_project(q, g)).T
         self.grad_weight = None
 
 
@@ -149,7 +157,7 @@ class ReEigLayer:
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, batch: np.ndarray, training: bool = True) -> np.ndarray:
-        out, w, u = _eig_fn_forward(batch, lambda v: np.maximum(v, self.epsilon))
+        out, w, u = eig_fn(batch, lambda v: np.maximum(v, self.epsilon))
         if training:
             self._cache = (w, u)
         return out
@@ -161,9 +169,7 @@ class ReEigLayer:
         eps = self.epsilon
         # subgradient 0 at clamped eigenvalues, matching ReLU at the kink
         return _eig_fn_backward(
-            grad, w, u,
-            lambda v: np.maximum(v, eps),
-            lambda v: (v > eps).astype(np.float64),
+            grad, w, u, np.maximum(w, eps), (w > eps).astype(np.float64)
         )
 
     def step(self, lr: float) -> None:  # no parameters
@@ -177,29 +183,22 @@ class LogEigLayer:
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, batch: np.ndarray, training: bool = True) -> np.ndarray:
-        w, u = np.linalg.eigh(sym(batch))
-        if np.any(w[..., 0] <= 0):
-            raise NotPositiveDefinite("LogEig input is not positive definite")
+        out, w, u = eig_fn(batch, _log_positive)
         if training:
             self._cache = (w, u)
-        return (u * np.log(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise MissingForwardCache("LogEig backward before forward")
         w, u = self._cache
-        return _eig_fn_backward(grad, w, u, np.log, lambda v: 1.0 / v)
+        return _eig_fn_backward(grad, w, u, np.log(w), 1.0 / w)
 
     def step(self, lr: float) -> None:
         pass
 
 
-def karcher_mean(
-    batch: np.ndarray,
-    iterations: int = 10,
-    step: float = 1.0,
-    tol: float = 1e-9,
-) -> np.ndarray:
+def karcher_mean(batch: np.ndarray, iterations: int = 10, tol: float = 1e-9) -> np.ndarray:
     """Karcher (Frechet) mean of an SPD batch under the affine-invariant
     metric, by fixed-point iteration from the arithmetic mean.
 
@@ -210,13 +209,11 @@ def karcher_mean(
     mean = sym(batch.mean(axis=0))
     prev_res = np.inf
     for _ in range(iterations):
-        w, u = np.linalg.eigh(mean)
-        if w[0] <= 0:
-            raise KarcherDivergence("iterate lost positive definiteness")
-        sq = np.sqrt(w)
-        rm = (u / sq) @ u.T
-        logs = spd_log(sym(rm @ batch @ rm))
-        tangent = logs.mean(axis=0)
+        try:
+            (half, rm), _, _ = eig_fn(mean, _sqrt_and_inv_sqrt)
+        except NotPositiveDefinite as exc:
+            raise KarcherDivergence("iterate lost positive definiteness") from exc
+        tangent = spd_log(rm @ batch @ rm).mean(axis=0)
         res = float(np.linalg.norm(tangent))
         if res < tol:
             break
@@ -225,16 +222,14 @@ def karcher_mean(
                 f"Karcher residual increased from {prev_res:.3e} to {res:.3e}"
             )
         prev_res = res
-        half = (u * sq) @ u.T
-        mean = sym(half @ spd_exp(step * tangent) @ half)
+        mean = sym(half @ spd_exp(tangent) @ half)
     return mean
 
 
 def spd_geodesic(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     """Point at parameter ``t`` on the AIRM geodesic from ``a`` to ``b``."""
-    half = spd_power(a, 0.5)
-    rm = inv_sqrtm(a)
-    inner = spd_power(sym(rm @ b @ rm), t)
+    (half, rm), _, _ = eig_fn(a, _sqrt_and_inv_sqrt)
+    inner, _, _ = eig_fn(rm @ b @ rm, lambda w: np.power(np.maximum(w, 0.0), t))
     return sym(half @ inner @ half)
 
 

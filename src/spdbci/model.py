@@ -9,11 +9,10 @@ band-importance gate -> linear head -> class logits.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .classifier import TangentClassifier, inverse_reshape, reshape_features
+from .config import config_from_mapping
 from .eeg_io import ModelBundle
 from .errors import ShapeMismatch
 from .layers import BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, random_stiefel
@@ -133,8 +132,7 @@ class Model:
         return arrays
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for k in range(self.heads.K):
-            self.heads.weights[k] = arrays[f"head_{k}"].copy()
+        self.heads.weights = np.stack([arrays[f"head_{k}"] for k in range(self.heads.K)])
         bidx = ridx = 0
         for layer in self.net:
             if isinstance(layer, BiMapLayer):
@@ -153,52 +151,45 @@ def count_parameters(model: Model) -> int:
 
 
 def model_to_bundle(model: Model, config: dict[str, str]) -> ModelBundle:
+    """Bundle a model with the config snapshot it was built from; the
+    model's shapes are read back from the arrays by :func:`model_from_bundle`."""
     arrays = dict(model.parameter_arrays())
     arrays.update(model.buffer_arrays())
-    snapshot = dict(config)
-    n_bimap = sum(1 for layer in model.net if isinstance(layer, BiMapLayer))
-    reeig_eps = next(l.epsilon for l in model.net if isinstance(l, ReEigLayer))
-    snapshot["_model_meta"] = json.dumps(
-        {
-            "n_windows": model.n_windows,
-            "n_bands": model.n_bands,
-            "n_channels": model.n_channels,
-            "n_classes": model.n_classes,
-            "k_heads": model.heads.K,
-            "m": model.m,
-            "iterations_run": model.selection.iterations_run,
-            "bimap_layers": n_bimap,
-            "reeig_epsilon": reeig_eps,
-            "conv_out": int(model.clf.kernel.shape[0]),
-        },
-        sort_keys=True,
-    )
     return ModelBundle(
-        config=snapshot,
+        config=dict(config),
         arrays=arrays,
         parameter_count=count_parameters(model),
     )
 
 
 def model_from_bundle(bundle: ModelBundle) -> Model:
-    meta = json.loads(bundle.config["_model_meta"])
+    """Rebuild a model: hyperparameters from the config snapshot, sizes
+    from the array shapes.  A ``_model_meta`` entry that older bundles
+    carry is ignored."""
+    config = config_from_mapping(bundle.config)
+    arrays = bundle.arrays
+    n_channels, _ = arrays["sel_W_hat"].shape
+    _, n_windows, _ = arrays["clf_kernel"].shape
     selection = SelectionTransform(
-        W_hat=bundle.arrays["sel_W_hat"].copy(),
-        selected_channels=[int(i) for i in bundle.arrays["sel_channels"]],
-        L_matrix=bundle.arrays["sel_L"].copy(),
-        iterations_run=int(meta["iterations_run"]),
-        objective_trace=[float(v) for v in bundle.arrays["sel_trace"]],
+        W_hat=arrays["sel_W_hat"].copy(),
+        selected_channels=[int(i) for i in arrays["sel_channels"]],
+        L_matrix=arrays["sel_L"].copy(),
+        iterations_run=len(arrays["sel_trace"]),
+        objective_trace=[float(v) for v in arrays["sel_trace"]],
     )
     model = Model(
         selection,
-        n_windows=meta["n_windows"],
-        n_bands=meta["n_bands"],
-        n_channels=meta["n_channels"],
-        n_classes=meta["n_classes"],
-        k_heads=meta["k_heads"],
-        reeig_epsilon=meta["reeig_epsilon"],
-        bimap_layers=meta["bimap_layers"],
-        conv_out=meta["conv_out"],
+        n_windows=n_windows,
+        n_bands=arrays["clf_w1"].shape[0],
+        n_channels=n_channels,
+        n_classes=arrays["clf_head_b"].shape[0],
+        k_heads=sum(name.startswith("head_") for name in arrays),
+        reeig_epsilon=config.reeig_epsilon,
+        bimap_layers=config.bimap_layers,
+        karcher_iterations=config.karcher_iterations,
+        rbn_momentum=config.rbn_momentum,
+        conv_out=config.conv_out,
+        seed=config.seed,
     )
-    model.load_arrays(bundle.arrays)
+    model.load_arrays(arrays)
     return model

@@ -13,25 +13,39 @@ whose tangent-space outputs are stacked along a new leading axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, MissingForwardCache
+from .errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    MissingForwardCache,
+    NotPositiveDefinite,
+)
 from .layers import random_stiefel, stiefel_project, stiefel_retract
-from .spd import airm_distance, double_center, spd_log, sym
+from .spd import check_spd, double_center, spd_log, sym
 
 
 def geodesic_matrix(samples: np.ndarray) -> np.ndarray:
-    """Pairwise AIRM distance matrix of a stack of SPD matrices."""
+    """Pairwise AIRM distance matrix of a stack of SPD matrices.
+
+    Each sample is factored once, ``X_i = L_i L_i^T``.  The eigenvalues
+    of ``L_i^-1 X_j L_i^-T`` are those of ``X_i^-1/2 X_j X_i^-1/2``, so
+    row i of the matrix takes one batched ``eigvalsh``.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[0]
     if n < 2:
         raise DimensionMismatch("need at least two samples")
+    check_spd(samples, "samples")
+    inv_chol = np.linalg.inv(np.linalg.cholesky(samples))
     g = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            g[i, j] = g[j, i] = airm_distance(samples[i], samples[j])
+    for i in range(n - 1):
+        w = np.linalg.eigvalsh(sym(inv_chol[i] @ samples[i + 1 :] @ inv_chol[i].T))
+        if np.any(w[:, 0] <= 0):
+            raise NotPositiveDefinite("whitened matrix lost positive definiteness")
+        g[i, i + 1 :] = g[i + 1 :, i] = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
     return g
 
 
@@ -70,19 +84,6 @@ def assemble_L(log_samples: np.ndarray, gamma_g: np.ndarray, w: np.ndarray) -> n
     term1 = np.einsum("b,bij,bjk->ik", r, lp, logs)
     term2 = np.einsum("ab,aij,bjk->ik", c, lp, logs)
     return sym(-(2.0 * term1 - 2.0 * term2))
-
-
-def assemble_L_loop(log_samples: np.ndarray, gamma_g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Literal double-loop form of :func:`assemble_L` (reference oracle)."""
-    logs = np.asarray(log_samples, dtype=np.float64)
-    n, m, _ = logs.shape
-    p = w @ w.T
-    out = np.zeros((m, m))
-    for i in range(n):
-        for j in range(n):
-            d = logs[i] - logs[j]
-            out -= gamma_g[i, j] * (d @ p @ d)
-    return sym(out)
 
 
 def update_W(l_matrix: np.ndarray, m: int) -> np.ndarray:
@@ -197,60 +198,46 @@ def fit_selection(
 class MbtHeads:
     """K orthonormal maps applied in parallel to tangent vectors.
 
-    ``head_k(V) = W_k^T V W_k`` with ``W_k`` of shape (channels, m).  The
-    first head carries the fitted selection transform and stays fixed;
-    the remaining heads are trained by the downstream loss with Stiefel
-    retraction steps.
+    ``head_k(V) = W_k^T V W_k`` with ``weights`` a (K, channels, m) stack.
+    The first head carries the fitted selection transform and stays
+    fixed; the remaining heads are trained by the downstream loss with
+    one batched Stiefel retraction step.
     """
 
-    weights: list[np.ndarray]
-    grads: list[np.ndarray | None] = field(default_factory=list)
+    weights: np.ndarray
+    grad_weights: np.ndarray | None = None  # (K-1, channels, m), heads 1..K-1
     _cache: np.ndarray | None = None
 
     @property
     def K(self) -> int:
-        return len(self.weights)
+        return self.weights.shape[0]
 
     @classmethod
     def initialize(cls, w_hat: np.ndarray, k: int, rng: np.random.Generator) -> "MbtHeads":
         big_m, m = w_hat.shape
-        weights = [w_hat.copy()]
-        weights += [random_stiefel(rng, big_m, m) for _ in range(k - 1)]
-        return cls(weights=weights, grads=[None] * k)
+        return cls(np.stack([w_hat] + [random_stiefel(rng, big_m, m) for _ in range(k - 1)]))
 
     def forward(self, batch: np.ndarray, training: bool = True) -> np.ndarray:
         """(B, M, M) tangent batch -> (B, K, m, m) stacked head outputs."""
         if training:
             self._cache = batch
-        outs = [w.T @ batch @ w for w in self.weights]
-        return np.stack(outs, axis=1)
+        w = self.weights
+        return np.swapaxes(w, -1, -2) @ batch[:, None] @ w
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        """grad: (B, K, m, m) -> input gradient (B, M, M); head gradients
-        are accumulated on ``grads`` (head 0 excluded: it is frozen)."""
+        """grad: (B, K, m, m) -> input gradient (B, M, M); the gradient of
+        heads 1..K-1 lands on ``grad_weights`` (head 0 is frozen)."""
         if self._cache is None:
             raise MissingForwardCache("MBT backward before forward")
-        v = self._cache
-        grad_in = np.zeros_like(v)
-        for k, w in enumerate(self.weights):
-            g = grad[:, k]
-            grad_in += np.einsum("ij,bjk,lk->bil", w, g, w)
-            if k > 0:
-                gsym = g + np.swapaxes(g, -1, -2)
-                self.grads[k] = np.einsum("bij,jk,bkl->il", v, w, gsym)
-        return grad_in
+        v, w = self._cache, self.weights
+        g = grad[:, 1:]
+        self.grad_weights = (v[:, None] @ w[1:] @ (g + np.swapaxes(g, -1, -2))).sum(axis=0)
+        return (w @ grad @ np.swapaxes(w, -1, -2)).sum(axis=1)
 
     def step(self, lr: float) -> None:
-        for k in range(1, self.K):
-            if self.grads[k] is None:
-                continue
-            q = self.weights[k]
-            self.weights[k] = stiefel_retract(
-                q, -lr * stiefel_project(q, self.grads[k])
-            )
-            self.grads[k] = None
-
-
-def mbt_apply(heads: MbtHeads, batch: np.ndarray) -> np.ndarray:
-    """Apply every head to a tangent batch and stack along a new axis."""
-    return heads.forward(np.asarray(batch, dtype=np.float64), training=False)
+        if self.grad_weights is None:
+            return
+        q = self.weights[1:]
+        trained = stiefel_retract(q, -lr * stiefel_project(q, self.grad_weights))
+        self.weights = np.concatenate([self.weights[:1], trained])
+        self.grad_weights = None

@@ -1,8 +1,9 @@
 """Symmetric positive-definite matrix algebra.
 
-Covariance construction, eigendecomposition, matrix log/exp, the
-affine-invariant geodesic distance, and the double-centering identities
-used by the channel-selection objective.  Everything here is pure and
+Covariance construction, the eigenvalue-function primitive and the
+matrix log, exp and inverse root built on it, the affine-invariant
+geodesic distance, and the double-centering identities used by the
+channel-selection objective.  Everything here is pure and
 operates on plain ``numpy`` arrays; batched inputs use leading axes.
 """
 
@@ -85,35 +86,37 @@ def covariance(window: np.ndarray, shrinkage=0.0) -> np.ndarray:
     return cov
 
 
-def sym_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix (batched over leading axes).
+def eig_fn(x: np.ndarray, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``U diag(fn(w)) U^T`` from one eigendecomposition ``sym(x) = U diag(w) U^T``.
 
-    Returns ``(eigenvalues, U)`` with eigenvalues sorted descending and
-    ``x = U diag(w) U^T``.
+    The one eigenvalue-function primitive of the package, batched over
+    leading axes.  ``fn`` maps the ascending eigenvalues ``w`` (shape
+    ``(..., n)``) to an array of the same shape, or to a stack
+    ``(P, ..., n)`` of P eigenvalue functions, which gives P matrices
+    from the single decomposition; it may raise to reject a spectrum.
+    Returns ``(out, w, u)``, so a backward pass can reuse ``w`` and ``u``.
     """
-    if not is_symmetric(x):
-        raise NotPositiveDefinite("sym_eig requires a symmetric input")
     w, u = np.linalg.eigh(sym(x))
-    # eigh sorts ascending; flip to descending
-    w = w[..., ::-1]
-    u = u[..., ::-1]
-    return w, u
+    return (u * fn(w)[..., None, :]) @ np.swapaxes(u, -1, -2), w, u
 
 
-def _eig_apply(x: np.ndarray, fn) -> np.ndarray:
-    w, u = np.linalg.eigh(sym(x))
-    return (u * fn(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
-
-
-def spd_log(x: np.ndarray) -> np.ndarray:
-    """Matrix logarithm ``U diag(ln w) U^T`` of an SPD matrix (batched)."""
-    x = np.asarray(x, dtype=np.float64)
-    w, u = np.linalg.eigh(sym(x))
+def _log_spd(w: np.ndarray) -> np.ndarray:
     if np.any(w[..., 0] <= SPD_RTOL * np.maximum(w[..., -1], 0.0)) or np.any(
         w[..., -1] <= 0
     ):
         raise NotPositiveDefinite("spd_log requires a positive definite input")
-    return (u * np.log(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
+    return np.log(w)
+
+
+def _inv_sqrt(w: np.ndarray) -> np.ndarray:
+    if np.any(w[..., 0] <= 0):
+        raise NotPositiveDefinite("inv_sqrtm requires a positive definite input")
+    return 1.0 / np.sqrt(w)
+
+
+def spd_log(x: np.ndarray) -> np.ndarray:
+    """Matrix logarithm ``U diag(ln w) U^T`` of an SPD matrix (batched)."""
+    return eig_fn(np.asarray(x, dtype=np.float64), _log_spd)[0]
 
 
 def spd_exp(v: np.ndarray) -> np.ndarray:
@@ -121,20 +124,12 @@ def spd_exp(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if not is_symmetric(v):
         raise NotPositiveDefinite("spd_exp requires a symmetric input")
-    return _eig_apply(v, np.exp)
-
-
-def spd_power(x: np.ndarray, p: float) -> np.ndarray:
-    """Matrix power ``x^p`` of an SPD matrix (batched)."""
-    return _eig_apply(x, lambda w: np.power(np.maximum(w, 0.0), p))
+    return eig_fn(v, np.exp)[0]
 
 
 def inv_sqrtm(x: np.ndarray) -> np.ndarray:
     """Inverse matrix square root of an SPD matrix (batched)."""
-    w, u = np.linalg.eigh(sym(x))
-    if np.any(w[..., 0] <= 0):
-        raise NotPositiveDefinite("inv_sqrtm requires a positive definite input")
-    return (u / np.sqrt(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
+    return eig_fn(x, _inv_sqrt)[0]
 
 
 def airm_distance(x: np.ndarray, y: np.ndarray) -> float:

@@ -32,7 +32,6 @@ from spdbci.model import Model, count_parameters
 from spdbci.selection import (
     SelectionTransform,
     assemble_L,
-    assemble_L_loop,
     fit_selection,
     gamma,
     geodesic_matrix,
@@ -49,7 +48,7 @@ from spdbci.spd import (
 from spdbci.synth import synthetic_trials, two_class_covariances
 from spdbci.trainer import predict, prepare_dataset, train
 
-from conftest import random_spd
+from conftest import assemble_L_loop, random_spd
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -9,7 +9,6 @@ from spdbci.classifier import (
     cross_entropy,
     inverse_reshape,
     reshape_features,
-    softmax,
 )
 from spdbci.errors import LabelOutOfRange, ShapeMismatch
 
@@ -120,10 +119,6 @@ class TestLoss:
     def test_saturated_logits(self):
         loss, _ = cross_entropy(np.array([[10.0, -10.0]]), np.array([0]))
         assert loss <= 1e-8
-
-    def test_softmax_normalization(self, rng):
-        p = softmax(rng.standard_normal((5, 7)) * 10)
-        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):

@@ -1,6 +1,8 @@
 """EEGB trial format, the CSV importer, and model bundle persistence."""
 
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -125,7 +127,7 @@ class TestRawTrialSet:
 def test_csv_import(tmp_path):
     path = tmp_path / "trial.csv"
     path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
-    label, data = load_trial_csv(path, label=1, sample_rate_hz=250.0)
+    label, data = load_trial_csv(path, label=1)
     assert label == 1
     assert data.shape == (2, 3)
     assert data[1, 2] == 6.0
@@ -175,3 +177,30 @@ class TestBundle:
         path.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
         with pytest.raises(MalformedHeader):
             load_model(path)
+
+
+def _forged_bundle(manifest, payload: bytes) -> bytes:
+    """SBCM bytes with an arbitrary manifest and a valid checksum."""
+    meta = json.dumps(manifest).encode("utf-8")
+    body = b"SBCM" + struct.pack("<II", 1, len(meta)) + meta + payload
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+_ONE_ARRAY = {"config": {}, "parameter_count": 2,
+              "arrays": [{"name": "w", "shape": [2]}]}
+
+
+@pytest.mark.parametrize(
+    "manifest, error",
+    [
+        ({"config": {}, "parameter_count": 2}, MalformedHeader),
+        ([_ONE_ARRAY], MalformedHeader),
+        ({**_ONE_ARRAY, "arrays": [{"name": "w", "shape": [2, 3]}]}, DimensionMismatch),
+    ],
+    ids=["no-arrays-key", "manifest-is-a-list", "shape-exceeds-payload"],
+)
+def test_malformed_manifest_raises_typed_error(tmp_path, manifest, error):
+    path = tmp_path / "m.sbcm"
+    path.write_bytes(_forged_bundle(manifest, np.zeros(2, dtype="<f8").tobytes()))
+    with pytest.raises(error):
+        load_model(path)

@@ -3,6 +3,7 @@ differences, Stiefel constraint preservation, and the Karcher mean."""
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from spdbci.errors import MissingForwardCache, RankDeficientWeight
 from spdbci.layers import (
@@ -161,6 +162,14 @@ class TestKarcher:
         x, y = random_spd(rng, 4), random_spd(rng, 4)
         assert np.linalg.norm(spd_geodesic(x, y, 0.0) - x) < 1e-9
         assert np.linalg.norm(spd_geodesic(x, y, 1.0) - y) < 1e-9
+
+    def test_geodesic_midpoint_closed_form(self, rng):
+        a, b = random_spd(rng, 5), random_spd(rng, 5)
+        half = linalg.sqrtm(a)
+        rm = linalg.inv(half)
+        expected = half @ linalg.sqrtm(rm @ b @ rm) @ half
+        mid = spd_geodesic(a, b, 0.5)
+        assert np.linalg.norm(mid - expected) < 1e-10 * np.linalg.norm(expected)
 
 
 class TestRbn:

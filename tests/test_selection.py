@@ -11,11 +11,9 @@ from spdbci.layers import karcher_mean, random_stiefel
 from spdbci.selection import (
     MbtHeads,
     assemble_L,
-    assemble_L_loop,
     fit_selection,
     gamma,
     geodesic_matrix,
-    mbt_apply,
     score_channels,
     tangent_distance_matrix,
     update_W,
@@ -23,7 +21,7 @@ from spdbci.selection import (
 from spdbci.spd import airm_distance, spd_log
 from spdbci.synth import two_class_covariances
 
-from conftest import random_spd
+from conftest import assemble_L_loop, random_spd
 
 
 class TestDistanceMatrices:
@@ -191,21 +189,22 @@ class TestFitSelection:
 
 class TestMbtHeads:
     def test_single_identity_head(self, rng):
-        heads = MbtHeads(weights=[np.eye(4)], grads=[None])
+        heads = MbtHeads(weights=np.eye(4)[None])
         batch = rng.standard_normal((3, 4, 4))
-        out = mbt_apply(heads, batch)
+        out = heads.forward(batch, training=False)
         assert out.shape == (3, 1, 4, 4)
         assert np.allclose(out[:, 0], batch)
 
     def test_stack_axis_length(self, rng):
         heads = MbtHeads.initialize(random_stiefel(rng, 6, 3), k=4, rng=rng)
-        out = mbt_apply(heads, rng.standard_normal((2, 6, 6)))
+        assert heads.weights.shape == (4, 6, 3)
+        out = heads.forward(rng.standard_normal((2, 6, 6)), training=False)
         assert out.shape == (2, 4, 3, 3)
 
     def test_compositional_oracle(self, rng):
         heads = MbtHeads.initialize(random_stiefel(rng, 5, 2), k=3, rng=rng)
         batch = rng.standard_normal((4, 5, 5))
-        stacked = mbt_apply(heads, batch)
+        stacked = heads.forward(batch, training=False)
         for k, w in enumerate(heads.weights):
             single = np.stack([w.T @ v @ w for v in batch])
             assert stacked[:, k].tobytes() == single.tobytes()
@@ -234,3 +233,21 @@ class TestMbtHeads:
         num = (np.sum(heads.forward(batch + h * v, training=False) * g)
                - np.sum(heads.forward(batch - h * v, training=False) * g)) / (2 * h)
         assert abs(num - np.sum(gx * v)) / abs(num) < 1e-6
+
+    def test_weight_gradient_fd(self, rng):
+        heads = MbtHeads.initialize(random_stiefel(rng, 5, 2), k=3, rng=rng)
+        batch = rng.standard_normal((3, 5, 5))
+        batch = batch + np.swapaxes(batch, 1, 2)
+        g = rng.standard_normal((3, 3, 2, 2))
+        heads.forward(batch, training=True)
+        heads.backward(g)
+        assert heads.grad_weights.shape == (2, 5, 2)  # heads 1..K-1
+        dw = rng.standard_normal(heads.weights.shape)
+        dw[0] = 0.0  # head 0 is frozen and gets no gradient
+        w0, h = heads.weights.copy(), 1e-6
+        heads.weights = w0 + h * dw
+        plus = np.sum(heads.forward(batch, training=False) * g)
+        heads.weights = w0 - h * dw
+        minus = np.sum(heads.forward(batch, training=False) * g)
+        num = (plus - minus) / (2 * h)
+        assert abs(num - np.sum(heads.grad_weights * dw[1:])) / abs(num) < 1e-6

@@ -1,8 +1,9 @@
-"""SPD algebra: covariance, eigendecomposition, log/exp, geodesic
-distance, centering identities."""
+"""SPD algebra: covariance, log/exp and inverse root, geodesic distance,
+centering identities."""
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from spdbci.errors import DegenerateInput, DimensionMismatch, NotPositiveDefinite
 from spdbci.spd import (
@@ -11,9 +12,10 @@ from spdbci.spd import (
     check_psd_theorem1,
     covariance,
     double_center,
+    inv_sqrtm,
     spd_exp,
     spd_log,
-    sym_eig,
+    sym,
 )
 
 from conftest import random_spd
@@ -75,28 +77,6 @@ class TestCovariance:
             covariance(np.zeros((2, 3, 0)), 1e-3)
 
 
-class TestSymEig:
-    def test_diagonal(self):
-        w, u = sym_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(w, [3.0, 1.0])
-        assert np.allclose(np.abs(u), np.eye(2))
-
-    def test_identity(self):
-        w, _ = sym_eig(np.eye(4))
-        assert np.allclose(w, np.ones(4))
-
-    def test_reconstruction(self, rng):
-        x = random_spd(rng, 6) - 6 * np.eye(6)  # generic symmetric
-        w, u = sym_eig(x)
-        assert np.linalg.norm(x - u @ np.diag(w) @ u.T) < 1e-9
-        assert np.linalg.norm(u.T @ u - np.eye(6)) < 1e-9
-        assert np.all(np.diff(w) <= 0)  # descending
-
-    def test_rejects_asymmetric(self, rng):
-        with pytest.raises(NotPositiveDefinite):
-            sym_eig(rng.standard_normal((4, 4)))
-
-
 class TestLogExp:
     def test_log_identity_is_zero(self):
         assert np.allclose(spd_log(np.eye(5)), 0.0)
@@ -119,6 +99,30 @@ class TestLogExp:
     def test_log_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             spd_log(np.diag([1.0, -1.0]))
+
+
+class TestAgainstScipy:
+    """The eigenvalue-function primitive against scipy's independent
+    matrix functions (Pade / Schur based, no eigendecomposition)."""
+
+    def test_log(self, rng):
+        batch = random_spd(rng, 6, batch=5)
+        out = spd_log(batch)
+        for x, y in zip(batch, out):
+            assert np.linalg.norm(y - linalg.logm(x)) < 1e-10 * np.linalg.norm(y)
+
+    def test_exp(self, rng):
+        batch = sym(rng.standard_normal((5, 6, 6)))
+        out = spd_exp(batch)
+        for v, y in zip(batch, out):
+            assert np.linalg.norm(y - linalg.expm(v)) < 1e-10 * np.linalg.norm(y)
+
+    def test_inv_sqrtm(self, rng):
+        batch = random_spd(rng, 6, batch=5)
+        out = inv_sqrtm(batch)
+        for x, y in zip(batch, out):
+            ref = linalg.inv(linalg.sqrtm(x))
+            assert np.linalg.norm(y - ref) < 1e-10 * np.linalg.norm(ref)
 
 
 class TestAirm:

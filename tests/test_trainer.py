@@ -13,9 +13,11 @@ from spdbci.config import (
     config_to_mapping,
     load_config,
 )
-from spdbci.eeg_io import load_model, save_trials
+from spdbci.classifier import cross_entropy
+from spdbci.eeg_io import load_model, save_model, save_trials
 from spdbci.errors import ConfigError, InsufficientData, SchemaMismatch
 from spdbci.filterbank import design_bandpass
+from spdbci.layers import BiMapLayer, RbnLayer
 from spdbci.model import count_parameters, model_from_bundle, model_to_bundle
 from spdbci.spd import covariance
 from spdbci.synth import synthetic_trials, two_class_covariances
@@ -110,10 +112,22 @@ class TestConfig:
             load_config(path)
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=-1.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(std_divisor="other")
+        for bad in (
+            {"learning_rate": -1.0},
+            {"std_divisor": "other"},
+            {"seed": -1},
+            {"bimap_layers": -1},
+            {"karcher_iterations": 0},
+            {"rbn_momentum": 1.0},
+            {"conv_out": 0},
+            {"selection_max_iters": 0},
+            {"channel_scoring": "bogus"},
+            {"selection_tol": 0.0},
+            {"filter_order": 0},
+            {"stopband_atten_db": 0.0},
+        ):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad)
 
 
 class TestSynth:
@@ -164,14 +178,58 @@ class TestTrain:
         cfg = TrainConfig(**SMALL)
         bundle = train_to_bundle(cfg, small_trials)
         path = tmp_path / "m.sbcm"
-        from spdbci.eeg_io import save_model
         save_model(bundle, path)
         loaded = load_model(path)
         assert loaded == bundle
+        assert "_model_meta" not in loaded.config
         model = model_from_bundle(loaded)
         covs, labels = prepare_dataset(small_trials, cfg)
         fresh, _ = train(cfg, small_trials)
         assert np.array_equal(predict(model, covs), predict(fresh, covs))
+
+    def test_bundle_without_bimap_layers_round_trips(self, small_trials, tmp_path):
+        cfg = TrainConfig(**{**SMALL, "bimap_layers": 0})
+        bundle = train_to_bundle(cfg, small_trials)
+        path = tmp_path / "m.sbcm"
+        save_model(bundle, path)
+        model = model_from_bundle(load_model(path))
+        assert not any(isinstance(layer, BiMapLayer) for layer in model.net)
+        covs, _ = prepare_dataset(small_trials, cfg)
+        fresh, _ = train(cfg, small_trials)
+        assert np.array_equal(model.forward(covs, training=False),
+                              fresh.forward(covs, training=False))
+
+    def test_reloaded_model_restores_hyperparameters(self, small_trials):
+        cfg = TrainConfig(**{**SMALL, "karcher_iterations": 3, "rbn_momentum": 0.5})
+        model = model_from_bundle(train_to_bundle(cfg, small_trials))
+        [rbn] = [layer for layer in model.net if isinstance(layer, RbnLayer)]
+        assert (rbn.karcher_iterations, rbn.momentum) == (3, 0.5)
+
+    def test_reloaded_model_trains_bit_identically(self, small_trials, tmp_path):
+        cfg = TrainConfig(**{**SMALL, "karcher_iterations": 3, "rbn_momentum": 0.5})
+        original, _ = train(cfg, small_trials)
+        path = tmp_path / "m.sbcm"
+        save_model(model_to_bundle(original, config_to_mapping(cfg)), path)
+        reloaded = model_from_bundle(load_model(path))
+        covs, labels = prepare_dataset(small_trials, cfg)
+        for model in (original, reloaded):
+            logits = model.forward(covs[:8], training=True)
+            _, grad = cross_entropy(logits, labels[:8])
+            model.backward(grad)
+            model.step(cfg.learning_rate)
+        for name, arr in {**original.parameter_arrays(), **original.buffer_arrays()}.items():
+            other = {**reloaded.parameter_arrays(), **reloaded.buffer_arrays()}[name]
+            assert arr.tobytes() == other.tobytes(), name
+
+    def test_legacy_model_meta_is_ignored(self, small_trials):
+        cfg = TrainConfig(**{**SMALL, "epochs": 0})
+        bundle = train_to_bundle(cfg, small_trials)
+        legacy = dataclasses.replace(
+            bundle, config={**bundle.config, "_model_meta": '{"k_heads": 2}'}
+        )
+        covs, _ = prepare_dataset(small_trials, cfg)
+        assert np.array_equal(model_from_bundle(legacy).forward(covs, training=False),
+                              model_from_bundle(bundle).forward(covs, training=False))
 
     def test_parameter_count_matches_shape_arithmetic(self, small_trials):
         cfg = TrainConfig(**SMALL)
