@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .config import TrainConfig, config_to_mapping, load_config
+from .config import TrainConfig, config_to_mapping, load_config, read_key_values
 from .eeg_io import load_model, load_trials, save_model, save_trials
 from .errors import SpdBciError
 from .model import model_to_bundle
@@ -111,15 +111,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    items: dict[str, str] = {}
-    with open(args.spec, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            items[key.strip()] = value.strip()
-    trials = generate_from_spec(items)
+    trials = generate_from_spec(read_key_values(args.spec))
     save_trials(trials, args.out)
     print(f"wrote {len(trials.trials)} trials to {args.out}")
     return 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, IoFailure
 from .filterbank import DEFAULT_BANDS, BandSpec
 
 
@@ -23,14 +23,12 @@ class TrainConfig:
     k_heads: int = 4
     reeig_epsilon: float = 1e-4
     shrinkage_scale: float = 1e-4  # epsilon = scale * trace / M
-    bimap_layers: int = 2
     karcher_iterations: int = 10
     rbn_momentum: float = 0.9
     conv_out: int = 64
     selection_max_iters: int = 20
     selection_tol: float = 1e-6
     channel_scoring: str = "row-norm"
-    std_divisor: str = "population"  # or "sample"
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
@@ -39,12 +37,10 @@ class TrainConfig:
             raise ConfigError("m, k_heads, window_len must be positive")
         if self.reeig_epsilon <= 0 or self.shrinkage_scale < 0:
             raise ConfigError("reeig_epsilon > 0 and shrinkage_scale >= 0 required")
-        if self.std_divisor not in ("population", "sample"):
-            raise ConfigError("std_divisor must be 'population' or 'sample'")
         if self.filter_order < 1 or self.stopband_atten_db <= 0:
             raise ConfigError("filter_order >= 1 and stopband_atten_db > 0 required")
-        if self.seed < 0 or self.bimap_layers < 0 or self.conv_out < 1:
-            raise ConfigError("seed >= 0, bimap_layers >= 0 and conv_out >= 1 required")
+        if self.seed < 0 or self.conv_out < 1:
+            raise ConfigError("seed >= 0 and conv_out >= 1 required")
         if self.karcher_iterations < 1 or not 0.0 <= self.rbn_momentum < 1.0:
             raise ConfigError("karcher_iterations >= 1 and rbn_momentum in [0, 1) required")
         if self.selection_max_iters < 1 or self.selection_tol <= 0:
@@ -76,7 +72,8 @@ def _format_bands(bands) -> str:
 
 
 def config_from_mapping(items: dict[str, str]) -> TrainConfig:
-    """Build a TrainConfig from string key=value pairs; unknown keys error."""
+    """Build a TrainConfig from string key=value pairs; unknown keys and
+    unparsable values raise :class:`ConfigError`."""
     known = {f.name: f for f in fields(TrainConfig)}
     kwargs = {}
     for key, value in items.items():
@@ -84,14 +81,17 @@ def config_from_mapping(items: dict[str, str]) -> TrainConfig:
             continue  # bundle-internal metadata
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        if key == "bands":
-            kwargs[key] = _parse_bands(value)
-        elif known[key].type in ("int", int):
-            kwargs[key] = int(value)
-        elif known[key].type in ("float", float):
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
+        try:
+            if key == "bands":
+                kwargs[key] = _parse_bands(value)
+            elif known[key].type in ("int", int):
+                kwargs[key] = int(value)
+            elif known[key].type in ("float", float):
+                kwargs[key] = float(value)
+            else:
+                kwargs[key] = value
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from exc
     return TrainConfig(**kwargs)
 
 
@@ -103,23 +103,36 @@ def config_to_mapping(config: TrainConfig) -> dict[str, str]:
     return out
 
 
-def load_config(path) -> TrainConfig:
-    """Parse a flat UTF-8 ``key = value`` file.
+def read_key_values(path) -> dict[str, str]:
+    """Read a flat UTF-8 ``key = value`` file into a dict of strings.
 
-    Blank lines and lines starting with ``#`` are ignored; unknown keys
-    are errors.
+    Blank lines and lines starting with ``#`` are ignored.  A line
+    without ``=`` or a repeated key raises :class:`ConfigError`; a file
+    that cannot be read raises :class:`IoFailure`.
     """
     items: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in items:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            items[key] = value
-    return config_from_mapping(items)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text") from exc
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in items:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        items[key] = value
+    return items
+
+
+def load_config(path) -> TrainConfig:
+    """Parse a ``key = value`` file (see :func:`read_key_values`);
+    unknown keys are errors."""
+    return config_from_mapping(read_key_values(path))

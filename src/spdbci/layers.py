@@ -172,9 +172,6 @@ class ReEigLayer:
             grad, w, u, np.maximum(w, eps), (w > eps).astype(np.float64)
         )
 
-    def step(self, lr: float) -> None:  # no parameters
-        pass
-
 
 class LogEigLayer:
     """Matrix logarithm mapping an SPD batch into its tangent space."""
@@ -193,9 +190,6 @@ class LogEigLayer:
             raise MissingForwardCache("LogEig backward before forward")
         w, u = self._cache
         return _eig_fn_backward(grad, w, u, np.log(w), 1.0 / w)
-
-    def step(self, lr: float) -> None:
-        pass
 
 
 def karcher_mean(batch: np.ndarray, iterations: int = 10, tol: float = 1e-9) -> np.ndarray:
@@ -272,6 +266,3 @@ class RbnLayer:
             raise MissingForwardCache("RBN backward before forward")
         r = self._whitener
         return r @ sym(grad) @ r
-
-    def step(self, lr: float) -> None:
-        pass

@@ -2,9 +2,9 @@
 transform, and the tangent-space classifier, wired for training with
 hand-derived gradients.
 
-Forward path per trial: covariance tensor (S, F, M, M) -> BiMap/RBN/ReEig
-blocks -> LogEig -> K bilinear heads -> reshape -> per-band conv ->
-band-importance gate -> linear head -> class logits.
+Forward path per trial: covariance tensor (S, F, M, M) -> one
+BiMap/RBN/ReEig block -> LogEig -> K bilinear heads -> reshape ->
+per-band conv -> band-importance gate -> linear head -> class logits.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from .classifier import TangentClassifier, inverse_reshape, reshape_features
 from .config import config_from_mapping
 from .eeg_io import ModelBundle
-from .errors import ShapeMismatch
+from .errors import MalformedHeader, ShapeMismatch
 from .layers import BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, random_stiefel
 from .selection import MbtHeads, SelectionTransform
 
@@ -31,7 +31,6 @@ class Model:
         n_classes: int,
         k_heads: int,
         reeig_epsilon: float = 1e-4,
-        bimap_layers: int = 2,
         karcher_iterations: int = 10,
         rbn_momentum: float = 0.9,
         conv_out: int = 4,
@@ -45,13 +44,9 @@ class Model:
         self.n_classes = n_classes
         self.m = selection.W_hat.shape[1]
 
-        self.net: list = []
-        for _ in range(bimap_layers):
-            self.net.append(
-                BiMapLayer(random_stiefel(rng, n_channels, n_channels).T)
-            )
-            self.net.append(RbnLayer(n_channels, karcher_iterations, rbn_momentum))
-            self.net.append(ReEigLayer(reeig_epsilon))
+        self.bimap = BiMapLayer(random_stiefel(rng, n_channels, n_channels).T)
+        self.rbn = RbnLayer(n_channels, karcher_iterations, rbn_momentum)
+        self.reeig = ReEigLayer(reeig_epsilon)
         self.logeig = LogEigLayer()
         self.heads = MbtHeads.initialize(selection.W_hat, k_heads, rng)
         self.clf = TangentClassifier(
@@ -73,9 +68,8 @@ class Model:
                 f"covariance tensor {covs.shape[1:]} does not match model "
                 f"({self.n_windows}, {self.n_bands}, {self.n_channels})"
             )
-        x = covs.reshape(b * s * f, m, m)
-        for layer in self.net:
-            x = layer.forward(x, training)
+        x = self.bimap.forward(covs.reshape(b * s * f, m, m), training)
+        x = self.reeig.forward(self.rbn.forward(x, training), training)
         tangent = self.logeig.forward(x, training)
         stacked = self.heads.forward(tangent, training)  # (BSF, K, m, m)
         k, mm = self.heads.K, self.m
@@ -90,15 +84,13 @@ class Model:
         d_stacked = inverse_reshape(d_fmap, k, mm)
         d_stacked = d_stacked.reshape(b * self.n_windows * self.n_bands, k, mm, mm)
         d_tangent = self.heads.backward(d_stacked)
-        grad = self.logeig.backward(d_tangent)
-        for layer in reversed(self.net):
-            grad = layer.backward(grad)
+        grad = self.reeig.backward(self.logeig.backward(d_tangent))
+        self.bimap.backward(self.rbn.backward(grad))
 
     def step(self, lr: float) -> None:
         self.clf.step(lr)
         self.heads.step(lr)
-        for layer in self.net:
-            layer.step(lr)
+        self.bimap.step(lr)
 
     # ------------------------------------------------------------------
 
@@ -107,41 +99,26 @@ class Model:
         arrays: dict[str, np.ndarray] = {}
         for k, w in enumerate(self.heads.weights):
             arrays[f"head_{k}"] = w
-        idx = 0
-        for layer in self.net:
-            if isinstance(layer, BiMapLayer):
-                arrays[f"bimap_{idx}"] = layer.weight
-                idx += 1
+        arrays["bimap_0"] = self.bimap.weight
         for name, arr in self.clf.parameters().items():
             arrays[f"clf_{name}"] = arr
         return arrays
 
     def buffer_arrays(self) -> dict[str, np.ndarray]:
-        """Non-learnable state (running means, selection byproducts)."""
-        arrays: dict[str, np.ndarray] = {
+        """Non-learnable state (running mean, selection byproducts)."""
+        return {
             "sel_W_hat": self.selection.W_hat,
             "sel_channels": np.asarray(self.selection.selected_channels, dtype=np.float64),
             "sel_L": self.selection.L_matrix,
             "sel_trace": np.asarray(self.selection.objective_trace, dtype=np.float64),
+            "rbn_mean_0": self.rbn.running_mean,
         }
-        idx = 0
-        for layer in self.net:
-            if isinstance(layer, RbnLayer):
-                arrays[f"rbn_mean_{idx}"] = layer.running_mean
-                idx += 1
-        return arrays
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         self.heads.weights = np.stack([arrays[f"head_{k}"] for k in range(self.heads.K)])
-        bidx = ridx = 0
-        for layer in self.net:
-            if isinstance(layer, BiMapLayer):
-                layer.weight = arrays[f"bimap_{bidx}"].copy()
-                bidx += 1
-            elif isinstance(layer, RbnLayer):
-                layer.running_mean = arrays[f"rbn_mean_{ridx}"].copy()
-                ridx += 1
-        for name in ("kernel", "bias", "w1", "w2", "head_w", "head_b"):
+        self.bimap.weight = arrays["bimap_0"].copy()
+        self.rbn.running_mean = arrays["rbn_mean_0"].copy()
+        for name in self.clf.parameters():
             setattr(self.clf, name, arrays[f"clf_{name}"].copy())
 
 
@@ -165,31 +142,33 @@ def model_to_bundle(model: Model, config: dict[str, str]) -> ModelBundle:
 def model_from_bundle(bundle: ModelBundle) -> Model:
     """Rebuild a model: hyperparameters from the config snapshot, sizes
     from the array shapes.  A ``_model_meta`` entry that older bundles
-    carry is ignored."""
+    carry is ignored; a missing array raises :class:`MalformedHeader`."""
     config = config_from_mapping(bundle.config)
     arrays = bundle.arrays
-    n_channels, _ = arrays["sel_W_hat"].shape
-    _, n_windows, _ = arrays["clf_kernel"].shape
-    selection = SelectionTransform(
-        W_hat=arrays["sel_W_hat"].copy(),
-        selected_channels=[int(i) for i in arrays["sel_channels"]],
-        L_matrix=arrays["sel_L"].copy(),
-        iterations_run=len(arrays["sel_trace"]),
-        objective_trace=[float(v) for v in arrays["sel_trace"]],
-    )
-    model = Model(
-        selection,
-        n_windows=n_windows,
-        n_bands=arrays["clf_w1"].shape[0],
-        n_channels=n_channels,
-        n_classes=arrays["clf_head_b"].shape[0],
-        k_heads=sum(name.startswith("head_") for name in arrays),
-        reeig_epsilon=config.reeig_epsilon,
-        bimap_layers=config.bimap_layers,
-        karcher_iterations=config.karcher_iterations,
-        rbn_momentum=config.rbn_momentum,
-        conv_out=config.conv_out,
-        seed=config.seed,
-    )
-    model.load_arrays(arrays)
+    try:
+        n_channels, _ = arrays["sel_W_hat"].shape
+        _, n_windows, _ = arrays["clf_kernel"].shape
+        selection = SelectionTransform(
+            W_hat=arrays["sel_W_hat"].copy(),
+            selected_channels=[int(i) for i in arrays["sel_channels"]],
+            L_matrix=arrays["sel_L"].copy(),
+            iterations_run=len(arrays["sel_trace"]),
+            objective_trace=[float(v) for v in arrays["sel_trace"]],
+        )
+        model = Model(
+            selection,
+            n_windows=n_windows,
+            n_bands=arrays["clf_w1"].shape[0],
+            n_channels=n_channels,
+            n_classes=arrays["clf_head_b"].shape[0],
+            k_heads=sum(name.startswith("head_") for name in arrays),
+            reeig_epsilon=config.reeig_epsilon,
+            karcher_iterations=config.karcher_iterations,
+            rbn_momentum=config.rbn_momentum,
+            conv_out=config.conv_out,
+            seed=config.seed,
+        )
+        model.load_arrays(arrays)
+    except KeyError as exc:
+        raise MalformedHeader(f"model bundle has no array {exc.args[0]!r}") from exc
     return model

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .eeg_io import RawTrialSet
+from .errors import ConfigError
 from .spd import airm_distance
 
 
@@ -82,27 +83,41 @@ def synthetic_trials(
     )
 
 
+def _spec_value(items: dict[str, str], key: str, kind, default: str | None = None):
+    """``kind(items[key])``, or ``kind(default)`` when the key is absent;
+    a missing required key or an unparsable value raises ConfigError."""
+    value = items.get(key, default)
+    if value is None:
+        raise ConfigError(f"synthetic spec lacks the required key {key!r}")
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"synthetic spec key {key!r}: cannot parse {value!r}") from exc
+
+
 def generate_from_spec(items: dict[str, str]) -> RawTrialSet:
     """Build a synthetic trial set from a flat key=value spec.
 
     Keys: seed, channels, samples_per_trial, sample_rate, trials_per_class,
     separation, noise, planted (comma-separated indices, optional).
+    channels, samples_per_trial and trials_per_class are required.
     """
-    rng = np.random.default_rng(int(items.get("seed", "0")))
+    rng = np.random.default_rng(_spec_value(items, "seed", int, "0"))
     planted = None
     if items.get("planted", "").strip():
-        planted = [int(tok) for tok in items["planted"].split(",")]
+        planted = _spec_value(items, "planted",
+                              lambda text: [int(tok) for tok in text.split(",")])
     covs = two_class_covariances(
-        n_channels=int(items["channels"]),
+        n_channels=_spec_value(items, "channels", int),
         planted=planted,
-        separation=float(items.get("separation", "2.0")),
+        separation=_spec_value(items, "separation", float, "2.0"),
         rng=rng,
     )
     return synthetic_trials(
         covs,
-        trials_per_class=int(items["trials_per_class"]),
-        samples_per_trial=int(items["samples_per_trial"]),
-        sample_rate_hz=float(items.get("sample_rate", "250")),
-        noise_scale=float(items.get("noise", "0.1")),
+        trials_per_class=_spec_value(items, "trials_per_class", int),
+        samples_per_trial=_spec_value(items, "samples_per_trial", int),
+        sample_rate_hz=_spec_value(items, "sample_rate", float, "250"),
+        noise_scale=_spec_value(items, "noise", float, "0.1"),
         rng=rng,
     )

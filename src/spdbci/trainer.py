@@ -113,7 +113,6 @@ def train(
         n_classes=n_classes,
         k_heads=config.k_heads,
         reeig_epsilon=config.reeig_epsilon,
-        bimap_layers=config.bimap_layers,
         karcher_iterations=config.karcher_iterations,
         rbn_momentum=config.rbn_momentum,
         conv_out=config.conv_out,
@@ -148,11 +147,6 @@ def _accuracy_and_confusion(pred, truth, n_classes):
     for t, p in zip(truth, pred):
         confusion[t, p] += 1
     return float(np.trace(confusion) / max(len(truth), 1)), confusion
-
-
-def _std(values: np.ndarray, convention: str) -> float:
-    ddof = 0 if convention == "population" else 1
-    return float(np.std(values, ddof=ddof)) if len(values) > ddof else 0.0
 
 
 def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -204,7 +198,7 @@ def evaluate_cv(config: TrainConfig, trials: RawTrialSet, folds: int = 10) -> Ev
     return EvalReport(
         fold_accuracies=accuracies,
         mean_accuracy=float(np.mean(accuracies)),
-        std_accuracy=_std(np.asarray(accuracies), config.std_divisor),
+        std_accuracy=float(np.std(accuracies)),
         confusion=confusion,
         parameter_count=param_count,
         latency_mean_s=float(latencies.mean()),

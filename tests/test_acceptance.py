@@ -335,10 +335,10 @@ def test_criterion_6_multi_head_direction():
 # Criterion 7: parameter accounting
 # ---------------------------------------------------------------------------
 
-def _expected_count(big_m, m, k, s, f, c_out, n_cls, bimap_layers):
+def _expected_count(big_m, m, k, s, f, c_out, n_cls):
     return (
         k * big_m * m
-        + bimap_layers * big_m * big_m
+        + big_m * big_m
         + c_out * s * (k * m * m)
         + c_out
         + f * (f // 2) + (f // 2) * f
@@ -346,7 +346,7 @@ def _expected_count(big_m, m, k, s, f, c_out, n_cls, bimap_layers):
     )
 
 
-def _build_model(rng, big_m, m, k, s, f, c_out, n_cls, bimap_layers):
+def _build_model(rng, big_m, m, k, s, f, c_out, n_cls):
     selection = SelectionTransform(
         W_hat=random_stiefel(rng, big_m, m),
         selected_channels=list(range(m)),
@@ -355,16 +355,15 @@ def _build_model(rng, big_m, m, k, s, f, c_out, n_cls, bimap_layers):
         objective_trace=[0.0],
     )
     return Model(selection, n_windows=s, n_bands=f, n_channels=big_m,
-                 n_classes=n_cls, k_heads=k, conv_out=c_out,
-                 bimap_layers=bimap_layers)
+                 n_classes=n_cls, k_heads=k, conv_out=c_out)
 
 
 def test_criterion_7_parameter_accounting():
     rng = np.random.default_rng(77)
     configs = [
-        dict(big_m=8, m=5, k=4, s=2, f=9, c_out=64, n_cls=2, bimap_layers=2),
-        dict(big_m=4, m=2, k=2, s=2, f=2, c_out=3, n_cls=2, bimap_layers=1),
-        dict(big_m=22, m=5, k=1, s=4, f=9, c_out=16, n_cls=4, bimap_layers=3),
+        dict(big_m=8, m=5, k=4, s=2, f=9, c_out=64, n_cls=2),
+        dict(big_m=4, m=2, k=2, s=2, f=2, c_out=3, n_cls=2),
+        dict(big_m=22, m=5, k=1, s=4, f=9, c_out=16, n_cls=4),
     ]
     failures = []
     counts = []
@@ -411,7 +410,7 @@ def test_criterion_8_formats_and_cli(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(
         "epochs = 2\nbatch_size = 16\nbands = 8-16;16-24\nwindow_len = 64\n"
-        "m = 2\nk_heads = 2\nconv_out = 3\nbimap_layers = 1\n"
+        "m = 2\nk_heads = 2\nconv_out = 3\n"
         "karcher_iterations = 5\n"
     )
     r1, r2 = tmp_path / "cv1.csv", tmp_path / "cv2.csv"

@@ -15,12 +15,17 @@ from spdbci.config import (
 )
 from spdbci.classifier import cross_entropy
 from spdbci.eeg_io import load_model, save_model, save_trials
-from spdbci.errors import ConfigError, InsufficientData, SchemaMismatch
+from spdbci.errors import (
+    ConfigError,
+    InsufficientData,
+    IoFailure,
+    MalformedHeader,
+    SchemaMismatch,
+)
 from spdbci.filterbank import design_bandpass
-from spdbci.layers import BiMapLayer, RbnLayer
 from spdbci.model import count_parameters, model_from_bundle, model_to_bundle
 from spdbci.spd import covariance
-from spdbci.synth import synthetic_trials, two_class_covariances
+from spdbci.synth import generate_from_spec, synthetic_trials, two_class_covariances
 from spdbci.trainer import (
     bench_inference,
     evaluate_cv,
@@ -41,7 +46,6 @@ SMALL = dict(
     m=2,
     k_heads=2,
     conv_out=3,
-    bimap_layers=1,
     karcher_iterations=5,
 )
 
@@ -90,8 +94,16 @@ class TestConfig:
         assert again == cfg
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_mapping({"no_such_knob": "1"})
+        for key in ("no_such_knob", "bimap_layers", "std_divisor"):
+            with pytest.raises(ConfigError):
+                config_from_mapping({key: "1"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", "five"), ("learning_rate", "fast"), ("bands", "8-x"),
+    ])
+    def test_unparsable_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({key: value})
 
     def test_band_parsing(self):
         cfg = config_from_mapping({"bands": "4-8; 8-12"})
@@ -111,12 +123,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(IoFailure):
+            load_config(tmp_path / "missing.cfg")
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"channel_scoring = \xe9\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
     def test_invalid_values_rejected(self):
         for bad in (
             {"learning_rate": -1.0},
-            {"std_divisor": "other"},
             {"seed": -1},
-            {"bimap_layers": -1},
             {"karcher_iterations": 0},
             {"rbn_momentum": 1.0},
             {"conv_out": 0},
@@ -149,6 +167,17 @@ class TestSynth:
         assert len(trials.trials) == 10
         assert [l for l, _ in trials.trials] == [0, 1] * 5
 
+    @pytest.mark.parametrize("items", [
+        {"samples_per_trial": "100", "trials_per_class": "2"},
+        {"channels": "4", "samples_per_trial": "100", "trials_per_class": "2",
+         "noise": "loud"},
+        {"channels": "4", "samples_per_trial": "100", "trials_per_class": "2",
+         "planted": "1,x"},
+    ], ids=["missing-channels", "non-numeric-noise", "non-numeric-planted"])
+    def test_bad_spec_raises_config_error(self, items):
+        with pytest.raises(ConfigError):
+            generate_from_spec(items)
+
 
 class TestTrain:
     def test_zero_epochs_returns_initial_model(self, small_trials):
@@ -168,11 +197,8 @@ class TestTrain:
         model, _ = train(cfg, small_trials)
         for w in model.heads.weights[1:]:
             assert np.linalg.norm(w.T @ w - np.eye(w.shape[1])) < 1e-8
-        from spdbci.layers import BiMapLayer
-        for layer in model.net:
-            if isinstance(layer, BiMapLayer):
-                w = layer.weight
-                assert np.linalg.norm(w @ w.T - np.eye(w.shape[0])) < 1e-8
+        w = model.bimap.weight
+        assert np.linalg.norm(w @ w.T - np.eye(w.shape[0])) < 1e-8
 
     def test_bundle_round_trip_preserves_predictions(self, small_trials, tmp_path):
         cfg = TrainConfig(**SMALL)
@@ -187,23 +213,17 @@ class TestTrain:
         fresh, _ = train(cfg, small_trials)
         assert np.array_equal(predict(model, covs), predict(fresh, covs))
 
-    def test_bundle_without_bimap_layers_round_trips(self, small_trials, tmp_path):
-        cfg = TrainConfig(**{**SMALL, "bimap_layers": 0})
-        bundle = train_to_bundle(cfg, small_trials)
-        path = tmp_path / "m.sbcm"
-        save_model(bundle, path)
-        model = model_from_bundle(load_model(path))
-        assert not any(isinstance(layer, BiMapLayer) for layer in model.net)
-        covs, _ = prepare_dataset(small_trials, cfg)
-        fresh, _ = train(cfg, small_trials)
-        assert np.array_equal(model.forward(covs, training=False),
-                              fresh.forward(covs, training=False))
-
     def test_reloaded_model_restores_hyperparameters(self, small_trials):
         cfg = TrainConfig(**{**SMALL, "karcher_iterations": 3, "rbn_momentum": 0.5})
         model = model_from_bundle(train_to_bundle(cfg, small_trials))
-        [rbn] = [layer for layer in model.net if isinstance(layer, RbnLayer)]
-        assert (rbn.karcher_iterations, rbn.momentum) == (3, 0.5)
+        assert (model.rbn.karcher_iterations, model.rbn.momentum) == (3, 0.5)
+
+    @pytest.mark.parametrize("name", ["clf_kernel", "rbn_mean_0", "head_0"])
+    def test_bundle_missing_array_raises_typed_error(self, small_trials, name):
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        arrays = {key: arr for key, arr in bundle.arrays.items() if key != name}
+        with pytest.raises(MalformedHeader, match=name):
+            model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
 
     def test_reloaded_model_trains_bit_identically(self, small_trials, tmp_path):
         cfg = TrainConfig(**{**SMALL, "karcher_iterations": 3, "rbn_momentum": 0.5})
@@ -237,7 +257,7 @@ class TestTrain:
         s, f, big_m, m, k, c_out, n_cls = 2, 2, 4, 2, 2, 3, 2
         expected = (
             k * big_m * m                     # MBT heads
-            + 1 * big_m * big_m               # BiMap layers
+            + big_m * big_m                   # BiMap
             + c_out * s * (k * m * m)         # conv kernel
             + c_out                           # conv bias
             + f * (f // 2) + (f // 2) * f     # gate bottleneck
@@ -332,7 +352,7 @@ class TestEvaluate:
 def _write_small_config(path):
     path.write_text(
         "epochs = 2\nbatch_size = 16\nbands = 8-16;16-24\nwindow_len = 64\n"
-        "m = 2\nk_heads = 2\nconv_out = 3\nbimap_layers = 1\n"
+        "m = 2\nk_heads = 2\nconv_out = 3\n"
         "karcher_iterations = 5\n"
     )
 
@@ -375,6 +395,19 @@ class TestCli:
         assert cli_main(["bench", "--model", str(model_path), "--data", str(data),
                          "--reps", "0", "--report", str(bench)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        "seed = 0\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+        "channels = four\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+        "channels = 4\nchannels = 5\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+        "channels 4\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+    ], ids=["missing-key", "non-numeric", "duplicate-key", "missing-equals"])
+    def test_gen_synthetic_bad_spec(self, tmp_path, capsys, spec):
+        path, out = tmp_path / "gen.cfg", tmp_path / "d.eegb"
+        path.write_text(spec)
+        assert cli_main(["gen-synthetic", "--spec", str(path), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.eegb"
