@@ -21,10 +21,7 @@ class TrainConfig:
     window_len: int = 125
     m: int = 5
     k_heads: int = 4
-    reeig_epsilon: float = 1e-4
     shrinkage_scale: float = 1e-4  # epsilon = scale * trace / M
-    karcher_iterations: int = 10
-    rbn_momentum: float = 0.9
     conv_out: int = 64
     selection_max_iters: int = 20
     selection_tol: float = 1e-6
@@ -35,14 +32,12 @@ class TrainConfig:
             raise ConfigError("epochs >= 0, batch_size >= 1, learning_rate > 0 required")
         if self.m < 1 or self.k_heads < 1 or self.window_len < 1:
             raise ConfigError("m, k_heads, window_len must be positive")
-        if self.reeig_epsilon <= 0 or self.shrinkage_scale < 0:
-            raise ConfigError("reeig_epsilon > 0 and shrinkage_scale >= 0 required")
+        if self.shrinkage_scale < 0:
+            raise ConfigError("shrinkage_scale >= 0 required")
         if self.filter_order < 1 or self.stopband_atten_db <= 0:
             raise ConfigError("filter_order >= 1 and stopband_atten_db > 0 required")
         if self.seed < 0 or self.conv_out < 1:
             raise ConfigError("seed >= 0 and conv_out >= 1 required")
-        if self.karcher_iterations < 1 or not 0.0 <= self.rbn_momentum < 1.0:
-            raise ConfigError("karcher_iterations >= 1 and rbn_momentum in [0, 1) required")
         if self.selection_max_iters < 1 or self.selection_tol <= 0:
             raise ConfigError("selection_max_iters >= 1 and selection_tol > 0 required")
         if self.channel_scoring not in ("row-norm", "argmax"):

@@ -231,27 +231,25 @@ class RbnLayer:
     """Riemannian batch normalization: re-center a batch so its Karcher
     mean is the identity.
 
-    Training mode whitens with the batch mean and updates the running
-    mean by geodesic interpolation; inference mode whitens with the
-    running mean.  The backward pass treats the whitening matrix as a
-    statistic (no gradient flows through the mean), analogous to frozen
-    batch-norm statistics.
+    Training mode whitens with the batch mean, taken as one Karcher-flow
+    step from the arithmetic mean (Brooks et al., NeurIPS 2019), and
+    updates the running mean by geodesic interpolation; inference mode
+    whitens with the running mean.  The backward pass treats the
+    whitening matrix as a statistic (no gradient flows through the
+    mean), analogous to frozen batch-norm statistics.
     """
 
-    def __init__(self, dim: int, karcher_iterations: int = 10, momentum: float = 0.9):
+    def __init__(self, dim: int, momentum: float = 0.9):
         if not (0.0 <= momentum < 1.0):
             raise ValueError("momentum must lie in [0, 1)")
-        if karcher_iterations < 1:
-            raise ValueError("karcher_iterations must be positive")
         self.dim = dim
-        self.karcher_iterations = karcher_iterations
         self.momentum = momentum
         self.running_mean = np.eye(dim)
         self._whitener: np.ndarray | None = None
 
     def forward(self, batch: np.ndarray, training: bool = True) -> np.ndarray:
         if training:
-            mean = karcher_mean(batch, self.karcher_iterations)
+            mean = karcher_mean(batch, iterations=1)
             self.running_mean = spd_geodesic(
                 self.running_mean, mean, 1.0 - self.momentum
             )

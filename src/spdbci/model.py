@@ -30,9 +30,6 @@ class Model:
         n_channels: int,
         n_classes: int,
         k_heads: int,
-        reeig_epsilon: float = 1e-4,
-        karcher_iterations: int = 10,
-        rbn_momentum: float = 0.9,
         conv_out: int = 4,
         seed: int = 0,
     ):
@@ -45,8 +42,8 @@ class Model:
         self.m = selection.W_hat.shape[1]
 
         self.bimap = BiMapLayer(random_stiefel(rng, n_channels, n_channels).T)
-        self.rbn = RbnLayer(n_channels, karcher_iterations, rbn_momentum)
-        self.reeig = ReEigLayer(reeig_epsilon)
+        self.rbn = RbnLayer(n_channels)
+        self.reeig = ReEigLayer()
         self.logeig = LogEigLayer()
         self.heads = MbtHeads.initialize(selection.W_hat, k_heads, rng)
         self.clf = TangentClassifier(
@@ -162,9 +159,6 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
             n_channels=n_channels,
             n_classes=arrays["clf_head_b"].shape[0],
             k_heads=sum(name.startswith("head_") for name in arrays),
-            reeig_epsilon=config.reeig_epsilon,
-            karcher_iterations=config.karcher_iterations,
-            rbn_momentum=config.rbn_momentum,
             conv_out=config.conv_out,
             seed=config.seed,
         )

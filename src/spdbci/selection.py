@@ -49,14 +49,6 @@ def geodesic_matrix(samples: np.ndarray) -> np.ndarray:
     return g
 
 
-def tangent_distance_matrix(samples: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pairwise distances ||W^T (log X_i - log X_j) W||_F."""
-    logs = spd_log(np.asarray(samples, dtype=np.float64))
-    proj = np.einsum("ji,bjk,kl->bil", w, logs, w)
-    diff = proj[:, None] - proj[None, :]
-    return np.linalg.norm(diff, axis=(-2, -1))
-
-
 def gamma(dist: np.ndarray) -> np.ndarray:
     """Centered inner-product matrix ``-1/2 H D^2 H`` (entrywise square)."""
     dist = np.asarray(dist, dtype=np.float64)

@@ -168,21 +168,3 @@ def double_center(sq_dist: np.ndarray) -> np.ndarray:
     n = sq_dist.shape[0]
     h = centering_matrix(n)
     return sym(-0.5 * (h @ sq_dist @ h))
-
-
-def check_psd_theorem1(g: np.ndarray, d: np.ndarray) -> float:
-    """Smallest eigenvalue of ``H (-1/2 (G^2 - D^2)) H``.
-
-    ``G`` and ``D`` are distance matrices; squaring is entrywise.  When
-    both arise as Euclidean distance matrices of a common point set the
-    result is nonnegative up to round-off.  A negative value for
-    non-metric inputs is a diagnostic, not an error.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    if g.shape != d.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DimensionMismatch(
-            f"G and D must be square with equal shapes, got {g.shape}, {d.shape}"
-        )
-    centered = double_center(g**2 - d**2)
-    return float(np.min(np.linalg.eigvalsh(centered)))

@@ -95,20 +95,35 @@ def _spec_value(items: dict[str, str], key: str, kind, default: str | None = Non
         raise ConfigError(f"synthetic spec key {key!r}: cannot parse {value!r}") from exc
 
 
+def _positive_spec_value(items: dict[str, str], key: str) -> int:
+    value = _spec_value(items, key, int)
+    if value < 1:
+        raise ConfigError(f"synthetic spec key {key!r} must be >= 1, got {value}")
+    return value
+
+
 def generate_from_spec(items: dict[str, str]) -> RawTrialSet:
     """Build a synthetic trial set from a flat key=value spec.
 
     Keys: seed, channels, samples_per_trial, sample_rate, trials_per_class,
     separation, noise, planted (comma-separated indices, optional).
-    channels, samples_per_trial and trials_per_class are required.
+    channels, samples_per_trial and trials_per_class are required;
+    channels and samples_per_trial must be >= 1 and every planted index
+    must name a channel, else :class:`ConfigError` is raised.
     """
     rng = np.random.default_rng(_spec_value(items, "seed", int, "0"))
+    n_channels = _positive_spec_value(items, "channels")
     planted = None
     if items.get("planted", "").strip():
         planted = _spec_value(items, "planted",
                               lambda text: [int(tok) for tok in text.split(",")])
+        if not all(0 <= i < n_channels for i in planted):
+            raise ConfigError(
+                f"synthetic spec key 'planted': indices {planted} must lie in "
+                f"0..{n_channels - 1}"
+            )
     covs = two_class_covariances(
-        n_channels=_spec_value(items, "channels", int),
+        n_channels=n_channels,
         planted=planted,
         separation=_spec_value(items, "separation", float, "2.0"),
         rng=rng,
@@ -116,7 +131,7 @@ def generate_from_spec(items: dict[str, str]) -> RawTrialSet:
     return synthetic_trials(
         covs,
         trials_per_class=_spec_value(items, "trials_per_class", int),
-        samples_per_trial=_spec_value(items, "samples_per_trial", int),
+        samples_per_trial=_positive_spec_value(items, "samples_per_trial"),
         sample_rate_hz=_spec_value(items, "sample_rate", float, "250"),
         noise_scale=_spec_value(items, "noise", float, "0.1"),
         rng=rng,

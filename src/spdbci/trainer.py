@@ -112,9 +112,6 @@ def train(
         n_channels=m,
         n_classes=n_classes,
         k_heads=config.k_heads,
-        reeig_epsilon=config.reeig_epsilon,
-        karcher_iterations=config.karcher_iterations,
-        rbn_momentum=config.rbn_momentum,
         conv_out=config.conv_out,
         seed=config.seed,
     )
@@ -150,7 +147,11 @@ def _accuracy_and_confusion(pred, truth, n_classes):
 
 
 def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
-    """Fold index per trial; every class is spread evenly across folds."""
+    """Fold index per trial; every class is spread evenly across folds.
+    Fewer than two folds leave no training partition and raise
+    :class:`ConfigError`."""
+    if folds < 2:
+        raise ConfigError(f"cross-validation needs at least 2 folds, got {folds}")
     rng = np.random.default_rng(seed)
     assignment = np.empty(len(labels), dtype=np.int64)
     for c in np.unique(labels):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from spdbci.errors import DimensionMismatch
+from spdbci.spd import double_center, spd_log
+
 
 def random_spd(rng, n, batch=None):
     """Well-conditioned random SPD matrices."""
@@ -21,6 +24,32 @@ def assemble_L_loop(log_samples, gamma_g, w):
             d = logs[i] - logs[j]
             out -= gamma_g[i, j] * (d @ p @ d)
     return 0.5 * (out + out.T)
+
+
+def check_psd_theorem1(g: np.ndarray, d: np.ndarray) -> float:
+    """Smallest eigenvalue of ``H (-1/2 (G^2 - D^2)) H``.
+
+    ``G`` and ``D`` are distance matrices; squaring is entrywise.  When
+    both arise as Euclidean distance matrices of a common point set the
+    result is nonnegative up to round-off.  A negative value for
+    non-metric inputs is a diagnostic, not an error.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    if g.shape != d.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise DimensionMismatch(
+            f"G and D must be square with equal shapes, got {g.shape}, {d.shape}"
+        )
+    centered = double_center(g**2 - d**2)
+    return float(np.min(np.linalg.eigvalsh(centered)))
+
+
+def tangent_distance_matrix(samples: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pairwise distances ||W^T (log X_i - log X_j) W||_F."""
+    logs = spd_log(np.asarray(samples, dtype=np.float64))
+    proj = np.einsum("ji,bjk,kl->bil", w, logs, w)
+    diff = proj[:, None] - proj[None, :]
+    return np.linalg.norm(diff, axis=(-2, -1))
 
 
 @pytest.fixture

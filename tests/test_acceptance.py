@@ -39,7 +39,6 @@ from spdbci.selection import (
 )
 from spdbci.spd import (
     airm_distance,
-    check_psd_theorem1,
     covariance,
     spd_exp,
     spd_log,
@@ -48,7 +47,7 @@ from spdbci.spd import (
 from spdbci.synth import synthetic_trials, two_class_covariances
 from spdbci.trainer import predict, prepare_dataset, train
 
-from conftest import assemble_L_loop, random_spd
+from conftest import assemble_L_loop, check_psd_theorem1, random_spd
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -411,7 +410,6 @@ def test_criterion_8_formats_and_cli(tmp_path):
     cfg_path.write_text(
         "epochs = 2\nbatch_size = 16\nbands = 8-16;16-24\nwindow_len = 64\n"
         "m = 2\nk_heads = 2\nconv_out = 3\n"
-        "karcher_iterations = 5\n"
     )
     r1, r2 = tmp_path / "cv1.csv", tmp_path / "cv2.csv"
     for rp in (r1, r2):

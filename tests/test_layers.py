@@ -187,14 +187,18 @@ class TestRbn:
     def test_normalized_mean_is_identity(self, rng):
         batch = random_spd(rng, 6, batch=16)
         out = RbnLayer(6).forward(batch, training=True)
-        assert airm_distance(karcher_mean(out), np.eye(6)) < 1e-6
+        # one Karcher-flow step commutes with congruence, so the layer's
+        # own statistic of its output is the identity to round-off
+        assert airm_distance(karcher_mean(out, iterations=1), np.eye(6)) < 1e-6
 
     def test_running_mean_momentum(self, rng):
         batch = random_spd(rng, 4, batch=8)
         layer = RbnLayer(4, momentum=0.0)
         layer.forward(batch, training=True)
-        # momentum 0 snaps the running mean to the batch mean
-        assert np.linalg.norm(layer.running_mean - karcher_mean(batch)) < 1e-9
+        # momentum 0 snaps the running mean to the batch mean: one
+        # Karcher-flow step from the arithmetic mean
+        step = karcher_mean(batch, iterations=1)
+        assert np.linalg.norm(layer.running_mean - step) < 1e-9
 
     def test_frozen_whitener_gradient_fd(self, rng):
         batch = random_spd(rng, 5, batch=4)

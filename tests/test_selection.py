@@ -15,13 +15,12 @@ from spdbci.selection import (
     gamma,
     geodesic_matrix,
     score_channels,
-    tangent_distance_matrix,
     update_W,
 )
 from spdbci.spd import airm_distance, spd_log
 from spdbci.synth import two_class_covariances
 
-from conftest import assemble_L_loop, random_spd
+from conftest import assemble_L_loop, random_spd, tangent_distance_matrix
 
 
 class TestDistanceMatrices:

@@ -9,7 +9,6 @@ from spdbci.errors import DegenerateInput, DimensionMismatch, NotPositiveDefinit
 from spdbci.spd import (
     airm_distance,
     centering_matrix,
-    check_psd_theorem1,
     covariance,
     double_center,
     inv_sqrtm,
@@ -18,7 +17,7 @@ from spdbci.spd import (
     sym,
 )
 
-from conftest import random_spd
+from conftest import check_psd_theorem1, random_spd
 
 
 class TestCovariance:

@@ -1,6 +1,9 @@
 """Training loop, evaluation harnesses, configuration, and the CLI."""
 
 import dataclasses
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +49,6 @@ SMALL = dict(
     m=2,
     k_heads=2,
     conv_out=3,
-    karcher_iterations=5,
 )
 
 
@@ -93,8 +95,27 @@ class TestConfig:
         again = config_from_mapping(config_to_mapping(cfg))
         assert again == cfg
 
+    def test_readme_table_matches_schema(self):
+        """README's Configuration table lists every TrainConfig field, in
+        order, with its default."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, flags=re.MULTILINE)
+        assert [key for key, _ in rows] == [f.name for f in fields(TrainConfig)]
+        defaults = TrainConfig()
+        for key, text in rows:
+            text = text.strip().strip("`")
+            if key == "bands":
+                first, *_, last = text.split(";")
+                assert config_from_mapping({key: f"{first};{last}"}).bands == (
+                    defaults.bands[0], defaults.bands[-1])
+            else:
+                assert getattr(config_from_mapping({key: text}), key) == getattr(
+                    defaults, key), key
+
     def test_unknown_key_rejected(self):
-        for key in ("no_such_knob", "bimap_layers", "std_divisor"):
+        for key in ("no_such_knob", "bimap_layers", "std_divisor",
+                    "karcher_iterations", "rbn_momentum", "reeig_epsilon"):
             with pytest.raises(ConfigError):
                 config_from_mapping({key: "1"})
 
@@ -135,8 +156,6 @@ class TestConfig:
         for bad in (
             {"learning_rate": -1.0},
             {"seed": -1},
-            {"karcher_iterations": 0},
-            {"rbn_momentum": 1.0},
             {"conv_out": 0},
             {"selection_max_iters": 0},
             {"channel_scoring": "bogus"},
@@ -173,10 +192,20 @@ class TestSynth:
          "noise": "loud"},
         {"channels": "4", "samples_per_trial": "100", "trials_per_class": "2",
          "planted": "1,x"},
-    ], ids=["missing-channels", "non-numeric-noise", "non-numeric-planted"])
+        {"channels": "4", "samples_per_trial": "100", "trials_per_class": "2",
+         "planted": "9"},
+        {"channels": "0", "samples_per_trial": "100", "trials_per_class": "2"},
+        {"channels": "4", "samples_per_trial": "-5", "trials_per_class": "2"},
+    ], ids=["missing-channels", "non-numeric-noise", "non-numeric-planted",
+            "planted-out-of-range", "zero-channels", "negative-samples"])
     def test_bad_spec_raises_config_error(self, items):
         with pytest.raises(ConfigError):
             generate_from_spec(items)
+
+    def test_planted_spec_keeps_its_channels(self):
+        trials = generate_from_spec({"channels": "4", "samples_per_trial": "100",
+                                     "trials_per_class": "2", "planted": "0,3"})
+        assert trials.channels == 4 and len(trials.trials) == 4
 
 
 class TestTrain:
@@ -213,11 +242,6 @@ class TestTrain:
         fresh, _ = train(cfg, small_trials)
         assert np.array_equal(predict(model, covs), predict(fresh, covs))
 
-    def test_reloaded_model_restores_hyperparameters(self, small_trials):
-        cfg = TrainConfig(**{**SMALL, "karcher_iterations": 3, "rbn_momentum": 0.5})
-        model = model_from_bundle(train_to_bundle(cfg, small_trials))
-        assert (model.rbn.karcher_iterations, model.rbn.momentum) == (3, 0.5)
-
     @pytest.mark.parametrize("name", ["clf_kernel", "rbn_mean_0", "head_0"])
     def test_bundle_missing_array_raises_typed_error(self, small_trials, name):
         bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
@@ -226,7 +250,7 @@ class TestTrain:
             model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
 
     def test_reloaded_model_trains_bit_identically(self, small_trials, tmp_path):
-        cfg = TrainConfig(**{**SMALL, "karcher_iterations": 3, "rbn_momentum": 0.5})
+        cfg = TrainConfig(**SMALL)
         original, _ = train(cfg, small_trials)
         path = tmp_path / "m.sbcm"
         save_model(model_to_bundle(original, config_to_mapping(cfg)), path)
@@ -353,7 +377,6 @@ def _write_small_config(path):
     path.write_text(
         "epochs = 2\nbatch_size = 16\nbands = 8-16;16-24\nwindow_len = 64\n"
         "m = 2\nk_heads = 2\nconv_out = 3\n"
-        "karcher_iterations = 5\n"
     )
 
 
@@ -401,13 +424,29 @@ class TestCli:
         "channels = four\nsamples_per_trial = 128\ntrials_per_class = 4\n",
         "channels = 4\nchannels = 5\nsamples_per_trial = 128\ntrials_per_class = 4\n",
         "channels 4\nsamples_per_trial = 128\ntrials_per_class = 4\n",
-    ], ids=["missing-key", "non-numeric", "duplicate-key", "missing-equals"])
+        "channels = 4\nplanted = 9\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+        "channels = 0\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+        "channels = 4\nsamples_per_trial = -5\ntrials_per_class = 4\n",
+    ], ids=["missing-key", "non-numeric", "duplicate-key", "missing-equals",
+            "planted-out-of-range", "zero-channels", "negative-samples"])
     def test_gen_synthetic_bad_spec(self, tmp_path, capsys, spec):
         path, out = tmp_path / "gen.cfg", tmp_path / "d.eegb"
         path.write_text(spec)
         assert cli_main(["gen-synthetic", "--spec", str(path), "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("folds", [0, 1, -2])
+    def test_eval_cv_rejects_fewer_than_two_folds(self, small_trials, tmp_path,
+                                                  capsys, folds):
+        data, cfg = tmp_path / "d.eegb", tmp_path / "train.cfg"
+        save_trials(small_trials, data)
+        _write_small_config(cfg)
+        report = tmp_path / "cv.csv"
+        assert cli_main(["eval-cv", "--config", str(cfg), "--data", str(data),
+                         "--folds", str(folds), "--report", str(report)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.eegb"
