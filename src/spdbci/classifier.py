@@ -1,7 +1,8 @@
 """Tangent-space classification head.
 
-Stacked tangent features are flattened to a per-band plane, convolved
-with a single kernel spanning the whole (windows x head-features) plane,
+Tangent features arrive as (B, S, F, J): windows, bands and the J = K*m*m
+head features.  Each band's (windows x head-features) plane is convolved
+with a single kernel spanning it, which is one matrix product, then
 reweighted by a learned per-band importance gate (squeeze, two-layer
 bottleneck, sigmoid), and classified by a linear layer with softmax
 cross-entropy.
@@ -12,30 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import LabelOutOfRange, MissingForwardCache, ShapeMismatch
-
-
-def reshape_features(stacked: np.ndarray) -> np.ndarray:
-    """(..., S, F, K, m, m) -> (..., F, 1, S, K*m*m), lossless."""
-    if stacked.ndim < 5:
-        raise ShapeMismatch(f"expected >= 5 axes, got shape {stacked.shape}")
-    s, f, k, m1, m2 = stacked.shape[-5:]
-    if m1 != m2:
-        raise ShapeMismatch("head outputs must be square")
-    lead = stacked.shape[:-5]
-    moved = np.moveaxis(stacked, -4, -5)  # (..., F, S, K, m, m)
-    return moved.reshape(lead + (f, 1, s, k * m1 * m2))
-
-
-def inverse_reshape(fmap: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Inverse of :func:`reshape_features`; recovers the stack bit-exactly."""
-    if fmap.ndim < 4 or fmap.shape[-3] != 1:
-        raise ShapeMismatch(f"bad feature-map shape {fmap.shape}")
-    f, _, s, flat = fmap.shape[-4:]
-    if flat != k * m * m:
-        raise ShapeMismatch(f"trailing axis {flat} != K*m*m = {k * m * m}")
-    lead = fmap.shape[:-4]
-    moved = fmap.reshape(lead + (f, s, k, m, m))
-    return np.moveaxis(moved, -5, -4)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -81,78 +58,76 @@ class TangentClassifier:
 
     # --- forward pieces -------------------------------------------------
 
-    def conv_forward(self, fmap: np.ndarray, training: bool = True) -> np.ndarray:
-        """(B, F, 1, S, J) -> per-band conv output (B, F, C_out)."""
-        if fmap.shape[-2:] != self.kernel.shape[-2:] or fmap.shape[-3] != 1:
-            raise ShapeMismatch(
-                f"feature map {fmap.shape} does not match kernel {self.kernel.shape}"
-            )
-        out = np.einsum("bfosj,csj->bfc", fmap, self.kernel) + self.bias
-        if training:
-            self._cache = {"fmap": fmap}
-        return out
+    def conv_forward(self, x: np.ndarray) -> np.ndarray:
+        """(B, S, F, J) -> per-band conv output (B, F, C_out).
 
-    def band_importance(self, conv_out: np.ndarray, training: bool = True):
+        The kernel spans a band's whole (S, J) plane, so the conv is one
+        product with the kernel read as a (C_out, S*J) matrix.
+        """
+        _, s, j = self.kernel.shape
+        if x.ndim != 4 or x.shape[1:] != (s, self.w1.shape[0], j):
+            raise ShapeMismatch(
+                f"features {x.shape} are not (B, S, F, J) = (B, {s}, "
+                f"{self.w1.shape[0]}, {j})"
+            )
+        return np.tensordot(x, self.kernel, axes=([1, 3], [1, 2])) + self.bias
+
+    def _gate(self, conv_out: np.ndarray):
+        """Squeeze, bottleneck and sigmoid: ``(squeezed, hidden, gate)``."""
+        squeezed = conv_out.mean(axis=-1)  # (B, F)
+        hidden = np.maximum(squeezed @ self.w1, 0.0)
+        return squeezed, hidden, _sigmoid(hidden @ self.w2)
+
+    def band_importance(self, conv_out: np.ndarray):
         """Squeeze over non-band axes, gate each band into (0, 1), rescale.
 
         Returns ``(gate, gated_output)``.
         """
-        squeezed = conv_out.mean(axis=-1)  # (B, F)
-        pre1 = squeezed @ self.w1
-        hidden = np.maximum(pre1, 0.0)
-        pre2 = hidden @ self.w2
-        gate = _sigmoid(pre2)  # (B, F)
-        gated = gate[..., None] * conv_out
-        if training and self._cache is not None:
-            self._cache.update(
-                conv_out=conv_out, squeezed=squeezed, pre1=pre1,
-                hidden=hidden, gate=gate,
-            )
-        return gate, gated
+        gate = self._gate(conv_out)[-1]
+        return gate, gate[..., None] * conv_out
 
-    def classify(self, gated: np.ndarray, training: bool = True) -> np.ndarray:
-        flat = gated.reshape(gated.shape[0], -1)
+    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        """(B, S, F, J) tangent features -> (B, n_classes) logits."""
+        conv_out = self.conv_forward(x)
+        squeezed, hidden, gate = self._gate(conv_out)
+        flat = (gate[..., None] * conv_out).reshape(len(x), -1)
         if flat.shape[1] != self.head_w.shape[0]:
             raise ShapeMismatch(
                 f"flattened width {flat.shape[1]} != head input {self.head_w.shape[0]}"
             )
-        if training and self._cache is not None:
-            self._cache["flat"] = flat
-            self._cache["gated_shape"] = gated.shape
+        if training:
+            self._cache = {
+                "x": x, "conv_out": conv_out, "squeezed": squeezed,
+                "hidden": hidden, "gate": gate, "flat": flat,
+            }
         return flat @ self.head_w + self.head_b
-
-    def forward(self, fmap: np.ndarray, training: bool = True) -> np.ndarray:
-        conv_out = self.conv_forward(fmap, training)
-        _, gated = self.band_importance(conv_out, training)
-        return self.classify(gated, training)
 
     # --- backward --------------------------------------------------------
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
-        """Gradient of the loss w.r.t. the input feature map; parameter
+        """Gradient of the loss w.r.t. the (B, S, F, J) input; parameter
         gradients land in ``self.grads``."""
-        if self._cache is None or "flat" not in self._cache:
+        if self._cache is None:
             raise MissingForwardCache("classifier backward before forward")
         c = self._cache
         self.grads["head_w"] = c["flat"].T @ grad_logits
         self.grads["head_b"] = grad_logits.sum(axis=0)
-        d_gated = (grad_logits @ self.head_w.T).reshape(c["gated_shape"])
-
         conv_out, gate = c["conv_out"], c["gate"]
+        d_gated = (grad_logits @ self.head_w.T).reshape(conv_out.shape)
+
         d_gate = np.sum(d_gated * conv_out, axis=-1)  # (B, F)
         d_conv = gate[..., None] * d_gated
 
         d_pre2 = d_gate * gate * (1.0 - gate)
         self.grads["w2"] = c["hidden"].T @ d_pre2
-        d_hidden = d_pre2 @ self.w2.T
-        d_pre1 = d_hidden * (c["pre1"] > 0)
+        d_pre1 = (d_pre2 @ self.w2.T) * (c["hidden"] > 0)
         self.grads["w1"] = c["squeezed"].T @ d_pre1
         d_squeezed = d_pre1 @ self.w1.T
         d_conv = d_conv + d_squeezed[..., None] / conv_out.shape[-1]
 
-        self.grads["kernel"] = np.einsum("bfc,bfosj->csj", d_conv, c["fmap"])
+        self.grads["kernel"] = np.tensordot(d_conv, c["x"], axes=([0, 1], [0, 2]))
         self.grads["bias"] = d_conv.sum(axis=(0, 1))
-        return np.einsum("bfc,csj->bfsj", d_conv, self.kernel)[:, :, None]
+        return np.tensordot(d_conv, self.kernel, axes=(2, 0)).swapaxes(1, 2)
 
     def step(self, lr: float) -> None:
         for name in ("kernel", "bias", "w1", "w2", "head_w", "head_b"):

@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .config import TrainConfig, config_to_mapping, load_config, read_key_values
 from .eeg_io import load_model, load_trials, save_model, save_trials
 from .errors import SpdBciError

@@ -3,7 +3,7 @@ and round-tripping to the snapshot stored in model bundles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, IoFailure
 from .filterbank import DEFAULT_BANDS, BandSpec

@@ -48,8 +48,10 @@ class RawTrialSet:
     n_classes: int = field(default=0)
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise DimensionMismatch("sample rate must be positive")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise DimensionMismatch(
+                f"sample rate must be finite and positive, got {self.sample_rate_hz}"
+            )
         if self.channels < 1 or self.samples_per_trial < 1:
             raise DimensionMismatch("channels and samples_per_trial must be positive")
         labels = [label for label, _ in self.trials]

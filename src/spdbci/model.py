@@ -3,15 +3,15 @@ transform, and the tangent-space classifier, wired for training with
 hand-derived gradients.
 
 Forward path per trial: covariance tensor (S, F, M, M) -> one
-BiMap/RBN/ReEig block -> LogEig -> K bilinear heads -> reshape ->
-per-band conv -> band-importance gate -> linear head -> class logits.
+BiMap/RBN/ReEig block -> LogEig -> K bilinear heads -> per-band conv ->
+band-importance gate -> linear head -> class logits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .classifier import TangentClassifier, inverse_reshape, reshape_features
+from .classifier import TangentClassifier
 from .config import config_from_mapping
 from .eeg_io import ModelBundle
 from .errors import MalformedHeader, ShapeMismatch
@@ -68,18 +68,12 @@ class Model:
         x = self.bimap.forward(covs.reshape(b * s * f, m, m), training)
         x = self.reeig.forward(self.rbn.forward(x, training), training)
         tangent = self.logeig.forward(x, training)
-        stacked = self.heads.forward(tangent, training)  # (BSF, K, m, m)
-        k, mm = self.heads.K, self.m
-        stacked = stacked.reshape(b, s, f, k, mm, mm)
-        fmap = reshape_features(stacked)  # (B, F, 1, S, K*m*m)
-        return self.clf.forward(fmap, training)
+        stacked = self.heads.forward(tangent, training)  # (B*S*F, K, m, m)
+        return self.clf.forward(stacked.reshape(b, s, f, -1), training)
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        b = grad_logits.shape[0]
-        k, mm = self.heads.K, self.m
-        d_fmap = self.clf.backward(grad_logits)
-        d_stacked = inverse_reshape(d_fmap, k, mm)
-        d_stacked = d_stacked.reshape(b * self.n_windows * self.n_bands, k, mm, mm)
+        d_features = self.clf.backward(grad_logits)  # (B, S, F, K*m*m)
+        d_stacked = d_features.reshape(-1, self.heads.K, self.m, self.m)
         d_tangent = self.heads.backward(d_stacked)
         grad = self.reeig.backward(self.logeig.backward(d_tangent))
         self.bimap.backward(self.rbn.backward(grad))

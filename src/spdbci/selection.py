@@ -23,7 +23,7 @@ from .errors import (
     MissingForwardCache,
     NotPositiveDefinite,
 )
-from .layers import random_stiefel, stiefel_project, stiefel_retract
+from .layers import karcher_mean, random_stiefel, stiefel_project, stiefel_retract
 from .spd import check_spd, double_center, spd_log, sym
 
 
@@ -136,8 +136,6 @@ def fit_selection(
     representative per label, so the distance structure reflects
     between-group geometry rather than within-group noise.
     """
-    from .layers import karcher_mean  # local import to avoid cycle at module load
-
     samples = np.asarray(samples, dtype=np.float64)
     n, big_m = samples.shape[0], samples.shape[1]
     if not (1 <= m <= big_m):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .eeg_io import RawTrialSet
 from .errors import ConfigError
-from .spd import airm_distance
+from .spd import SPD_RTOL, airm_distance
 
 
 def two_class_covariances(
@@ -26,21 +26,28 @@ def two_class_covariances(
     Class differences live entirely on ``planted`` channels (all channels
     when None): planted variances are scaled by exp(+-a) and the planted
     block receives class-dependent correlations.  ``a`` is grown until
-    the separation target is met.
+    the separation target is met; a target that is not finite and
+    positive, or that the pair cannot reach while staying numerically
+    SPD, raises :class:`ConfigError`.
     """
     rng = rng or np.random.default_rng(0)
+    if not (np.isfinite(separation) and separation > 0):
+        raise ConfigError(f"separation must be finite and > 0, got {separation}")
     if planted is None:
         planted = list(range(n_channels))
     planted = sorted(planted)
     p = len(planted)
     if p < 1:
-        raise ValueError("need at least one planted channel")
+        raise ConfigError("need at least one planted channel")
 
     # class-dependent rotations of the planted block, fixed by the rng
     q0, _ = np.linalg.qr(rng.standard_normal((p, p)))
     q1, _ = np.linalg.qr(rng.standard_normal((p, p)))
     a = separation / (2.0 * np.sqrt(p))
-    for _ in range(60):
+    # The planted eigenvalues are exp(+-a), so the whitened pair that
+    # airm_distance forms spans up to exp(4a); past 1/SPD_RTOL it is no
+    # longer SPD to working precision and the target is out of reach.
+    while 4.0 * a < -np.log(SPD_RTOL):
         d0 = np.exp(a * np.linspace(1.0, -1.0, p))
         d1 = np.exp(a * np.linspace(-1.0, 1.0, p))
         block0 = q0 @ np.diag(d0) @ q0.T
@@ -52,7 +59,9 @@ def two_class_covariances(
         if airm_distance(cov0, cov1) >= separation:
             return cov0, cov1
         a *= 1.25
-    raise RuntimeError("could not reach the requested separation")
+    raise ConfigError(
+        f"separation {separation} is out of reach with {p} planted channels"
+    )
 
 
 def synthetic_trials(
@@ -108,19 +117,25 @@ def generate_from_spec(items: dict[str, str]) -> RawTrialSet:
     Keys: seed, channels, samples_per_trial, sample_rate, trials_per_class,
     separation, noise, planted (comma-separated indices, optional).
     channels, samples_per_trial and trials_per_class are required;
-    channels and samples_per_trial must be >= 1 and every planted index
-    must name a channel, else :class:`ConfigError` is raised.
+    channels and samples_per_trial must be >= 1, seed >= 0, separation
+    finite, positive and reachable, and the planted indices distinct
+    channels, else :class:`ConfigError` is raised.
     """
-    rng = np.random.default_rng(_spec_value(items, "seed", int, "0"))
+    seed = _spec_value(items, "seed", int, "0")
+    if seed < 0:
+        raise ConfigError(f"synthetic spec key 'seed' must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
     n_channels = _positive_spec_value(items, "channels")
     planted = None
     if items.get("planted", "").strip():
         planted = _spec_value(items, "planted",
                               lambda text: [int(tok) for tok in text.split(",")])
-        if not all(0 <= i < n_channels for i in planted):
+        if len(set(planted)) != len(planted) or not all(
+            0 <= i < n_channels for i in planted
+        ):
             raise ConfigError(
-                f"synthetic spec key 'planted': indices {planted} must lie in "
-                f"0..{n_channels - 1}"
+                f"synthetic spec key 'planted': indices {planted} must be "
+                f"distinct and lie in 0..{n_channels - 1}"
             )
     covs = two_class_covariances(
         n_channels=n_channels,

@@ -235,7 +235,7 @@ def test_criterion_4_gradient_suite():
         # classifier stack: input plus every parameter, which exercises the
         # conv, band-importance, and linear-head backward paths
         clf = TangentClassifier(3, 2, 8, 2, conv_out=3, rng=rng)
-        fmap = rng.standard_normal((3, 3, 1, 2, 8))
+        fmap = rng.standard_normal((3, 2, 3, 8))
         g = rng.standard_normal((3, 2))
         clf.forward(fmap, training=True)
         gx = clf.backward(g)

@@ -1,42 +1,11 @@
-"""Tangent-space classifier: reshape bijection, per-band convolution,
-band-importance gating, loss, and gradients."""
+"""Tangent-space classifier: per-band convolution, band-importance
+gating, loss, and gradients."""
 
 import numpy as np
 import pytest
 
-from spdbci.classifier import (
-    TangentClassifier,
-    cross_entropy,
-    inverse_reshape,
-    reshape_features,
-)
+from spdbci.classifier import TangentClassifier, cross_entropy
 from spdbci.errors import LabelOutOfRange, ShapeMismatch
-
-
-class TestReshape:
-    def test_minimal_shape(self, rng):
-        x = rng.standard_normal((1, 1, 1, 1, 2, 2))
-        assert reshape_features(x).shape == (1, 1, 1, 1, 4)
-
-    def test_round_trip(self, rng):
-        x = rng.standard_normal((2, 3, 9, 4, 5, 5))
-        fmap = reshape_features(x)
-        assert fmap.shape == (2, 9, 1, 3, 100)
-        back = inverse_reshape(fmap, k=4, m=5)
-        assert back.tobytes() == x.tobytes()
-
-    def test_element_count_conservation(self, rng):
-        x = rng.standard_normal((3, 9, 4, 5, 5))
-        fmap = reshape_features(x)
-        assert x.size == fmap.size == 3 * 9 * 4 * 25 == 2700
-
-    def test_bad_shapes_rejected(self, rng):
-        with pytest.raises(ShapeMismatch):
-            reshape_features(rng.standard_normal((3, 4)))
-        with pytest.raises(ShapeMismatch):
-            reshape_features(rng.standard_normal((1, 1, 1, 2, 3)))
-        with pytest.raises(ShapeMismatch):
-            inverse_reshape(rng.standard_normal((2, 1, 3, 7)), k=2, m=2)
 
 
 def _clf(rng, n_bands=3, n_windows=2, feat_len=8, n_classes=2, conv_out=4):
@@ -47,39 +16,49 @@ class TestConv:
     def test_zero_kernel(self, rng):
         clf = _clf(rng)
         clf.kernel = np.zeros_like(clf.kernel)
-        out = clf.conv_forward(rng.standard_normal((2, 3, 1, 2, 8)))
+        out = clf.conv_forward(rng.standard_normal((2, 2, 3, 8)))
         assert np.allclose(out, 0.0)
 
     def test_zero_input_bias_passthrough(self, rng):
         clf = _clf(rng)
         clf.bias = np.arange(4, dtype=np.float64)
-        out = clf.conv_forward(np.zeros((2, 3, 1, 2, 8)))
+        out = clf.conv_forward(np.zeros((2, 2, 3, 8)))
         assert np.allclose(out, clf.bias)
 
     def test_linearity(self, rng):
         clf = _clf(rng)
-        x = rng.standard_normal((2, 3, 1, 2, 8))
+        x = rng.standard_normal((2, 2, 3, 8))
         assert np.allclose(clf.conv_forward(3.0 * x), 3.0 * clf.conv_forward(x))
 
     def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeMismatch):
-            _clf(rng).conv_forward(rng.standard_normal((2, 3, 1, 2, 9)))
+        # wrong feature length, wrong band count, and the old 5-axis layout
+        for shape in [(2, 2, 3, 9), (2, 2, 4, 8), (2, 3, 1, 2, 8)]:
+            with pytest.raises(ShapeMismatch):
+                _clf(rng).conv_forward(rng.standard_normal(shape))
+
+    def test_matches_einsum_oracle(self, rng):
+        clf = _clf(rng)
+        clf.bias = rng.standard_normal(clf.bias.shape)
+        x = rng.standard_normal((5, 2, 3, 8))
+        expected = np.einsum("bsfj,csj->bfc", x, clf.kernel) + clf.bias
+        assert np.allclose(clf.conv_forward(x), expected, rtol=0.0, atol=1e-12)
 
 
 class TestBandImportance:
     def test_squeeze_of_ones(self, rng):
         clf = _clf(rng)
-        conv_out = np.ones((2, 3, 4))
-        clf._cache = {}
-        clf.band_importance(conv_out)
-        assert np.allclose(clf._cache["squeezed"], 1.0)
+        # every band of both rows has mean 1, so both squeeze to ones
+        conv_out = np.stack([np.ones((3, 4)), np.tile([0.0, 2.0, 1.5, 0.5], (3, 1))])
+        gate, _ = clf.band_importance(conv_out)
+        expected = 1.0 / (1.0 + np.exp(-(np.maximum(np.ones(3) @ clf.w1, 0.0) @ clf.w2)))
+        assert np.allclose(gate, expected)
 
     def test_zero_weights_give_half_gate(self, rng):
         clf = _clf(rng)
         clf.w1 = np.zeros_like(clf.w1)
         clf.w2 = np.zeros_like(clf.w2)
         conv_out = rng.standard_normal((2, 3, 4))
-        gate, gated = clf.band_importance(conv_out, training=False)
+        gate, gated = clf.band_importance(conv_out)
         assert np.allclose(gate, 0.5)
         assert np.allclose(gated, 0.5 * conv_out)
 
@@ -87,13 +66,13 @@ class TestBandImportance:
         for seed in range(50):
             r = np.random.default_rng(seed)
             clf = _clf(r)
-            gate, _ = clf.band_importance(r.standard_normal((4, 3, 4)) * 5, training=False)
+            gate, _ = clf.band_importance(r.standard_normal((4, 3, 4)) * 5)
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
 
     def test_never_amplifies(self, rng):
         clf = _clf(rng)
         conv_out = rng.standard_normal((4, 3, 4))
-        _, gated = clf.band_importance(conv_out, training=False)
+        _, gated = clf.band_importance(conv_out)
         assert np.linalg.norm(gated) <= np.linalg.norm(conv_out)
 
     def test_band_equivariance(self, rng):
@@ -101,13 +80,13 @@ class TestBandImportance:
         # make the gate MLP band-symmetric so permutation equivariance holds
         clf.w1 = np.ones_like(clf.w1)
         clf.w2 = np.ones_like(clf.w2)
-        x = rng.standard_normal((1, 4, 1, 2, 8))
+        x = rng.standard_normal((1, 2, 4, 8))
         perm = [1, 0, 2, 3]
-        out = clf.conv_forward(x, training=False)
-        out_p = clf.conv_forward(x[:, perm], training=False)
+        out = clf.conv_forward(x)
+        out_p = clf.conv_forward(x[:, :, perm])
         assert np.allclose(out_p, out[:, perm])
-        gate, _ = clf.band_importance(out, training=False)
-        gate_p, _ = clf.band_importance(out[:, perm], training=False)
+        gate, _ = clf.band_importance(out)
+        gate_p, _ = clf.band_importance(out[:, perm])
         assert np.allclose(gate_p, gate[:, perm])
 
 
@@ -139,7 +118,7 @@ class TestLoss:
 class TestClassifierGradients:
     def test_input_gradient_fd(self, rng):
         clf = _clf(rng)
-        x = rng.standard_normal((3, 3, 1, 2, 8))
+        x = rng.standard_normal((3, 2, 3, 8))
         g = rng.standard_normal((3, 2))
         clf.forward(x, training=True)
         gx = clf.backward(g)
@@ -152,7 +131,7 @@ class TestClassifierGradients:
     @pytest.mark.parametrize("name", ["kernel", "bias", "w1", "w2", "head_w", "head_b"])
     def test_parameter_gradients_fd(self, rng, name):
         clf = _clf(rng)
-        x = rng.standard_normal((3, 3, 1, 2, 8))
+        x = rng.standard_normal((3, 2, 3, 8))
         g = rng.standard_normal((3, 2))
         clf.forward(x, training=True)
         clf.backward(g)

@@ -123,6 +123,11 @@ class TestRawTrialSet:
         with pytest.raises(NonFiniteValue):
             RawTrialSet(250.0, 2, 10, [(0, bad), (1, np.zeros((2, 10)))], 2)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_sample_rate_rejected(self, rate):
+        with pytest.raises(DimensionMismatch):
+            RawTrialSet(rate, 2, 10, [(0, np.zeros((2, 10))), (1, np.zeros((2, 10)))], 2)
+
 
 def test_csv_import(tmp_path):
     path = tmp_path / "trial.csv"

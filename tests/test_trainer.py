@@ -51,6 +51,9 @@ SMALL = dict(
     conv_out=3,
 )
 
+# A valid four-channel synthetic spec that the bad-spec cases perturb.
+_SPEC = {"channels": "4", "samples_per_trial": "100", "trials_per_class": "2"}
+
 
 def per_window_covariances(trials, cfg):
     """Reference for ``prepare_dataset``: filter each band of each trial,
@@ -186,20 +189,25 @@ class TestSynth:
         assert len(trials.trials) == 10
         assert [l for l, _ in trials.trials] == [0, 1] * 5
 
-    @pytest.mark.parametrize("items", [
-        {"samples_per_trial": "100", "trials_per_class": "2"},
-        {"channels": "4", "samples_per_trial": "100", "trials_per_class": "2",
-         "noise": "loud"},
-        {"channels": "4", "samples_per_trial": "100", "trials_per_class": "2",
-         "planted": "1,x"},
-        {"channels": "4", "samples_per_trial": "100", "trials_per_class": "2",
-         "planted": "9"},
-        {"channels": "0", "samples_per_trial": "100", "trials_per_class": "2"},
-        {"channels": "4", "samples_per_trial": "-5", "trials_per_class": "2"},
+    @pytest.mark.parametrize("items, key", [
+        ({"samples_per_trial": "100", "trials_per_class": "2"}, "channels"),
+        ({**_SPEC, "noise": "loud"}, "noise"),
+        ({**_SPEC, "planted": "1,x"}, "planted"),
+        ({**_SPEC, "planted": "9"}, "planted"),
+        ({**_SPEC, "channels": "0"}, "channels"),
+        ({**_SPEC, "samples_per_trial": "-5"}, "samples_per_trial"),
+        ({**_SPEC, "separation": "nan"}, "separation"),
+        ({**_SPEC, "separation": "inf"}, "separation"),
+        ({**_SPEC, "separation": "1e6"}, "separation"),
+        ({**_SPEC, "separation": "300"}, "separation"),
+        ({**_SPEC, "seed": "-1"}, "seed"),
+        ({**_SPEC, "planted": "1,1"}, "planted"),
     ], ids=["missing-channels", "non-numeric-noise", "non-numeric-planted",
-            "planted-out-of-range", "zero-channels", "negative-samples"])
-    def test_bad_spec_raises_config_error(self, items):
-        with pytest.raises(ConfigError):
+            "planted-out-of-range", "zero-channels", "negative-samples",
+            "nan-separation", "inf-separation", "huge-separation",
+            "unreachable-separation", "negative-seed", "duplicate-planted"])
+    def test_bad_spec_raises_config_error(self, items, key):
+        with pytest.raises(ConfigError, match=key):
             generate_from_spec(items)
 
     def test_planted_spec_keeps_its_channels(self):
@@ -419,21 +427,61 @@ class TestCli:
                          "--reps", "0", "--report", str(bench)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", [
-        "seed = 0\nsamples_per_trial = 128\ntrials_per_class = 4\n",
-        "channels = four\nsamples_per_trial = 128\ntrials_per_class = 4\n",
-        "channels = 4\nchannels = 5\nsamples_per_trial = 128\ntrials_per_class = 4\n",
-        "channels 4\nsamples_per_trial = 128\ntrials_per_class = 4\n",
-        "channels = 4\nplanted = 9\nsamples_per_trial = 128\ntrials_per_class = 4\n",
-        "channels = 0\nsamples_per_trial = 128\ntrials_per_class = 4\n",
-        "channels = 4\nsamples_per_trial = -5\ntrials_per_class = 4\n",
+    def test_eval_cv_determinism_of_a_learning_model(self, tmp_path):
+        """Criterion 8's data and config, trained long enough to learn, so
+        that the byte-identity check compares more than a constant predictor."""
+        rng = np.random.default_rng(88)
+        covs = two_class_covariances(4, rng=rng)
+        data = tmp_path / "d.eegb"
+        save_trials(synthetic_trials(covs, 10, 128, 250.0, rng=rng), data)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "epochs = 20\nlearning_rate = 0.01\nbatch_size = 16\nbands = 8-16;16-24\n"
+            "window_len = 64\nm = 2\nk_heads = 2\nconv_out = 3\n"
+        )
+        reports = [tmp_path / "cv1.csv", tmp_path / "cv2.csv"]
+        for report in reports:
+            assert cli_main(["eval-cv", "--config", str(cfg), "--data", str(data),
+                             "--folds", "3", "--report", str(report)]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        rows = dict(line.split(",", 1) for line in reports[0].read_text().splitlines()[1:])
+        folds = [float(rows[f"fold_{i}_accuracy"]) for i in range(3)]
+        assert any(acc != 0.5 for acc in folds), folds
+
+    @pytest.mark.parametrize("spec, named", [
+        ("seed = 0\nsamples_per_trial = 128\ntrials_per_class = 4\n", "channels"),
+        ("channels = four\nsamples_per_trial = 128\ntrials_per_class = 4\n", "channels"),
+        ("channels = 4\nchannels = 5\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+         "channels"),
+        ("channels 4\nsamples_per_trial = 128\ntrials_per_class = 4\n", "key = value"),
+        ("channels = 4\nplanted = 9\nsamples_per_trial = 128\ntrials_per_class = 4\n", "planted"),
+        ("channels = 0\nsamples_per_trial = 128\ntrials_per_class = 4\n", "channels"),
+        ("channels = 4\nsamples_per_trial = -5\ntrials_per_class = 4\n",
+         "samples_per_trial"),
+        ("channels = 4\nseparation = nan\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+         "separation"),
+        ("channels = 4\nseparation = inf\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+         "separation"),
+        ("channels = 4\nseparation = 1e6\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+         "separation"),
+        ("channels = 4\nseparation = 300\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+         "separation"),
+        ("seed = -1\nchannels = 4\nsamples_per_trial = 128\ntrials_per_class = 4\n", "seed"),
+        ("channels = 4\nplanted = 1,1\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+         "planted"),
+        ("channels = 4\nsample_rate = nan\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+         "sample rate"),
     ], ids=["missing-key", "non-numeric", "duplicate-key", "missing-equals",
-            "planted-out-of-range", "zero-channels", "negative-samples"])
-    def test_gen_synthetic_bad_spec(self, tmp_path, capsys, spec):
+            "planted-out-of-range", "zero-channels", "negative-samples",
+            "nan-separation", "inf-separation", "huge-separation",
+            "unreachable-separation", "negative-seed", "duplicate-planted",
+            "nan-sample-rate"])
+    def test_gen_synthetic_bad_spec(self, tmp_path, capsys, spec, named):
         path, out = tmp_path / "gen.cfg", tmp_path / "d.eegb"
         path.write_text(spec)
         assert cli_main(["gen-synthetic", "--spec", str(path), "--out", str(out)]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and named in err
         assert not out.exists()
 
     @pytest.mark.parametrize("folds", [0, 1, -2])
