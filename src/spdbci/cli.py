@@ -70,7 +70,7 @@ def cmd_eval_holdout(args) -> int:
     config = _load_config(args.config)
     train_set = load_trials(args.train)
     eval_set = load_trials(args.test)
-    report, _ = evaluate_holdout(config, train_set, eval_set)
+    report = evaluate_holdout(config, train_set, eval_set)
     _write_report(report, args.report)
     print(f"holdout accuracy {report.mean_accuracy:.4f}")
     return 0

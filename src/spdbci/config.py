@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, IoFailure
+from .errors import ConfigError, InvalidBand, IoFailure
 from .filterbank import DEFAULT_BANDS, BandSpec
 
 
@@ -34,14 +34,16 @@ class TrainConfig:
             raise ConfigError("m, k_heads, window_len must be positive")
         if self.shrinkage_scale < 0:
             raise ConfigError("shrinkage_scale >= 0 required")
-        if self.filter_order < 1 or self.stopband_atten_db <= 0:
-            raise ConfigError("filter_order >= 1 and stopband_atten_db > 0 required")
         if self.seed < 0 or self.conv_out < 1:
             raise ConfigError("seed >= 0 and conv_out >= 1 required")
         if self.selection_max_iters < 1 or self.selection_tol <= 0:
             raise ConfigError("selection_max_iters >= 1 and selection_tol > 0 required")
         if self.channel_scoring not in ("row-norm", "argmax"):
             raise ConfigError("channel_scoring must be 'row-norm' or 'argmax'")
+        try:
+            self.band_spec()
+        except InvalidBand as exc:
+            raise ConfigError(str(exc)) from exc
 
     def band_spec(self) -> BandSpec:
         return BandSpec(self.bands, self.filter_order, self.stopband_atten_db)

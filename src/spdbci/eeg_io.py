@@ -72,7 +72,18 @@ class RawTrialSet:
 
 
 def save_trials(trials: RawTrialSet, path) -> None:
-    """Write a trial set in EEGB v1 format."""
+    """Write a trial set in EEGB v1 format.
+
+    A sample rate whose float32 is not finite and positive could not be
+    read back, so it raises :class:`DimensionMismatch` before the file
+    is opened.
+    """
+    with np.errstate(over="ignore"):
+        stored_rate = np.float32(trials.sample_rate_hz)
+    if not (np.isfinite(stored_rate) and stored_rate > 0):
+        raise DimensionMismatch(
+            f"sample rate {trials.sample_rate_hz} does not fit EEGB's float32 field"
+        )
     header = EEGB_MAGIC + struct.pack(
         "<IIIIIf",
         EEGB_VERSION,

@@ -69,10 +69,6 @@ class RankDeficientWeight(SpdBciError):
     pass
 
 
-class KarcherDivergence(SpdBciError):
-    pass
-
-
 class MissingForwardCache(SpdBciError):
     pass
 

@@ -16,12 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    KarcherDivergence,
-    MissingForwardCache,
-    NotPositiveDefinite,
-    RankDeficientWeight,
-)
+from .errors import MissingForwardCache, NotPositiveDefinite, RankDeficientWeight
 from .spd import eig_fn, inv_sqrtm, spd_exp, spd_log, sym
 
 DEGENERATE_EIG_TOL = 1e-12
@@ -58,7 +53,7 @@ def random_stiefel(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # On spd.eig_fn: the shared Daleckii-Krein backward and the eigenvalue
-# maps of LogEig, the Karcher mean and the geodesic
+# maps of LogEig, the Karcher-flow step and the geodesic
 # ---------------------------------------------------------------------------
 
 def _eig_fn_backward(
@@ -192,32 +187,19 @@ class LogEigLayer:
         return _eig_fn_backward(grad, w, u, np.log(w), 1.0 / w)
 
 
-def karcher_mean(batch: np.ndarray, iterations: int = 10, tol: float = 1e-9) -> np.ndarray:
-    """Karcher (Frechet) mean of an SPD batch under the affine-invariant
-    metric, by fixed-point iteration from the arithmetic mean.
+def karcher_mean(batch: np.ndarray) -> np.ndarray:
+    """Mean of an SPD batch under the affine-invariant metric, taken as
+    one Karcher-flow step from the arithmetic mean (Brooks et al.,
+    NeurIPS 2019).
 
-    Convergence is declared when the tangent-space gradient norm drops
-    below ``tol``; a residual that grows between iterations raises
-    :class:`KarcherDivergence`.
+    The step is exact for a commuting batch.  A batch whose arithmetic
+    mean or members are not positive definite raises
+    :class:`NotPositiveDefinite`.
     """
     mean = sym(batch.mean(axis=0))
-    prev_res = np.inf
-    for _ in range(iterations):
-        try:
-            (half, rm), _, _ = eig_fn(mean, _sqrt_and_inv_sqrt)
-        except NotPositiveDefinite as exc:
-            raise KarcherDivergence("iterate lost positive definiteness") from exc
-        tangent = spd_log(rm @ batch @ rm).mean(axis=0)
-        res = float(np.linalg.norm(tangent))
-        if res < tol:
-            break
-        if res > prev_res * (1.0 + 1e-8):
-            raise KarcherDivergence(
-                f"Karcher residual increased from {prev_res:.3e} to {res:.3e}"
-            )
-        prev_res = res
-        mean = sym(half @ spd_exp(tangent) @ half)
-    return mean
+    (half, rm), _, _ = eig_fn(mean, _sqrt_and_inv_sqrt)
+    tangent = spd_log(rm @ batch @ rm).mean(axis=0)
+    return sym(half @ spd_exp(tangent) @ half)
 
 
 def spd_geodesic(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
@@ -228,8 +210,8 @@ def spd_geodesic(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
 
 
 class RbnLayer:
-    """Riemannian batch normalization: re-center a batch so its Karcher
-    mean is the identity.
+    """Riemannian batch normalization: re-center a batch so its mean is
+    the identity.
 
     Training mode whitens with the batch mean, taken as one Karcher-flow
     step from the arithmetic mean (Brooks et al., NeurIPS 2019), and
@@ -248,15 +230,12 @@ class RbnLayer:
         self._whitener: np.ndarray | None = None
 
     def forward(self, batch: np.ndarray, training: bool = True) -> np.ndarray:
-        if training:
-            mean = karcher_mean(batch, iterations=1)
-            self.running_mean = spd_geodesic(
-                self.running_mean, mean, 1.0 - self.momentum
-            )
-        else:
-            mean = self.running_mean
-        r = inv_sqrtm(mean)
-        self._whitener = r
+        if not training:
+            r = inv_sqrtm(self.running_mean)
+            return sym(r @ batch @ r)
+        mean = karcher_mean(batch)
+        self.running_mean = spd_geodesic(self.running_mean, mean, 1.0 - self.momentum)
+        r = self._whitener = inv_sqrtm(mean)
         return sym(r @ batch @ r)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -132,9 +132,10 @@ def fit_selection(
     """Alternate L-assembly and eigenvector updates until the retained
     subspace stabilizes.
 
-    When ``labels`` are given, samples are first collapsed to one Karcher
-    representative per label, so the distance structure reflects
-    between-group geometry rather than within-group noise.
+    When ``labels`` are given, samples are first collapsed to one
+    representative per label, one Karcher-flow step from the group's
+    arithmetic mean, so the distance structure reflects between-group
+    geometry rather than within-group noise.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n, big_m = samples.shape[0], samples.shape[1]

@@ -34,8 +34,6 @@ class EvalReport:
     std_accuracy: float
     confusion: np.ndarray
     parameter_count: int
-    latency_mean_s: float
-    latency_max_s: float
     std_convention: str = "population over folds"
 
 
@@ -74,7 +72,8 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
 
 
 def class_band_representatives(covs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """One Karcher mean per (class, band), pooling windows and trials."""
+    """One representative per (class, band), pooling windows and trials:
+    one Karcher-flow step from their arithmetic mean."""
     classes = np.unique(labels)
     n_bands = covs.shape[2]
     reps = []
@@ -165,16 +164,6 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _timed_predictions(model: Model, covs: np.ndarray):
-    preds = np.empty(len(covs), dtype=np.int64)
-    latencies = np.empty(len(covs))
-    for i in range(len(covs)):
-        tic = time.perf_counter()
-        preds[i] = predict(model, covs[i : i + 1])[0]
-        latencies[i] = time.perf_counter() - tic
-    return preds, latencies
-
-
 def evaluate_cv(config: TrainConfig, trials: RawTrialSet, folds: int = 10) -> EvalReport:
     """Stratified k-fold cross-validation; selection and training see
     only the training folds."""
@@ -182,7 +171,6 @@ def evaluate_cv(config: TrainConfig, trials: RawTrialSet, folds: int = 10) -> Ev
     assignment = stratified_folds(labels, folds, config.seed)
     accuracies = []
     confusion = np.zeros((trials.n_classes, trials.n_classes), dtype=np.int64)
-    latencies = []
     param_count = 0
     for fold in range(folds):
         test_mask = assignment == fold
@@ -190,45 +178,39 @@ def evaluate_cv(config: TrainConfig, trials: RawTrialSet, folds: int = 10) -> Ev
             config, trials, dataset=(covs[~test_mask], labels[~test_mask])
         )
         param_count = count_parameters(model)
-        preds, lat = _timed_predictions(model, covs[test_mask])
+        preds = predict(model, covs[test_mask])
         acc, conf = _accuracy_and_confusion(preds, labels[test_mask], trials.n_classes)
         accuracies.append(acc)
         confusion += conf
-        latencies.append(lat)
-    latencies = np.concatenate(latencies)
     return EvalReport(
         fold_accuracies=accuracies,
         mean_accuracy=float(np.mean(accuracies)),
         std_accuracy=float(np.std(accuracies)),
         confusion=confusion,
         parameter_count=param_count,
-        latency_mean_s=float(latencies.mean()),
-        latency_max_s=float(latencies.max()),
     )
 
 
 def evaluate_holdout(
     config: TrainConfig, train_set: RawTrialSet, eval_set: RawTrialSet
-) -> tuple[EvalReport, Model]:
+) -> EvalReport:
     if train_set.channels != eval_set.channels:
         raise SchemaMismatch("train and eval channel counts differ")
     if train_set.n_classes != eval_set.n_classes:
         raise SchemaMismatch("train and eval class counts differ")
     model, _ = train(config, train_set)
     covs, labels = prepare_dataset(eval_set, config)
-    preds, latencies = _timed_predictions(model, covs)
-    acc, confusion = _accuracy_and_confusion(preds, labels, eval_set.n_classes)
-    report = EvalReport(
+    acc, confusion = _accuracy_and_confusion(
+        predict(model, covs), labels, eval_set.n_classes
+    )
+    return EvalReport(
         fold_accuracies=[acc],
         mean_accuracy=acc,
         std_accuracy=0.0,
         confusion=confusion,
         parameter_count=count_parameters(model),
-        latency_mean_s=float(latencies.mean()),
-        latency_max_s=float(latencies.max()),
         std_convention="single holdout split",
     )
-    return report, model
 
 
 def bench_inference(

@@ -23,7 +23,6 @@ from spdbci.layers import (
     LogEigLayer,
     RbnLayer,
     ReEigLayer,
-    karcher_mean,
     random_stiefel,
     stiefel_project,
     stiefel_retract,
@@ -47,7 +46,12 @@ from spdbci.spd import (
 from spdbci.synth import synthetic_trials, two_class_covariances
 from spdbci.trainer import predict, prepare_dataset, train
 
-from conftest import assemble_L_loop, check_psd_theorem1, random_spd
+from conftest import (
+    assemble_L_loop,
+    check_psd_theorem1,
+    karcher_mean_iterated,
+    random_spd,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -175,8 +179,8 @@ def test_criterion_3_channel_recovery():
     result = fit_selection(samples, m=3, labels=labels)
     recovered = result.selected_channels == planted
 
-    mean0 = karcher_mean(samples[labels == 0])
-    mean1 = karcher_mean(samples[labels == 1])
+    mean0 = karcher_mean_iterated(samples[labels == 0])
+    mean1 = karcher_mean_iterated(samples[labels == 1])
 
     def subset_score(idx):
         sel = np.ix_(idx, idx)

@@ -104,6 +104,17 @@ class TestEegb:
         with pytest.raises(NonFiniteValue):
             load_trials(path)
 
+    @pytest.mark.parametrize("rate", [1e300, 1e-300], ids=["huge", "tiny"])
+    def test_unstorable_sample_rate_rejected(self, rng, tmp_path, rate):
+        """A rate whose float32 overflows or underflows to 0 is refused
+        before a file is written."""
+        path = tmp_path / "t.eegb"
+        trials = _sample_set(rng)
+        trials.sample_rate_hz = rate
+        with pytest.raises(DimensionMismatch, match="sample rate"):
+            save_trials(trials, path)
+        assert not path.exists()
+
 
 class TestRawTrialSet:
     def test_shape_mismatch(self, rng):

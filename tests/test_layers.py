@@ -1,5 +1,5 @@
 """Manifold layers: forward contracts, analytic gradients against finite
-differences, Stiefel constraint preservation, and the Karcher mean."""
+differences, Stiefel constraint preservation, and the Karcher-flow step."""
 
 import numpy as np
 import pytest
@@ -189,7 +189,7 @@ class TestRbn:
         out = RbnLayer(6).forward(batch, training=True)
         # one Karcher-flow step commutes with congruence, so the layer's
         # own statistic of its output is the identity to round-off
-        assert airm_distance(karcher_mean(out, iterations=1), np.eye(6)) < 1e-6
+        assert airm_distance(karcher_mean(out), np.eye(6)) < 1e-6
 
     def test_running_mean_momentum(self, rng):
         batch = random_spd(rng, 4, batch=8)
@@ -197,8 +197,17 @@ class TestRbn:
         layer.forward(batch, training=True)
         # momentum 0 snaps the running mean to the batch mean: one
         # Karcher-flow step from the arithmetic mean
-        step = karcher_mean(batch, iterations=1)
+        step = karcher_mean(batch)
         assert np.linalg.norm(layer.running_mean - step) < 1e-9
+
+    def test_eval_forward_keeps_the_training_whitener(self, rng):
+        batch = random_spd(rng, 4, batch=6)
+        g = rng.standard_normal(batch.shape)
+        layer = RbnLayer(4)
+        layer.forward(batch, training=True)
+        expected = layer.backward(g)
+        layer.forward(batch, training=False)
+        assert np.array_equal(layer.backward(g), expected)
 
     def test_frozen_whitener_gradient_fd(self, rng):
         batch = random_spd(rng, 5, batch=4)

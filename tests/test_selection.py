@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spdbci.errors import DimensionMismatch
-from spdbci.layers import karcher_mean, random_stiefel
+from spdbci.layers import random_stiefel
 from spdbci.selection import (
     MbtHeads,
     assemble_L,
@@ -20,7 +20,12 @@ from spdbci.selection import (
 from spdbci.spd import airm_distance, spd_log
 from spdbci.synth import two_class_covariances
 
-from conftest import assemble_L_loop, random_spd, tangent_distance_matrix
+from conftest import (
+    assemble_L_loop,
+    karcher_mean_iterated,
+    random_spd,
+    tangent_distance_matrix,
+)
 
 
 class TestDistanceMatrices:
@@ -166,8 +171,8 @@ class TestFitSelection:
             assert b >= a - 1e-9 * max(1.0, abs(a))
         # exhaustive oracle: the planted subset maximizes between-class
         # AIRM distance of the restricted class means
-        mean0 = karcher_mean(samples[labels == 0])
-        mean1 = karcher_mean(samples[labels == 1])
+        mean0 = karcher_mean_iterated(samples[labels == 0])
+        mean1 = karcher_mean_iterated(samples[labels == 1])
         def subset_score(idx):
             sel = np.ix_(idx, idx)
             return airm_distance(mean0[sel], mean1[sel])

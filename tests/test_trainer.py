@@ -165,6 +165,8 @@ class TestConfig:
             {"selection_tol": 0.0},
             {"filter_order": 0},
             {"stopband_atten_db": 0.0},
+            {"bands": ((8.0, 4.0),)},
+            {"bands": ((8.0, 12.0), (10.0, 14.0))},
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
@@ -358,7 +360,7 @@ class TestEvaluate:
 
     def test_holdout_confusion_dims(self, small_trials):
         cfg = TrainConfig(**SMALL)
-        report, _ = evaluate_holdout(cfg, small_trials, small_trials)
+        report = evaluate_holdout(cfg, small_trials, small_trials)
         assert report.confusion.shape == (2, 2)
         assert report.std_convention == "single holdout split"
 
@@ -471,11 +473,15 @@ class TestCli:
          "planted"),
         ("channels = 4\nsample_rate = nan\nsamples_per_trial = 128\ntrials_per_class = 4\n",
          "sample rate"),
+        ("channels = 4\nsample_rate = 1e300\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+         "sample rate"),
+        ("channels = 4\nsample_rate = 1e-300\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+         "sample rate"),
     ], ids=["missing-key", "non-numeric", "duplicate-key", "missing-equals",
             "planted-out-of-range", "zero-channels", "negative-samples",
             "nan-separation", "inf-separation", "huge-separation",
             "unreachable-separation", "negative-seed", "duplicate-planted",
-            "nan-sample-rate"])
+            "nan-sample-rate", "huge-sample-rate", "tiny-sample-rate"])
     def test_gen_synthetic_bad_spec(self, tmp_path, capsys, spec, named):
         path, out = tmp_path / "gen.cfg", tmp_path / "d.eegb"
         path.write_text(spec)
