@@ -38,10 +38,9 @@ class TangentClassifier:
         n_windows: int,
         feat_len: int,
         n_classes: int,
-        conv_out: int = 4,
-        rng: np.random.Generator | None = None,
+        conv_out: int,
+        rng: np.random.Generator,
     ):
-        rng = rng or np.random.default_rng(0)
         hidden = max(1, n_bands // 2)
         fan_conv = n_windows * feat_len
         self.kernel = rng.standard_normal((conv_out, n_windows, feat_len)) / np.sqrt(fan_conv)

@@ -16,12 +16,9 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     bands: tuple[tuple[float, float], ...] = DEFAULT_BANDS
-    filter_order: int = 4
-    stopband_atten_db: float = 40.0
     window_len: int = 125
     m: int = 5
     k_heads: int = 4
-    shrinkage_scale: float = 1e-4  # epsilon = scale * trace / M
     conv_out: int = 64
     selection_max_iters: int = 20
     selection_tol: float = 1e-6
@@ -32,8 +29,6 @@ class TrainConfig:
             raise ConfigError("epochs >= 0, batch_size >= 1, learning_rate > 0 required")
         if self.m < 1 or self.k_heads < 1 or self.window_len < 1:
             raise ConfigError("m, k_heads, window_len must be positive")
-        if self.shrinkage_scale < 0:
-            raise ConfigError("shrinkage_scale >= 0 required")
         if self.seed < 0 or self.conv_out < 1:
             raise ConfigError("seed >= 0 and conv_out >= 1 required")
         if self.selection_max_iters < 1 or self.selection_tol <= 0:
@@ -46,7 +41,7 @@ class TrainConfig:
             raise ConfigError(str(exc)) from exc
 
     def band_spec(self) -> BandSpec:
-        return BandSpec(self.bands, self.filter_order, self.stopband_atten_db)
+        return BandSpec(self.bands)
 
 
 def _parse_bands(text: str) -> tuple[tuple[float, float], ...]:

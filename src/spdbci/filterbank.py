@@ -2,9 +2,10 @@
 
 Raw multi-channel trials are passed through a bank of causal Chebyshev
 Type II bandpass filters and cut into non-overlapping windows, producing
-a windows x bands x channels x samples tensor per trial.  Filter designs
-are cached per (band, sample rate, order, attenuation), so a bank is
-designed once per process and every later trial only filters.
+a windows x bands x channels x samples tensor per trial.  The design
+(order 4, 40 dB stopband attenuation) is fixed; designs are cached per
+(band, sample rate), so a bank is designed once per process and every
+later trial only filters.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import signal
 
-from .errors import GaborViolation, InvalidBand, UnstableDesign, WindowTooLong
+from .errors import ConfigError, GaborViolation, InvalidBand, UnstableDesign, WindowTooLong
 
 #: Default layout: nine 4 Hz-wide bands covering 4-40 Hz.
 DEFAULT_BANDS: tuple[tuple[float, float], ...] = tuple(
@@ -23,14 +24,16 @@ DEFAULT_BANDS: tuple[tuple[float, float], ...] = tuple(
 
 GABOR_BOUND = 1.0 / (4.0 * np.pi)
 
+#: Chebyshev Type II design of every band.
+FILTER_ORDER = 4
+STOPBAND_ATTEN_DB = 40.0
+
 
 @dataclass(frozen=True)
 class BandSpec:
-    """Ordered bandpass layout plus filter design parameters."""
+    """Ordered bandpass layout."""
 
     bands: tuple[tuple[float, float], ...] = DEFAULT_BANDS
-    filter_order: int = 4
-    stopband_atten_db: float = 40.0
 
     def __post_init__(self):
         if len(self.bands) < 1:
@@ -42,10 +45,6 @@ class BandSpec:
             if low < prev_high:
                 raise InvalidBand("bands must be disjoint or touching, increasing")
             prev_high = high
-        if self.filter_order < 1:
-            raise InvalidBand("filter_order must be positive")
-        if self.stopband_atten_db <= 0:
-            raise InvalidBand("stopband attenuation must be positive")
 
     @property
     def narrowest_width_hz(self) -> float:
@@ -76,26 +75,23 @@ _DESIGNS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def design_bandpass(
-    band: tuple[float, float],
-    sample_rate: float,
-    order: int = 4,
-    atten_db: float = 40.0,
+    band: tuple[float, float], sample_rate: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Design a causal Chebyshev Type II bandpass filter.
+    """Design a causal Chebyshev Type II bandpass filter of order
+    :data:`FILTER_ORDER`.
 
     Returns ``(b, a)`` transfer-function coefficients.  The band edges
     are the stopband corners; attenuation outside the band is at least
-    ``atten_db``.  Raises :class:`InvalidBand` for edges outside
-    ``(0, sample_rate / 2)`` and :class:`UnstableDesign` if any pole is
-    not strictly inside the unit circle.
+    :data:`STOPBAND_ATTEN_DB`.  Raises :class:`InvalidBand` for edges
+    outside ``(0, sample_rate / 2)`` and :class:`UnstableDesign` if any
+    pole is not strictly inside the unit circle.
 
-    Designs are cached by ``(low, high, sample_rate, order, atten_db)``
-    and shared between callers, so ``b`` and ``a`` are read-only.  Only
-    successful designs are cached; a rejected band is checked again on
-    every call.
+    Designs are cached by ``(low, high, sample_rate)`` and shared
+    between callers, so ``b`` and ``a`` are read-only.  Only successful
+    designs are cached; a rejected band is checked again on every call.
     """
     low, high = band
-    key = (low, high, sample_rate, order, atten_db)
+    key = (low, high, sample_rate)
     cached = _DESIGNS.get(key)
     if cached is not None:
         return cached
@@ -104,7 +100,8 @@ def design_bandpass(
         raise InvalidBand(
             f"band ({low}, {high}) must satisfy 0 < low < high < {nyquist}"
         )
-    b, a = signal.cheby2(order, atten_db, [low, high], btype="bandpass", fs=sample_rate)
+    b, a = signal.cheby2(FILTER_ORDER, STOPBAND_ATTEN_DB, [low, high],
+                         btype="bandpass", fs=sample_rate)
     poles = np.roots(a)
     if poles.size and np.max(np.abs(poles)) >= 1.0:
         raise UnstableDesign(f"pole magnitude {np.max(np.abs(poles)):.6f} >= 1")
@@ -118,7 +115,7 @@ def check_gabor(window_len_samples: int, sample_rate: float, band_width_hz: floa
     """True iff the window satisfies the time-frequency uncertainty bound
     ``(L / fs) * bandwidth >= 1 / (4 pi)``."""
     if window_len_samples <= 0 or sample_rate <= 0 or band_width_hz <= 0:
-        raise ValueError("arguments must be positive")
+        raise ConfigError("arguments must be positive")
     return (window_len_samples / sample_rate) * band_width_hz >= GABOR_BOUND
 
 
@@ -143,10 +140,7 @@ def segment(trials, spec: BandSpec, window_len: int) -> list[tuple[int, TrialTen
         raise WindowTooLong(
             f"window_len {window_len} exceeds trial length {trials.samples_per_trial}"
         )
-    coeffs = [
-        design_bandpass(band, fs, spec.filter_order, spec.stopband_atten_db)
-        for band in spec.bands
-    ]
+    coeffs = [design_bandpass(band, fs) for band in spec.bands]
     n_windows = trials.samples_per_trial // window_len
     used = n_windows * window_len
     out = []

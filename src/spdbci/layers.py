@@ -16,7 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingForwardCache, NotPositiveDefinite, RankDeficientWeight
+from .errors import (
+    ConfigError,
+    MissingForwardCache,
+    NotPositiveDefinite,
+    RankDeficientWeight,
+)
 from .spd import eig_fn, inv_sqrtm, spd_exp, spd_log, sym
 
 DEGENERATE_EIG_TOL = 1e-12
@@ -147,7 +152,7 @@ class ReEigLayer:
 
     def __init__(self, epsilon: float = 1e-4):
         if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigError("epsilon must be positive")
         self.epsilon = epsilon
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -223,7 +228,7 @@ class RbnLayer:
 
     def __init__(self, dim: int, momentum: float = 0.9):
         if not (0.0 <= momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
+            raise ConfigError("momentum must lie in [0, 1)")
         self.dim = dim
         self.momentum = momentum
         self.running_mean = np.eye(dim)

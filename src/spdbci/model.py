@@ -27,22 +27,20 @@ class Model:
         selection: SelectionTransform,
         n_windows: int,
         n_bands: int,
-        n_channels: int,
         n_classes: int,
         k_heads: int,
-        conv_out: int = 4,
-        seed: int = 0,
+        conv_out: int,
+        seed: int,
     ):
         rng = np.random.default_rng(seed)
         self.selection = selection
         self.n_windows = n_windows
         self.n_bands = n_bands
-        self.n_channels = n_channels
+        self.n_channels, self.m = selection.W_hat.shape
         self.n_classes = n_classes
-        self.m = selection.W_hat.shape[1]
 
-        self.bimap = BiMapLayer(random_stiefel(rng, n_channels, n_channels).T)
-        self.rbn = RbnLayer(n_channels)
+        self.bimap = BiMapLayer(random_stiefel(rng, self.n_channels, self.n_channels).T)
+        self.rbn = RbnLayer(self.n_channels)
         self.reeig = ReEigLayer()
         self.logeig = LogEigLayer()
         self.heads = MbtHeads.initialize(selection.W_hat, k_heads, rng)
@@ -137,7 +135,6 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
     config = config_from_mapping(bundle.config)
     arrays = bundle.arrays
     try:
-        n_channels, _ = arrays["sel_W_hat"].shape
         _, n_windows, _ = arrays["clf_kernel"].shape
         selection = SelectionTransform(
             W_hat=arrays["sel_W_hat"].copy(),
@@ -150,7 +147,6 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
             selection,
             n_windows=n_windows,
             n_bands=arrays["clf_w1"].shape[0],
-            n_channels=n_channels,
             n_classes=arrays["clf_head_b"].shape[0],
             k_heads=sum(name.startswith("head_") for name in arrays),
             conv_out=config.conv_out,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConvergenceFailure,
     DimensionMismatch,
     MissingForwardCache,
@@ -117,7 +118,7 @@ def score_channels(w: np.ndarray, m: int, rule: str = "row-norm") -> list[int]:
                     break
         picked = np.asarray(picked[:m])
     else:
-        raise ValueError(f"unknown scoring rule {rule!r}")
+        raise ConfigError(f"unknown scoring rule {rule!r}")
     return sorted(int(i) for i in picked)
 
 

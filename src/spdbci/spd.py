@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, NotPositiveDefinite
+from .errors import ConfigError, DegenerateInput, DimensionMismatch, NotPositiveDefinite
 
 # Relative symmetry tolerance for inputs claiming to be symmetric.
 SYM_RTOL = 1e-10
@@ -70,7 +70,7 @@ def covariance(window: np.ndarray, shrinkage=0.0) -> np.ndarray:
             f"got {shrinkage.shape}"
         )
     if np.any(shrinkage < 0):
-        raise ValueError("shrinkage must be nonnegative")
+        raise ConfigError("shrinkage must be nonnegative")
     m, length = window.shape[-2:]
     z = window - window.mean(axis=-1, keepdims=True)
     cov = (z @ np.swapaxes(z, -1, -2)) / length + shrinkage[..., None, None] * np.eye(m)
@@ -159,7 +159,7 @@ def centering_matrix(n: int) -> np.ndarray:
     Satisfies ``H 1 = 0`` and ``H H = H``.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DimensionMismatch("n must be >= 1")
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import cross_entropy
-from .config import TrainConfig, config_to_mapping
+from .config import TrainConfig, config_from_mapping, config_to_mapping
 from .eeg_io import ModelBundle, RawTrialSet
 from .errors import ConfigError, InsufficientData, NonFiniteLoss, SchemaMismatch
 from .filterbank import design_bandpass, segment
@@ -37,11 +37,15 @@ class EvalReport:
     std_convention: str = "population over folds"
 
 
+#: Covariance shrinkage: ``eps = SHRINKAGE_SCALE * trace / M`` per window.
+SHRINKAGE_SCALE = 1e-4
+
+
 def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     """Segment, filter, and turn a trial set into covariance tensors.
 
     Returns ``(covs, labels)`` with covs of shape (N, S, F, M, M).  The
-    shrinkage for each window is ``shrinkage_scale * trace / M`` of the
+    shrinkage for each window is ``SHRINKAGE_SCALE * trace / M`` of the
     raw covariance, with a tiny absolute floor so degenerate windows
     still produce SPD matrices.  Trials are processed one at a time
     (segment, shrinkage, one batched :func:`covariance` call), so only
@@ -65,7 +69,7 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
         # Each window summed as one flat run, the order np.sum takes over
         # a contiguous 2-D window, so eps matches the per-window value.
         energy = np.sum((z * z).reshape(*z.shape[:-2], -1), axis=-1)
-        eps = config.shrinkage_scale * energy / (length * m)
+        eps = SHRINKAGE_SCALE * energy / (length * m)
         covs[i] = covariance(windows, np.maximum(eps, 1e-12))
     labels = np.asarray([label for label, _ in trials.trials], dtype=np.int64)
     return covs, labels
@@ -93,7 +97,7 @@ def train(
     """Fit channel selection, then train the network; returns the model
     and the per-epoch loss history."""
     covs, labels = dataset if dataset is not None else prepare_dataset(trials, config)
-    n, s, f, m, _ = covs.shape
+    n, s, f = covs.shape[:3]
     n_classes = trials.n_classes
 
     reps = class_band_representatives(covs, labels)
@@ -108,7 +112,6 @@ def train(
         selection,
         n_windows=s,
         n_bands=f,
-        n_channels=m,
         n_classes=n_classes,
         k_heads=config.k_heads,
         conv_out=config.conv_out,
@@ -194,10 +197,18 @@ def evaluate_cv(config: TrainConfig, trials: RawTrialSet, folds: int = 10) -> Ev
 def evaluate_holdout(
     config: TrainConfig, train_set: RawTrialSet, eval_set: RawTrialSet
 ) -> EvalReport:
+    """Train on one set and score another.  Sets that differ in channel
+    count, class count, sample rate or windows per trial raise
+    :class:`SchemaMismatch` before training."""
     if train_set.channels != eval_set.channels:
         raise SchemaMismatch("train and eval channel counts differ")
     if train_set.n_classes != eval_set.n_classes:
         raise SchemaMismatch("train and eval class counts differ")
+    if train_set.sample_rate_hz != eval_set.sample_rate_hz:
+        raise SchemaMismatch("train and eval sample rates differ")
+    windows = [s.samples_per_trial // config.window_len for s in (train_set, eval_set)]
+    if windows[0] != windows[1]:
+        raise SchemaMismatch(f"train and eval windows per trial differ: {windows}")
     model, _ = train(config, train_set)
     covs, labels = prepare_dataset(eval_set, config)
     acc, confusion = _accuracy_and_confusion(
@@ -226,15 +237,12 @@ def bench_inference(
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     if not trials.trials:
         raise InsufficientData("the trial set has no trials")
-    from .config import config_from_mapping
-
     config = config_from_mapping(bundle.config)
     model = model_from_bundle(bundle)
     spec = config.band_spec()
     tic = time.perf_counter()
     for band in spec.bands:
-        design_bandpass(band, trials.sample_rate_hz, spec.filter_order,
-                        spec.stopband_atten_db)
+        design_bandpass(band, trials.sample_rate_hz)
     design_s = time.perf_counter() - tic
     samples = []
     for _ in range(repetitions):

@@ -357,8 +357,8 @@ def _build_model(rng, big_m, m, k, s, f, c_out, n_cls):
         iterations_run=1,
         objective_trace=[0.0],
     )
-    return Model(selection, n_windows=s, n_bands=f, n_channels=big_m,
-                 n_classes=n_cls, k_heads=k, conv_out=c_out)
+    return Model(selection, n_windows=s, n_bands=f, n_classes=n_cls, k_heads=k,
+                 conv_out=c_out, seed=0)
 
 
 def test_criterion_7_parameter_accounting():

@@ -149,8 +149,11 @@ class TestClassifierGradients:
 
 
 def test_gate_bottleneck_width_arithmetic():
-    clf = TangentClassifier(n_bands=20, n_windows=1, feat_len=4, n_classes=2)
+    rng = np.random.default_rng(0)
+    clf = TangentClassifier(n_bands=20, n_windows=1, feat_len=4, n_classes=2,
+                            conv_out=4, rng=rng)
     assert clf.w1.shape == (20, 10)
     assert clf.w1.size == 200
-    narrow = TangentClassifier(n_bands=1, n_windows=1, feat_len=4, n_classes=2)
+    narrow = TangentClassifier(n_bands=1, n_windows=1, feat_len=4, n_classes=2,
+                               conv_out=4, rng=rng)
     assert narrow.w1.shape == (1, 1)

@@ -1,12 +1,18 @@
-"""Every error type that ``errors.py`` declares is raised by the package."""
+"""Every error type that ``errors.py`` declares is raised by the package,
+and the package raises no builtin exception class."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdbci"
 BASE = "SpdBciError"
+BUILTIN_ERRORS = {
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+}
 
 
 def declared_errors(source: str) -> list[str]:
@@ -17,15 +23,21 @@ def declared_errors(source: str) -> list[str]:
     )
 
 
-def raised_names(source: str) -> set[str]:
-    """Names that a ``raise`` statement raises, called or not."""
-    names = set()
+def raises(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of every ``raise`` statement that raises a name,
+    called or not."""
+    out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name):
-                names.add(exc.id)
-    return names
+                out.append((node.lineno, exc.id))
+    return sorted(out)
+
+
+def raised_names(source: str) -> set[str]:
+    """Names that a ``raise`` statement raises, called or not."""
+    return {name for _, name in raises(source)}
 
 
 def test_checker_finds_declared_and_raised_names():
@@ -33,6 +45,17 @@ def test_checker_finds_declared_and_raised_names():
                "class B(A): pass\n"
     assert declared_errors(declared) == ["A", "B"]
     assert raised_names("raise A('x') from None\nraise B\nraise\nC()\n") == {"A", "B"}
+    assert raises("raise ValueError('x')\n\nraise A\n") == [(1, "ValueError"), (3, "A")]
+
+
+def test_package_raises_no_builtin_exception():
+    builtin = [
+        f"{p.name}:{line} raises {name}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for line, name in raises(p.read_text(encoding="utf-8"))
+        if name in BUILTIN_ERRORS
+    ]
+    assert not builtin, "raise an SpdBciError subclass instead:\n" + "\n".join(builtin)
 
 
 @pytest.mark.parametrize(

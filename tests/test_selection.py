@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spdbci.errors import DimensionMismatch
+from spdbci.errors import ConfigError, DimensionMismatch
 from spdbci.layers import random_stiefel
 from spdbci.selection import (
     MbtHeads,
@@ -187,7 +187,7 @@ class TestFitSelection:
         w = np.array([[0.9, 0.0], [0.1, 0.1], [0.0, 0.95], [0.3, 0.2]])
         assert score_channels(w, 2, rule="argmax") == [0, 2]
         assert score_channels(w, 2, rule="row-norm") == [0, 2]
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             score_channels(w, 2, rule="bogus")
 
 

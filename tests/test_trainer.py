@@ -30,6 +30,7 @@ from spdbci.model import count_parameters, model_from_bundle, model_to_bundle
 from spdbci.spd import covariance
 from spdbci.synth import generate_from_spec, synthetic_trials, two_class_covariances
 from spdbci.trainer import (
+    SHRINKAGE_SCALE,
     bench_inference,
     evaluate_cv,
     evaluate_holdout,
@@ -66,13 +67,12 @@ def per_window_covariances(trials, cfg):
         m = data.shape[0]
         covs = np.empty((n_windows, len(spec.bands), m, m))
         for f, band in enumerate(spec.bands):
-            b, a = design_bandpass(band, trials.sample_rate_hz, spec.filter_order,
-                                   spec.stopband_atten_db)
+            b, a = design_bandpass(band, trials.sample_rate_hz)
             filtered = signal.lfilter(b, a, data, axis=1)
             for s in range(n_windows):
                 window = filtered[:, s * cfg.window_len : (s + 1) * cfg.window_len].copy()
                 z = window - window.mean(axis=1, keepdims=True)
-                eps = cfg.shrinkage_scale * float(np.sum(z * z)) / (cfg.window_len * m)
+                eps = SHRINKAGE_SCALE * float(np.sum(z * z)) / (cfg.window_len * m)
                 covs[s, f] = covariance(window, max(eps, 1e-12))
         out.append(covs)
     return np.stack(out)
@@ -118,8 +118,9 @@ class TestConfig:
 
     def test_unknown_key_rejected(self):
         for key in ("no_such_knob", "bimap_layers", "std_divisor",
-                    "karcher_iterations", "rbn_momentum", "reeig_epsilon"):
-            with pytest.raises(ConfigError):
+                    "karcher_iterations", "rbn_momentum", "reeig_epsilon",
+                    "filter_order", "stopband_atten_db", "shrinkage_scale"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 config_from_mapping({key: "1"})
 
     @pytest.mark.parametrize("key, value", [
@@ -163,8 +164,6 @@ class TestConfig:
             {"selection_max_iters": 0},
             {"channel_scoring": "bogus"},
             {"selection_tol": 0.0},
-            {"filter_order": 0},
-            {"stopband_atten_db": 0.0},
             {"bands": ((8.0, 4.0),)},
             {"bands": ((8.0, 12.0), (10.0, 14.0))},
         ):
@@ -352,11 +351,19 @@ class TestEvaluate:
                    - report.mean_accuracy) < 1e-12
 
     def test_holdout_schema_mismatch(self, small_trials, rng):
-        other = synthetic_trials(
-            two_class_covariances(6, rng=rng), 4, 128, 250.0, rng=rng
-        )
-        with pytest.raises(SchemaMismatch):
-            evaluate_holdout(TrainConfig(**SMALL), small_trials, other)
+        # (channels, samples per trial, sample rate) of the eval set; the
+        # training set is 4 channels of 128 samples at 250 Hz.
+        cases = {
+            "channel counts": (6, 128, 250.0),
+            "sample rates": (4, 128, 500.0),
+            "windows per trial": (4, 256, 250.0),
+        }
+        for reason, (channels, samples, rate) in cases.items():
+            other = synthetic_trials(
+                two_class_covariances(channels, rng=rng), 4, samples, rate, rng=rng
+            )
+            with pytest.raises(SchemaMismatch, match=reason):
+                evaluate_holdout(TrainConfig(**SMALL), small_trials, other)
 
     def test_holdout_confusion_dims(self, small_trials):
         cfg = TrainConfig(**SMALL)
