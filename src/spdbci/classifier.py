@@ -85,21 +85,27 @@ class TangentClassifier:
         gate = self._gate(conv_out)[-1]
         return gate, gate[..., None] * conv_out
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        """(B, S, F, J) tangent features -> (B, n_classes) logits."""
-        conv_out = self.conv_forward(x)
+    def _gated_head(self, conv_out: np.ndarray):
+        """Gate, flatten and linear head of a (B, F, C_out) conv output:
+        ``(squeezed, hidden, gate, flat, logits)``."""
         squeezed, hidden, gate = self._gate(conv_out)
-        flat = (gate[..., None] * conv_out).reshape(len(x), -1)
+        flat = (gate[..., None] * conv_out).reshape(len(conv_out), -1)
         if flat.shape[1] != self.head_w.shape[0]:
             raise ShapeMismatch(
                 f"flattened width {flat.shape[1]} != head input {self.head_w.shape[0]}"
             )
+        return squeezed, hidden, gate, flat, flat @ self.head_w + self.head_b
+
+    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        """(B, S, F, J) tangent features -> (B, n_classes) logits."""
+        conv_out = self.conv_forward(x)
+        squeezed, hidden, gate, flat, logits = self._gated_head(conv_out)
         if training:
             self._cache = {
                 "x": x, "conv_out": conv_out, "squeezed": squeezed,
                 "hidden": hidden, "gate": gate, "flat": flat,
             }
-        return flat @ self.head_w + self.head_b
+        return logits
 
     # --- backward --------------------------------------------------------
 

@@ -5,6 +5,13 @@ hand-derived gradients.
 Forward path per trial: covariance tensor (S, F, M, M) -> one
 BiMap/RBN/ReEig block -> LogEig -> K bilinear heads -> per-band conv ->
 band-importance gate -> linear head -> class logits.
+
+Training runs that layer chain.  Evaluation runs the same map folded
+into three steps, exact to round-off: in eval mode BiMap and the RBN
+whitener are one fixed congruence ``A = R W``, ReEig and LogEig are one
+eigenvalue function ``log(max(w, eps))``, and everything from LogEig to
+the conv output is linear, so the K heads and the conv kernel fold into
+one kernel ``E[c, s] = sum_k W_k K[c, s, k] W_k^T``.
 """
 
 from __future__ import annotations
@@ -17,10 +24,21 @@ from .eeg_io import ModelBundle
 from .errors import MalformedHeader, ShapeMismatch
 from .layers import BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, random_stiefel
 from .selection import MbtHeads, SelectionTransform
+from .spd import check_spd, eig_fn, inv_sqrtm
+
+#: Largest entry of ``|W^T W - I|`` a bundle's BiMap or head weight may
+#: show; the Stiefel retraction keeps trained weights near round-off.
+ORTHONORMAL_ATOL = 1e-8
 
 
 class Model:
-    """Trainable pipeline over per-trial covariance tensors."""
+    """Trainable pipeline over per-trial covariance tensors.
+
+    The first eval forward builds the folded plan from the current
+    weights and running mean and caches it; ``forward(training=True)``,
+    :meth:`step` and :meth:`load_arrays` drop it, so weights are changed
+    through those methods.
+    """
 
     def __init__(
         self,
@@ -52,6 +70,7 @@ class Model:
             conv_out=conv_out,
             rng=rng,
         )
+        self._plan: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
 
@@ -63,11 +82,36 @@ class Model:
                 f"covariance tensor {covs.shape[1:]} does not match model "
                 f"({self.n_windows}, {self.n_bands}, {self.n_channels})"
             )
-        x = self.bimap.forward(covs.reshape(b * s * f, m, m), training)
-        x = self.reeig.forward(self.rbn.forward(x, training), training)
-        tangent = self.logeig.forward(x, training)
-        stacked = self.heads.forward(tangent, training)  # (B*S*F, K, m, m)
-        return self.clf.forward(stacked.reshape(b, s, f, -1), training)
+        if not training:
+            a, kernel = self._folded_plan()
+            eps = self.reeig.epsilon
+            tangent, _, _ = eig_fn(
+                a @ covs.reshape(b * s * f, m, m) @ a.T,
+                lambda w: np.log(np.maximum(w, eps)),
+            )
+            conv_out = np.tensordot(
+                tangent.reshape(b, s, f, m * m), kernel, axes=([1, 3], [1, 2])
+            ) + self.clf.bias
+            return self.clf._gated_head(conv_out)[-1]
+        self._plan = None  # the running mean moves
+        x = self.bimap.forward(covs.reshape(b * s * f, m, m))
+        tangent = self.logeig.forward(self.reeig.forward(self.rbn.forward(x)))
+        stacked = self.heads.forward(tangent)  # (B*S*F, K, m, m)
+        return self.clf.forward(stacked.reshape(b, s, f, -1))
+
+    def _folded_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """The congruence ``A = inv_sqrtm(running_mean) W_bimap`` (M, M) and
+        the folded kernel ``E`` (C_out, S, M*M), built on first use."""
+        if self._plan is None:
+            c_out, s, _ = self.clf.kernel.shape
+            w = self.heads.weights  # (K, M, m)
+            k = self.clf.kernel.reshape(c_out, s, self.heads.K, self.m, self.m)
+            folded = (w @ k @ np.swapaxes(w, -1, -2)).sum(axis=2)  # (C_out, S, M, M)
+            self._plan = (
+                inv_sqrtm(self.rbn.running_mean) @ self.bimap.weight,
+                folded.reshape(c_out, s, -1),
+            )
+        return self._plan
 
     def backward(self, grad_logits: np.ndarray) -> None:
         d_features = self.clf.backward(grad_logits)  # (B, S, F, K*m*m)
@@ -77,6 +121,7 @@ class Model:
         self.bimap.backward(self.rbn.backward(grad))
 
     def step(self, lr: float) -> None:
+        self._plan = None
         self.clf.step(lr)
         self.heads.step(lr)
         self.bimap.step(lr)
@@ -104,6 +149,7 @@ class Model:
         }
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        self._plan = None
         self.heads.weights = np.stack([arrays[f"head_{k}"] for k in range(self.heads.K)])
         self.bimap.weight = arrays["bimap_0"].copy()
         self.rbn.running_mean = arrays["rbn_mean_0"].copy()
@@ -128,13 +174,40 @@ def model_to_bundle(model: Model, config: dict[str, str]) -> ModelBundle:
     )
 
 
+def _check_arrays(arrays: dict[str, np.ndarray]) -> None:
+    """Reject bundle arrays that would load into a model predicting
+    silently wrong classes: a non-finite entry, a BiMap or head weight
+    whose columns are not orthonormal to ``ORTHONORMAL_ATOL``, or a
+    running mean that is not SPD."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise MalformedHeader(f"model bundle array {name!r} is not finite")
+    for name, w in arrays.items():
+        if name != "bimap_0" and not name.startswith("head_"):
+            continue
+        if w.ndim != 2:
+            raise MalformedHeader(f"model bundle array {name!r} is not a matrix")
+        drift = float(np.max(np.abs(w.T @ w - np.eye(w.shape[1]))))
+        if drift > ORTHONORMAL_ATOL:
+            raise MalformedHeader(
+                f"model bundle array {name!r} does not have orthonormal columns "
+                f"(max |W^T W - I| = {drift:.1e})"
+            )
+    check_spd(arrays["rbn_mean_0"], "model bundle array 'rbn_mean_0'")
+
+
 def model_from_bundle(bundle: ModelBundle) -> Model:
     """Rebuild a model: hyperparameters from the config snapshot, sizes
     from the array shapes.  A ``_model_meta`` entry that older bundles
-    carry is ignored; a missing array raises :class:`MalformedHeader`."""
+    carry is ignored; a missing array raises :class:`MalformedHeader`,
+    and so do a non-finite array, a BiMap or head weight without
+    orthonormal columns and an array whose shape disagrees with the
+    sizes; a running mean that is not SPD raises
+    :class:`~spdbci.errors.NotPositiveDefinite`."""
     config = config_from_mapping(bundle.config)
     arrays = bundle.arrays
     try:
+        _check_arrays(arrays)
         _, n_windows, _ = arrays["clf_kernel"].shape
         selection = SelectionTransform(
             W_hat=arrays["sel_W_hat"].copy(),
@@ -152,6 +225,12 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
             conv_out=config.conv_out,
             seed=config.seed,
         )
+        for name, arr in {**model.parameter_arrays(), **model.buffer_arrays()}.items():
+            if arrays[name].shape != arr.shape:
+                raise MalformedHeader(
+                    f"model bundle array {name!r} has shape {arrays[name].shape}, "
+                    f"expected {arr.shape}"
+                )
         model.load_arrays(arrays)
     except KeyError as exc:
         raise MalformedHeader(f"model bundle has no array {exc.args[0]!r}") from exc

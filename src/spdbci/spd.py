@@ -52,8 +52,10 @@ def covariance(window: np.ndarray, shrinkage=0.0) -> np.ndarray:
 
     ``window`` is channels x samples, or ``(..., M, L)`` for a batch of
     windows; ``Z`` is the row-mean-centered window.  ``shrinkage`` is
-    ``eps``: a scalar, or one value per window (shape ``(...)``).  A
-    window with zero shrinkage whose result is rank-deficient raises
+    ``eps``: a scalar, one value per window (shape ``(...)``), or a
+    function mapping ``Z`` to either, so an eps that depends on the
+    centred data costs no second centring pass.  A window with zero
+    shrinkage whose result is rank-deficient raises
     :class:`DegenerateInput`; any positive shrinkage guarantees an SPD
     output.  Each matrix of a batch equals the 2-D call on its window
     bit for bit when the windows are C-contiguous.
@@ -63,6 +65,9 @@ def covariance(window: np.ndarray, shrinkage=0.0) -> np.ndarray:
         raise DimensionMismatch(
             f"window must be (..., M, L) with L >= 1, got {window.shape}"
         )
+    z = window - window.mean(axis=-1, keepdims=True)
+    if callable(shrinkage):
+        shrinkage = shrinkage(z)
     shrinkage = np.asarray(shrinkage, dtype=np.float64)
     if shrinkage.shape not in ((), window.shape[:-2]):
         raise DimensionMismatch(
@@ -72,7 +77,6 @@ def covariance(window: np.ndarray, shrinkage=0.0) -> np.ndarray:
     if np.any(shrinkage < 0):
         raise ConfigError("shrinkage must be nonnegative")
     m, length = window.shape[-2:]
-    z = window - window.mean(axis=-1, keepdims=True)
     cov = (z @ np.swapaxes(z, -1, -2)) / length + shrinkage[..., None, None] * np.eye(m)
     cov = sym(cov)
     unshrunk = np.broadcast_to(shrinkage == 0.0, window.shape[:-2])

@@ -79,6 +79,33 @@ def tangent_distance_matrix(samples: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.linalg.norm(diff, axis=(-2, -1))
 
 
+def layered_eval_forward(model, covs):
+    """Eval logits of ``model`` through its layer chain, one layer at a
+    time (reference oracle for the folded plan ``Model.forward`` runs
+    in eval mode)."""
+    b, s, f, m, _ = covs.shape
+    x = model.bimap.forward(covs.reshape(b * s * f, m, m), training=False)
+    x = model.reeig.forward(model.rbn.forward(x, training=False), training=False)
+    tangent = model.logeig.forward(x, training=False)
+    stacked = model.heads.forward(tangent, training=False)
+    return model.clf.forward(stacked.reshape(b, s, f, -1), training=False)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Count ``np.linalg.eigh`` calls: one entry per call, holding the
+    number of matrices decomposed."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -56,6 +56,14 @@ class TestCovariance:
                 assert np.array_equal(batch[i, j], one)
         scalar = covariance(windows, 1e-3)
         assert np.array_equal(scalar[2, 1], covariance(windows[2, 1], 1e-3))
+        seen = []
+
+        def rule(z):
+            seen.append(z)
+            return shrinkage
+
+        assert np.array_equal(covariance(windows, rule), batch)
+        assert np.array_equal(seen[0], windows - windows.mean(axis=-1, keepdims=True))
 
     def test_batch_with_one_degenerate_window_raises(self):
         windows = np.random.default_rng(6).standard_normal((4, 3, 50))

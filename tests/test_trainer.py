@@ -23,10 +23,13 @@ from spdbci.errors import (
     InsufficientData,
     IoFailure,
     MalformedHeader,
+    NotPositiveDefinite,
     SchemaMismatch,
 )
 from spdbci.filterbank import design_bandpass
-from spdbci.model import count_parameters, model_from_bundle, model_to_bundle
+from spdbci.layers import random_stiefel
+from spdbci.model import Model, count_parameters, model_from_bundle, model_to_bundle
+from spdbci.selection import SelectionTransform
 from spdbci.spd import covariance
 from spdbci.synth import generate_from_spec, synthetic_trials, two_class_covariances
 from spdbci.trainer import (
@@ -40,6 +43,8 @@ from spdbci.trainer import (
     train,
     train_to_bundle,
 )
+
+from conftest import layered_eval_forward, random_spd
 
 # A small, fast configuration used throughout this module.
 SMALL = dict(
@@ -299,6 +304,137 @@ class TestTrain:
         assert count_parameters(model) == expected
 
 
+def _assert_logits_close(got, want, rtol=1e-10):
+    """The benchmark's logit check: max abs error within rtol of the scale."""
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(got - want))) <= rtol * scale
+
+
+def _fresh_model(rng, big_m=4, m=2, k=2, s=2, f=2, c_out=3, n_cls=2):
+    selection = SelectionTransform(
+        W_hat=random_stiefel(rng, big_m, m),
+        selected_channels=list(range(m)),
+        L_matrix=np.eye(big_m),
+        iterations_run=1,
+        objective_trace=[0.0],
+    )
+    return Model(selection, n_windows=s, n_bands=f, n_classes=n_cls, k_heads=k,
+                 conv_out=c_out, seed=0)
+
+
+class TestFoldedPlan:
+    """Eval-mode ``Model.forward`` runs the folded plan: one congruence,
+    one ``eigh`` and one folded kernel, rebuilt when the model changes."""
+
+    def test_fresh_model_matches_layered_oracle(self, rng):
+        model = _fresh_model(rng)
+        covs = random_spd(rng, 4, batch=5 * 2 * 2).reshape(5, 2, 2, 4, 4)
+        _assert_logits_close(model.forward(covs, training=False),
+                             layered_eval_forward(model, covs))
+
+    def test_trained_model_matches_layered_oracle(self, small_trials):
+        cfg = TrainConfig(**SMALL)
+        model, _ = train(cfg, small_trials)
+        covs, _ = prepare_dataset(small_trials, cfg)
+        want = layered_eval_forward(model, covs)
+        got = model.forward(covs, training=False)
+        _assert_logits_close(got, want)
+        assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+    def test_clamping_reeig_floor_matches_layered_oracle(self, rng):
+        model = _fresh_model(rng)
+        u = np.linalg.qr(rng.standard_normal((20, 4, 4)))[0]
+        spectrum = np.geomspace(1e-7, 10.0, 4) * rng.uniform(0.5, 2.0, (20, 4))
+        covs = ((u * spectrum[:, None, :]) @ np.swapaxes(u, -1, -2)).reshape(5, 2, 2, 4, 4)
+        whitened = model.rbn.forward(
+            model.bimap.forward(covs.reshape(-1, 4, 4), training=False), training=False
+        )
+        assert np.mean(np.linalg.eigvalsh(whitened) < model.reeig.epsilon) > 0.2
+        _assert_logits_close(model.forward(covs, training=False),
+                             layered_eval_forward(model, covs))
+
+    def test_single_trial_logits_equal_batched(self, small_trials):
+        cfg = TrainConfig(**SMALL)
+        model, _ = train(cfg, small_trials)
+        covs, _ = prepare_dataset(small_trials, cfg)
+        batched = model.forward(covs, training=False)
+        single = np.concatenate([model.forward(covs[k : k + 1], training=False)
+                                 for k in range(len(covs))])
+        _assert_logits_close(single, batched)
+
+    def test_training_step_rebuilds_the_plan(self, small_trials):
+        cfg = TrainConfig(**SMALL)
+        model, _ = train(cfg, small_trials)
+        covs, labels = prepare_dataset(small_trials, cfg)
+
+        def fresh():
+            bundle = model_to_bundle(model, config_to_mapping(cfg))
+            return model_from_bundle(bundle).forward(covs, training=False)
+
+        model.forward(covs, training=False)
+        logits = model.forward(covs[:8], training=True)  # moves the running mean
+        assert np.array_equal(model.forward(covs, training=False), fresh())
+        model.backward(cross_entropy(logits, labels[:8])[1])
+        model.step(cfg.learning_rate)  # moves the weights
+        assert np.array_equal(model.forward(covs, training=False), fresh())
+
+    def test_load_arrays_rebuilds_the_plan(self, small_trials, rng):
+        cfg = TrainConfig(**SMALL)
+        model, _ = train(cfg, small_trials)
+        other = train_to_bundle(dataclasses.replace(cfg, seed=1), small_trials)
+        covs, _ = prepare_dataset(small_trials, cfg)
+        model.forward(covs, training=False)
+        model.load_arrays(other.arrays)
+        assert np.array_equal(model.forward(covs, training=False),
+                              model_from_bundle(other).forward(covs, training=False))
+
+    def test_eigh_budget(self, small_trials, eigh_calls):
+        cfg = TrainConfig(**SMALL)
+        model, _ = train(cfg, small_trials)
+        covs, labels = prepare_dataset(small_trials, cfg)
+        b, s, f = 5, *covs.shape[1:3]
+        eigh_calls.clear()
+        model.forward(covs[:b], training=False)
+        assert eigh_calls == [1, b * s * f]  # running mean once, then the batch
+        eigh_calls.clear()
+        model.forward(covs[:b], training=False)
+        assert eigh_calls == [b * s * f]
+        # One training step as it stands: the Karcher-flow step (3), the
+        # running-mean geodesic (2), the batch whitener (1), ReEig and LogEig.
+        eigh_calls.clear()
+        logits = model.forward(covs[:8], training=True)
+        model.backward(cross_entropy(logits, labels[:8])[1])
+        model.step(cfg.learning_rate)
+        n = 8 * s * f
+        assert eigh_calls == [1, n, 1, 1, 1, 1, n, n]
+
+    @pytest.mark.parametrize("name, factor, error", [
+        ("clf_kernel", np.nan, MalformedHeader),
+        ("clf_head_b", np.inf, MalformedHeader),
+        ("bimap_0", 0.0, MalformedHeader),
+        ("head_1", 2.0, MalformedHeader),
+        ("rbn_mean_0", np.nan, MalformedHeader),
+        ("rbn_mean_0", -1.0, NotPositiveDefinite),
+    ])
+    def test_bundle_that_would_mispredict_raises_typed_error(
+        self, small_trials, name, factor, error
+    ):
+        bundle = train_to_bundle(TrainConfig(**SMALL), small_trials)
+        arrays = {**bundle.arrays, name: factor * bundle.arrays[name]}
+        with pytest.raises(error, match=name):
+            model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
+
+
+    @pytest.mark.parametrize("name, shape", [
+        ("head_1", (4, 3)), ("bimap_0", (3, 3)), ("rbn_mean_0", (3, 3)),
+    ])
+    def test_bundle_array_of_wrong_shape_raises_typed_error(self, small_trials, name, shape):
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        arrays = {**bundle.arrays, name: np.eye(*shape)}
+        with pytest.raises(MalformedHeader, match=name):
+            model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
+
+
 class TestPrepareDataset:
     @pytest.mark.parametrize("options", [SMALL, {"window_len": 64}],
                              ids=["small", "default-bank"])
@@ -371,13 +507,17 @@ class TestEvaluate:
         assert report.confusion.shape == (2, 2)
         assert report.std_convention == "single holdout split"
 
-    def test_bench_sample_count(self, small_trials):
+    def test_bench_sample_count(self, small_trials, eigh_calls):
         cfg = TrainConfig(**SMALL)
         bundle = train_to_bundle(cfg, small_trials)
+        eigh_calls.clear()
         stats = bench_inference(bundle, small_trials, repetitions=1)
         assert stats["samples"] == len(small_trials.trials)
         assert 0 < stats["mean_s"] <= stats["max_s"]
         assert stats["design_s"] > 0
+        # The running mean is decomposed once, for the plan; each timed
+        # trial makes one eigh over its 2 windows x 2 bands.
+        assert eigh_calls == [1] + [2 * 2] * len(small_trials.trials)
 
     def test_bench_rejects_zero_repetitions(self, small_trials):
         bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
