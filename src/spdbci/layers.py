@@ -162,6 +162,15 @@ class ReEigLayer:
             self._cache = (w, u)
         return out
 
+    @property
+    def output_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(max(w, eps), u)``: the eigendecomposition of the output of
+        the last training forward, which :class:`LogEigLayer` can reuse."""
+        if self._cache is None:
+            raise MissingForwardCache("ReEig output decomposition before forward")
+        w, u = self._cache
+        return np.maximum(w, self.epsilon), u
+
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise MissingForwardCache("ReEig backward before forward")
@@ -179,8 +188,16 @@ class LogEigLayer:
     def __init__(self):
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
-    def forward(self, batch: np.ndarray, training: bool = True) -> np.ndarray:
-        out, w, u = eig_fn(batch, _log_positive)
+    def forward(
+        self,
+        batch: np.ndarray,
+        training: bool = True,
+        eig: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """``eig`` is the decomposition ``(w, u)`` of ``batch`` when the
+        caller already holds it, such as :attr:`ReEigLayer.output_eig`;
+        forward and backward then run on it and no ``eigh`` runs."""
+        out, w, u = eig_fn(batch, _log_positive, eig)
         if training:
             self._cache = (w, u)
         return out

@@ -6,12 +6,18 @@ Forward path per trial: covariance tensor (S, F, M, M) -> one
 BiMap/RBN/ReEig block -> LogEig -> K bilinear heads -> per-band conv ->
 band-importance gate -> linear head -> class logits.
 
-Training runs that layer chain.  Evaluation runs the same map folded
-into three steps, exact to round-off: in eval mode BiMap and the RBN
-whitener are one fixed congruence ``A = R W``, ReEig and LogEig are one
-eigenvalue function ``log(max(w, eps))``, and everything from LogEig to
-the conv output is linear, so the K heads and the conv kernel fold into
-one kernel ``E[c, s] = sum_k W_k K[c, s, k] W_k^T``.
+Training runs that layer chain and decomposes each batch twice: in
+RBN's Karcher-flow step and in ReEig.  ReEig's output ``U diag(max(w,
+eps)) U^T`` comes with its eigendecomposition, so LogEig runs its
+forward and backward on ``(max(w, eps), U)`` instead of a third
+``eigh``.
+
+Evaluation runs the same map folded into three steps, exact to
+round-off: in eval mode BiMap and the RBN whitener are one fixed
+congruence ``A = R W``, ReEig and LogEig are one eigenvalue function
+``log(max(w, eps))``, and everything from LogEig to the conv output is
+linear, so the K heads and the conv kernel fold into one kernel
+``E[c, s] = sum_k W_k K[c, s, k] W_k^T``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,13 @@ from .spd import check_spd, eig_fn, inv_sqrtm
 #: Largest entry of ``|W^T W - I|`` a bundle's BiMap or head weight may
 #: show; the Stiefel retraction keeps trained weights near round-off.
 ORTHONORMAL_ATOL = 1e-8
+
+#: Rank of each bundle array that :func:`model_from_bundle` reads sizes
+#: or entries from before the model exists to check its full shape.
+BUNDLE_RANKS = {
+    "clf_kernel": 3, "clf_w1": 2, "clf_head_b": 1,
+    "sel_W_hat": 2, "sel_channels": 1, "sel_L": 2, "sel_trace": 1,
+}
 
 
 class Model:
@@ -95,7 +108,8 @@ class Model:
             return self.clf._gated_head(conv_out)[-1]
         self._plan = None  # the running mean moves
         x = self.bimap.forward(covs.reshape(b * s * f, m, m))
-        tangent = self.logeig.forward(self.reeig.forward(self.rbn.forward(x)))
+        x = self.reeig.forward(self.rbn.forward(x))
+        tangent = self.logeig.forward(x, eig=self.reeig.output_eig)
         stacked = self.heads.forward(tangent)  # (B*S*F, K, m, m)
         return self.clf.forward(stacked.reshape(b, s, f, -1))
 
@@ -176,12 +190,25 @@ def model_to_bundle(model: Model, config: dict[str, str]) -> ModelBundle:
 
 def _check_arrays(arrays: dict[str, np.ndarray]) -> None:
     """Reject bundle arrays that would load into a model predicting
-    silently wrong classes: a non-finite entry, a BiMap or head weight
-    whose columns are not orthonormal to ``ORTHONORMAL_ATOL``, or a
-    running mean that is not SPD."""
+    silently wrong classes: a non-finite entry, an array whose rank is
+    not its ``BUNDLE_RANKS`` entry, a selection transform wider than
+    tall, a BiMap or head weight whose columns are not orthonormal to
+    ``ORTHONORMAL_ATOL``, or a running mean that is not SPD."""
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise MalformedHeader(f"model bundle array {name!r} is not finite")
+    for name, ndim in BUNDLE_RANKS.items():
+        if arrays[name].ndim != ndim:
+            raise MalformedHeader(
+                f"model bundle array {name!r} has {arrays[name].ndim} dimensions, "
+                f"expected {ndim}"
+            )
+    big_m, m = arrays["sel_W_hat"].shape
+    if not 1 <= m <= big_m:
+        raise MalformedHeader(
+            f"model bundle array 'sel_W_hat' has shape {(big_m, m)}, expected "
+            "(M, m) with 1 <= m <= M"
+        )
     for name, w in arrays.items():
         if name != "bimap_0" and not name.startswith("head_"):
             continue
@@ -201,8 +228,8 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
     from the array shapes.  A ``_model_meta`` entry that older bundles
     carry is ignored; a missing array raises :class:`MalformedHeader`,
     and so do a non-finite array, a BiMap or head weight without
-    orthonormal columns and an array whose shape disagrees with the
-    sizes; a running mean that is not SPD raises
+    orthonormal columns and an array whose rank or shape disagrees with
+    the sizes; a running mean that is not SPD raises
     :class:`~spdbci.errors.NotPositiveDefinite`."""
     config = config_from_mapping(bundle.config)
     arrays = bundle.arrays
@@ -225,11 +252,18 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
             conv_out=config.conv_out,
             seed=config.seed,
         )
-        for name, arr in {**model.parameter_arrays(), **model.buffer_arrays()}.items():
-            if arrays[name].shape != arr.shape:
+        expected = {
+            name: arr.shape
+            for name, arr in {**model.parameter_arrays(), **model.buffer_arrays()}.items()
+        }
+        # the selection buffers are the bundle's own arrays, so their
+        # shapes come from the sizes
+        expected.update(sel_channels=(model.m,), sel_L=(model.n_channels, model.n_channels))
+        for name, shape in expected.items():
+            if arrays[name].shape != shape:
                 raise MalformedHeader(
                     f"model bundle array {name!r} has shape {arrays[name].shape}, "
-                    f"expected {arr.shape}"
+                    f"expected {shape}"
                 )
         model.load_arrays(arrays)
     except KeyError as exc:

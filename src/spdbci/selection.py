@@ -222,9 +222,17 @@ class MbtHeads:
         if self._cache is None:
             raise MissingForwardCache("MBT backward before forward")
         v, w = self._cache, self.weights
+        k, big_m, m = w.shape
+        # pairs[(k, a, c), (i, j)] = W_k[i, a] W_k[j, c], so the input
+        # gradient sum_k W_k G_k W_k^T is one product over the flat G
+        pairs = np.einsum("kia,kjc->kacij", w, w).reshape(k * m * m, big_m * big_m)
+        d_input = (grad.reshape(len(grad), -1) @ pairs).reshape(-1, big_m, big_m)
+        # sum_b V_b W_k (G_bk + G_bk^T): contract the batch first, in one
+        # product, then W_k
         g = grad[:, 1:]
-        self.grad_weights = (v[:, None] @ w[1:] @ (g + np.swapaxes(g, -1, -2))).sum(axis=0)
-        return (w @ grad @ np.swapaxes(w, -1, -2)).sum(axis=1)
+        vg = np.tensordot(v, g + np.swapaxes(g, -1, -2), axes=(0, 0))  # (M, M, K-1, m, m)
+        self.grad_weights = np.einsum("ijkac,kja->kic", vg, w[1:])
+        return d_input
 
     def step(self, lr: float) -> None:
         if self.grad_weights is None:

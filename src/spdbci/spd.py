@@ -90,7 +90,9 @@ def covariance(window: np.ndarray, shrinkage=0.0) -> np.ndarray:
     return cov
 
 
-def eig_fn(x: np.ndarray, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eig_fn(
+    x: np.ndarray, fn, eig: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``U diag(fn(w)) U^T`` from one eigendecomposition ``sym(x) = U diag(w) U^T``.
 
     The one eigenvalue-function primitive of the package, batched over
@@ -98,9 +100,11 @@ def eig_fn(x: np.ndarray, fn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``(..., n)``) to an array of the same shape, or to a stack
     ``(P, ..., n)`` of P eigenvalue functions, which gives P matrices
     from the single decomposition; it may raise to reject a spectrum.
-    Returns ``(out, w, u)``, so a backward pass can reuse ``w`` and ``u``.
+    ``eig`` is ``(w, u)`` when the caller already holds the
+    decomposition of ``x``; then no ``eigh`` runs.  Returns
+    ``(out, w, u)``, so a backward pass can reuse ``w`` and ``u``.
     """
-    w, u = np.linalg.eigh(sym(x))
+    w, u = np.linalg.eigh(sym(x)) if eig is None else eig
     return (u * fn(w)[..., None, :]) @ np.swapaxes(u, -1, -2), w, u
 
 

@@ -91,6 +91,19 @@ def layered_eval_forward(model, covs):
     return model.clf.forward(stacked.reshape(b, s, f, -1), training=False)
 
 
+def layered_train_forward(model, covs):
+    """Training logits of ``model`` through its layer chain with LogEig
+    decomposing the ReEig output again (reference oracle for the
+    training ``Model.forward``, where LogEig reuses ReEig's
+    decomposition).  Leaves every layer's cache set for
+    ``model.backward``."""
+    b, s, f, m, _ = covs.shape
+    x = model.bimap.forward(covs.reshape(b * s * f, m, m))
+    tangent = model.logeig.forward(model.reeig.forward(model.rbn.forward(x)))
+    stacked = model.heads.forward(tangent)
+    return model.clf.forward(stacked.reshape(b, s, f, -1))
+
+
 @pytest.fixture
 def eigh_calls(monkeypatch):
     """Count ``np.linalg.eigh`` calls: one entry per call, holding the

@@ -29,6 +29,7 @@ from spdbci.layers import (
 )
 from spdbci.model import Model, count_parameters
 from spdbci.selection import (
+    MbtHeads,
     SelectionTransform,
     assemble_L,
     fit_selection,
@@ -209,6 +210,32 @@ def _fd_layer(layer, x, g, rng, h=1e-5):
     return abs(num - ana) / max(abs(num), 1e-10)
 
 
+class _ReEigLogEig:
+    """ReEig then LogEig on ReEig's eigendecomposition, as the training
+    forward chains them, with the matching backward."""
+
+    def __init__(self, epsilon):
+        self.reeig, self.logeig = ReEigLayer(epsilon), LogEigLayer()
+
+    def forward(self, x, training=True):
+        y = self.reeig.forward(x, training=True)
+        return self.logeig.forward(y, training=training, eig=self.reeig.output_eig)
+
+    def backward(self, grad):
+        return self.reeig.backward(self.logeig.backward(grad))
+
+
+def _straddling_spd(rng, floor):
+    """Two 5x5 SPD matrices with eigenvalues on both sides of ``floor``,
+    each at least 5% of ``floor`` away from it, so some clamp and no
+    finite-difference step crosses the kink."""
+    u = np.linalg.qr(rng.standard_normal((2, 5, 5)))[0]
+    below = rng.uniform(0.1, 0.95, (2, 2)) * floor
+    above = rng.uniform(1.05, 6.0, (2, 3)) * floor
+    spectrum = np.concatenate([below, above], axis=1)
+    return (u * spectrum[:, None, :]) @ np.swapaxes(u, -1, -2)
+
+
 def test_criterion_4_gradient_suite():
     t0 = time.perf_counter()
     failures = []
@@ -235,6 +262,35 @@ def test_criterion_4_gradient_suite():
         worst["rbn"] = max(worst.get("rbn", 0.0), err)
         if err >= 1e-4:
             failures.append(f"rbn seed {seed} err {err:.2e}")
+
+        # ReEig -> LogEig as training runs it: LogEig on ReEig's
+        # decomposition, over a spectrum that straddles the clamp floor
+        err = _fd_layer(_ReEigLogEig(0.5), _straddling_spd(rng, 0.5),
+                        rng.standard_normal((2, 5, 5)), rng)
+        worst["reeig_logeig"] = max(worst.get("reeig_logeig", 0.0), err)
+        if err >= 1e-4:
+            failures.append(f"reeig->logeig seed {seed} err {err:.2e}")
+
+        # MBT heads: the input and the trained heads' weight gradients
+        heads = MbtHeads.initialize(random_stiefel(rng, 5, 2), 3, rng)
+        tangent = sym(rng.standard_normal((2, 5, 5)))
+        g = rng.standard_normal((2, 3, 2, 2))
+        err = _fd_layer(heads, tangent, g, rng)
+        grad_w = heads.grad_weights.copy()
+        worst["mbt_input"] = max(worst.get("mbt_input", 0.0), err)
+        if err >= 1e-4:
+            failures.append(f"mbt input seed {seed} err {err:.2e}")
+        w0, h = heads.weights, 1e-5
+        dw = rng.standard_normal(w0[1:].shape)
+        heads.weights = np.concatenate([w0[:1], w0[1:] + h * dw])
+        plus = np.sum(heads.forward(tangent, training=False) * g)
+        heads.weights = np.concatenate([w0[:1], w0[1:] - h * dw])
+        minus = np.sum(heads.forward(tangent, training=False) * g)
+        num = (plus - minus) / (2 * h)
+        err = abs(num - np.sum(grad_w * dw)) / max(abs(num), 1e-10)
+        worst["mbt_weights"] = max(worst.get("mbt_weights", 0.0), err)
+        if err >= 1e-4:
+            failures.append(f"mbt weights seed {seed} err {err:.2e}")
 
         # classifier stack: input plus every parameter, which exercises the
         # conv, band-importance, and linear-head backward paths

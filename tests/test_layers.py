@@ -146,6 +146,25 @@ class TestLogEig:
         # for x = c I the backward is grad / c symmetrized
         assert np.allclose(gx, np.ones((4, 4)) / 2.0)
 
+    @pytest.mark.parametrize("epsilon", [1e-4, 0.5], ids=["no-clamp", "clamped"])
+    def test_reused_decomposition_matches_own(self, rng, epsilon):
+        """LogEig on ReEig's decomposition equals LogEig decomposing the
+        ReEig output itself, forward and backward."""
+        u = np.linalg.qr(rng.standard_normal((6, 5, 5)))[0]
+        spectrum = rng.uniform(0.05, 3.0, (6, 5))
+        reeig = ReEigLayer(epsilon)
+        x = reeig.forward((u * spectrum[:, None, :]) @ np.swapaxes(u, -1, -2))
+        assert np.any(spectrum < epsilon) == (epsilon == 0.5)
+        own, shared = LogEigLayer(), LogEigLayer()
+        g = rng.standard_normal(x.shape)
+        for want, got in [(own.forward(x), shared.forward(x, eig=reeig.output_eig)),
+                          (own.backward(g), shared.backward(g))]:
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_output_eig_before_forward(self):
+        with pytest.raises(MissingForwardCache):
+            ReEigLayer().output_eig
+
 
 class TestKarcher:
     def test_identical_batch(self, rng):

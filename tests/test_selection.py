@@ -225,6 +225,23 @@ class TestMbtHeads:
         for w in heads.weights[1:]:
             assert np.linalg.norm(w.T @ w - np.eye(3)) < 1e-8
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_backward_matches_per_head_oracle(self, rng, k):
+        heads = MbtHeads.initialize(random_stiefel(rng, 5, 2), k=k, rng=rng)
+        batch = rng.standard_normal((4, 5, 5))
+        batch = batch + np.swapaxes(batch, 1, 2)
+        g = rng.standard_normal((4, k, 2, 2))
+        heads.forward(batch, training=True)
+        gx = heads.backward(g)
+        w = heads.weights
+        want_x = np.stack([sum(w[j] @ g[b, j] @ w[j].T for j in range(k))
+                           for b in range(4)])
+        want_w = np.array([sum(batch[b] @ w[j] @ (g[b, j] + g[b, j].T) for b in range(4))
+                           for j in range(1, k)]).reshape(k - 1, 5, 2)
+        assert np.allclose(gx, want_x, rtol=0, atol=1e-12)
+        assert heads.grad_weights.shape == want_w.shape
+        assert np.allclose(heads.grad_weights, want_w, rtol=0, atol=1e-12)
+
     def test_input_gradient_fd(self, rng):
         heads = MbtHeads.initialize(random_stiefel(rng, 5, 2), k=2, rng=rng)
         batch = rng.standard_normal((3, 5, 5))

@@ -44,7 +44,7 @@ from spdbci.trainer import (
     train_to_bundle,
 )
 
-from conftest import layered_eval_forward, random_spd
+from conftest import layered_eval_forward, layered_train_forward, random_spd
 
 # A small, fast configuration used throughout this module.
 SMALL = dict(
@@ -279,6 +279,25 @@ class TestTrain:
             other = {**reloaded.parameter_arrays(), **reloaded.buffer_arrays()}[name]
             assert arr.tobytes() == other.tobytes(), name
 
+    def test_training_step_matches_layered_oracle(self, small_trials):
+        """LogEig reusing ReEig's decomposition changes neither the
+        training logits nor any gradient beyond round-off."""
+        cfg = TrainConfig(**SMALL)
+        trained, _ = train(cfg, small_trials)
+        bundle = model_to_bundle(trained, config_to_mapping(cfg))
+        model, oracle = model_from_bundle(bundle), model_from_bundle(bundle)
+        covs, labels = prepare_dataset(small_trials, cfg)
+        got = model.forward(covs, training=True)
+        want = layered_train_forward(oracle, covs)
+        _assert_logits_close(got, want)
+        for net, logits in ((model, got), (oracle, want)):
+            net.backward(cross_entropy(logits, labels)[1])
+        grads = [(model.bimap.grad_weight, oracle.bimap.grad_weight),
+                 (model.heads.grad_weights, oracle.heads.grad_weights),
+                 *((model.clf.grads[k], oracle.clf.grads[k]) for k in oracle.clf.grads)]
+        for got_g, want_g in grads:
+            assert np.max(np.abs(got_g - want_g)) <= 1e-10 * np.max(np.abs(want_g))
+
     def test_legacy_model_meta_is_ignored(self, small_trials):
         cfg = TrainConfig(**{**SMALL, "epochs": 0})
         bundle = train_to_bundle(cfg, small_trials)
@@ -399,14 +418,15 @@ class TestFoldedPlan:
         eigh_calls.clear()
         model.forward(covs[:b], training=False)
         assert eigh_calls == [b * s * f]
-        # One training step as it stands: the Karcher-flow step (3), the
-        # running-mean geodesic (2), the batch whitener (1), ReEig and LogEig.
+        # One training step: the Karcher-flow step (3), the running-mean
+        # geodesic (2), the batch whitener (1) and ReEig; LogEig reuses
+        # ReEig's decomposition, so the batch is decomposed twice.
         eigh_calls.clear()
         logits = model.forward(covs[:8], training=True)
         model.backward(cross_entropy(logits, labels[:8])[1])
         model.step(cfg.learning_rate)
         n = 8 * s * f
-        assert eigh_calls == [1, n, 1, 1, 1, 1, n, n]
+        assert eigh_calls == [1, n, 1, 1, 1, 1, n]
 
     @pytest.mark.parametrize("name, factor, error", [
         ("clf_kernel", np.nan, MalformedHeader),
@@ -431,6 +451,24 @@ class TestFoldedPlan:
     def test_bundle_array_of_wrong_shape_raises_typed_error(self, small_trials, name, shape):
         bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
         arrays = {**bundle.arrays, name: np.eye(*shape)}
+        with pytest.raises(MalformedHeader, match=name):
+            model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
+
+    @pytest.mark.parametrize("name, shape", [
+        ("clf_kernel", (3, 8)),
+        ("sel_W_hat", (4,)),
+        ("sel_W_hat", (2, 4)),
+        ("clf_w1", ()),
+        ("clf_head_b", ()),
+        ("sel_channels", (2, 2)),
+        ("sel_trace", ()),
+        ("sel_L", (3, 3)),
+    ])
+    def test_bundle_array_of_wrong_rank_raises_typed_error(self, small_trials, name, shape):
+        """Sizes are read from some arrays before the model exists, so a
+        wrong rank there must fail typed, not as an unpack or index error."""
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        arrays = {**bundle.arrays, name: np.ones(shape)}
         with pytest.raises(MalformedHeader, match=name):
             model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
 
