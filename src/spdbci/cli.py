@@ -12,7 +12,7 @@ import sys
 from .config import TrainConfig, config_to_mapping, load_config, read_key_values
 from .eeg_io import load_model, load_trials, save_model, save_trials
 from .errors import SpdBciError
-from .model import model_to_bundle
+from .model import count_parameters, model_to_bundle
 from .selection import fit_selection
 from .synth import generate_from_spec
 from .trainer import (
@@ -49,11 +49,10 @@ def cmd_train(args) -> int:
     config = _load_config(args.config)
     trials = load_trials(args.data)
     model, losses = train(config, trials)
-    bundle = model_to_bundle(model, config_to_mapping(config))
-    save_model(bundle, args.out)
+    save_model(model_to_bundle(model, config_to_mapping(config)), args.out)
     print(f"trained {config.epochs} epochs; final loss "
           f"{losses[-1]:.6f}" if losses else "trained 0 epochs")
-    print(f"parameters: {bundle.parameter_count}")
+    print(f"parameters: {count_parameters(model)}")
     return 0
 
 

@@ -3,6 +3,7 @@ and round-tripping to the snapshot stored in model bundles."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, InvalidBand, IoFailure
@@ -25,14 +26,18 @@ class TrainConfig:
     channel_scoring: str = "row-norm"
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ConfigError("epochs >= 0, batch_size >= 1, learning_rate > 0 required")
+        if self.epochs < 0 or self.batch_size < 1 or not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                "epochs >= 0, batch_size >= 1 and a finite learning_rate > 0 required"
+            )
         if self.m < 1 or self.k_heads < 1 or self.window_len < 1:
             raise ConfigError("m, k_heads, window_len must be positive")
         if self.seed < 0 or self.conv_out < 1:
             raise ConfigError("seed >= 0 and conv_out >= 1 required")
-        if self.selection_max_iters < 1 or self.selection_tol <= 0:
-            raise ConfigError("selection_max_iters >= 1 and selection_tol > 0 required")
+        if self.selection_max_iters < 1 or not 0 < self.selection_tol < math.inf:
+            raise ConfigError(
+                "selection_max_iters >= 1 and a finite selection_tol > 0 required"
+            )
         if self.channel_scoring not in ("row-norm", "argmax"):
             raise ConfigError("channel_scoring must be 'row-norm' or 'argmax'")
         try:
@@ -69,8 +74,6 @@ def config_from_mapping(items: dict[str, str]) -> TrainConfig:
     known = {f.name: f for f in fields(TrainConfig)}
     kwargs = {}
     for key, value in items.items():
-        if key.startswith("_"):
-            continue  # bundle-internal metadata
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
         try:

@@ -162,18 +162,18 @@ def load_trial_csv(path, label: int) -> tuple[int, np.ndarray]:
 class ModelBundle:
     """Everything needed to reconstruct a trained model.
 
-    ``arrays`` maps parameter names to float64 arrays in a fixed order;
-    ``config`` is the flat key=value snapshot the model was built from.
+    ``arrays`` maps the model's array names to float64 arrays in a fixed
+    order; ``config`` is the flat key=value snapshot the model was built
+    from.
     """
 
     config: dict[str, str]
     arrays: dict[str, np.ndarray]
-    parameter_count: int
 
     def __eq__(self, other):
         if not isinstance(other, ModelBundle):
             return NotImplemented
-        if self.config != other.config or self.parameter_count != other.parameter_count:
+        if self.config != other.config:
             return False
         if list(self.arrays) != list(other.arrays):
             return False
@@ -188,7 +188,6 @@ def save_model(bundle: ModelBundle, path) -> None:
     """Persist a bundle; load(save(b)) is bit-identical to b."""
     manifest = {
         "config": bundle.config,
-        "parameter_count": bundle.parameter_count,
         "arrays": [
             {"name": name, "shape": list(arr.shape)} for name, arr in bundle.arrays.items()
         ],
@@ -207,7 +206,9 @@ def save_model(bundle: ModelBundle, path) -> None:
 
 
 def load_model(path) -> ModelBundle:
-    """Load a bundle written by :func:`save_model`."""
+    """Load a bundle written by :func:`save_model`.  A manifest that does
+    not hold exactly ``config`` and ``arrays``, or whose config does not
+    map strings to strings, raises :class:`MalformedHeader`."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -225,9 +226,12 @@ def load_model(path) -> ModelBundle:
         manifest = json.loads(payload[12 : 12 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedHeader("bad bundle manifest") from exc
+    if not isinstance(manifest, dict) or sorted(manifest) != ["arrays", "config"]:
+        raise MalformedHeader("bundle manifest must hold exactly 'config' and 'arrays'")
+    config = manifest["config"]
+    if not (isinstance(config, dict) and all(isinstance(v, str) for v in config.values())):
+        raise MalformedHeader("bundle config must map strings to strings")
     try:
-        config = dict(manifest["config"])
-        parameter_count = int(manifest["parameter_count"])
         entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
                    for e in manifest["arrays"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -245,4 +249,4 @@ def load_model(path) -> ModelBundle:
         offset += 8 * count
     if offset != len(payload):
         raise DimensionMismatch("bundle payload size disagrees with manifest")
-    return ModelBundle(config=config, arrays=arrays, parameter_count=parameter_count)
+    return ModelBundle(config=config, arrays=arrays)

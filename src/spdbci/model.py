@@ -29,7 +29,7 @@ from .config import config_from_mapping
 from .eeg_io import ModelBundle
 from .errors import MalformedHeader, ShapeMismatch
 from .layers import BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, random_stiefel
-from .selection import MbtHeads, SelectionTransform
+from .selection import MbtHeads
 from .spd import check_spd, eig_fn, inv_sqrtm
 
 #: Largest entry of ``|W^T W - I|`` a bundle's BiMap or head weight may
@@ -37,15 +37,15 @@ from .spd import check_spd, eig_fn, inv_sqrtm
 ORTHONORMAL_ATOL = 1e-8
 
 #: Rank of each bundle array that :func:`model_from_bundle` reads sizes
-#: or entries from before the model exists to check its full shape.
-BUNDLE_RANKS = {
-    "clf_kernel": 3, "clf_w1": 2, "clf_head_b": 1,
-    "sel_W_hat": 2, "sel_channels": 1, "sel_L": 2, "sel_trace": 1,
-}
+#: from before the model exists to check its full shape.
+BUNDLE_RANKS = {"head_0": 2, "clf_kernel": 3, "clf_w1": 2, "clf_head_b": 1}
 
 
 class Model:
     """Trainable pipeline over per-trial covariance tensors.
+
+    ``w_hat`` (M, m) is the fitted channel-selection transform; it
+    becomes head 0 and stays fixed.
 
     The first eval forward builds the folded plan from the current
     weights and running mean and caches it; ``forward(training=True)``,
@@ -55,7 +55,7 @@ class Model:
 
     def __init__(
         self,
-        selection: SelectionTransform,
+        w_hat: np.ndarray,
         n_windows: int,
         n_bands: int,
         n_classes: int,
@@ -64,17 +64,16 @@ class Model:
         seed: int,
     ):
         rng = np.random.default_rng(seed)
-        self.selection = selection
         self.n_windows = n_windows
         self.n_bands = n_bands
-        self.n_channels, self.m = selection.W_hat.shape
+        self.n_channels, self.m = w_hat.shape
         self.n_classes = n_classes
 
         self.bimap = BiMapLayer(random_stiefel(rng, self.n_channels, self.n_channels).T)
         self.rbn = RbnLayer(self.n_channels)
         self.reeig = ReEigLayer()
         self.logeig = LogEigLayer()
-        self.heads = MbtHeads.initialize(selection.W_hat, k_heads, rng)
+        self.heads = MbtHeads.initialize(w_hat, k_heads, rng)
         self.clf = TangentClassifier(
             n_bands=n_bands,
             n_windows=n_windows,
@@ -153,14 +152,8 @@ class Model:
         return arrays
 
     def buffer_arrays(self) -> dict[str, np.ndarray]:
-        """Non-learnable state (running mean, selection byproducts)."""
-        return {
-            "sel_W_hat": self.selection.W_hat,
-            "sel_channels": np.asarray(self.selection.selected_channels, dtype=np.float64),
-            "sel_L": self.selection.L_matrix,
-            "sel_trace": np.asarray(self.selection.objective_trace, dtype=np.float64),
-            "rbn_mean_0": self.rbn.running_mean,
-        }
+        """Non-learnable state: the RBN running mean."""
+        return {"rbn_mean_0": self.rbn.running_mean}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         self._plan = None
@@ -179,93 +172,79 @@ def count_parameters(model: Model) -> int:
 def model_to_bundle(model: Model, config: dict[str, str]) -> ModelBundle:
     """Bundle a model with the config snapshot it was built from; the
     model's shapes are read back from the arrays by :func:`model_from_bundle`."""
-    arrays = dict(model.parameter_arrays())
-    arrays.update(model.buffer_arrays())
     return ModelBundle(
         config=dict(config),
-        arrays=arrays,
-        parameter_count=count_parameters(model),
+        arrays={**model.parameter_arrays(), **model.buffer_arrays()},
     )
 
 
 def _check_arrays(arrays: dict[str, np.ndarray]) -> None:
-    """Reject bundle arrays that would load into a model predicting
-    silently wrong classes: a non-finite entry, an array whose rank is
-    not its ``BUNDLE_RANKS`` entry, a selection transform wider than
-    tall, a BiMap or head weight whose columns are not orthonormal to
-    ``ORTHONORMAL_ATOL``, or a running mean that is not SPD."""
+    """Reject bundle arrays whose sizes cannot be read: a non-finite
+    entry, a zero-length axis, a missing ``BUNDLE_RANKS`` array or one of
+    another rank, or a ``head_0`` wider than tall."""
     for name, arr in arrays.items():
+        if 0 in arr.shape:
+            raise MalformedHeader(f"model bundle array {name!r} has a zero-length axis")
         if not np.all(np.isfinite(arr)):
             raise MalformedHeader(f"model bundle array {name!r} is not finite")
     for name, ndim in BUNDLE_RANKS.items():
+        if name not in arrays:
+            raise MalformedHeader(f"model bundle has no array {name!r}")
         if arrays[name].ndim != ndim:
             raise MalformedHeader(
                 f"model bundle array {name!r} has {arrays[name].ndim} dimensions, "
                 f"expected {ndim}"
             )
-    big_m, m = arrays["sel_W_hat"].shape
-    if not 1 <= m <= big_m:
+    big_m, m = arrays["head_0"].shape
+    if m > big_m:
         raise MalformedHeader(
-            f"model bundle array 'sel_W_hat' has shape {(big_m, m)}, expected "
-            "(M, m) with 1 <= m <= M"
+            f"model bundle array 'head_0' has shape {(big_m, m)}, expected "
+            "(M, m) with m <= M"
         )
-    for name, w in arrays.items():
-        if name != "bimap_0" and not name.startswith("head_"):
-            continue
-        if w.ndim != 2:
-            raise MalformedHeader(f"model bundle array {name!r} is not a matrix")
-        drift = float(np.max(np.abs(w.T @ w - np.eye(w.shape[1]))))
-        if drift > ORTHONORMAL_ATOL:
-            raise MalformedHeader(
-                f"model bundle array {name!r} does not have orthonormal columns "
-                f"(max |W^T W - I| = {drift:.1e})"
-            )
-    check_spd(arrays["rbn_mean_0"], "model bundle array 'rbn_mean_0'")
 
 
 def model_from_bundle(bundle: ModelBundle) -> Model:
     """Rebuild a model: hyperparameters from the config snapshot, sizes
-    from the array shapes.  A ``_model_meta`` entry that older bundles
-    carry is ignored; a missing array raises :class:`MalformedHeader`,
-    and so do a non-finite array, a BiMap or head weight without
-    orthonormal columns and an array whose rank or shape disagrees with
-    the sizes; a running mean that is not SPD raises
-    :class:`~spdbci.errors.NotPositiveDefinite`."""
+    from the array shapes.  The bundle's array names must be exactly the
+    model's; a missing or unexpected array raises :class:`MalformedHeader`,
+    and so do a non-finite array, a zero-length axis, an array whose rank
+    or shape disagrees with the sizes and a BiMap or head weight without
+    orthonormal columns (to ``ORTHONORMAL_ATOL``); a running mean that is
+    not SPD raises :class:`~spdbci.errors.NotPositiveDefinite`."""
     config = config_from_mapping(bundle.config)
     arrays = bundle.arrays
-    try:
-        _check_arrays(arrays)
-        _, n_windows, _ = arrays["clf_kernel"].shape
-        selection = SelectionTransform(
-            W_hat=arrays["sel_W_hat"].copy(),
-            selected_channels=[int(i) for i in arrays["sel_channels"]],
-            L_matrix=arrays["sel_L"].copy(),
-            iterations_run=len(arrays["sel_trace"]),
-            objective_trace=[float(v) for v in arrays["sel_trace"]],
+    _check_arrays(arrays)
+    _, n_windows, _ = arrays["clf_kernel"].shape
+    model = Model(
+        arrays["head_0"],
+        n_windows=n_windows,
+        n_bands=arrays["clf_w1"].shape[0],
+        n_classes=arrays["clf_head_b"].shape[0],
+        k_heads=sum(name.startswith("head_") for name in arrays),
+        conv_out=config.conv_out,
+        seed=config.seed,
+    )
+    expected = {**model.parameter_arrays(), **model.buffer_arrays()}
+    if arrays.keys() != expected.keys():
+        raise MalformedHeader(
+            f"model bundle arrays differ from the model's: missing "
+            f"{sorted(expected.keys() - arrays.keys())}, unexpected "
+            f"{sorted(arrays.keys() - expected.keys())}"
         )
-        model = Model(
-            selection,
-            n_windows=n_windows,
-            n_bands=arrays["clf_w1"].shape[0],
-            n_classes=arrays["clf_head_b"].shape[0],
-            k_heads=sum(name.startswith("head_") for name in arrays),
-            conv_out=config.conv_out,
-            seed=config.seed,
-        )
-        expected = {
-            name: arr.shape
-            for name, arr in {**model.parameter_arrays(), **model.buffer_arrays()}.items()
-        }
-        # the selection buffers are the bundle's own arrays, so their
-        # shapes come from the sizes
-        expected.update(sel_channels=(model.m,), sel_L=(model.n_channels, model.n_channels))
-        for name, shape in expected.items():
-            if arrays[name].shape != shape:
+    for name, arr in expected.items():
+        if arrays[name].shape != arr.shape:
+            raise MalformedHeader(
+                f"model bundle array {name!r} has shape {arrays[name].shape}, "
+                f"expected {arr.shape}"
+            )
+        if name == "bimap_0" or name.startswith("head_"):
+            w = arrays[name]
+            drift = float(np.max(np.abs(w.T @ w - np.eye(w.shape[1]))))
+            if drift > ORTHONORMAL_ATOL:
                 raise MalformedHeader(
-                    f"model bundle array {name!r} has shape {arrays[name].shape}, "
-                    f"expected {shape}"
+                    f"model bundle array {name!r} does not have orthonormal columns "
+                    f"(max |W^T W - I| = {drift:.1e})"
                 )
-        model.load_arrays(arrays)
-    except KeyError as exc:
-        raise MalformedHeader(f"model bundle has no array {exc.args[0]!r}") from exc
+    check_spd(arrays["rbn_mean_0"], "model bundle array 'rbn_mean_0'")
+    model.load_arrays(arrays)
     return model

@@ -93,7 +93,6 @@ class SelectionTransform:
 
     W_hat: np.ndarray
     selected_channels: list[int]
-    L_matrix: np.ndarray
     iterations_run: int
     objective_trace: list[float]
 
@@ -176,7 +175,6 @@ def fit_selection(
     return SelectionTransform(
         W_hat=w,
         selected_channels=score_channels(w, m, scoring),
-        L_matrix=l_matrix,
         iterations_run=iterations,
         objective_trace=trace,
     )

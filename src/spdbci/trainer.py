@@ -112,7 +112,7 @@ def train(
         scoring=config.channel_scoring,
     )
     model = Model(
-        selection,
+        selection.W_hat,
         n_windows=s,
         n_bands=f,
         n_classes=n_classes,

@@ -30,7 +30,6 @@ from spdbci.layers import (
 from spdbci.model import Model, count_parameters
 from spdbci.selection import (
     MbtHeads,
-    SelectionTransform,
     assemble_L,
     fit_selection,
     gamma,
@@ -406,15 +405,8 @@ def _expected_count(big_m, m, k, s, f, c_out, n_cls):
 
 
 def _build_model(rng, big_m, m, k, s, f, c_out, n_cls):
-    selection = SelectionTransform(
-        W_hat=random_stiefel(rng, big_m, m),
-        selected_channels=list(range(m)),
-        L_matrix=np.eye(big_m),
-        iterations_run=1,
-        objective_trace=[0.0],
-    )
-    return Model(selection, n_windows=s, n_bands=f, n_classes=n_cls, k_heads=k,
-                 conv_out=c_out, seed=0)
+    return Model(random_stiefel(rng, big_m, m), n_windows=s, n_bands=f, n_classes=n_cls,
+                 k_heads=k, conv_out=c_out, seed=0)
 
 
 def test_criterion_7_parameter_accounting():

@@ -157,7 +157,6 @@ def _sample_bundle(rng):
             "b": rng.standard_normal(5),
             "scalar": np.asarray(2.5),
         },
-        parameter_count=17,
     )
 
 
@@ -202,21 +201,37 @@ def _forged_bundle(manifest, payload: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
-_ONE_ARRAY = {"config": {}, "parameter_count": 2,
-              "arrays": [{"name": "w", "shape": [2]}]}
+_ONE_ARRAY = {"config": {}, "arrays": [{"name": "w", "shape": [2]}]}
 
 
 @pytest.mark.parametrize(
     "manifest, error",
     [
-        ({"config": {}, "parameter_count": 2}, MalformedHeader),
+        ({"config": {}}, MalformedHeader),
         ([_ONE_ARRAY], MalformedHeader),
         ({**_ONE_ARRAY, "arrays": [{"name": "w", "shape": [2, 3]}]}, DimensionMismatch),
+        ({**_ONE_ARRAY, "parameter_count": 2}, MalformedHeader),
+        ({**_ONE_ARRAY, "junk": {}}, MalformedHeader),
     ],
-    ids=["no-arrays-key", "manifest-is-a-list", "shape-exceeds-payload"],
+    ids=["no-arrays-key", "manifest-is-a-list", "shape-exceeds-payload",
+         "extra-parameter-count", "extra-junk-key"],
 )
 def test_malformed_manifest_raises_typed_error(tmp_path, manifest, error):
     path = tmp_path / "m.sbcm"
     path.write_bytes(_forged_bundle(manifest, np.zeros(2, dtype="<f8").tobytes()))
     with pytest.raises(error):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"bands": 5}, {"epochs": [1]}, {"m": 2.5}, {"seed": True}, {"m": None}, ["m", "2"]],
+    ids=["int", "list", "float", "bool", "null", "not-a-mapping"],
+)
+def test_non_string_config_value_raises_typed_error(tmp_path, config):
+    path = tmp_path / "m.sbcm"
+    manifest = {**_ONE_ARRAY, "config": config}
+    path.write_bytes(_forged_bundle(manifest, np.zeros(2, dtype="<f8").tobytes()))
+    with pytest.raises(MalformedHeader, match="config"):
+        load_model(path)
+

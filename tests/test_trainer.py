@@ -29,12 +29,13 @@ from spdbci.errors import (
 from spdbci.filterbank import design_bandpass
 from spdbci.layers import random_stiefel
 from spdbci.model import Model, count_parameters, model_from_bundle, model_to_bundle
-from spdbci.selection import SelectionTransform
+from spdbci.selection import fit_selection, score_channels
 from spdbci.spd import covariance
 from spdbci.synth import generate_from_spec, synthetic_trials, two_class_covariances
 from spdbci.trainer import (
     SHRINKAGE_SCALE,
     bench_inference,
+    class_band_representatives,
     evaluate_cv,
     evaluate_holdout,
     predict,
@@ -147,6 +148,12 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.epochs == 5 and cfg.m == 3
 
+    def test_underscore_key_in_file_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("epochs = 5\n_epochs = 6\n")
+        with pytest.raises(ConfigError, match="unknown config key '_epochs'"):
+            load_config(path)
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("epochs = 5\nepochs = 6\n")
@@ -169,6 +176,10 @@ class TestConfig:
             {"selection_max_iters": 0},
             {"channel_scoring": "bogus"},
             {"selection_tol": 0.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"selection_tol": float("nan")},
+            {"selection_tol": float("inf")},
             {"bands": ((8.0, 4.0),)},
             {"bands": ((8.0, 12.0), (10.0, 14.0))},
         ):
@@ -298,15 +309,44 @@ class TestTrain:
         for got_g, want_g in grads:
             assert np.max(np.abs(got_g - want_g)) <= 1e-10 * np.max(np.abs(want_g))
 
-    def test_legacy_model_meta_is_ignored(self, small_trials):
-        cfg = TrainConfig(**{**SMALL, "epochs": 0})
-        bundle = train_to_bundle(cfg, small_trials)
+    def test_model_meta_bundle_key_is_rejected(self, small_trials):
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
         legacy = dataclasses.replace(
             bundle, config={**bundle.config, "_model_meta": '{"k_heads": 2}'}
         )
-        covs, _ = prepare_dataset(small_trials, cfg)
-        assert np.array_equal(model_from_bundle(legacy).forward(covs, training=False),
-                              model_from_bundle(bundle).forward(covs, training=False))
+        with pytest.raises(ConfigError, match="_model_meta"):
+            model_from_bundle(legacy)
+
+    def test_bundle_holds_exactly_the_model_arrays(self, small_trials):
+        cfg = TrainConfig(**SMALL)
+        model, _ = train(cfg, small_trials)
+        bundle = model_to_bundle(model, config_to_mapping(cfg))
+        assert list(bundle.arrays) == [
+            "head_0", "head_1", "bimap_0", "clf_kernel", "clf_bias", "clf_w1",
+            "clf_w2", "clf_head_w", "clf_head_b", "rbn_mean_0",
+        ]
+        assert bundle.arrays.keys() == {**model.parameter_arrays(),
+                                        **model.buffer_arrays()}.keys()
+
+    def test_reloaded_model_keeps_selection_and_parameter_count(self, small_trials):
+        """The fitted transform is head 0, so a bundle without the
+        selection's own arrays still gives its channels back."""
+        cfg = TrainConfig(**SMALL)
+        covs, labels = prepare_dataset(small_trials, cfg)
+        selection = fit_selection(
+            class_band_representatives(covs, labels), m=cfg.m,
+            max_iters=cfg.selection_max_iters, tol=cfg.selection_tol,
+            scoring=cfg.channel_scoring,
+        )
+        model, _ = train(cfg, small_trials, dataset=(covs, labels))
+        reloaded = model_from_bundle(model_to_bundle(model, config_to_mapping(cfg)))
+        head_0 = reloaded.heads.weights[0]
+        assert np.array_equal(head_0, selection.W_hat)
+        assert score_channels(head_0, cfg.m, cfg.channel_scoring) == (
+            selection.selected_channels)
+        assert count_parameters(reloaded) == count_parameters(model)
+        assert np.array_equal(reloaded.forward(covs, training=False),
+                              model.forward(covs, training=False))
 
     def test_parameter_count_matches_shape_arithmetic(self, small_trials):
         cfg = TrainConfig(**SMALL)
@@ -330,15 +370,8 @@ def _assert_logits_close(got, want, rtol=1e-10):
 
 
 def _fresh_model(rng, big_m=4, m=2, k=2, s=2, f=2, c_out=3, n_cls=2):
-    selection = SelectionTransform(
-        W_hat=random_stiefel(rng, big_m, m),
-        selected_channels=list(range(m)),
-        L_matrix=np.eye(big_m),
-        iterations_run=1,
-        objective_trace=[0.0],
-    )
-    return Model(selection, n_windows=s, n_bands=f, n_classes=n_cls, k_heads=k,
-                 conv_out=c_out, seed=0)
+    return Model(random_stiefel(rng, big_m, m), n_windows=s, n_bands=f, n_classes=n_cls,
+                 k_heads=k, conv_out=c_out, seed=0)
 
 
 class TestFoldedPlan:
@@ -456,13 +489,10 @@ class TestFoldedPlan:
 
     @pytest.mark.parametrize("name, shape", [
         ("clf_kernel", (3, 8)),
-        ("sel_W_hat", (4,)),
-        ("sel_W_hat", (2, 4)),
+        ("head_0", (4,)),
+        ("head_0", (2, 4)),
         ("clf_w1", ()),
         ("clf_head_b", ()),
-        ("sel_channels", (2, 2)),
-        ("sel_trace", ()),
-        ("sel_L", (3, 3)),
     ])
     def test_bundle_array_of_wrong_rank_raises_typed_error(self, small_trials, name, shape):
         """Sizes are read from some arrays before the model exists, so a
@@ -470,6 +500,35 @@ class TestFoldedPlan:
         bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
         arrays = {**bundle.arrays, name: np.ones(shape)}
         with pytest.raises(MalformedHeader, match=name):
+            model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
+
+    @pytest.mark.parametrize("name, shape", [
+        ("sel_W_hat", (4, 2)),
+        ("sel_channels", (2,)),
+        ("sel_L", (4, 4)),
+        ("sel_trace", (3,)),
+        ("junk", (1,)),
+    ])
+    def test_bundle_with_an_extra_array_raises_typed_error(self, small_trials, name, shape):
+        """A bundle must hold exactly the model's arrays; the selection
+        transform's own arrays (``sel_*``) are not among them."""
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        arrays = {**bundle.arrays, name: np.ones(shape)}
+        with pytest.raises(MalformedHeader, match=f"unexpected.*{name}"):
+            model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
+
+    @pytest.mark.parametrize("name, shape", [
+        ("head_1", (4, 0)),
+        ("bimap_0", (0, 0)),
+        ("rbn_mean_0", (0, 0)),
+        ("clf_kernel", (3, 0, 8)),
+    ])
+    def test_bundle_array_with_a_zero_length_axis_raises_typed_error(
+        self, small_trials, name, shape
+    ):
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        arrays = {**bundle.arrays, name: np.ones(shape)}
+        with pytest.raises(MalformedHeader, match=f"{name}.*zero-length"):
             model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
 
 
