@@ -205,10 +205,37 @@ def save_model(bundle: ModelBundle, path) -> None:
         raise IoFailure(str(exc)) from exc
 
 
+def _array_entries(entries) -> list[tuple[str, tuple[int, ...]]]:
+    """``(name, shape)`` of each manifest array entry, in payload order.
+    Each entry must hold exactly a string ``name``, not repeated, and a
+    ``shape`` list of nonnegative JSON integers; anything else raises
+    :class:`MalformedHeader` rather than being coerced."""
+    if not isinstance(entries, list):
+        raise MalformedHeader("bundle manifest 'arrays' must be a list")
+    out: dict[str, tuple[int, ...]] = {}
+    for entry in entries:
+        if not (isinstance(entry, dict) and sorted(entry) == ["name", "shape"]):
+            raise MalformedHeader("a manifest array entry must hold exactly 'name' and 'shape'")
+        name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str):
+            raise MalformedHeader(f"array name {name!r} is not a string")
+        if name in out:
+            raise MalformedHeader(f"array {name!r} is listed twice")
+        # bool is an int subclass; JSON true must not pass as 1.
+        if not (isinstance(shape, list) and all(type(d) is int for d in shape)):
+            raise MalformedHeader(f"array {name!r} shape {shape!r} is not a list of integers")
+        if any(d < 0 for d in shape):
+            raise MalformedHeader(f"array {name!r} has a negative dimension")
+        out[name] = tuple(shape)
+    return list(out.items())
+
+
 def load_model(path) -> ModelBundle:
     """Load a bundle written by :func:`save_model`.  A manifest that does
-    not hold exactly ``config`` and ``arrays``, or whose config does not
-    map strings to strings, raises :class:`MalformedHeader`."""
+    not hold exactly ``config`` and ``arrays``, whose config does not
+    map strings to strings, or whose array list is not exactly named,
+    integer-shaped entries (see :func:`_array_entries`), raises
+    :class:`MalformedHeader`."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -231,16 +258,10 @@ def load_model(path) -> ModelBundle:
     config = manifest["config"]
     if not (isinstance(config, dict) and all(isinstance(v, str) for v in config.values())):
         raise MalformedHeader("bundle config must map strings to strings")
-    try:
-        entries = [(str(e["name"]), tuple(int(d) for d in e["shape"]))
-                   for e in manifest["arrays"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedHeader("bundle manifest lacks or garbles a required field") from exc
+    entries = _array_entries(manifest["arrays"])
     offset = 12 + meta_len
     arrays: dict[str, np.ndarray] = {}
     for name, shape in entries:
-        if any(d < 0 for d in shape):
-            raise MalformedHeader(f"array {name!r} has a negative dimension")
         count = math.prod(shape)
         if offset + 8 * count > len(payload):
             raise DimensionMismatch(f"array {name!r} runs past the end of the payload")

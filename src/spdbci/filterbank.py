@@ -2,10 +2,12 @@
 
 Raw multi-channel trials are passed through a bank of causal Chebyshev
 Type II bandpass filters and cut into non-overlapping windows, producing
-a windows x bands x channels x samples tensor per trial.  The design
-(order 4, 40 dB stopband attenuation) is fixed; designs are cached per
-(band, sample rate), so a bank is designed once per process and every
-later trial only filters.
+a windows x bands x channels x samples tensor per trial.  A block of
+trials is filtered together, one ``lfilter`` call per band over all of
+its trials, into one trials x windows x bands x channels x samples
+array.  The design (order 4, 40 dB stopband attenuation) is fixed;
+designs are cached per (band, sample rate), so a bank is designed once
+per process and every later block only filters.
 """
 
 from __future__ import annotations
@@ -119,16 +121,32 @@ def check_gabor(window_len_samples: int, sample_rate: float, band_width_hz: floa
     return (window_len_samples / sample_rate) * band_width_hz >= GABOR_BOUND
 
 
-def segment(trials, spec: BandSpec, window_len: int) -> list[tuple[int, TrialTensor]]:
-    """Filter and window every trial of a :class:`~spdbci.eeg_io.RawTrialSet`.
+class Segments(list):
+    """``[(label, TrialTensor), ...]`` in trial order, where every tensor
+    is a view of ``data``: one C-contiguous (N, S, F, M, L) array."""
 
-    Each trial is bandpass-filtered per band (causal, forward-only), then
-    split into ``S = floor(samples / window_len)`` non-overlapping windows
-    covering a prefix of the trial; trailing samples are dropped.  Each
-    band's windows are copied once, by a reshape and a transpose, into
-    the trial's C-contiguous (S, F, M, L) array, so every window is
-    contiguous too.  Returns ``[(label, TrialTensor), ...]`` in trial
-    order.
+    def __init__(self, labels, data: np.ndarray, window_len: int):
+        super().__init__(
+            (label, TrialTensor(tensor, window_len)) for label, tensor in zip(labels, data)
+        )
+        self.data = data
+
+
+def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None)) -> Segments:
+    """Filter and window the trials ``trials.trials[block]`` of a
+    :class:`~spdbci.eeg_io.RawTrialSet` (all of them by default).
+
+    The trials are stacked into one (N, M, T) array, and each band
+    filters all of them in one causal, forward-only ``lfilter`` call
+    along the sample axis; rows are independent, so a trial's output
+    does not depend on the others.  Each trial is split into
+    ``S = floor(T / window_len)`` non-overlapping windows covering a
+    prefix of the trial; trailing samples are dropped.  Each band's
+    windows are copied once, by a reshape and a transpose, into one
+    C-contiguous (N, S, F, M, L) array, so every window is contiguous
+    too.  Returns the :class:`Segments` of the block: ``[(label,
+    TrialTensor), ...]`` in trial order, each tensor a view of that
+    array, which is the list's ``data``.
     """
     fs = trials.sample_rate_hz
     if not check_gabor(window_len, fs, spec.narrowest_width_hz):
@@ -141,16 +159,14 @@ def segment(trials, spec: BandSpec, window_len: int) -> list[tuple[int, TrialTen
             f"window_len {window_len} exceeds trial length {trials.samples_per_trial}"
         )
     coeffs = [design_bandpass(band, fs) for band in spec.bands]
+    items = trials.trials[block]
+    n, m = len(items), trials.channels
     n_windows = trials.samples_per_trial // window_len
     used = n_windows * window_len
-    out = []
-    for label, data in trials.trials:
-        m = data.shape[0]
-        tensor = np.empty((n_windows, len(spec.bands), m, window_len))
-        for f, (b, a) in enumerate(coeffs):
-            filtered = signal.lfilter(b, a, data, axis=1)
-            # (M, S*L) -> (M, S, L) -> (S, M, L), copied once into place.
-            windows = filtered[:, :used].reshape(m, n_windows, window_len)
-            tensor[:, f] = windows.swapaxes(0, 1)
-        out.append((label, TrialTensor(tensor, window_len)))
-    return out
+    x = np.asarray([data for _, data in items]).reshape(n, m, trials.samples_per_trial)
+    out = np.empty((n, n_windows, len(coeffs), m, window_len))
+    for f, (b, a) in enumerate(coeffs):
+        filtered = signal.lfilter(b, a, x, axis=-1)
+        # (N, M, S*L) -> (N, M, S, L) -> (N, S, M, L), copied once into place.
+        out[:, :, f] = filtered[..., :used].reshape(n, m, n_windows, window_len).swapaxes(1, 2)
+    return Segments([label for label, _ in items], out, window_len)

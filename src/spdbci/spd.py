@@ -79,9 +79,9 @@ def covariance(window: np.ndarray, shrinkage=0.0) -> np.ndarray:
     m, length = window.shape[-2:]
     cov = (z @ np.swapaxes(z, -1, -2)) / length + shrinkage[..., None, None] * np.eye(m)
     cov = sym(cov)
-    unshrunk = np.broadcast_to(shrinkage == 0.0, window.shape[:-2])
-    if np.any(unshrunk):
-        w = np.linalg.eigvalsh(cov[unshrunk])
+    unshrunk = shrinkage == 0.0
+    if unshrunk.any():
+        w = np.linalg.eigvalsh(cov[np.broadcast_to(unshrunk, window.shape[:-2])])
         wmin, wmax = w[:, 0], w[:, -1]
         if np.any(wmin <= SPD_RTOL * np.maximum(wmax, 0.0)) or np.any(wmax <= 0):
             raise DegenerateInput(

@@ -120,5 +120,22 @@ def eigh_calls(monkeypatch):
 
 
 @pytest.fixture
+def lfilter_calls(monkeypatch):
+    """Count ``scipy.signal.lfilter`` calls made by the filter bank: one
+    entry per call, holding the shape of the filtered array."""
+    import spdbci.filterbank
+
+    calls = []
+    real = spdbci.filterbank.signal.lfilter
+
+    def counting(b, a, x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return real(b, a, x, *args, **kwargs)
+
+    monkeypatch.setattr(spdbci.filterbank.signal, "lfilter", counting)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)

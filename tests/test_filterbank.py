@@ -149,3 +149,26 @@ class TestSegment:
         trials = _trial_set(rng.standard_normal((2, 500)))
         labels = [label for label, _ in segment(trials, BandSpec(), 250)]
         assert labels == [0, 1]
+
+    def test_tensors_are_views_of_one_block_array(self, rng):
+        trials = _trial_set(rng.standard_normal((3, 1000)))
+        out = segment(trials, BandSpec(), window_len=250)
+        assert out.data.shape == (2, 4, 9, 3, 250)
+        assert out.data.flags.c_contiguous
+        for k, (_, tensor) in enumerate(out):
+            assert np.shares_memory(tensor.data, out.data)
+            assert np.array_equal(tensor.data, out.data[k])
+
+    def test_block_equals_its_slice_of_the_set(self, rng):
+        data = rng.standard_normal((3, 1000))
+        trials = RawTrialSet(250.0, 3, 1000, [(0, data), (1, data), (1, 2.0 * data)])
+        whole = segment(trials, BandSpec(), 250)
+        block = segment(trials, BandSpec(), 250, slice(1, 3))
+        assert [label for label, _ in block] == [1, 1]
+        assert np.array_equal(block.data, whole.data[1:3])
+
+    def test_empty_set_gives_empty_list(self, rng):
+        trials = _trial_set(rng.standard_normal((2, 500)))
+        assert segment(trials, BandSpec(), 250, slice(5, 9)) == []
+        empty = RawTrialSet(250.0, 2, 500, [], n_classes=2)
+        assert segment(empty, BandSpec(), 250) == []

@@ -224,6 +224,31 @@ def test_malformed_manifest_raises_typed_error(tmp_path, manifest, error):
 
 
 @pytest.mark.parametrize(
+    "arrays",
+    [
+        [{"name": "w", "shape": [1]}, {"name": "w", "shape": [1]}],
+        [{"name": "w", "shape": [2.7]}],
+        [{"name": "w", "shape": ["2"]}],
+        [{"name": "w", "shape": [True, 2]}],
+        [{"name": 5, "shape": [2]}],
+        [{"name": "w", "shape": [2], "dtype": "<f8"}],
+        [{"name": "w"}],
+        [["w", [2]]],
+        {"name": "w", "shape": [2]},
+    ],
+    ids=["repeated-name", "float-dim", "string-dim", "bool-dim", "int-name",
+         "extra-entry-key", "no-shape", "entry-is-a-list", "arrays-is-a-mapping"],
+)
+def test_garbled_array_entry_raises_typed_error(tmp_path, arrays):
+    # Every case fits the 2-float payload if its fields were coerced.
+    path = tmp_path / "m.sbcm"
+    manifest = {**_ONE_ARRAY, "arrays": arrays}
+    path.write_bytes(_forged_bundle(manifest, np.zeros(2, dtype="<f8").tobytes()))
+    with pytest.raises(MalformedHeader):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
     "config",
     [{"bands": 5}, {"epochs": [1]}, {"m": 2.5}, {"seed": True}, {"m": None}, ["m", "2"]],
     ids=["int", "list", "float", "bool", "null", "not-a-mapping"],

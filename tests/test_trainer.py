@@ -25,6 +25,7 @@ from spdbci.errors import (
     MalformedHeader,
     NotPositiveDefinite,
     SchemaMismatch,
+    WindowTooLong,
 )
 from spdbci.filterbank import design_bandpass
 from spdbci.layers import random_stiefel
@@ -32,6 +33,7 @@ from spdbci.model import Model, count_parameters, model_from_bundle, model_to_bu
 from spdbci.selection import fit_selection, score_channels
 from spdbci.spd import covariance
 from spdbci.synth import generate_from_spec, synthetic_trials, two_class_covariances
+import spdbci.trainer as trainer_module
 from spdbci.trainer import (
     SHRINKAGE_SCALE,
     bench_inference,
@@ -555,6 +557,89 @@ class TestPrepareDataset:
         empty = dataclasses.replace(small_trials, trials=[])
         with pytest.raises(InsufficientData):
             prepare_dataset(empty, TrainConfig(**SMALL))
+
+
+@pytest.fixture
+def covariance_blocks(monkeypatch):
+    """Count ``prepare_dataset``'s ``covariance`` calls: one entry per
+    call, holding the number of trials in the block."""
+    calls = []
+
+    def counting(window, *args, **kwargs):
+        calls.append(np.shape(window)[0])
+        return covariance(window, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "covariance", counting)
+    return calls
+
+
+def _c5_shaped_trials(trials_per_class, seed=7):
+    """Trials of the criterion-5 shape: 8 channels, 250 samples at 250 Hz."""
+    rng = np.random.default_rng(seed)
+    covs = two_class_covariances(8, planted=[1, 3, 5], separation=2.0, rng=rng)
+    return synthetic_trials(covs, trials_per_class, 250, 250.0, rng=rng)
+
+
+class TestPrepareBlocks:
+    """``prepare_dataset`` filters and takes covariances one block of
+    trials at a time, ``max(1, BLOCK_BYTES // trial window bytes)``
+    trials per block, and no trial's result depends on its block."""
+
+    def test_filter_and_covariance_call_budget(self, lfilter_calls, covariance_blocks):
+        # Default bank: 9 bands, 2 windows of 125 samples, 8 channels, so
+        # one trial's windows take 144 kB and a 1 MiB block holds 7.
+        trials = _c5_shaped_trials(10)
+        cfg = TrainConfig()
+        covs, _ = prepare_dataset(trials, cfg)
+        assert covariance_blocks == [7, 7, 6]
+        assert [shape[0] for shape in lfilter_calls] == [7] * 9 + [7] * 9 + [6] * 9
+        assert np.array_equal(covs, per_window_covariances(trials, cfg))
+        for k, item in enumerate(trials.trials):
+            one, _ = prepare_dataset(dataclasses.replace(trials, trials=[item]), cfg)
+            assert np.array_equal(one, covs[k : k + 1])
+
+    def test_single_trial_is_one_block(self, lfilter_calls, covariance_blocks):
+        trials = _c5_shaped_trials(10)
+        prepare_dataset(dataclasses.replace(trials, trials=trials.trials[:1]), TrainConfig())
+        assert lfilter_calls == [(1, 8, 250)] * 9
+        assert covariance_blocks == [1]
+
+    @pytest.mark.parametrize("per_block", [1, 5, 23, 24, 25])
+    def test_blocks_match_reference_and_single_trials(self, small_trials, monkeypatch,
+                                                      lfilter_calls, covariance_blocks,
+                                                      per_block):
+        cfg = TrainConfig(**SMALL)
+        # One SMALL trial's windows: 2 windows x 2 bands x 4 channels x 64 samples.
+        trial_bytes = 8 * 2 * 2 * 4 * 64
+        monkeypatch.setattr(trainer_module, "BLOCK_BYTES", per_block * trial_bytes + 7)
+        covs, labels = prepare_dataset(small_trials, cfg)
+        n = len(small_trials.trials)
+        sizes = [min(per_block, n - start) for start in range(0, n, per_block)]
+        assert covariance_blocks == sizes
+        assert len(lfilter_calls) == 2 * len(sizes)
+        assert np.array_equal(covs, per_window_covariances(small_trials, cfg))
+        assert labels.tolist() == [label for label, _ in small_trials.trials]
+        for k, item in enumerate(small_trials.trials):
+            one, _ = prepare_dataset(dataclasses.replace(small_trials, trials=[item]), cfg)
+            assert np.array_equal(one, covs[k : k + 1])
+
+    def test_window_longer_than_the_trials_raises_typed_error(self, small_trials):
+        # 128-sample trials hold no 200-sample window: no block size to
+        # divide by, and segment's check must still be the one that fires.
+        with pytest.raises(WindowTooLong):
+            prepare_dataset(small_trials, TrainConfig(**{**SMALL, "window_len": 200}))
+
+    def test_trial_larger_than_the_budget_is_a_block_of_its_own(self, covariance_blocks):
+        # 22 channels at 500 Hz, 8 windows of 250 samples x 9 bands:
+        # 3.2 MB of windows per trial, over the 1 MiB budget.
+        rng = np.random.default_rng(9)
+        covs22 = two_class_covariances(22, planted=[0, 4, 9, 13, 20], rng=rng)
+        trials = synthetic_trials(covs22, 2, 2000, 500.0, rng=rng)
+        cfg = TrainConfig(window_len=250)
+        assert 8 * 8 * 9 * 22 * 250 > trainer_module.BLOCK_BYTES
+        covs, _ = prepare_dataset(trials, cfg)
+        assert covariance_blocks == [1, 1, 1, 1]
+        assert np.array_equal(covs, per_window_covariances(trials, cfg))
 
 
 class TestFolds:
