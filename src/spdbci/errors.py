@@ -55,10 +55,6 @@ class NotPositiveDefinite(SpdBciError):
     pass
 
 
-class DegenerateInput(SpdBciError):
-    pass
-
-
 class ConvergenceFailure(SpdBciError):
     pass
 

@@ -24,7 +24,7 @@ from .errors import (
     MissingForwardCache,
     NotPositiveDefinite,
 )
-from .layers import karcher_mean, random_stiefel, stiefel_project, stiefel_retract
+from .layers import random_stiefel, stiefel_project, stiefel_retract
 from .spd import check_spd, double_center, spd_log, sym
 
 
@@ -124,7 +124,6 @@ def score_channels(w: np.ndarray, m: int, rule: str = "row-norm") -> list[int]:
 def fit_selection(
     samples: np.ndarray,
     m: int,
-    labels=None,
     max_iters: int = 20,
     tol: float = 1e-6,
     scoring: str = "row-norm",
@@ -132,22 +131,16 @@ def fit_selection(
     """Alternate L-assembly and eigenvector updates until the retained
     subspace stabilizes.
 
-    When ``labels`` are given, samples are first collapsed to one
-    representative per label, one Karcher-flow step from the group's
-    arithmetic mean, so the distance structure reflects between-group
-    geometry rather than within-group noise.
+    ``samples`` are SPD matrices, one per group: the pipeline passes one
+    representative per (class, band) (see
+    :func:`spdbci.trainer.class_band_representatives`), so the distance
+    structure reflects between-group geometry rather than within-group
+    noise.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n, big_m = samples.shape[0], samples.shape[1]
     if not (1 <= m <= big_m):
         raise DimensionMismatch(f"m={m} must lie in 1..{big_m}")
-    if labels is not None:
-        labels = np.asarray(labels)
-        groups = sorted(set(labels.tolist()))
-        samples = np.stack(
-            [karcher_mean(samples[labels == g]) for g in groups]
-        )
-        n = samples.shape[0]
     if n < 2:
         raise DimensionMismatch("need at least two samples")
 

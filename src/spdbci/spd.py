@@ -1,22 +1,25 @@
 """Symmetric positive-definite matrix algebra.
 
-Covariance construction, the eigenvalue-function primitive and the
-matrix log, exp and inverse root built on it, the affine-invariant
-geodesic distance, and the double-centering identities used by the
-channel-selection objective.  Everything here is pure and
-operates on plain ``numpy`` arrays; batched inputs use leading axes.
+The package's one covariance estimator, shrunk by a fixed fraction of
+its own trace; the eigenvalue-function primitive and the matrix log,
+exp and inverse root built on it; the affine-invariant geodesic
+distance; and the double-centering identities used by the
+channel-selection objective.  Everything here is pure and operates on
+plain ``numpy`` arrays; batched inputs use leading axes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInput, DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 # Relative symmetry tolerance for inputs claiming to be symmetric.
 SYM_RTOL = 1e-10
 # An SPD matrix must satisfy lambda_min > SPD_RTOL * lambda_max.
 SPD_RTOL = 1e-12
+#: Covariance shrinkage: ``eps = SHRINKAGE_SCALE * trace / M`` per window.
+SHRINKAGE_SCALE = 1e-4
 
 
 def is_symmetric(x: np.ndarray, rtol: float = SYM_RTOL) -> bool:
@@ -47,46 +50,27 @@ def check_spd(x: np.ndarray, name: str = "matrix") -> None:
         raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
-def covariance(window: np.ndarray, shrinkage=0.0) -> np.ndarray:
-    """Spatial covariance ``(1/L) Z Z^T + eps I`` of one window or a batch.
+def covariance(window: np.ndarray) -> np.ndarray:
+    """Shrunk spatial covariance ``C + eps I`` of one window or a batch.
 
     ``window`` is channels x samples, or ``(..., M, L)`` for a batch of
-    windows; ``Z`` is the row-mean-centered window.  ``shrinkage`` is
-    ``eps``: a scalar, one value per window (shape ``(...)``), or a
-    function mapping ``Z`` to either, so an eps that depends on the
-    centred data costs no second centring pass.  A window with zero
-    shrinkage whose result is rank-deficient raises
-    :class:`DegenerateInput`; any positive shrinkage guarantees an SPD
-    output.  Each matrix of a batch equals the 2-D call on its window
-    bit for bit when the windows are C-contiguous.
+    windows.  ``C = (1/L) Z Z^T`` with ``Z`` the row-mean-centred window,
+    and ``eps = max(SHRINKAGE_SCALE * trace(C) / M, 1e-12)``, so every
+    output is SPD, a zero or rank-deficient window included.  Each
+    matrix of a batch equals the 2-D call on its window bit for bit
+    when the windows are C-contiguous.
     """
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim < 2 or window.shape[-1] < 1:
+    if window.ndim < 2 or 0 in window.shape[-2:]:
         raise DimensionMismatch(
-            f"window must be (..., M, L) with L >= 1, got {window.shape}"
+            f"window must be (..., M, L) with M, L >= 1, got {window.shape}"
         )
-    z = window - window.mean(axis=-1, keepdims=True)
-    if callable(shrinkage):
-        shrinkage = shrinkage(z)
-    shrinkage = np.asarray(shrinkage, dtype=np.float64)
-    if shrinkage.shape not in ((), window.shape[:-2]):
-        raise DimensionMismatch(
-            f"shrinkage must be a scalar or of shape {window.shape[:-2]}, "
-            f"got {shrinkage.shape}"
-        )
-    if np.any(shrinkage < 0):
-        raise ConfigError("shrinkage must be nonnegative")
     m, length = window.shape[-2:]
-    cov = (z @ np.swapaxes(z, -1, -2)) / length + shrinkage[..., None, None] * np.eye(m)
-    cov = sym(cov)
-    unshrunk = shrinkage == 0.0
-    if unshrunk.any():
-        w = np.linalg.eigvalsh(cov[np.broadcast_to(unshrunk, window.shape[:-2])])
-        wmin, wmax = w[:, 0], w[:, -1]
-        if np.any(wmin <= SPD_RTOL * np.maximum(wmax, 0.0)) or np.any(wmax <= 0):
-            raise DegenerateInput(
-                f"covariance is singular (rank < {m}) and shrinkage is zero"
-            )
+    z = window - window.mean(axis=-1, keepdims=True)
+    cov = sym((z @ np.swapaxes(z, -1, -2)) / length)
+    eps = np.maximum(SHRINKAGE_SCALE * np.trace(cov, axis1=-2, axis2=-1) / m, 1e-12)
+    diag = np.arange(m)
+    cov[..., diag, diag] += eps[..., None]
     return cov
 
 

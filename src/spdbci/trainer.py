@@ -36,10 +36,6 @@ class EvalReport:
     std_convention: str = "population over folds"
 
 
-#: Covariance shrinkage: ``eps = SHRINKAGE_SCALE * trace / M`` per window.
-SHRINKAGE_SCALE = 1e-4
-
-
 #: Windows filtered per :func:`prepare_dataset` block, in bytes: seven
 #: 8-channel, 2-window trials of the default bank.  A larger trial is a
 #: block of its own.  On train-c5, blocks of 1-4 MiB prepared equally
@@ -48,24 +44,13 @@ SHRINKAGE_SCALE = 1e-4
 BLOCK_BYTES = 1 << 20
 
 
-def _shrinkage(z: np.ndarray) -> np.ndarray:
-    """Per-window eps of centred windows ``z`` (..., M, L): ``SHRINKAGE_SCALE``
-    times the raw covariance's ``trace / M``, floored at 1e-12."""
-    *_, m, length = z.shape
-    # Each window summed as one flat run, the order np.sum takes over
-    # a contiguous 2-D window, so eps matches the per-window value.
-    energy = np.sum((z * z).reshape(*z.shape[:-2], -1), axis=-1)
-    return np.maximum(SHRINKAGE_SCALE * energy / (length * m), 1e-12)
-
-
 def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     """Segment, filter, and turn a trial set into covariance tensors.
 
-    Returns ``(covs, labels)`` with covs of shape (N, S, F, M, M).  The
-    shrinkage for each window is ``SHRINKAGE_SCALE * trace / M`` of the
-    raw covariance, with a tiny absolute floor so degenerate windows
-    still produce SPD matrices.  Trials are processed in blocks of
-    about :data:`BLOCK_BYTES` of windows, at least one trial each: one
+    Returns ``(covs, labels)`` with covs of shape (N, S, F, M, M): each
+    window's :func:`covariance`, shrunk by ``spd.SHRINKAGE_SCALE`` times
+    its trace over M.  Trials are processed in blocks of about
+    :data:`BLOCK_BYTES` of windows, at least one trial each: one
     :func:`segment` call (one ``lfilter`` call per band) and one batched
     :func:`covariance` call on the block's (n, S, F, M, L) array.  So
     the windows held in memory are bounded by the block, not the set,
@@ -84,8 +69,7 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     covs = np.empty((n, n_windows, len(spec.bands), m, m))
     for start in range(0, n, per_block):
         block = slice(start, start + per_block)
-        covs[block] = covariance(segment(trials, spec, config.window_len, block).data,
-                                 _shrinkage)
+        covs[block] = covariance(segment(trials, spec, config.window_len, block).data)
     labels = np.asarray([label for label, _ in trials.trials], dtype=np.int64)
     return covs, labels
 

@@ -23,6 +23,7 @@ from spdbci.layers import (
     LogEigLayer,
     RbnLayer,
     ReEigLayer,
+    karcher_mean,
     random_stiefel,
     stiefel_project,
     stiefel_retract,
@@ -38,7 +39,6 @@ from spdbci.selection import (
 )
 from spdbci.spd import (
     airm_distance,
-    covariance,
     spd_exp,
     spd_log,
     sym,
@@ -171,12 +171,15 @@ def test_criterion_3_channel_recovery():
         chol = np.linalg.cholesky(cov)
         for _ in range(100):
             z = chol @ rng.standard_normal((8, 500))
-            samples.append(covariance(z, shrinkage=1e-6))
+            z = z - z.mean(axis=1, keepdims=True)
+            # a fixed 1e-6 shrinkage, not the pipeline's trace-scaled one
+            samples.append(sym(z @ z.T / 500 + 1e-6 * np.eye(8)))
             labels.append(label)
     samples = np.stack(samples)
     labels = np.asarray(labels)
 
-    result = fit_selection(samples, m=3, labels=labels)
+    class_means = np.stack([karcher_mean(samples[labels == g]) for g in sorted(set(labels))])
+    result = fit_selection(class_means, m=3)
     recovered = result.selected_channels == planted
 
     mean0 = karcher_mean_iterated(samples[labels == 0])

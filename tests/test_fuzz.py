@@ -1,0 +1,131 @@
+"""Typed-error contract of the file readers: a mutated or truncated EEGB
+file or model bundle either loads or raises an ``SpdBciError`` subclass,
+never a bare builtin exception.
+
+The mutations are plain byte edits (``struct``, ``zlib``); where a case
+recomputes the trailing CRC-32, the checksum no longer hides the field
+checks behind it.
+"""
+
+import struct
+import zlib
+
+import numpy as np
+import pytest
+
+from spdbci.config import TrainConfig
+from spdbci.eeg_io import RawTrialSet, load_model, load_trials, save_model, save_trials
+from spdbci.errors import SpdBciError
+from spdbci.model import model_from_bundle
+from spdbci.synth import synthetic_trials, two_class_covariances
+from spdbci.trainer import train_to_bundle
+
+U32_EDGES = [0, 1, 2**31, 2**32 - 1]
+RATE_EDGES = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -250.0, 1e-45]
+
+# EEGB v1 header: magic, then u32 version, channels, samples per trial,
+# trial count, class count, f32 sample rate; the first label follows.
+EEGB_FIELDS = {
+    "version": 4, "channels": 8, "samples_per_trial": 12,
+    "n_trials": 16, "n_classes": 20, "first_label": 28,
+}
+EEGB_RATE_OFFSET = 24
+
+
+def with_crc(payload: bytes) -> bytes:
+    return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+def leaks(reader, blobs, path):
+    """``(case, exception)`` for every blob whose read raises anything but
+    an ``SpdBciError``."""
+    out = []
+    for case, blob in blobs:
+        path.write_bytes(blob)
+        try:
+            reader(path)
+        except SpdBciError:
+            pass
+        except Exception as exc:
+            out.append((case, f"{type(exc).__name__}: {exc}"))
+    return out
+
+
+def truncations(blob: bytes):
+    """Every proper prefix of ``blob``, raw and with its CRC recomputed."""
+    for k in range(len(blob)):
+        yield f"raw[:{k}]", blob[:k]
+        yield f"crc[:{k}]", with_crc(blob[:k])
+
+
+@pytest.fixture(scope="module")
+def eegb_blob(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    trials = [(k % 2, rng.standard_normal((2, 4)).astype(np.float32).astype(np.float64))
+              for k in range(3)]
+    path = tmp_path_factory.mktemp("eegb") / "tiny.eegb"
+    save_trials(RawTrialSet(250.0, 2, 4, trials, n_classes=2), path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def bundle_blob(tmp_path_factory):
+    rng = np.random.default_rng(1)
+    covs = two_class_covariances(3, separation=2.0, rng=rng)
+    trials = synthetic_trials(covs, trials_per_class=4, samples_per_trial=64,
+                              sample_rate_hz=250.0, rng=rng)
+    cfg = TrainConfig(epochs=1, batch_size=8, bands=((8.0, 16.0),), window_len=32,
+                      m=2, k_heads=2, conv_out=2)
+    path = tmp_path_factory.mktemp("bundle") / "tiny.sbcm"
+    save_model(train_to_bundle(cfg, trials), path)
+    return path.read_bytes()
+
+
+def load_and_build(path):
+    model_from_bundle(load_model(path))
+
+
+@pytest.mark.parametrize("field", sorted(EEGB_FIELDS))
+def test_eegb_header_edge_values(eegb_blob, tmp_path, field):
+    def mutants():
+        for value in U32_EDGES:
+            blob = bytearray(eegb_blob)
+            struct.pack_into("<I", blob, EEGB_FIELDS[field], value)
+            yield f"{field}={value} (stale crc)", bytes(blob)
+            yield f"{field}={value}", with_crc(bytes(blob[:-4]))
+
+    assert not leaks(load_trials, mutants(), tmp_path / "x.eegb")
+
+
+def test_eegb_sample_rate_edge_values(eegb_blob, tmp_path):
+    def mutants():
+        for rate in RATE_EDGES:
+            blob = bytearray(eegb_blob)
+            struct.pack_into("<f", blob, EEGB_RATE_OFFSET, rate)
+            yield f"rate={rate}", with_crc(bytes(blob[:-4]))
+
+    assert not leaks(load_trials, mutants(), tmp_path / "x.eegb")
+
+
+def test_eegb_truncated_at_every_offset(eegb_blob, tmp_path):
+    # header, three trials of one label and 2 x 4 float32 samples, CRC
+    assert len(eegb_blob) == 28 + 3 * (4 + 4 * 2 * 4) + 4
+    assert not leaks(load_trials, truncations(eegb_blob), tmp_path / "x.eegb")
+
+
+def test_bundle_truncated_at_every_offset(bundle_blob, tmp_path):
+    path = tmp_path / "x.sbcm"
+    path.write_bytes(bundle_blob)
+    load_and_build(path)  # the untouched bundle loads and builds
+    assert not leaks(load_and_build, truncations(bundle_blob), path)
+
+
+@pytest.mark.parametrize("offset", [4, 8], ids=["version", "manifest_length"])
+def test_bundle_header_edge_values(bundle_blob, tmp_path, offset):
+    def mutants():
+        for value in U32_EDGES:
+            blob = bytearray(bundle_blob)
+            struct.pack_into("<I", blob, offset, value)
+            yield f"u32@{offset}={value}", with_crc(bytes(blob[:-4]))
+
+    assert not leaks(load_and_build, mutants(), tmp_path / "x.sbcm")

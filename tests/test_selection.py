@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spdbci.errors import ConfigError, DimensionMismatch
-from spdbci.layers import random_stiefel
+from spdbci.layers import karcher_mean, random_stiefel
 from spdbci.selection import (
     MbtHeads,
     assemble_L,
@@ -163,7 +163,8 @@ class TestFitSelection:
                 labels.append(label)
         samples = np.stack(samples)
         labels = np.asarray(labels)
-        result = fit_selection(samples, m=3, labels=labels)
+        class_means = np.stack([karcher_mean(samples[labels == g]) for g in sorted(set(labels))])
+        result = fit_selection(class_means, m=3)
         assert result.selected_channels == planted
         # objective must be non-decreasing within slack
         trace = result.objective_trace

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from spdbci.errors import DegenerateInput, DimensionMismatch, NotPositiveDefinite
+from spdbci.errors import DimensionMismatch, NotPositiveDefinite
 from spdbci.spd import (
+    SHRINKAGE_SCALE,
     airm_distance,
+    check_spd,
     centering_matrix,
     covariance,
     double_center,
@@ -21,20 +23,36 @@ from conftest import check_psd_theorem1, random_spd
 
 
 class TestCovariance:
-    def test_zero_window_gives_scaled_identity(self):
-        out = covariance(np.zeros((3, 10)), shrinkage=1e-4)
-        assert np.allclose(out, 1e-4 * np.eye(3), atol=0, rtol=0)
+    @staticmethod
+    def raw_covariance(window):
+        z = window - window.mean(axis=-1, keepdims=True)
+        return z @ np.swapaxes(z, -1, -2) / window.shape[-1]
 
-    def test_duplicated_rows_degenerate_without_shrinkage(self):
+    def test_zero_window_gives_scaled_identity(self):
+        out = covariance(np.zeros((3, 10)))
+        assert np.array_equal(out, 1e-12 * np.eye(3))
+
+    def test_shrinkage_is_scaled_trace_of_raw_covariance(self):
+        window = np.random.default_rng(1).standard_normal((5, 40)) * [[1], [2], [3], [4], [5]]
+        raw = self.raw_covariance(window)
+        shrink = covariance(window) - raw
+        eps = SHRINKAGE_SCALE * np.trace(raw) / 5
+        assert SHRINKAGE_SCALE == 1e-4
+        # the subtraction leaves a few ulps of each diagonal entry
+        ulps = 4 * np.finfo(float).eps * np.max(np.abs(raw))
+        assert np.allclose(np.diag(shrink), eps, rtol=0, atol=ulps)
+        assert np.max(np.abs(shrink[~np.eye(5, dtype=bool)])) <= ulps
+
+    def test_duplicated_rows_are_spd(self):
         row = np.random.default_rng(0).standard_normal(50)
         window = np.stack([row, row, row])
-        with pytest.raises(DegenerateInput):
-            covariance(window, shrinkage=0.0)
+        assert np.linalg.matrix_rank(self.raw_covariance(window)) == 1
+        check_spd(covariance(window))
 
     def test_independent_noise_near_identity(self):
         rng = np.random.default_rng(42)
         window = rng.standard_normal((2, 100_000))
-        cov = covariance(window, shrinkage=0.0)
+        cov = covariance(window)
         assert abs(cov[0, 1]) < 0.02
         assert abs(cov[0, 0] - 1.0) < 0.02
         assert abs(cov[1, 1] - 1.0) < 0.02
@@ -42,46 +60,27 @@ class TestCovariance:
     def test_shrinkage_restores_spd(self):
         row = np.ones(20)
         window = np.stack([row, 2 * row])
-        out = covariance(window, shrinkage=1e-3)
+        out = covariance(window)
         assert np.all(np.linalg.eigvalsh(out) > 0)
 
     def test_batch_equals_stacked_2d_calls(self):
-        windows = np.random.default_rng(5).standard_normal((3, 4, 5, 40))
-        shrinkage = np.linspace(0.0, 1e-2, 12).reshape(3, 4)
-        batch = covariance(windows, shrinkage)
-        assert batch.shape == (3, 4, 5, 5)
-        for i in range(3):
-            for j in range(4):
-                one = covariance(windows[i, j], float(shrinkage[i, j]))
-                assert np.array_equal(batch[i, j], one)
-        scalar = covariance(windows, 1e-3)
-        assert np.array_equal(scalar[2, 1], covariance(windows[2, 1], 1e-3))
-        seen = []
-
-        def rule(z):
-            seen.append(z)
-            return shrinkage
-
-        assert np.array_equal(covariance(windows, rule), batch)
-        assert np.array_equal(seen[0], windows - windows.mean(axis=-1, keepdims=True))
-
-    def test_batch_with_one_degenerate_window_raises(self):
-        windows = np.random.default_rng(6).standard_normal((4, 3, 50))
-        windows[2, 1] = windows[2, 0]
-        with pytest.raises(DegenerateInput):
-            covariance(windows, shrinkage=0.0)
-        shrinkage = np.zeros(4)
-        shrinkage[2] = 1e-3
-        assert np.all(np.linalg.eigvalsh(covariance(windows, shrinkage)) > 0)
-
-    def test_shrinkage_shape_must_match_batch(self):
-        windows = np.zeros((4, 3, 50))
-        with pytest.raises(DimensionMismatch):
-            covariance(windows, np.full(3, 1e-3))
+        for m in (5, 22):
+            windows = np.random.default_rng(5).standard_normal((3, 4, m, 40))
+            # a zero window and a rank-deficient one ride along
+            windows[1, 2] = 0.0
+            windows[2, 3, 1] = windows[2, 3, 0]
+            batch = covariance(windows)
+            assert batch.shape == (3, 4, m, m)
+            for i in range(3):
+                for j in range(4):
+                    assert np.array_equal(batch[i, j], covariance(windows[i, j]))
+            check_spd(batch)
 
     def test_window_without_samples_rejected(self):
         with pytest.raises(DimensionMismatch):
-            covariance(np.zeros((2, 3, 0)), 1e-3)
+            covariance(np.zeros((2, 3, 0)))
+        with pytest.raises(DimensionMismatch):
+            covariance(np.zeros((2, 0, 5)))
 
 
 class TestLogExp:
