@@ -66,15 +66,22 @@ class TestCovariance:
     def test_batch_equals_stacked_2d_calls(self):
         for m in (5, 22):
             windows = np.random.default_rng(5).standard_normal((3, 4, m, 40))
-            # a zero window and a rank-deficient one ride along
-            windows[1, 2] = 0.0
-            windows[2, 3, 1] = windows[2, 3, 0]
             batch = covariance(windows)
             assert batch.shape == (3, 4, m, m)
             for i in range(3):
                 for j in range(4):
                     assert np.array_equal(batch[i, j], covariance(windows[i, j]))
             check_spd(batch)
+
+    def test_batch_with_one_degenerate_window_is_spd(self):
+        windows = np.random.default_rng(6).standard_normal((4, 3, 50))
+        windows[2, 1] = windows[2, 0]
+        windows[3] = 0.0
+        assert np.linalg.matrix_rank(self.raw_covariance(windows[2])) == 2
+        batch = covariance(windows)
+        for i in range(4):
+            assert np.array_equal(batch[i], covariance(windows[i]))
+        check_spd(batch)
 
     def test_window_without_samples_rejected(self):
         with pytest.raises(DimensionMismatch):
