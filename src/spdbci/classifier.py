@@ -71,24 +71,13 @@ class TangentClassifier:
             )
         return np.tensordot(x, self.kernel, axes=([1, 3], [1, 2])) + self.bias
 
-    def _gate(self, conv_out: np.ndarray):
-        """Squeeze, bottleneck and sigmoid: ``(squeezed, hidden, gate)``."""
-        squeezed = conv_out.mean(axis=-1)  # (B, F)
-        hidden = np.maximum(squeezed @ self.w1, 0.0)
-        return squeezed, hidden, _sigmoid(hidden @ self.w2)
-
-    def band_importance(self, conv_out: np.ndarray):
-        """Squeeze over non-band axes, gate each band into (0, 1), rescale.
-
-        Returns ``(gate, gated_output)``.
-        """
-        gate = self._gate(conv_out)[-1]
-        return gate, gate[..., None] * conv_out
-
     def _gated_head(self, conv_out: np.ndarray):
         """Gate, flatten and linear head of a (B, F, C_out) conv output:
-        ``(squeezed, hidden, gate, flat, logits)``."""
-        squeezed, hidden, gate = self._gate(conv_out)
+        ``(squeezed, hidden, gate, flat, logits)``.  The gate squeezes each
+        band to its mean, runs the bottleneck and maps it into (0, 1)."""
+        squeezed = conv_out.mean(axis=-1)  # (B, F)
+        hidden = np.maximum(squeezed @ self.w1, 0.0)
+        gate = _sigmoid(hidden @ self.w2)
         flat = (gate[..., None] * conv_out).reshape(len(conv_out), -1)
         if flat.shape[1] != self.head_w.shape[0]:
             raise ShapeMismatch(
@@ -96,15 +85,14 @@ class TangentClassifier:
             )
         return squeezed, hidden, gate, flat, flat @ self.head_w + self.head_b
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """(B, S, F, J) tangent features -> (B, n_classes) logits."""
         conv_out = self.conv_forward(x)
         squeezed, hidden, gate, flat, logits = self._gated_head(conv_out)
-        if training:
-            self._cache = {
-                "x": x, "conv_out": conv_out, "squeezed": squeezed,
-                "hidden": hidden, "gate": gate, "flat": flat,
-            }
+        self._cache = {
+            "x": x, "conv_out": conv_out, "squeezed": squeezed,
+            "hidden": hidden, "gate": gate, "flat": flat,
+        }
         return logits
 
     # --- backward --------------------------------------------------------

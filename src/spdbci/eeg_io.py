@@ -1,5 +1,5 @@
-"""Binary trial format (EEGB v1), a CSV fixture importer, and the model
-bundle container with bit-exact round-trip persistence.
+"""Binary trial format (EEGB v1) and the model bundle container with
+bit-exact round-trip persistence.
 
 EEGB v1 layout (little-endian):
     magic "EEGB" | version u32=1 | M u32 | samples_per_trial u32 |
@@ -107,7 +107,9 @@ def save_trials(trials: RawTrialSet, path) -> None:
 
 
 def load_trials(path) -> RawTrialSet:
-    """Read and validate an EEGB v1 file."""
+    """Read and validate an EEGB v1 file.  A class count above
+    ``max(2, n_trials)``, more than the trials can back, raises
+    :class:`MalformedHeader`."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -122,6 +124,11 @@ def load_trials(path) -> RawTrialSet:
     )
     if version != EEGB_VERSION:
         raise VersionMismatch(f"unsupported EEGB version {version}")
+    if n_classes > max(2, n_trials):
+        raise MalformedHeader(
+            f"class count {n_classes} exceeds the larger of 2 and the "
+            f"trial count {n_trials}"
+        )
     trial_bytes = 4 + 4 * m * samples
     expected = head_len + n_trials * trial_bytes + 4
     if len(blob) != expected:
@@ -145,17 +152,6 @@ def load_trials(path) -> RawTrialSet:
             raise NonFiniteValue("trial contains NaN or Inf")
         trials.append((int(label), data))
     return RawTrialSet(float(rate), m, samples, trials, n_classes)
-
-
-def load_trial_csv(path, label: int) -> tuple[int, np.ndarray]:
-    """Import one hand-made trial from CSV (rows = channels)."""
-    try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteValue("CSV trial contains NaN or Inf")
-    return label, data
 
 
 @dataclass

@@ -118,13 +118,12 @@ class BiMapLayer:
     def m_in(self) -> int:
         return self.weight.shape[1]
 
-    def forward(self, batch: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, batch: np.ndarray) -> np.ndarray:
         if batch.shape[-1] != self.m_in:
             raise RankDeficientWeight(
                 f"batch dim {batch.shape[-1]} != m_in {self.m_in}"
             )
-        if training:
-            self._cache = batch
+        self._cache = batch
         w = self.weight
         return w @ batch @ w.T
 
@@ -156,16 +155,15 @@ class ReEigLayer:
         self.epsilon = epsilon
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
-    def forward(self, batch: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, batch: np.ndarray) -> np.ndarray:
         out, w, u = eig_fn(batch, lambda v: np.maximum(v, self.epsilon))
-        if training:
-            self._cache = (w, u)
+        self._cache = (w, u)
         return out
 
     @property
     def output_eig(self) -> tuple[np.ndarray, np.ndarray]:
         """``(max(w, eps), u)``: the eigendecomposition of the output of
-        the last training forward, which :class:`LogEigLayer` can reuse."""
+        the last forward, which :class:`LogEigLayer` can reuse."""
         if self._cache is None:
             raise MissingForwardCache("ReEig output decomposition before forward")
         w, u = self._cache
@@ -189,17 +187,13 @@ class LogEigLayer:
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(
-        self,
-        batch: np.ndarray,
-        training: bool = True,
-        eig: tuple[np.ndarray, np.ndarray] | None = None,
+        self, batch: np.ndarray, eig: tuple[np.ndarray, np.ndarray] | None = None
     ) -> np.ndarray:
         """``eig`` is the decomposition ``(w, u)`` of ``batch`` when the
         caller already holds it, such as :attr:`ReEigLayer.output_eig`;
         forward and backward then run on it and no ``eigh`` runs."""
         out, w, u = eig_fn(batch, _log_positive, eig)
-        if training:
-            self._cache = (w, u)
+        self._cache = (w, u)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -235,12 +229,13 @@ class RbnLayer:
     """Riemannian batch normalization: re-center a batch so its mean is
     the identity.
 
-    Training mode whitens with the batch mean, taken as one Karcher-flow
+    The forward whitens with the batch mean, taken as one Karcher-flow
     step from the arithmetic mean (Brooks et al., NeurIPS 2019), and
-    updates the running mean by geodesic interpolation; inference mode
-    whitens with the running mean.  The backward pass treats the
-    whitening matrix as a statistic (no gradient flows through the
-    mean), analogous to frozen batch-norm statistics.
+    updates the running mean by geodesic interpolation; the running mean
+    feeds the folded inference plan of :class:`~spdbci.model.Model`.
+    The backward pass treats the whitening matrix as a statistic (no
+    gradient flows through the mean), analogous to frozen batch-norm
+    statistics.
     """
 
     def __init__(self, dim: int, momentum: float = 0.9):
@@ -251,10 +246,7 @@ class RbnLayer:
         self.running_mean = np.eye(dim)
         self._whitener: np.ndarray | None = None
 
-    def forward(self, batch: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training:
-            r = inv_sqrtm(self.running_mean)
-            return sym(r @ batch @ r)
+    def forward(self, batch: np.ndarray) -> np.ndarray:
         mean = karcher_mean(batch)
         self.running_mean = spd_geodesic(self.running_mean, mean, 1.0 - self.momentum)
         r = self._whitener = inv_sqrtm(mean)

@@ -12,9 +12,10 @@ eps)) U^T`` comes with its eigendecomposition, so LogEig runs its
 forward and backward on ``(max(w, eps), U)`` instead of a third
 ``eigh``.
 
-Evaluation runs the same map folded into three steps, exact to
-round-off: in eval mode BiMap and the RBN whitener are one fixed
-congruence ``A = R W``, ReEig and LogEig are one eigenvalue function
+Each layer has that one forward.  Evaluation runs the same map folded
+into three steps, exact to round-off: BiMap and whitening by the RBN
+running mean ``R = running_mean^(-1/2)`` are one fixed congruence
+``A = R W``, ReEig and LogEig are one eigenvalue function
 ``log(max(w, eps))``, and everything from LogEig to the conv output is
 linear, so the K heads and the conv kernel fold into one kernel
 ``E[c, s] = sum_k W_k K[c, s, k] W_k^T``.

@@ -200,10 +200,9 @@ class MbtHeads:
         big_m, m = w_hat.shape
         return cls(np.stack([w_hat] + [random_stiefel(rng, big_m, m) for _ in range(k - 1)]))
 
-    def forward(self, batch: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, batch: np.ndarray) -> np.ndarray:
         """(B, M, M) tangent batch -> (B, K, m, m) stacked head outputs."""
-        if training:
-            self._cache = batch
+        self._cache = batch
         w = self.weights
         return np.swapaxes(w, -1, -2) @ batch[:, None] @ w
 

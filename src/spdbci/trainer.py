@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import cross_entropy
-from .config import TrainConfig, config_from_mapping, config_to_mapping
+from .config import TrainConfig, config_from_mapping
 from .eeg_io import ModelBundle, RawTrialSet
 from .errors import ConfigError, InsufficientData, NonFiniteLoss, SchemaMismatch
 from .filterbank import design_bandpass, segment
 from .layers import karcher_mean
-from .model import Model, count_parameters, model_from_bundle, model_to_bundle
+from .model import Model, count_parameters, model_from_bundle
 from .selection import fit_selection
 from .spd import covariance
 
@@ -264,8 +264,3 @@ def bench_inference(
         "median_s": float(np.median(arr)),
         "max_s": float(arr.max()),
     }
-
-
-def train_to_bundle(config: TrainConfig, trials: RawTrialSet) -> ModelBundle:
-    model, _ = train(config, trials)
-    return model_to_bundle(model, config_to_mapping(config))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from spdbci.config import config_to_mapping
 from spdbci.errors import DimensionMismatch
 from spdbci.layers import _sqrt_and_inv_sqrt
-from spdbci.spd import double_center, eig_fn, spd_exp, spd_log, sym
+from spdbci.model import model_to_bundle
+from spdbci.spd import double_center, eig_fn, inv_sqrtm, spd_exp, spd_log, sym
+from spdbci.trainer import train
 
 
 def random_spd(rng, n, batch=None):
@@ -79,16 +82,34 @@ def tangent_distance_matrix(samples: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.linalg.norm(diff, axis=(-2, -1))
 
 
+def train_to_bundle(config, trials):
+    """Train on ``trials`` and bundle the model with its config."""
+    model, _ = train(config, trials)
+    return model_to_bundle(model, config_to_mapping(config))
+
+
+def eval_whitened(model, covs):
+    """(B*S*F, M, M) covariances after the BiMap congruence ``W X W^T``
+    and whitening by ``inv_sqrtm(running_mean)``, the RBN map of the
+    folded plan, computed from the weights."""
+    m = covs.shape[-1]
+    w = model.bimap.weight
+    r = inv_sqrtm(model.rbn.running_mean)
+    return sym(r @ (w @ covs.reshape(-1, m, m) @ w.T) @ r)
+
+
 def layered_eval_forward(model, covs):
-    """Eval logits of ``model`` through its layer chain, one layer at a
-    time (reference oracle for the folded plan ``Model.forward`` runs
-    in eval mode)."""
-    b, s, f, m, _ = covs.shape
-    x = model.bimap.forward(covs.reshape(b * s * f, m, m), training=False)
-    x = model.reeig.forward(model.rbn.forward(x, training=False), training=False)
-    tangent = model.logeig.forward(x, training=False)
-    stacked = model.heads.forward(tangent, training=False)
-    return model.clf.forward(stacked.reshape(b, s, f, -1), training=False)
+    """Eval logits of ``model`` one layer at a time, rebuilt from its
+    weights and the ``spd`` primitives (reference oracle for the folded
+    plan ``Model.forward`` runs in eval mode).  Runs no layer forward,
+    so it changes no layer state."""
+    b, s, f = covs.shape[:3]
+    eps = model.reeig.epsilon
+    rectified, _, _ = eig_fn(eval_whitened(model, covs), lambda w: np.maximum(w, eps))
+    tangent = spd_log(rectified)
+    stacked = np.stack([w_k.T @ tangent @ w_k for w_k in model.heads.weights], axis=1)
+    conv_out = model.clf.conv_forward(stacked.reshape(b, s, f, -1))
+    return model.clf._gated_head(conv_out)[-1]
 
 
 def layered_train_forward(model, covs):

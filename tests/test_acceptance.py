@@ -39,6 +39,7 @@ from spdbci.selection import (
 )
 from spdbci.spd import (
     airm_distance,
+    inv_sqrtm,
     spd_exp,
     spd_log,
     sym,
@@ -202,14 +203,25 @@ def test_criterion_3_channel_recovery():
 # Criterion 4: gradient suite
 # ---------------------------------------------------------------------------
 
-def _fd_layer(layer, x, g, rng, h=1e-5):
-    layer.forward(x, training=True)
-    gx = layer.backward(g)
+def _fd_num(f, x, g, rng, h=1e-5):
+    """Central difference of ``sum(f(x) * g)`` along a random symmetric
+    direction ``v``: ``(num, v)``."""
     v = sym(rng.standard_normal(x.shape))
-    num = (np.sum(layer.forward(x + h * v, training=False) * g)
-           - np.sum(layer.forward(x - h * v, training=False) * g)) / (2 * h)
+    return (np.sum(f(x + h * v) * g) - np.sum(f(x - h * v) * g)) / (2 * h), v
+
+
+def _rel_err(num, gx, v):
     ana = float(np.sum(gx * v))
     return abs(num - ana) / max(abs(num), 1e-10)
+
+
+def _fd_layer(layer, x, g, rng):
+    """Input-gradient error of a layer whose forward is a pure function
+    of its input.  The perturbed points run first, so the backward uses
+    the cache of the forward at ``x``."""
+    num, v = _fd_num(layer.forward, x, g, rng)
+    layer.forward(x)
+    return _rel_err(num, layer.backward(g), v)
 
 
 class _ReEigLogEig:
@@ -219,9 +231,8 @@ class _ReEigLogEig:
     def __init__(self, epsilon):
         self.reeig, self.logeig = ReEigLayer(epsilon), LogEigLayer()
 
-    def forward(self, x, training=True):
-        y = self.reeig.forward(x, training=True)
-        return self.logeig.forward(y, training=training, eig=self.reeig.output_eig)
+    def forward(self, x):
+        return self.logeig.forward(self.reeig.forward(x), eig=self.reeig.output_eig)
 
     def backward(self, grad):
         return self.reeig.backward(self.logeig.backward(grad))
@@ -259,8 +270,15 @@ def test_criterion_4_gradient_suite():
             if err >= 1e-4:
                 failures.append(f"{name} seed {seed} err {err:.2e}")
 
+        # RBN with its whitener frozen: momentum 0 makes the running mean
+        # the batch mean, so the map is sym(r y r), r = inv_sqrtm(mean)
         rbn = RbnLayer(5, momentum=0.0)
-        err = _fd_layer(rbn, x, rng.standard_normal((2, 5, 5)), rng)
+        g = rng.standard_normal((2, 5, 5))
+        rbn.forward(x)
+        gx = rbn.backward(g)
+        r = inv_sqrtm(rbn.running_mean)
+        num, v = _fd_num(lambda y: sym(r @ y @ r), x, g, rng)
+        err = _rel_err(num, gx, v)
         worst["rbn"] = max(worst.get("rbn", 0.0), err)
         if err >= 1e-4:
             failures.append(f"rbn seed {seed} err {err:.2e}")
@@ -285,9 +303,9 @@ def test_criterion_4_gradient_suite():
         w0, h = heads.weights, 1e-5
         dw = rng.standard_normal(w0[1:].shape)
         heads.weights = np.concatenate([w0[:1], w0[1:] + h * dw])
-        plus = np.sum(heads.forward(tangent, training=False) * g)
+        plus = np.sum(heads.forward(tangent) * g)
         heads.weights = np.concatenate([w0[:1], w0[1:] - h * dw])
-        minus = np.sum(heads.forward(tangent, training=False) * g)
+        minus = np.sum(heads.forward(tangent) * g)
         num = (plus - minus) / (2 * h)
         err = abs(num - np.sum(grad_w * dw)) / max(abs(num), 1e-10)
         worst["mbt_weights"] = max(worst.get("mbt_weights", 0.0), err)
@@ -299,13 +317,13 @@ def test_criterion_4_gradient_suite():
         clf = TangentClassifier(3, 2, 8, 2, conv_out=3, rng=rng)
         fmap = rng.standard_normal((3, 2, 3, 8))
         g = rng.standard_normal((3, 2))
-        clf.forward(fmap, training=True)
-        gx = clf.backward(g)
-        grads = {k: v.copy() for k, v in clf.grads.items()}
         h = 1e-5
         v = rng.standard_normal(fmap.shape)
-        num = (np.sum(clf.forward(fmap + h * v, training=False) * g)
-               - np.sum(clf.forward(fmap - h * v, training=False) * g)) / (2 * h)
+        num = (np.sum(clf.forward(fmap + h * v) * g)
+               - np.sum(clf.forward(fmap - h * v) * g)) / (2 * h)
+        clf.forward(fmap)
+        gx = clf.backward(g)
+        grads = {k: v.copy() for k, v in clf.grads.items()}
         err = abs(num - np.sum(gx * v)) / max(abs(num), 1e-10)
         worst["clf_input"] = max(worst.get("clf_input", 0.0), err)
         if err >= 1e-4:
@@ -314,9 +332,9 @@ def test_criterion_4_gradient_suite():
             p0 = getattr(clf, pname).copy()
             dv = rng.standard_normal(p0.shape)
             setattr(clf, pname, p0 + h * dv)
-            plus = np.sum(clf.forward(fmap, training=False) * g)
+            plus = np.sum(clf.forward(fmap) * g)
             setattr(clf, pname, p0 - h * dv)
-            minus = np.sum(clf.forward(fmap, training=False) * g)
+            minus = np.sum(clf.forward(fmap) * g)
             setattr(clf, pname, p0)
             num = (plus - minus) / (2 * h)
             err = abs(num - np.sum(grads[pname] * dv)) / max(abs(num), 1e-10)

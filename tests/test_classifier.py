@@ -12,6 +12,13 @@ def _clf(rng, n_bands=3, n_windows=2, feat_len=8, n_classes=2, conv_out=4):
     return TangentClassifier(n_bands, n_windows, feat_len, n_classes, conv_out, rng)
 
 
+def _gate(clf, conv_out):
+    """``(gate, gated conv output)`` as the classifier's head computes
+    them from a (B, F, C_out) conv output."""
+    _, _, gate, flat, _ = clf._gated_head(conv_out)
+    return gate, flat.reshape(conv_out.shape)
+
+
 class TestConv:
     def test_zero_kernel(self, rng):
         clf = _clf(rng)
@@ -49,7 +56,7 @@ class TestBandImportance:
         clf = _clf(rng)
         # every band of both rows has mean 1, so both squeeze to ones
         conv_out = np.stack([np.ones((3, 4)), np.tile([0.0, 2.0, 1.5, 0.5], (3, 1))])
-        gate, _ = clf.band_importance(conv_out)
+        gate, _ = _gate(clf, conv_out)
         expected = 1.0 / (1.0 + np.exp(-(np.maximum(np.ones(3) @ clf.w1, 0.0) @ clf.w2)))
         assert np.allclose(gate, expected)
 
@@ -58,7 +65,7 @@ class TestBandImportance:
         clf.w1 = np.zeros_like(clf.w1)
         clf.w2 = np.zeros_like(clf.w2)
         conv_out = rng.standard_normal((2, 3, 4))
-        gate, gated = clf.band_importance(conv_out)
+        gate, gated = _gate(clf, conv_out)
         assert np.allclose(gate, 0.5)
         assert np.allclose(gated, 0.5 * conv_out)
 
@@ -66,13 +73,13 @@ class TestBandImportance:
         for seed in range(50):
             r = np.random.default_rng(seed)
             clf = _clf(r)
-            gate, _ = clf.band_importance(r.standard_normal((4, 3, 4)) * 5)
+            gate, _ = _gate(clf, r.standard_normal((4, 3, 4)) * 5)
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
 
     def test_never_amplifies(self, rng):
         clf = _clf(rng)
         conv_out = rng.standard_normal((4, 3, 4))
-        _, gated = clf.band_importance(conv_out)
+        _, gated = _gate(clf, conv_out)
         assert np.linalg.norm(gated) <= np.linalg.norm(conv_out)
 
     def test_band_equivariance(self, rng):
@@ -85,8 +92,8 @@ class TestBandImportance:
         out = clf.conv_forward(x)
         out_p = clf.conv_forward(x[:, :, perm])
         assert np.allclose(out_p, out[:, perm])
-        gate, _ = clf.band_importance(out)
-        gate_p, _ = clf.band_importance(out[:, perm])
+        gate, _ = _gate(clf, out)
+        gate_p, _ = _gate(clf, out[:, perm])
         assert np.allclose(gate_p, gate[:, perm])
 
 
@@ -120,12 +127,12 @@ class TestClassifierGradients:
         clf = _clf(rng)
         x = rng.standard_normal((3, 2, 3, 8))
         g = rng.standard_normal((3, 2))
-        clf.forward(x, training=True)
-        gx = clf.backward(g)
         v = rng.standard_normal(x.shape)
         h = 1e-6
-        num = (np.sum(clf.forward(x + h * v, training=False) * g)
-               - np.sum(clf.forward(x - h * v, training=False) * g)) / (2 * h)
+        num = (np.sum(clf.forward(x + h * v) * g)
+               - np.sum(clf.forward(x - h * v) * g)) / (2 * h)
+        clf.forward(x)
+        gx = clf.backward(g)
         assert abs(num - np.sum(gx * v)) / abs(num) < 1e-5
 
     @pytest.mark.parametrize("name", ["kernel", "bias", "w1", "w2", "head_w", "head_b"])
@@ -133,19 +140,18 @@ class TestClassifierGradients:
         clf = _clf(rng)
         x = rng.standard_normal((3, 2, 3, 8))
         g = rng.standard_normal((3, 2))
-        clf.forward(x, training=True)
-        clf.backward(g)
-        analytic = clf.grads[name].copy()
         p0 = getattr(clf, name).copy()
         dv = rng.standard_normal(p0.shape)
         h = 1e-6
         setattr(clf, name, p0 + h * dv)
-        plus = np.sum(clf.forward(x, training=False) * g)
+        plus = np.sum(clf.forward(x) * g)
         setattr(clf, name, p0 - h * dv)
-        minus = np.sum(clf.forward(x, training=False) * g)
+        minus = np.sum(clf.forward(x) * g)
         setattr(clf, name, p0)
+        clf.forward(x)
+        clf.backward(g)
         num = (plus - minus) / (2 * h)
-        assert abs(num - np.sum(analytic * dv)) / max(abs(num), 1e-9) < 1e-5
+        assert abs(num - np.sum(clf.grads[name] * dv)) / max(abs(num), 1e-9) < 1e-5
 
 
 def test_gate_bottleneck_width_arithmetic():

@@ -15,10 +15,11 @@ import pytest
 
 from spdbci.config import TrainConfig
 from spdbci.eeg_io import RawTrialSet, load_model, load_trials, save_model, save_trials
-from spdbci.errors import SpdBciError
+from spdbci.errors import MalformedHeader, SpdBciError
 from spdbci.model import model_from_bundle
 from spdbci.synth import synthetic_trials, two_class_covariances
-from spdbci.trainer import train_to_bundle
+
+from conftest import train_to_bundle
 
 U32_EDGES = [0, 1, 2**31, 2**32 - 1]
 RATE_EDGES = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -250.0, 1e-45]
@@ -95,6 +96,32 @@ def test_eegb_header_edge_values(eegb_blob, tmp_path, field):
             yield f"{field}={value}", with_crc(bytes(blob[:-4]))
 
     assert not leaks(load_trials, mutants(), tmp_path / "x.eegb")
+
+
+def class_count_mutant(eegb_blob, path, n_classes):
+    """Write ``eegb_blob`` to ``path`` with its class count set to
+    ``n_classes`` and the CRC recomputed."""
+    blob = bytearray(eegb_blob)
+    struct.pack_into("<I", blob, EEGB_FIELDS["n_classes"], n_classes)
+    path.write_bytes(with_crc(bytes(blob[:-4])))
+    return path
+
+
+def assert_malformed(path):
+    with pytest.raises(SpdBciError) as caught:
+        load_trials(path)
+    assert type(caught.value) is MalformedHeader
+
+
+@pytest.mark.parametrize("n_classes", [2**31, 2**32 - 1])
+def test_eegb_huge_class_count_is_malformed(eegb_blob, tmp_path, n_classes):
+    assert_malformed(class_count_mutant(eegb_blob, tmp_path / "x.eegb", n_classes))
+
+
+def test_eegb_class_count_is_bounded_by_the_trial_count(eegb_blob, tmp_path):
+    # the fixture file holds three trials
+    assert_malformed(class_count_mutant(eegb_blob, tmp_path / "x.eegb", 4))
+    assert load_trials(class_count_mutant(eegb_blob, tmp_path / "y.eegb", 3)).n_classes == 3
 
 
 def test_eegb_sample_rate_edge_values(eegb_blob, tmp_path):

@@ -1,4 +1,4 @@
-"""EEGB trial format, the CSV importer, and model bundle persistence."""
+"""EEGB trial format and model bundle persistence."""
 
 import json
 import struct
@@ -11,7 +11,6 @@ from spdbci.eeg_io import (
     ModelBundle,
     RawTrialSet,
     load_model,
-    load_trial_csv,
     load_trials,
     save_model,
     save_trials,
@@ -138,15 +137,6 @@ class TestRawTrialSet:
     def test_nonfinite_sample_rate_rejected(self, rate):
         with pytest.raises(DimensionMismatch):
             RawTrialSet(rate, 2, 10, [(0, np.zeros((2, 10))), (1, np.zeros((2, 10)))], 2)
-
-
-def test_csv_import(tmp_path):
-    path = tmp_path / "trial.csv"
-    path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
-    label, data = load_trial_csv(path, label=1)
-    assert label == 1
-    assert data.shape == (2, 3)
-    assert data[1, 2] == 6.0
 
 
 def _sample_bundle(rng):

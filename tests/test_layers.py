@@ -17,20 +17,22 @@ from spdbci.layers import (
     stiefel_project,
     stiefel_retract,
 )
-from spdbci.spd import airm_distance, spd_log, sym
+from spdbci.spd import airm_distance, inv_sqrtm, spd_log, sym
 
 from conftest import random_spd
 
 
 def fd_input_grad(layer, x, g, h=1e-6, rng=None):
     """Relative error between analytic and central-difference directional
-    input gradients for a layer with cached forward state."""
+    input gradients for a layer whose forward is a pure function of its
+    input.  The perturbed points run first, so the backward uses the
+    cache of the forward at ``x``."""
     rng = rng or np.random.default_rng(0)
-    layer.forward(x, training=True)
-    gx = layer.backward(g)
     v = sym(rng.standard_normal(x.shape))
-    plus = np.sum(layer.forward(x + h * v, training=False) * g)
-    minus = np.sum(layer.forward(x - h * v, training=False) * g)
+    plus = np.sum(layer.forward(x + h * v) * g)
+    minus = np.sum(layer.forward(x - h * v) * g)
+    layer.forward(x)
+    gx = layer.backward(g)
     num = (plus - minus) / (2 * h)
     ana = float(np.sum(gx * v))
     return abs(num - ana) / max(abs(num), 1e-12)
@@ -83,9 +85,9 @@ class TestBiMap:
         h = 1e-6
         w0 = layer.weight.copy()
         layer.weight = w0 + h * dv
-        plus = np.sum(layer.forward(x, training=False) * g)
+        plus = np.sum(layer.forward(x) * g)
         layer.weight = w0 - h * dv
-        minus = np.sum(layer.forward(x, training=False) * g)
+        minus = np.sum(layer.forward(x) * g)
         num = (plus - minus) / (2 * h)
         assert abs(num - np.sum(gw * dv)) / abs(num) < 1e-6
 
@@ -115,8 +117,8 @@ class TestReEig:
     def test_idempotent(self, rng):
         layer = ReEigLayer(0.5)
         x = random_spd(rng, 5, batch=3)
-        once = layer.forward(x, training=False)
-        twice = layer.forward(once, training=False)
+        once = layer.forward(x)
+        twice = layer.forward(once)
         assert np.max(np.abs(twice - once)) < 1e-10
 
     def test_input_gradient_fd(self, rng):
@@ -194,18 +196,18 @@ class TestKarcher:
 class TestRbn:
     def test_identical_batch_maps_to_identity(self, rng):
         x = random_spd(rng, 4)
-        out = RbnLayer(4).forward(np.stack([x, x, x]), training=True)
+        out = RbnLayer(4).forward(np.stack([x, x, x]))
         assert np.max(np.abs(out - np.eye(4))) < 1e-8
 
     def test_commuting_pair_unchanged(self):
         a = 2.0
         batch = np.stack([np.diag([a, 1.0]), np.diag([1 / a, 1.0])])
-        out = RbnLayer(2).forward(batch, training=True)
+        out = RbnLayer(2).forward(batch)
         assert np.allclose(out, batch, atol=1e-8)
 
     def test_normalized_mean_is_identity(self, rng):
         batch = random_spd(rng, 6, batch=16)
-        out = RbnLayer(6).forward(batch, training=True)
+        out = RbnLayer(6).forward(batch)
         # one Karcher-flow step commutes with congruence, so the layer's
         # own statistic of its output is the identity to round-off
         assert airm_distance(karcher_mean(out), np.eye(6)) < 1e-6
@@ -213,26 +215,26 @@ class TestRbn:
     def test_running_mean_momentum(self, rng):
         batch = random_spd(rng, 4, batch=8)
         layer = RbnLayer(4, momentum=0.0)
-        layer.forward(batch, training=True)
+        layer.forward(batch)
         # momentum 0 snaps the running mean to the batch mean: one
         # Karcher-flow step from the arithmetic mean
         step = karcher_mean(batch)
         assert np.linalg.norm(layer.running_mean - step) < 1e-9
 
-    def test_eval_forward_keeps_the_training_whitener(self, rng):
-        batch = random_spd(rng, 4, batch=6)
-        g = rng.standard_normal(batch.shape)
-        layer = RbnLayer(4)
-        layer.forward(batch, training=True)
-        expected = layer.backward(g)
-        layer.forward(batch, training=False)
-        assert np.array_equal(layer.backward(g), expected)
-
     def test_frozen_whitener_gradient_fd(self, rng):
         batch = random_spd(rng, 5, batch=4)
         layer = RbnLayer(5, momentum=0.0)
         g = rng.standard_normal(batch.shape)
-        assert fd_input_grad(layer, batch, g, rng=rng) < 1e-6
+        layer.forward(batch)
+        gx = layer.backward(g)
+        # momentum 0: the running mean is the batch mean, so the frozen
+        # whitener is r = inv_sqrtm(running_mean)
+        r = inv_sqrtm(layer.running_mean)
+        v = sym(rng.standard_normal(batch.shape))
+        h = 1e-6
+        num = (np.sum(sym(r @ (batch + h * v) @ r) * g)
+               - np.sum(sym(r @ (batch - h * v) @ r) * g)) / (2 * h)
+        assert abs(num - np.sum(gx * v)) / max(abs(num), 1e-12) < 1e-6
 
 
 class TestStiefel:
@@ -259,7 +261,7 @@ def test_spd_closure_through_block(rng):
     x = random_spd(rng, 6, batch=8)
     w = random_stiefel(rng, 6, 4).T
     out = BiMapLayer(w).forward(x)
-    out = RbnLayer(4).forward(out, training=True)
+    out = RbnLayer(4).forward(out)
     out = ReEigLayer(1e-4).forward(out)
     assert np.all(np.linalg.eigvalsh(sym(out)) > 0)
     assert np.max(np.abs(out - np.swapaxes(out, 1, 2))) < 1e-10

@@ -196,20 +196,20 @@ class TestMbtHeads:
     def test_single_identity_head(self, rng):
         heads = MbtHeads(weights=np.eye(4)[None])
         batch = rng.standard_normal((3, 4, 4))
-        out = heads.forward(batch, training=False)
+        out = heads.forward(batch)
         assert out.shape == (3, 1, 4, 4)
         assert np.allclose(out[:, 0], batch)
 
     def test_stack_axis_length(self, rng):
         heads = MbtHeads.initialize(random_stiefel(rng, 6, 3), k=4, rng=rng)
         assert heads.weights.shape == (4, 6, 3)
-        out = heads.forward(rng.standard_normal((2, 6, 6)), training=False)
+        out = heads.forward(rng.standard_normal((2, 6, 6)))
         assert out.shape == (2, 4, 3, 3)
 
     def test_compositional_oracle(self, rng):
         heads = MbtHeads.initialize(random_stiefel(rng, 5, 2), k=3, rng=rng)
         batch = rng.standard_normal((4, 5, 5))
-        stacked = heads.forward(batch, training=False)
+        stacked = heads.forward(batch)
         for k, w in enumerate(heads.weights):
             single = np.stack([w.T @ v @ w for v in batch])
             assert stacked[:, k].tobytes() == single.tobytes()
@@ -219,7 +219,7 @@ class TestMbtHeads:
         heads = MbtHeads.initialize(w_hat, k=3, rng=rng)
         batch = rng.standard_normal((4, 6, 6))
         for _ in range(5):
-            heads.forward(batch, training=True)
+            heads.forward(batch)
             heads.backward(rng.standard_normal((4, 3, 3, 3)))
             heads.step(0.05)
         assert heads.weights[0].tobytes() == w_hat.tobytes()
@@ -232,7 +232,7 @@ class TestMbtHeads:
         batch = rng.standard_normal((4, 5, 5))
         batch = batch + np.swapaxes(batch, 1, 2)
         g = rng.standard_normal((4, k, 2, 2))
-        heads.forward(batch, training=True)
+        heads.forward(batch)
         gx = heads.backward(g)
         w = heads.weights
         want_x = np.stack([sum(w[j] @ g[b, j] @ w[j].T for j in range(k))
@@ -248,12 +248,12 @@ class TestMbtHeads:
         batch = rng.standard_normal((3, 5, 5))
         batch = batch + np.swapaxes(batch, 1, 2)
         g = rng.standard_normal((3, 2, 2, 2))
-        heads.forward(batch, training=True)
-        gx = heads.backward(g)
         v = rng.standard_normal(batch.shape)
         h = 1e-6
-        num = (np.sum(heads.forward(batch + h * v, training=False) * g)
-               - np.sum(heads.forward(batch - h * v, training=False) * g)) / (2 * h)
+        num = (np.sum(heads.forward(batch + h * v) * g)
+               - np.sum(heads.forward(batch - h * v) * g)) / (2 * h)
+        heads.forward(batch)
+        gx = heads.backward(g)
         assert abs(num - np.sum(gx * v)) / abs(num) < 1e-6
 
     def test_weight_gradient_fd(self, rng):
@@ -261,15 +261,16 @@ class TestMbtHeads:
         batch = rng.standard_normal((3, 5, 5))
         batch = batch + np.swapaxes(batch, 1, 2)
         g = rng.standard_normal((3, 3, 2, 2))
-        heads.forward(batch, training=True)
-        heads.backward(g)
-        assert heads.grad_weights.shape == (2, 5, 2)  # heads 1..K-1
         dw = rng.standard_normal(heads.weights.shape)
         dw[0] = 0.0  # head 0 is frozen and gets no gradient
         w0, h = heads.weights.copy(), 1e-6
         heads.weights = w0 + h * dw
-        plus = np.sum(heads.forward(batch, training=False) * g)
+        plus = np.sum(heads.forward(batch) * g)
         heads.weights = w0 - h * dw
-        minus = np.sum(heads.forward(batch, training=False) * g)
+        minus = np.sum(heads.forward(batch) * g)
+        heads.weights = w0
+        heads.forward(batch)
+        heads.backward(g)
+        assert heads.grad_weights.shape == (2, 5, 2)  # heads 1..K-1
         num = (plus - minus) / (2 * h)
         assert abs(num - np.sum(heads.grad_weights * dw[1:])) / abs(num) < 1e-6

@@ -43,10 +43,15 @@ from spdbci.trainer import (
     prepare_dataset,
     stratified_folds,
     train,
-    train_to_bundle,
 )
 
-from conftest import layered_eval_forward, layered_train_forward, random_spd
+from conftest import (
+    eval_whitened,
+    layered_eval_forward,
+    layered_train_forward,
+    random_spd,
+    train_to_bundle,
+)
 
 # A small, fast configuration used throughout this module.
 SMALL = dict(
@@ -397,9 +402,7 @@ class TestFoldedPlan:
         u = np.linalg.qr(rng.standard_normal((20, 4, 4)))[0]
         spectrum = np.geomspace(1e-7, 10.0, 4) * rng.uniform(0.5, 2.0, (20, 4))
         covs = ((u * spectrum[:, None, :]) @ np.swapaxes(u, -1, -2)).reshape(5, 2, 2, 4, 4)
-        whitened = model.rbn.forward(
-            model.bimap.forward(covs.reshape(-1, 4, 4), training=False), training=False
-        )
+        whitened = eval_whitened(model, covs)
         assert np.mean(np.linalg.eigvalsh(whitened) < model.reeig.epsilon) > 0.2
         _assert_logits_close(model.forward(covs, training=False),
                              layered_eval_forward(model, covs))
