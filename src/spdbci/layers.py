@@ -58,7 +58,7 @@ def random_stiefel(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # On spd.eig_fn: the shared Daleckii-Krein backward and the eigenvalue
-# maps of LogEig, the Karcher-flow step and the geodesic
+# maps of LogEig and the Karcher-flow step
 # ---------------------------------------------------------------------------
 
 def _eig_fn_backward(
@@ -218,38 +218,25 @@ def karcher_mean(batch: np.ndarray) -> np.ndarray:
     return sym(half @ spd_exp(tangent) @ half)
 
 
-def spd_geodesic(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """Point at parameter ``t`` on the AIRM geodesic from ``a`` to ``b``."""
-    (half, rm), _, _ = eig_fn(a, _sqrt_and_inv_sqrt)
-    inner, _, _ = eig_fn(rm @ b @ rm, lambda w: np.power(np.maximum(w, 0.0), t))
-    return sym(half @ inner @ half)
-
-
 class RbnLayer:
-    """Riemannian batch normalization: re-center a batch so its mean is
-    the identity.
-
-    The forward whitens with the batch mean, taken as one Karcher-flow
-    step from the arithmetic mean (Brooks et al., NeurIPS 2019), and
-    updates the running mean by geodesic interpolation; the running mean
-    feeds the folded inference plan of :class:`~spdbci.model.Model`.
-    The backward pass treats the whitening matrix as a statistic (no
-    gradient flows through the mean), analogous to frozen batch-norm
-    statistics.
+    """Riemannian batch normalization with a fitted reference: whiten by
+    ``r = mean^(-1/2)``, where :meth:`fit` sets ``mean`` once before
+    training (the re-centring of Zanini et al., IEEE TBME 2018) and the
+    forward never moves it, so training and the folded plan of
+    :class:`~spdbci.model.Model` run the same map.  The backward treats
+    ``r`` as a statistic (no gradient flows through the mean).
     """
 
-    def __init__(self, dim: int, momentum: float = 0.9):
-        if not (0.0 <= momentum < 1.0):
-            raise ConfigError("momentum must lie in [0, 1)")
-        self.dim = dim
-        self.momentum = momentum
-        self.running_mean = np.eye(dim)
+    def __init__(self, dim: int):
+        self.mean = np.eye(dim)
         self._whitener: np.ndarray | None = None
 
+    def fit(self, batch: np.ndarray) -> None:
+        """Set ``mean`` to the :func:`karcher_mean` of an SPD batch."""
+        self.mean = karcher_mean(batch)
+
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        mean = karcher_mean(batch)
-        self.running_mean = spd_geodesic(self.running_mean, mean, 1.0 - self.momentum)
-        r = self._whitener = inv_sqrtm(mean)
+        r = self._whitener = inv_sqrtm(self.mean)
         return sym(r @ batch @ r)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -6,16 +6,16 @@ Forward path per trial: covariance tensor (S, F, M, M) -> one
 BiMap/RBN/ReEig block -> LogEig -> K bilinear heads -> per-band conv ->
 band-importance gate -> linear head -> class logits.
 
-Training runs that layer chain and decomposes each batch twice: in
-RBN's Karcher-flow step and in ReEig.  ReEig's output ``U diag(max(w,
-eps)) U^T`` comes with its eigendecomposition, so LogEig runs its
-forward and backward on ``(max(w, eps), U)`` instead of a third
-``eigh``.
+RBN whitens by a reference mean fitted once before training (see
+:class:`~spdbci.layers.RbnLayer`), so training decomposes each batch
+once, in ReEig.  ReEig's output ``U diag(max(w, eps)) U^T`` comes with
+its eigendecomposition, so LogEig runs its forward and backward on
+``(max(w, eps), U)`` instead of a second ``eigh``.
 
 Each layer has that one forward.  Evaluation runs the same map folded
 into three steps, exact to round-off: BiMap and whitening by the RBN
-running mean ``R = running_mean^(-1/2)`` are one fixed congruence
-``A = R W``, ReEig and LogEig are one eigenvalue function
+mean, ``R = mean^(-1/2)``, are one fixed congruence ``A = R W``,
+ReEig and LogEig are one eigenvalue function
 ``log(max(w, eps))``, and everything from LogEig to the conv output is
 linear, so the K heads and the conv kernel fold into one kernel
 ``E[c, s] = sum_k W_k K[c, s, k] W_k^T``.
@@ -49,9 +49,9 @@ class Model:
     becomes head 0 and stays fixed.
 
     The first eval forward builds the folded plan from the current
-    weights and running mean and caches it; ``forward(training=True)``,
-    :meth:`step` and :meth:`load_arrays` drop it, so weights are changed
-    through those methods.
+    weights and RBN mean and caches it; :meth:`step` and
+    :meth:`load_arrays` drop it, so weights are changed through those
+    methods, and the RBN mean is fitted before the first forward.
     """
 
     def __init__(
@@ -106,7 +106,6 @@ class Model:
                 tangent.reshape(b, s, f, m * m), kernel, axes=([1, 3], [1, 2])
             ) + self.clf.bias
             return self.clf._gated_head(conv_out)[-1]
-        self._plan = None  # the running mean moves
         x = self.bimap.forward(covs.reshape(b * s * f, m, m))
         x = self.reeig.forward(self.rbn.forward(x))
         tangent = self.logeig.forward(x, eig=self.reeig.output_eig)
@@ -114,7 +113,7 @@ class Model:
         return self.clf.forward(stacked.reshape(b, s, f, -1))
 
     def _folded_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """The congruence ``A = inv_sqrtm(running_mean) W_bimap`` (M, M) and
+        """The congruence ``A = inv_sqrtm(rbn.mean) W_bimap`` (M, M) and
         the folded kernel ``E`` (C_out, S, M*M), built on first use."""
         if self._plan is None:
             c_out, s, _ = self.clf.kernel.shape
@@ -122,7 +121,7 @@ class Model:
             k = self.clf.kernel.reshape(c_out, s, self.heads.K, self.m, self.m)
             folded = (w @ k @ np.swapaxes(w, -1, -2)).sum(axis=2)  # (C_out, S, M, M)
             self._plan = (
-                inv_sqrtm(self.rbn.running_mean) @ self.bimap.weight,
+                inv_sqrtm(self.rbn.mean) @ self.bimap.weight,
                 folded.reshape(c_out, s, -1),
             )
         return self._plan
@@ -153,14 +152,14 @@ class Model:
         return arrays
 
     def buffer_arrays(self) -> dict[str, np.ndarray]:
-        """Non-learnable state: the RBN running mean."""
-        return {"rbn_mean_0": self.rbn.running_mean}
+        """Non-learnable state: the fitted RBN mean."""
+        return {"rbn_mean_0": self.rbn.mean}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         self._plan = None
         self.heads.weights = np.stack([arrays[f"head_{k}"] for k in range(self.heads.K)])
         self.bimap.weight = arrays["bimap_0"].copy()
-        self.rbn.running_mean = arrays["rbn_mean_0"].copy()
+        self.rbn.mean = arrays["rbn_mean_0"].copy()
         for name in self.clf.parameters():
             setattr(self.clf, name, arrays[f"clf_{name}"].copy())
 
@@ -210,8 +209,9 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
     model's; a missing or unexpected array raises :class:`MalformedHeader`,
     and so do a non-finite array, a zero-length axis, an array whose rank
     or shape disagrees with the sizes and a BiMap or head weight without
-    orthonormal columns (to ``ORTHONORMAL_ATOL``); a running mean that is
-    not SPD raises :class:`~spdbci.errors.NotPositiveDefinite`."""
+    orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean
+    (``rbn_mean_0``) that is not SPD raises
+    :class:`~spdbci.errors.NotPositiveDefinite`."""
     config = config_from_mapping(bundle.config)
     arrays = bundle.arrays
     _check_arrays(arrays)

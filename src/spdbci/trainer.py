@@ -81,9 +81,10 @@ def class_band_representatives(covs: np.ndarray, labels: np.ndarray) -> np.ndarr
     n_bands = covs.shape[2]
     reps = []
     for c in classes:
-        per_class = covs[labels == c]  # (Nc, S, F, M, M)
+        in_class = labels == c
         for f in range(n_bands):
-            group = per_class[:, :, f].reshape(-1, covs.shape[-1], covs.shape[-1])
+            # index one (class, band) group: a whole-class copy sets the memory peak
+            group = covs[in_class, :, f].reshape(-1, covs.shape[-1], covs.shape[-1])
             reps.append(karcher_mean(group))
     return np.stack(reps)
 
@@ -93,8 +94,9 @@ def train(
     trials: RawTrialSet,
     dataset: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Model, list[float]]:
-    """Fit channel selection, then train the network; returns the model
-    and the per-epoch loss history."""
+    """Fit channel selection and, on the same class-band representatives
+    seen through the initial BiMap weight, the RBN mean; then train the
+    network.  Returns the model and the per-epoch loss history."""
     covs, labels = dataset if dataset is not None else prepare_dataset(trials, config)
     n, s, f = covs.shape[:3]
     n_classes = trials.n_classes
@@ -116,6 +118,8 @@ def train(
         conv_out=config.conv_out,
         seed=config.seed,
     )
+    w = model.bimap.weight
+    model.rbn.fit(w @ reps @ w.T)
 
     rng = np.random.default_rng(config.seed)
     losses: list[float] = []

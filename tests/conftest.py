@@ -90,11 +90,11 @@ def train_to_bundle(config, trials):
 
 def eval_whitened(model, covs):
     """(B*S*F, M, M) covariances after the BiMap congruence ``W X W^T``
-    and whitening by ``inv_sqrtm(running_mean)``, the RBN map of the
-    folded plan, computed from the weights."""
+    and whitening by ``inv_sqrtm(mean)`` of the fitted RBN mean, the RBN
+    map of the folded plan, computed from the weights."""
     m = covs.shape[-1]
     w = model.bimap.weight
-    r = inv_sqrtm(model.rbn.running_mean)
+    r = inv_sqrtm(model.rbn.mean)
     return sym(r @ (w @ covs.reshape(-1, m, m) @ w.T) @ r)
 
 

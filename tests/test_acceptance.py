@@ -270,13 +270,14 @@ def test_criterion_4_gradient_suite():
             if err >= 1e-4:
                 failures.append(f"{name} seed {seed} err {err:.2e}")
 
-        # RBN with its whitener frozen: momentum 0 makes the running mean
-        # the batch mean, so the map is sym(r y r), r = inv_sqrtm(mean)
-        rbn = RbnLayer(5, momentum=0.0)
+        # RBN with its whitener frozen: fitted on the batch, the map is
+        # sym(r y r), r = inv_sqrtm(mean)
+        rbn = RbnLayer(5)
+        rbn.fit(x)
         g = rng.standard_normal((2, 5, 5))
         rbn.forward(x)
         gx = rbn.backward(g)
-        r = inv_sqrtm(rbn.running_mean)
+        r = inv_sqrtm(rbn.mean)
         num, v = _fd_num(lambda y: sym(r @ y @ r), x, g, rng)
         err = _rel_err(num, gx, v)
         worst["rbn"] = max(worst.get("rbn", 0.0), err)

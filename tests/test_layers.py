@@ -3,7 +3,6 @@ differences, Stiefel constraint preservation, and the Karcher-flow step."""
 
 import numpy as np
 import pytest
-from scipy import linalg
 
 from spdbci.errors import MissingForwardCache, RankDeficientWeight
 from spdbci.layers import (
@@ -13,7 +12,6 @@ from spdbci.layers import (
     ReEigLayer,
     karcher_mean,
     random_stiefel,
-    spd_geodesic,
     stiefel_project,
     stiefel_retract,
 )
@@ -179,57 +177,50 @@ class TestKarcher:
         batch = np.stack([np.diag([a, 1.0]), np.diag([1 / a, 1.0])])
         assert np.linalg.norm(karcher_mean(batch) - np.eye(2)) < 1e-9
 
-    def test_geodesic_endpoints(self, rng):
-        x, y = random_spd(rng, 4), random_spd(rng, 4)
-        assert np.linalg.norm(spd_geodesic(x, y, 0.0) - x) < 1e-9
-        assert np.linalg.norm(spd_geodesic(x, y, 1.0) - y) < 1e-9
-
-    def test_geodesic_midpoint_closed_form(self, rng):
-        a, b = random_spd(rng, 5), random_spd(rng, 5)
-        half = linalg.sqrtm(a)
-        rm = linalg.inv(half)
-        expected = half @ linalg.sqrtm(rm @ b @ rm) @ half
-        mid = spd_geodesic(a, b, 0.5)
-        assert np.linalg.norm(mid - expected) < 1e-10 * np.linalg.norm(expected)
-
 
 class TestRbn:
+    def test_fit_stores_the_karcher_mean_and_forward_keeps_it(self, rng):
+        batch = random_spd(rng, 4, batch=8)
+        layer = RbnLayer(4)
+        layer.fit(batch)
+        fitted = layer.mean.copy()
+        assert np.array_equal(fitted, karcher_mean(batch))
+        layer.forward(random_spd(rng, 4, batch=3))
+        layer.forward(batch)
+        assert np.array_equal(layer.mean, fitted)
+
     def test_identical_batch_maps_to_identity(self, rng):
         x = random_spd(rng, 4)
-        out = RbnLayer(4).forward(np.stack([x, x, x]))
-        assert np.max(np.abs(out - np.eye(4))) < 1e-8
+        batch = np.stack([x, x, x])
+        layer = RbnLayer(4)
+        layer.fit(batch)
+        assert np.max(np.abs(layer.forward(batch) - np.eye(4))) < 1e-8
 
     def test_commuting_pair_unchanged(self):
         a = 2.0
         batch = np.stack([np.diag([a, 1.0]), np.diag([1 / a, 1.0])])
-        out = RbnLayer(2).forward(batch)
-        assert np.allclose(out, batch, atol=1e-8)
+        layer = RbnLayer(2)
+        layer.fit(batch)
+        assert np.allclose(layer.forward(batch), batch, atol=1e-8)
 
     def test_normalized_mean_is_identity(self, rng):
         batch = random_spd(rng, 6, batch=16)
-        out = RbnLayer(6).forward(batch)
-        # one Karcher-flow step commutes with congruence, so the layer's
-        # own statistic of its output is the identity to round-off
+        layer = RbnLayer(6)
+        layer.fit(batch)
+        out = layer.forward(batch)
+        # one Karcher-flow step commutes with congruence, so the Karcher
+        # mean of the output of the batch it was fitted on is the identity
         assert airm_distance(karcher_mean(out), np.eye(6)) < 1e-6
-
-    def test_running_mean_momentum(self, rng):
-        batch = random_spd(rng, 4, batch=8)
-        layer = RbnLayer(4, momentum=0.0)
-        layer.forward(batch)
-        # momentum 0 snaps the running mean to the batch mean: one
-        # Karcher-flow step from the arithmetic mean
-        step = karcher_mean(batch)
-        assert np.linalg.norm(layer.running_mean - step) < 1e-9
 
     def test_frozen_whitener_gradient_fd(self, rng):
         batch = random_spd(rng, 5, batch=4)
-        layer = RbnLayer(5, momentum=0.0)
+        layer = RbnLayer(5)
+        layer.fit(batch)
         g = rng.standard_normal(batch.shape)
         layer.forward(batch)
         gx = layer.backward(g)
-        # momentum 0: the running mean is the batch mean, so the frozen
-        # whitener is r = inv_sqrtm(running_mean)
-        r = inv_sqrtm(layer.running_mean)
+        # the map is sym(r x r) with the frozen whitener r = inv_sqrtm(mean)
+        r = inv_sqrtm(layer.mean)
         v = sym(rng.standard_normal(batch.shape))
         h = 1e-6
         num = (np.sum(sym(r @ (batch + h * v) @ r) * g)
@@ -261,7 +252,9 @@ def test_spd_closure_through_block(rng):
     x = random_spd(rng, 6, batch=8)
     w = random_stiefel(rng, 6, 4).T
     out = BiMapLayer(w).forward(x)
-    out = RbnLayer(4).forward(out)
+    rbn = RbnLayer(4)
+    rbn.fit(out)
+    out = rbn.forward(out)
     out = ReEigLayer(1e-4).forward(out)
     assert np.all(np.linalg.eigvalsh(sym(out)) > 0)
     assert np.max(np.abs(out - np.swapaxes(out, 1, 2))) < 1e-10
