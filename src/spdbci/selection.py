@@ -181,14 +181,14 @@ def fit_selection(
 class MbtHeads:
     """K orthonormal maps applied in parallel to tangent vectors.
 
-    ``head_k(V) = W_k^T V W_k`` with ``weights`` a (K, channels, m) stack.
-    The first head carries the fitted selection transform and stays
-    fixed; the remaining heads are trained by the downstream loss with
-    one batched Stiefel retraction step.
+    ``head_k(V) = W_k^T V W_k`` with ``weights`` a (K, n, p) stack.
+    The first head is given and stays fixed (the model's is the
+    identity of its m x m tangent); the remaining heads are trained by
+    the downstream loss with one batched Stiefel retraction step.
     """
 
     weights: np.ndarray
-    grad_weights: np.ndarray | None = None  # (K-1, channels, m), heads 1..K-1
+    grad_weights: np.ndarray | None = None  # (K-1, n, p), heads 1..K-1
     _cache: np.ndarray | None = None
 
     @property
@@ -196,18 +196,19 @@ class MbtHeads:
         return self.weights.shape[0]
 
     @classmethod
-    def initialize(cls, w_hat: np.ndarray, k: int, rng: np.random.Generator) -> "MbtHeads":
-        big_m, m = w_hat.shape
-        return cls(np.stack([w_hat] + [random_stiefel(rng, big_m, m) for _ in range(k - 1)]))
+    def initialize(cls, head_0: np.ndarray, k: int, rng: np.random.Generator) -> "MbtHeads":
+        """Head 0 as given, then k - 1 random orthonormal heads of its shape."""
+        n, p = head_0.shape
+        return cls(np.stack([head_0] + [random_stiefel(rng, n, p) for _ in range(k - 1)]))
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        """(B, M, M) tangent batch -> (B, K, m, m) stacked head outputs."""
+        """(B, n, n) tangent batch -> (B, K, p, p) stacked head outputs."""
         self._cache = batch
         w = self.weights
         return np.swapaxes(w, -1, -2) @ batch[:, None] @ w
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        """grad: (B, K, m, m) -> input gradient (B, M, M); the gradient of
+        """grad: (B, K, p, p) -> input gradient (B, n, n); the gradient of
         heads 1..K-1 lands on ``grad_weights`` (head 0 is frozen)."""
         if self._cache is None:
             raise MissingForwardCache("MBT backward before forward")

@@ -94,9 +94,10 @@ def train(
     trials: RawTrialSet,
     dataset: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Model, list[float]]:
-    """Fit channel selection and, on the same class-band representatives
-    seen through the initial BiMap weight, the RBN mean; then train the
-    network.  Returns the model and the per-epoch loss history."""
+    """Fit channel selection, build the model on the selected channels
+    and fit its RBN mean on the same class-band representatives, cut to
+    those channels and seen through the initial BiMap weight; then train
+    the network.  Returns the model and the per-epoch loss history."""
     covs, labels = dataset if dataset is not None else prepare_dataset(trials, config)
     n, s, f = covs.shape[:3]
     n_classes = trials.n_classes
@@ -110,7 +111,7 @@ def train(
         scoring=config.channel_scoring,
     )
     model = Model(
-        selection.W_hat,
+        np.eye(covs.shape[-1])[:, selection.selected_channels],
         n_windows=s,
         n_bands=f,
         n_classes=n_classes,
@@ -119,7 +120,7 @@ def train(
         seed=config.seed,
     )
     w = model.bimap.weight
-    model.rbn.fit(w @ reps @ w.T)
+    model.rbn.fit(w @ model.cut(reps) @ w.T)
 
     rng = np.random.default_rng(config.seed)
     losses: list[float] = []

@@ -88,14 +88,22 @@ def train_to_bundle(config, trials):
     return model_to_bundle(model, config_to_mapping(config))
 
 
+def selected(model, covs):
+    """(B*S*F, m, m): each (M, M) covariance cut to the model's selected
+    channels as ``P^T X P``, with ``P`` its (M, m) selection matrix."""
+    big_m = covs.shape[-1]
+    p = model.selection
+    return p.T @ covs.reshape(-1, big_m, big_m) @ p
+
+
 def eval_whitened(model, covs):
-    """(B*S*F, M, M) covariances after the BiMap congruence ``W X W^T``
-    and whitening by ``inv_sqrtm(mean)`` of the fitted RBN mean, the RBN
-    map of the folded plan, computed from the weights."""
-    m = covs.shape[-1]
+    """(B*S*F, m, m) covariances after the channel cut, the BiMap
+    congruence ``W X W^T`` and whitening by ``inv_sqrtm(mean)`` of the
+    fitted RBN mean, the RBN map of the folded plan, computed from the
+    weights."""
     w = model.bimap.weight
     r = inv_sqrtm(model.rbn.mean)
-    return sym(r @ (w @ covs.reshape(-1, m, m) @ w.T) @ r)
+    return sym(r @ (w @ selected(model, covs) @ w.T) @ r)
 
 
 def layered_eval_forward(model, covs):
@@ -118,8 +126,8 @@ def layered_train_forward(model, covs):
     training ``Model.forward``, where LogEig reuses ReEig's
     decomposition).  Leaves every layer's cache set for
     ``model.backward``."""
-    b, s, f, m, _ = covs.shape
-    x = model.bimap.forward(covs.reshape(b * s * f, m, m))
+    b, s, f = covs.shape[:3]
+    x = model.bimap.forward(selected(model, covs))
     tangent = model.logeig.forward(model.reeig.forward(model.rbn.forward(x)))
     stacked = model.heads.forward(tangent)
     return model.clf.forward(stacked.reshape(b, s, f, -1))

@@ -417,8 +417,8 @@ def test_criterion_6_multi_head_direction():
 
 def _expected_count(big_m, m, k, s, f, c_out, n_cls):
     return (
-        k * big_m * m
-        + big_m * big_m
+        k * m * m
+        + m * m
         + c_out * s * (k * m * m)
         + c_out
         + f * (f // 2) + (f // 2) * f
@@ -427,7 +427,8 @@ def _expected_count(big_m, m, k, s, f, c_out, n_cls):
 
 
 def _build_model(rng, big_m, m, k, s, f, c_out, n_cls):
-    return Model(random_stiefel(rng, big_m, m), n_windows=s, n_bands=f, n_classes=n_cls,
+    selection = np.eye(big_m)[:, np.sort(rng.choice(big_m, m, replace=False))]
+    return Model(selection, n_windows=s, n_bands=f, n_classes=n_cls,
                  k_heads=k, conv_out=c_out, seed=0)
 
 
