@@ -61,10 +61,6 @@ class ConvergenceFailure(SpdBciError):
 
 # --- layers ---
 
-class RankDeficientWeight(SpdBciError):
-    pass
-
-
 class MissingForwardCache(SpdBciError):
     pass
 

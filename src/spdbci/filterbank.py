@@ -12,7 +12,7 @@ per process and every later block only filters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -58,18 +58,6 @@ class TrialTensor:
     """Bandpassed, windowed view of one trial: shape (S, F, M, L)."""
 
     data: np.ndarray
-    window_len: int
-    windows: int = field(init=False)
-    bands: int = field(init=False)
-    channels: int = field(init=False)
-
-    def __post_init__(self):
-        s, f, m, length = self.data.shape
-        if length != self.window_len:
-            raise WindowTooLong("tensor last axis must equal window_len")
-        self.windows = s
-        self.bands = f
-        self.channels = m
 
 
 #: Successful designs of :func:`design_bandpass`, by their arguments.
@@ -125,10 +113,8 @@ class Segments(list):
     """``[(label, TrialTensor), ...]`` in trial order, where every tensor
     is a view of ``data``: one C-contiguous (N, S, F, M, L) array."""
 
-    def __init__(self, labels, data: np.ndarray, window_len: int):
-        super().__init__(
-            (label, TrialTensor(tensor, window_len)) for label, tensor in zip(labels, data)
-        )
+    def __init__(self, labels, data: np.ndarray):
+        super().__init__((label, TrialTensor(tensor)) for label, tensor in zip(labels, data))
         self.data = data
 
 
@@ -169,4 +155,4 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None))
         filtered = signal.lfilter(b, a, x, axis=-1)
         # (N, M, S*L) -> (N, M, S, L) -> (N, S, M, L), copied once into place.
         out[:, :, f] = filtered[..., :used].reshape(n, m, n_windows, window_len).swapaxes(1, 2)
-    return Segments([label for label, _ in items], out, window_len)
+    return Segments([label for label, _ in items], out)

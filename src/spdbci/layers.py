@@ -16,12 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    MissingForwardCache,
-    NotPositiveDefinite,
-    RankDeficientWeight,
-)
+from .errors import ConfigError, MissingForwardCache, NotPositiveDefinite
 from .spd import eig_fn, inv_sqrtm, spd_exp, spd_log, sym
 
 DEGENERATE_EIG_TOL = 1e-12
@@ -99,30 +94,11 @@ class BiMapLayer:
     """Bilinear map X -> W X W^T with orthonormal rows kept by the step."""
 
     def __init__(self, weight: np.ndarray):
-        weight = np.asarray(weight, dtype=np.float64)
-        m_out, m_in = weight.shape
-        if m_out > m_in:
-            raise RankDeficientWeight("BiMap requires m_out <= m_in")
-        sv = np.linalg.svd(weight, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise RankDeficientWeight("BiMap weight is rank deficient")
-        self.weight = weight
+        self.weight = np.asarray(weight, dtype=np.float64)
         self.grad_weight: np.ndarray | None = None
         self._cache: np.ndarray | None = None
 
-    @property
-    def m_out(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def m_in(self) -> int:
-        return self.weight.shape[1]
-
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        if batch.shape[-1] != self.m_in:
-            raise RankDeficientWeight(
-                f"batch dim {batch.shape[-1]} != m_in {self.m_in}"
-            )
         self._cache = batch
         w = self.weight
         return w @ batch @ w.T

@@ -20,7 +20,8 @@ the RBN mean, ``R = mean^(-1/2)``, are one fixed (m, M) congruence
 ``A = R W P^T`` with ``P`` the (M, m) selection, ReEig and LogEig are
 one eigenvalue function ``log(max(w, eps))``, and everything from
 LogEig to the conv output is linear, so the K heads and the conv kernel
-fold into one kernel ``E[c, s] = sum_k W_k K[c, s, k] W_k^T``.
+fold into one kernel ``E[c, s] = K[c, s, 0] + sum_{k>=1} W_k K[c, s, k]
+W_k^T``, head 0 being the identity.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ class Model:
     ``selection`` (M, m) holds the identity columns of the m selected
     channels, in ascending order; with m = M it is the identity and
     nothing is cut.  The chain and the heads run at m x m, and head 0 is
-    ``I_m``, fixed.  Weights are drawn in a fixed order: the BiMap
-    weight, the classifier for one head's m*m features, then heads
-    1..K-1, whose conv-kernel slices start at zero.  So a fresh model
-    computes exactly what a fresh one-head model of the same seed does
-    (the function-preserving growth of Net2Net, Chen et al., ICLR 2016).
+    the identity pass-through, which has no weight.  Weights are drawn in
+    a fixed order: the BiMap weight, the classifier for one head's m*m
+    features, then heads 1..K-1, whose conv-kernel slices start at zero.
+    So a fresh model computes exactly what a fresh one-head model of the
+    same seed does (the function-preserving growth of Net2Net, Chen et
+    al., ICLR 2016).
 
     The first eval forward builds the folded plan from the current
     weights and RBN mean and caches it; :meth:`step` and
@@ -98,7 +100,7 @@ class Model:
             [self.clf.kernel, np.zeros((conv_out, n_windows, (k_heads - 1) * m * m))],
             axis=-1,
         )
-        self.heads = MbtHeads.initialize(np.eye(m), k_heads, rng)
+        self.heads = MbtHeads.initialize(m, k_heads, rng)
         self._plan: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -145,9 +147,10 @@ class Model:
         and the folded kernel ``E`` (C_out, S, m*m), built on first use."""
         if self._plan is None:
             c_out, s, _ = self.clf.kernel.shape
-            w = self.heads.weights  # (K, m, m)
+            w = self.heads.weights  # (K-1, m, m)
             k = self.clf.kernel.reshape(c_out, s, self.heads.K, self.m, self.m)
-            folded = (w @ k @ np.swapaxes(w, -1, -2)).sum(axis=2)  # (C_out, S, m, m)
+            # (C_out, S, m, m)
+            folded = k[:, :, 0] + (w @ k[:, :, 1:] @ np.swapaxes(w, -1, -2)).sum(axis=2)
             self._plan = (
                 inv_sqrtm(self.rbn.mean) @ self.bimap.weight @ self.selection.T,
                 folded.reshape(c_out, s, -1),
@@ -172,7 +175,7 @@ class Model:
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         """All learnable parameters, in a stable order."""
         arrays: dict[str, np.ndarray] = {}
-        for k, w in enumerate(self.heads.weights):
+        for k, w in enumerate(self.heads.weights, start=1):
             arrays[f"head_{k}"] = w
         arrays["bimap_0"] = self.bimap.weight
         for name, arr in self.clf.parameters().items():
@@ -186,7 +189,9 @@ class Model:
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         self._plan = None
-        self.heads.weights = np.stack([arrays[f"head_{k}"] for k in range(self.heads.K)])
+        self.heads.weights = np.reshape(
+            [arrays[f"head_{k}"] for k in range(1, self.heads.K)], self.heads.weights.shape
+        )
         self.bimap.weight = arrays["bimap_0"].copy()
         self.rbn.mean = arrays["rbn_mean_0"].copy()
         self.selection = arrays["selection"].copy()
@@ -245,8 +250,9 @@ def _check_arrays(arrays: dict[str, np.ndarray]) -> None:
 
 def model_from_bundle(bundle: ModelBundle) -> Model:
     """Rebuild a model: hyperparameters from the config snapshot, sizes
-    from the array shapes.  The bundle's array names must be exactly the
-    model's; a missing or unexpected array raises :class:`MalformedHeader`,
+    from the array shapes, K from the head arrays ``head_1..head_{K-1}``.
+    The bundle's array names must be exactly the model's, so a missing or
+    unexpected array, ``head_0`` among them, raises :class:`MalformedHeader`,
     and so do a non-finite array, a zero-length axis, an array whose rank
     or shape disagrees with the sizes, a ``selection`` that is not the
     identity columns of ascending channels and a BiMap or head weight
@@ -262,7 +268,7 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
         n_windows=n_windows,
         n_bands=arrays["clf_w1"].shape[0],
         n_classes=arrays["clf_head_b"].shape[0],
-        k_heads=sum(name.startswith("head_") for name in arrays),
+        k_heads=1 + sum(name.startswith("head_") for name in arrays),
         conv_out=config.conv_out,
         seed=config.seed,
     )

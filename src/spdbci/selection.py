@@ -7,8 +7,9 @@ between assembling the coupling matrix L from the double-centered
 geodesic Gram matrix and taking the top-m eigenvectors of L.  Channel
 scores come from the rows of the retained eigenvector stack.
 
-Also houses the multi-bilinear transform: K parallel orthonormal heads
-whose tangent-space outputs are stacked along a new leading axis.
+Also houses the multi-bilinear transform: the identity and K-1 parallel
+orthonormal heads, whose tangent-space outputs are stacked along a new
+leading axis.
 """
 
 from __future__ import annotations
@@ -89,9 +90,8 @@ def update_W(l_matrix: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass
 class SelectionTransform:
-    """Learned orthonormal transform plus the channel subset it implies."""
+    """The channel subset a learned orthonormal transform implies."""
 
-    W_hat: np.ndarray
     selected_channels: list[int]
     iterations_run: int
     objective_trace: list[float]
@@ -166,7 +166,6 @@ def fit_selection(
         l_matrix = assemble_L(logs, gamma_g, w)
 
     return SelectionTransform(
-        W_hat=w,
         selected_channels=score_channels(w, m, scoring),
         iterations_run=iterations,
         objective_trace=trace,
@@ -179,56 +178,61 @@ def fit_selection(
 
 @dataclass
 class MbtHeads:
-    """K orthonormal maps applied in parallel to tangent vectors.
+    """K maps applied in parallel to an (m, m) tangent batch.
 
-    ``head_k(V) = W_k^T V W_k`` with ``weights`` a (K, n, p) stack.
-    The first head is given and stays fixed (the model's is the
-    identity of its m x m tangent); the remaining heads are trained by
-    the downstream loss with one batched Stiefel retraction step.
+    Head 0 is the identity pass-through; heads 1..K-1 are
+    ``head_k(V) = W_k^T V W_k`` with ``weights`` the (K-1, m, m) stack of
+    orthonormal W_k, all trained by the downstream loss with one batched
+    Stiefel retraction step.
     """
 
     weights: np.ndarray
-    grad_weights: np.ndarray | None = None  # (K-1, n, p), heads 1..K-1
+    grad_weights: np.ndarray | None = None  # (K-1, m, m)
     _cache: np.ndarray | None = None
 
     @property
     def K(self) -> int:
-        return self.weights.shape[0]
+        return 1 + self.weights.shape[0]
 
     @classmethod
-    def initialize(cls, head_0: np.ndarray, k: int, rng: np.random.Generator) -> "MbtHeads":
-        """Head 0 as given, then k - 1 random orthonormal heads of its shape."""
-        n, p = head_0.shape
-        return cls(np.stack([head_0] + [random_stiefel(rng, n, p) for _ in range(k - 1)]))
+    def initialize(cls, m: int, k: int, rng: np.random.Generator) -> "MbtHeads":
+        """k - 1 random orthonormal m x m heads."""
+        heads = [random_stiefel(rng, m, m) for _ in range(k - 1)]
+        return cls(np.reshape(heads, (k - 1, m, m)))
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        """(B, n, n) tangent batch -> (B, K, p, p) stacked head outputs."""
+        """(B, m, m) tangent batch -> (B, K, m, m): the batch, then the
+        trained heads' outputs."""
         self._cache = batch
         w = self.weights
-        return np.swapaxes(w, -1, -2) @ batch[:, None] @ w
+        out = np.empty((len(batch), self.K) + batch.shape[1:])
+        out[:, 0] = batch
+        np.matmul(np.swapaxes(w, -1, -2) @ batch[:, None], w, out=out[:, 1:])
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        """grad: (B, K, p, p) -> input gradient (B, n, n); the gradient of
-        heads 1..K-1 lands on ``grad_weights`` (head 0 is frozen)."""
+        """grad: (B, K, m, m) -> input gradient (B, m, m); the gradient of
+        heads 1..K-1 lands on ``grad_weights``."""
         if self._cache is None:
             raise MissingForwardCache("MBT backward before forward")
         v, w = self._cache, self.weights
-        k, big_m, m = w.shape
+        k, m, _ = w.shape
+        g = grad[:, 1:]
         # pairs[(k, a, c), (i, j)] = W_k[i, a] W_k[j, c], so the input
-        # gradient sum_k W_k G_k W_k^T is one product over the flat G
-        pairs = np.einsum("kia,kjc->kacij", w, w).reshape(k * m * m, big_m * big_m)
-        d_input = (grad.reshape(len(grad), -1) @ pairs).reshape(-1, big_m, big_m)
+        # gradient G_0 + sum_k W_k G_k W_k^T takes one product over the
+        # flat G of the trained heads
+        pairs = np.einsum("kia,kjc->kacij", w, w).reshape(k * m * m, m * m)
+        d_input = grad[:, 0] + (g.reshape(len(grad), -1) @ pairs).reshape(-1, m, m)
         # sum_b V_b W_k (G_bk + G_bk^T): contract the batch first, in one
         # product, then W_k
-        g = grad[:, 1:]
-        vg = np.tensordot(v, g + np.swapaxes(g, -1, -2), axes=(0, 0))  # (M, M, K-1, m, m)
-        self.grad_weights = np.einsum("ijkac,kja->kic", vg, w[1:])
+        vg = np.tensordot(v, g + np.swapaxes(g, -1, -2), axes=(0, 0))  # (m, m, K-1, m, m)
+        self.grad_weights = np.einsum("ijkac,kja->kic", vg, w)
         return d_input
 
     def step(self, lr: float) -> None:
-        if self.grad_weights is None:
-            return
-        q = self.weights[1:]
-        trained = stiefel_retract(q, -lr * stiefel_project(q, self.grad_weights))
-        self.weights = np.concatenate([self.weights[:1], trained])
+        # with K = 1 there is no head to train, and no linalg call runs on
+        # the empty stack
+        if self.grad_weights is not None and len(self.weights):
+            q = self.weights
+            self.weights = stiefel_retract(q, -lr * stiefel_project(q, self.grad_weights))
         self.grad_weights = None

@@ -92,6 +92,11 @@ def synthetic_trials(
     )
 
 
+#: The keys :func:`generate_from_spec` reads.
+SPEC_KEYS = ("seed", "channels", "samples_per_trial", "sample_rate", "trials_per_class",
+             "separation", "noise", "planted")
+
+
 def _spec_value(items: dict[str, str], key: str, kind, default: str | None = None):
     """``kind(items[key])``, or ``kind(default)`` when the key is absent;
     a missing required key or an unparsable value raises ConfigError."""
@@ -119,8 +124,12 @@ def generate_from_spec(items: dict[str, str]) -> RawTrialSet:
     channels, samples_per_trial and trials_per_class are required;
     channels and samples_per_trial must be >= 1, seed >= 0, separation
     finite, positive and reachable, and the planted indices distinct
-    channels, else :class:`ConfigError` is raised.
+    channels, else :class:`ConfigError` is raised, as it is for any other
+    key.
     """
+    unknown = sorted(items.keys() - SPEC_KEYS)
+    if unknown:
+        raise ConfigError(f"synthetic spec has unknown keys {unknown}")
     seed = _spec_value(items, "seed", int, "0")
     if seed < 0:
         raise ConfigError(f"synthetic spec key 'seed' must be >= 0, got {seed}")

@@ -115,7 +115,8 @@ def layered_eval_forward(model, covs):
     eps = model.reeig.epsilon
     rectified, _, _ = eig_fn(eval_whitened(model, covs), lambda w: np.maximum(w, eps))
     tangent = spd_log(rectified)
-    stacked = np.stack([w_k.T @ tangent @ w_k for w_k in model.heads.weights], axis=1)
+    stacked = np.stack([tangent] + [w_k.T @ tangent @ w_k for w_k in model.heads.weights],
+                       axis=1)
     conv_out = model.clf.conv_forward(stacked.reshape(b, s, f, -1))
     return model.clf._gated_head(conv_out)[-1]
 

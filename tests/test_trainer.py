@@ -226,10 +226,13 @@ class TestSynth:
         ({**_SPEC, "separation": "300"}, "separation"),
         ({**_SPEC, "seed": "-1"}, "seed"),
         ({**_SPEC, "planted": "1,1"}, "planted"),
+        ({**_SPEC, "seperation": "9"}, "seperation"),
+        ({**_SPEC, "noize": "5"}, "noize"),
     ], ids=["missing-channels", "non-numeric-noise", "non-numeric-planted",
             "planted-out-of-range", "zero-channels", "negative-samples",
             "nan-separation", "inf-separation", "huge-separation",
-            "unreachable-separation", "negative-seed", "duplicate-planted"])
+            "unreachable-separation", "negative-seed", "duplicate-planted",
+            "misspelt-separation", "misspelt-noise"])
     def test_bad_spec_raises_config_error(self, items, key):
         with pytest.raises(ConfigError, match=key):
             generate_from_spec(items)
@@ -256,7 +259,7 @@ class TestTrain:
     def test_stiefel_weights_stay_orthonormal(self, small_trials):
         cfg = TrainConfig(**SMALL)
         model, _ = train(cfg, small_trials)
-        for w in model.heads.weights[1:]:
+        for w in model.heads.weights:
             assert np.linalg.norm(w.T @ w - np.eye(w.shape[1])) < 1e-8
         w = model.bimap.weight
         assert np.linalg.norm(w @ w.T - np.eye(w.shape[0])) < 1e-8
@@ -274,7 +277,7 @@ class TestTrain:
         fresh, _ = train(cfg, small_trials)
         assert np.array_equal(predict(model, covs), predict(fresh, covs))
 
-    @pytest.mark.parametrize("name", ["clf_kernel", "rbn_mean_0", "head_0", "selection"])
+    @pytest.mark.parametrize("name", ["clf_kernel", "rbn_mean_0", "selection"])
     def test_bundle_missing_array_raises_typed_error(self, small_trials, name):
         bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
         arrays = {key: arr for key, arr in bundle.arrays.items() if key != name}
@@ -288,14 +291,33 @@ class TestTrain:
         save_model(model_to_bundle(original, config_to_mapping(cfg)), path)
         reloaded = model_from_bundle(load_model(path))
         covs, labels = prepare_dataset(small_trials, cfg)
-        for model in (original, reloaded):
-            logits = model.forward(covs[:8], training=True)
-            _, grad = cross_entropy(logits, labels[:8])
-            model.backward(grad)
-            model.step(cfg.learning_rate)
-        for name, arr in {**original.parameter_arrays(), **original.buffer_arrays()}.items():
-            other = {**reloaded.parameter_arrays(), **reloaded.buffer_arrays()}[name]
-            assert arr.tobytes() == other.tobytes(), name
+        _assert_step_bit_identical(original, reloaded, covs[:8], labels[:8], cfg)
+
+    def test_one_head_bundle_round_trip(self, small_trials, tmp_path):
+        """A K=1 model stores no head array; its bundle saves and loads, and
+        the reloaded model predicts and trains on bit for bit."""
+        cfg = TrainConfig(**{**SMALL, "k_heads": 1})
+        original, _ = train(cfg, small_trials)
+        path = tmp_path / "m.sbcm"
+        save_model(model_to_bundle(original, config_to_mapping(cfg)), path)
+        loaded = load_model(path)
+        assert not [name for name in loaded.arrays if name.startswith("head_")]
+        reloaded = model_from_bundle(loaded)
+        assert reloaded.heads.K == 1
+        covs, labels = prepare_dataset(small_trials, cfg)
+        assert (reloaded.forward(covs, training=False).tobytes()
+                == original.forward(covs, training=False).tobytes())
+        _assert_step_bit_identical(original, reloaded, covs[:8], labels[:8], cfg)
+
+    @pytest.mark.parametrize("k_heads", [1, 2])
+    def test_bundle_with_head_0_raises_typed_error(self, small_trials, k_heads):
+        """A bundle in the format that also stored head 0, the identity,
+        as ``head_0`` is rejected, naming it."""
+        cfg = TrainConfig(**{**SMALL, "epochs": 0, "k_heads": k_heads})
+        bundle = train_to_bundle(cfg, small_trials)
+        arrays = {"head_0": np.eye(cfg.m), **bundle.arrays}
+        with pytest.raises(MalformedHeader, match="unexpected.*head_0"):
+            model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
 
     def test_training_step_matches_layered_oracle(self, small_trials):
         """LogEig reusing ReEig's decomposition changes neither the
@@ -329,7 +351,7 @@ class TestTrain:
         model, _ = train(cfg, small_trials)
         bundle = model_to_bundle(model, config_to_mapping(cfg))
         assert list(bundle.arrays) == [
-            "head_0", "head_1", "bimap_0", "clf_kernel", "clf_bias", "clf_w1",
+            "head_1", "bimap_0", "clf_kernel", "clf_bias", "clf_w1",
             "clf_w2", "clf_head_w", "clf_head_b", "rbn_mean_0", "selection",
         ]
         assert bundle.arrays.keys() == {**model.parameter_arrays(),
@@ -337,7 +359,7 @@ class TestTrain:
 
     def test_reloaded_model_keeps_selection_and_parameter_count(self, small_trials):
         """The bundle's ``selection`` gives the fitted channels back, and
-        head 0 is the identity of the cut tangent."""
+        the K-1 trained heads are m x m."""
         cfg = TrainConfig(**SMALL)
         covs, labels = prepare_dataset(small_trials, cfg)
         selection = fit_selection(
@@ -350,7 +372,7 @@ class TestTrain:
         assert reloaded.channels.tolist() == selection.selected_channels
         assert np.array_equal(reloaded.selection,
                               np.eye(small_trials.channels)[:, selection.selected_channels])
-        assert np.array_equal(reloaded.heads.weights[0], np.eye(cfg.m))
+        assert reloaded.heads.weights.shape == (cfg.k_heads - 1, cfg.m, cfg.m)
         assert count_parameters(reloaded) == count_parameters(model)
         assert np.array_equal(reloaded.forward(covs, training=False),
                               model.forward(covs, training=False))
@@ -360,7 +382,7 @@ class TestTrain:
         model, _ = train(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
         s, f, m, k, c_out, n_cls = 2, 2, 2, 2, 3, 2
         expected = (
-            k * m * m                         # MBT heads
+            (k - 1) * m * m                   # MBT heads 1..K-1
             + m * m                           # BiMap
             + c_out * s * (k * m * m)         # conv kernel
             + c_out                           # conv bias
@@ -368,6 +390,18 @@ class TestTrain:
             + f * c_out * n_cls + n_cls       # linear head
         )
         assert count_parameters(model) == expected
+
+
+def _assert_step_bit_identical(original, reloaded, covs, labels, cfg):
+    """One training step on each model leaves every array bit-identical."""
+    for model in (original, reloaded):
+        logits = model.forward(covs, training=True)
+        _, grad = cross_entropy(logits, labels)
+        model.backward(grad)
+        model.step(cfg.learning_rate)
+    for name, arr in {**original.parameter_arrays(), **original.buffer_arrays()}.items():
+        other = {**reloaded.parameter_arrays(), **reloaded.buffer_arrays()}[name]
+        assert arr.tobytes() == other.tobytes(), name
 
 
 def _assert_logits_close(got, want, rtol=1e-10):
@@ -910,11 +944,15 @@ class TestCli:
          "sample rate"),
         ("channels = 4\nsample_rate = 1e-300\nsamples_per_trial = 128\ntrials_per_class = 4\n",
          "sample rate"),
+        ("channels = 4\nseperation = 9\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+         "seperation"),
+        ("channels = 4\nnoize = 5\nsamples_per_trial = 128\ntrials_per_class = 4\n", "noize"),
     ], ids=["missing-key", "non-numeric", "duplicate-key", "missing-equals",
             "planted-out-of-range", "zero-channels", "negative-samples",
             "nan-separation", "inf-separation", "huge-separation",
             "unreachable-separation", "negative-seed", "duplicate-planted",
-            "nan-sample-rate", "huge-sample-rate", "tiny-sample-rate"])
+            "nan-sample-rate", "huge-sample-rate", "tiny-sample-rate",
+            "misspelt-separation", "misspelt-noise"])
     def test_gen_synthetic_bad_spec(self, tmp_path, capsys, spec, named):
         path, out = tmp_path / "gen.cfg", tmp_path / "d.eegb"
         path.write_text(spec)
