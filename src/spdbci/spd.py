@@ -50,7 +50,7 @@ def check_spd(x: np.ndarray, name: str = "matrix") -> None:
         raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
-def covariance(window: np.ndarray) -> np.ndarray:
+def covariance(window: np.ndarray, overwrite_window: bool = False) -> np.ndarray:
     """Shrunk spatial covariance ``C + eps I`` of one window or a batch.
 
     ``window`` is channels x samples, or ``(..., M, L)`` for a batch of
@@ -58,7 +58,9 @@ def covariance(window: np.ndarray) -> np.ndarray:
     and ``eps = max(SHRINKAGE_SCALE * trace(C) / M, 1e-12)``, so every
     output is SPD, a zero or rank-deficient window included.  Each
     matrix of a batch equals the 2-D call on its window bit for bit
-    when the windows are C-contiguous.
+    when the windows are C-contiguous.  ``overwrite_window=True``
+    centres a float64 ``window`` in place instead of into a copy, for a
+    caller that owns the array and no longer needs it.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim < 2 or 0 in window.shape[-2:]:
@@ -66,7 +68,8 @@ def covariance(window: np.ndarray) -> np.ndarray:
             f"window must be (..., M, L) with M, L >= 1, got {window.shape}"
         )
     m, length = window.shape[-2:]
-    z = window - window.mean(axis=-1, keepdims=True)
+    z = np.subtract(window, window.mean(axis=-1, keepdims=True),
+                    out=window if overwrite_window else None)
     cov = sym((z @ np.swapaxes(z, -1, -2)) / length)
     eps = np.maximum(SHRINKAGE_SCALE * np.trace(cov, axis1=-2, axis2=-1) / m, 1e-12)
     diag = np.arange(m)

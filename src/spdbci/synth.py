@@ -73,22 +73,27 @@ def synthetic_trials(
     rng: np.random.Generator | None = None,
 ) -> RawTrialSet:
     """Gaussian trials with class-specific spatial covariance plus
-    additive white noise, classes interleaved."""
+    additive white noise, classes interleaved.
+
+    Every trial is a view of one (N, channels, samples) array, so the set
+    is one allocation, freed whole.  Trials allocated one by one leave
+    holes in the heap when freed, and whether a later large array reuses
+    them or takes fresh pages then varies from run to run.
+    """
     rng = rng or np.random.default_rng(0)
     chols = [np.linalg.cholesky(c) for c in covariances]
     n_channels = covariances[0].shape[0]
-    trials = []
-    for i in range(trials_per_class):
-        for label in range(len(covariances)):
-            base = chols[label] @ rng.standard_normal((n_channels, samples_per_trial))
-            noise = noise_scale * rng.standard_normal((n_channels, samples_per_trial))
-            trials.append((label, base + noise))
-        del i
+    shape = (n_channels, samples_per_trial)
+    labels = [label for _ in range(trials_per_class) for label in range(len(chols))]
+    data = np.empty((len(labels),) + shape)
+    for trial, label in zip(data, labels):
+        np.matmul(chols[label], rng.standard_normal(shape), out=trial)
+        trial += noise_scale * rng.standard_normal(shape)
     return RawTrialSet(
         sample_rate_hz=sample_rate_hz,
         channels=n_channels,
         samples_per_trial=samples_per_trial,
-        trials=trials,
+        trials=list(zip(labels, data)),
     )
 
 

@@ -52,7 +52,8 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     its trace over M.  Trials are processed in blocks of about
     :data:`BLOCK_BYTES` of windows, at least one trial each: one
     :func:`segment` call (one ``lfilter`` call per band) and one batched
-    :func:`covariance` call on the block's (n, S, F, M, L) array.  So
+    :func:`covariance` call, which centres the block's (n, S, F, M, L)
+    array in place rather than into a second block-sized array.  So
     the windows held in memory are bounded by the block, not the set,
     and every trial's covariances equal its own single-trial run bit
     for bit, whatever block it falls in.  Raises
@@ -69,7 +70,8 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     covs = np.empty((n, n_windows, len(spec.bands), m, m))
     for start in range(0, n, per_block):
         block = slice(start, start + per_block)
-        covs[block] = covariance(segment(trials, spec, config.window_len, block).data)
+        windows = segment(trials, spec, config.window_len, block).data
+        covs[block] = covariance(windows, overwrite_window=True)
     labels = np.asarray([label for label, _ in trials.trials], dtype=np.int64)
     return covs, labels
 

@@ -83,6 +83,13 @@ class TestCovariance:
             assert np.array_equal(batch[i], covariance(windows[i]))
         check_spd(batch)
 
+    def test_overwrite_window_centres_in_place(self):
+        windows = np.random.default_rng(7).standard_normal((3, 4, 5, 40))
+        scratch = windows.copy()
+        out = covariance(scratch, overwrite_window=True)
+        assert np.array_equal(out, covariance(windows))
+        assert np.array_equal(scratch, windows - windows.mean(axis=-1, keepdims=True))
+
     def test_window_without_samples_rejected(self):
         with pytest.raises(DimensionMismatch):
             covariance(np.zeros((2, 3, 0)))

@@ -213,6 +213,21 @@ class TestSynth:
         assert len(trials.trials) == 10
         assert [l for l, _ in trials.trials] == [0, 1] * 5
 
+    def test_trials_are_views_of_one_array(self, rng):
+        # one allocation per set, so freeing the set leaves no heap holes
+        covs = two_class_covariances(4, rng=rng)
+        seed = int(rng.integers(2**32))
+        trials = synthetic_trials(covs, 3, 100, 250.0, rng=np.random.default_rng(seed))
+        data = trials.trials[0][1].base
+        assert data is not None and data.shape == (6, 4, 100)
+        assert all(x.base is data for _, x in trials.trials)
+        # the values are still each trial's own chol @ z + noise * z'
+        draw = np.random.default_rng(seed)
+        chols = [np.linalg.cholesky(c) for c in covs]
+        for label, x in trials.trials:
+            base = chols[label] @ draw.standard_normal((4, 100))
+            assert np.array_equal(x, base + 0.1 * draw.standard_normal((4, 100)))
+
     @pytest.mark.parametrize("items, key", [
         ({"samples_per_trial": "100", "trials_per_class": "2"}, "channels"),
         ({**_SPEC, "noise": "loud"}, "noise"),
@@ -703,9 +718,9 @@ def covariance_blocks(monkeypatch):
     call, holding the number of trials in the block."""
     calls = []
 
-    def counting(window):
+    def counting(window, **kwargs):
         calls.append(np.shape(window)[0])
-        return covariance(window)
+        return covariance(window, **kwargs)
 
     monkeypatch.setattr(trainer_module, "covariance", counting)
     return calls
