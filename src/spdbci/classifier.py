@@ -1,8 +1,8 @@
 """Tangent-space classification head.
 
-Tangent features arrive as (B, S, F, J): windows, bands and the J = K*m*m
-head features.  Each band's (windows x head-features) plane is convolved
-with a single kernel spanning it, which is one matrix product, then
+Tangent features arrive as (B, S, F, J): windows, bands and J features
+per matrix.  Each band's (windows x features) plane is convolved with a
+single kernel spanning it, which is one matrix product, then
 reweighted by a learned per-band importance gate (squeeze, two-layer
 bottleneck, sigmoid), and classified by a linear layer with softmax
 cross-entropy.
@@ -27,9 +27,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class TangentClassifier:
     """Conv + band-importance gate + linear head over tangent features.
 
-    Shapes: the conv kernel is (C_out, S, J) with J = K*m*m and is applied
+    Shapes: the stored conv kernel is (C_out, S, J) and is applied
     independently per frequency band; the gate bottleneck widths follow
-    the squeezed feature length (one scalar per band).
+    the squeezed feature length (one scalar per band).  A forward may
+    convolve with another kernel instead, such as the model's folded one
+    over m*m features, whose gradient backward then returns as
+    ``grads["kernel"]``.
     """
 
     def __init__(
@@ -57,19 +60,21 @@ class TangentClassifier:
 
     # --- forward pieces -------------------------------------------------
 
-    def conv_forward(self, x: np.ndarray) -> np.ndarray:
-        """(B, S, F, J) -> per-band conv output (B, F, C_out).
+    def conv_forward(self, x: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
+        """(B, S, F, J) -> per-band conv output (B, F, C_out), with the
+        stored kernel or the given (C_out, S, J) one.
 
         The kernel spans a band's whole (S, J) plane, so the conv is one
         product with the kernel read as a (C_out, S*J) matrix.
         """
-        _, s, j = self.kernel.shape
+        kernel = self.kernel if kernel is None else kernel
+        _, s, j = kernel.shape
         if x.ndim != 4 or x.shape[1:] != (s, self.w1.shape[0], j):
             raise ShapeMismatch(
                 f"features {x.shape} are not (B, S, F, J) = (B, {s}, "
                 f"{self.w1.shape[0]}, {j})"
             )
-        return np.tensordot(x, self.kernel, axes=([1, 3], [1, 2])) + self.bias
+        return np.tensordot(x, kernel, axes=([1, 3], [1, 2])) + self.bias
 
     def _gated_head(self, conv_out: np.ndarray):
         """Gate, flatten and linear head of a (B, F, C_out) conv output:
@@ -85,12 +90,14 @@ class TangentClassifier:
             )
         return squeezed, hidden, gate, flat, flat @ self.head_w + self.head_b
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """(B, S, F, J) tangent features -> (B, n_classes) logits."""
-        conv_out = self.conv_forward(x)
+    def forward(self, x: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
+        """(B, S, F, J) tangent features -> (B, n_classes) logits, with the
+        stored conv kernel or the given one (see :meth:`conv_forward`)."""
+        kernel = self.kernel if kernel is None else kernel
+        conv_out = self.conv_forward(x, kernel)
         squeezed, hidden, gate, flat, logits = self._gated_head(conv_out)
         self._cache = {
-            "x": x, "conv_out": conv_out, "squeezed": squeezed,
+            "x": x, "kernel": kernel, "conv_out": conv_out, "squeezed": squeezed,
             "hidden": hidden, "gate": gate, "flat": flat,
         }
         return logits
@@ -99,7 +106,8 @@ class TangentClassifier:
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
         """Gradient of the loss w.r.t. the (B, S, F, J) input; parameter
-        gradients land in ``self.grads``."""
+        gradients land in ``self.grads``, the kernel's with respect to the
+        kernel the forward convolved with."""
         if self._cache is None:
             raise MissingForwardCache("classifier backward before forward")
         c = self._cache
@@ -120,7 +128,7 @@ class TangentClassifier:
 
         self.grads["kernel"] = np.tensordot(d_conv, c["x"], axes=([0, 1], [0, 2]))
         self.grads["bias"] = d_conv.sum(axis=(0, 1))
-        return np.tensordot(d_conv, self.kernel, axes=(2, 0)).swapaxes(1, 2)
+        return np.tensordot(d_conv, c["kernel"], axes=(2, 0)).swapaxes(1, 2)
 
     def step(self, lr: float) -> None:
         for name in ("kernel", "bias", "w1", "w2", "head_w", "head_b"):

@@ -8,8 +8,9 @@ constrained to the Stiefel manifold are updated by projecting the
 Euclidean gradient onto the tangent space and retracting with a QR
 factorization, so orthonormality is preserved to round-off.
 
-Batches are arrays of shape (B, n, n); layers cache their forward pass
-and raise :class:`MissingForwardCache` if backward is called first.
+Batches are arrays of shape (B, n, n); layers whose backward needs their
+forward pass cache it and raise :class:`MissingForwardCache` if backward
+is called first.
 """
 
 from __future__ import annotations
@@ -146,10 +147,15 @@ class ReEigLayer:
         return np.maximum(w, self.epsilon), u
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        """Daleckii-Krein backward.  With every eigenvalue of the batch
+        above the floor the layer is the identity and its kernel is all
+        ones, so the gradient is ``sym(grad)`` and no product runs."""
         if self._cache is None:
             raise MissingForwardCache("ReEig backward before forward")
         w, u = self._cache
         eps = self.epsilon
+        if np.all(w[..., 0] > eps):
+            return sym(grad)
         # subgradient 0 at clamped eigenvalues, matching ReLU at the kink
         return _eig_fn_backward(
             grad, w, u, np.maximum(w, eps), (w > eps).astype(np.float64)
@@ -196,27 +202,34 @@ def karcher_mean(batch: np.ndarray) -> np.ndarray:
 
 class RbnLayer:
     """Riemannian batch normalization with a fitted reference: whiten by
-    ``r = mean^(-1/2)``, where :meth:`fit` sets ``mean`` once before
+    ``whitener = mean^(-1/2)``, where :meth:`fit` sets ``mean`` once before
     training (the re-centring of Zanini et al., IEEE TBME 2018) and the
     forward never moves it, so training and the folded plan of
-    :class:`~spdbci.model.Model` run the same map.  The backward treats
-    ``r`` as a statistic (no gradient flows through the mean).
+    :class:`~spdbci.model.Model` run the same map.  Setting ``mean``, by
+    :meth:`fit` or a bundle load, computes the whitener once.  The
+    backward treats it as a statistic (no gradient flows through the mean).
     """
 
     def __init__(self, dim: int):
-        self.mean = np.eye(dim)
-        self._whitener: np.ndarray | None = None
+        self._mean = self.whitener = np.eye(dim)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self._mean
+
+    @mean.setter
+    def mean(self, value: np.ndarray) -> None:
+        self.whitener = inv_sqrtm(value)
+        self._mean = value
 
     def fit(self, batch: np.ndarray) -> None:
         """Set ``mean`` to the :func:`karcher_mean` of an SPD batch."""
         self.mean = karcher_mean(batch)
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        r = self._whitener = inv_sqrtm(self.mean)
+        r = self.whitener
         return sym(r @ batch @ r)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._whitener is None:
-            raise MissingForwardCache("RBN backward before forward")
-        r = self._whitener
+        r = self.whitener
         return r @ sym(grad) @ r

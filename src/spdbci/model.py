@@ -8,20 +8,25 @@ BiMap/RBN/ReEig block -> LogEig -> K bilinear heads -> per-band conv ->
 band-importance gate -> linear head -> class logits.  Channel selection
 thus cuts the SPD dimension: every layer after the cut runs at m x m.
 
+Everything from LogEig to the conv output is linear, so the K heads
+and the conv kernel fold into one kernel ``E[c, s] = K[c, s, 0] +
+sum_{k>=1} W_k K[c, s, k] W_k^T``, head 0 being the identity (see
+:class:`~spdbci.selection.MbtHeads`).  Training and evaluation both
+convolve the m*m tangent with ``E``: a training step folds the kernel
+once and maps the gradient of ``E`` back to the kernel slices and the
+heads, instead of copying every tangent K times.
+
 RBN whitens by a reference mean fitted once before training (see
 :class:`~spdbci.layers.RbnLayer`), so training decomposes each batch
 once, in ReEig.  ReEig's output ``U diag(max(w, eps)) U^T`` comes with
 its eigendecomposition, so LogEig runs its forward and backward on
 ``(max(w, eps), U)`` instead of a second ``eigh``.
 
-Each layer has that one forward.  Evaluation runs the same map folded
-into three steps, exact to round-off: the cut, BiMap and whitening by
-the RBN mean, ``R = mean^(-1/2)``, are one fixed (m, M) congruence
-``A = R W P^T`` with ``P`` the (M, m) selection, ReEig and LogEig are
-one eigenvalue function ``log(max(w, eps))``, and everything from
-LogEig to the conv output is linear, so the K heads and the conv kernel
-fold into one kernel ``E[c, s] = K[c, s, 0] + sum_{k>=1} W_k K[c, s, k]
-W_k^T``, head 0 being the identity.
+Evaluation folds the layers into three steps, exact to round-off: the
+cut, BiMap and whitening by the RBN mean, ``R = mean^(-1/2)``, are one
+fixed (m, M) congruence ``A = R W P^T`` with ``P`` the (M, m)
+selection, ReEig and LogEig are one eigenvalue function
+``log(max(w, eps))``, and the conv reads the tangent through ``E``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .eeg_io import ModelBundle
 from .errors import MalformedHeader, ShapeMismatch
 from .layers import BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, random_stiefel
 from .selection import MbtHeads
-from .spd import check_spd, eig_fn, inv_sqrtm
+from .spd import check_spd, eig_fn
 
 #: Largest entry of ``|W^T W - I|`` a bundle's BiMap or head weight may
 #: show; the Stiefel retraction keeps trained weights near round-off.
@@ -56,9 +61,11 @@ class Model:
     features, then heads 1..K-1, whose conv-kernel slices start at zero.
     So a fresh model computes exactly what a fresh one-head model of the
     same seed does (the function-preserving growth of Net2Net, Chen et
-    al., ICLR 2016).
+    al., ICLR 2016): the folded kernel is then exactly the one-head one.
 
-    The first eval forward builds the folded plan from the current
+    A training forward folds the current kernel through the heads and
+    convolves the m*m tangent with it, as evaluation does.  The first
+    eval forward builds the folded plan from the current
     weights and RBN mean and caches it; :meth:`step` and
     :meth:`load_arrays` drop it, so weights are changed through those
     methods, and the RBN mean is fitted before the first forward.
@@ -132,37 +139,29 @@ class Model:
                 a @ covs.reshape(b * s * f, big_m, big_m) @ a.T,
                 lambda w: np.log(np.maximum(w, eps)),
             )
-            conv_out = np.tensordot(
-                tangent.reshape(b, s, f, m * m), kernel, axes=([1, 3], [1, 2])
-            ) + self.clf.bias
+            conv_out = self.clf.conv_forward(tangent.reshape(b, s, f, m * m), kernel)
             return self.clf._gated_head(conv_out)[-1]
         x = self.bimap.forward(self.cut(covs).reshape(b * s * f, m, m))
         x = self.reeig.forward(self.rbn.forward(x))
         tangent = self.logeig.forward(x, eig=self.reeig.output_eig)
-        stacked = self.heads.forward(tangent)  # (B*S*F, K, m, m)
-        return self.clf.forward(stacked.reshape(b, s, f, -1))
+        return self.clf.forward(tangent.reshape(b, s, f, m * m),
+                                self.heads.forward(self.clf.kernel))
 
     def _folded_plan(self) -> tuple[np.ndarray, np.ndarray]:
         """The congruence ``A = inv_sqrtm(rbn.mean) W_bimap P^T`` (m, M)
         and the folded kernel ``E`` (C_out, S, m*m), built on first use."""
         if self._plan is None:
-            c_out, s, _ = self.clf.kernel.shape
-            w = self.heads.weights  # (K-1, m, m)
-            k = self.clf.kernel.reshape(c_out, s, self.heads.K, self.m, self.m)
-            # (C_out, S, m, m)
-            folded = k[:, :, 0] + (w @ k[:, :, 1:] @ np.swapaxes(w, -1, -2)).sum(axis=2)
             self._plan = (
-                inv_sqrtm(self.rbn.mean) @ self.bimap.weight @ self.selection.T,
-                folded.reshape(c_out, s, -1),
+                self.rbn.whitener @ self.bimap.weight @ self.selection.T,
+                self.heads.forward(self.clf.kernel),
             )
         return self._plan
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        d_features = self.clf.backward(grad_logits)  # (B, S, F, K*m*m)
-        d_stacked = d_features.reshape(-1, self.heads.K, self.m, self.m)
-        d_tangent = self.heads.backward(d_stacked)
-        grad = self.reeig.backward(self.logeig.backward(d_tangent))
-        self.bimap.backward(self.rbn.backward(grad))
+        d_tangent = self.clf.backward(grad_logits)  # (B, S, F, m*m)
+        self.clf.grads["kernel"] = self.heads.backward(self.clf.grads["kernel"])
+        grad = self.logeig.backward(d_tangent.reshape(-1, self.m, self.m))
+        self.bimap.backward(self.rbn.backward(self.reeig.backward(grad)))
 
     def step(self, lr: float) -> None:
         self._plan = None
@@ -250,25 +249,32 @@ def _check_arrays(arrays: dict[str, np.ndarray]) -> None:
 
 def model_from_bundle(bundle: ModelBundle) -> Model:
     """Rebuild a model: hyperparameters from the config snapshot, sizes
-    from the array shapes, K from the head arrays ``head_1..head_{K-1}``.
-    The bundle's array names must be exactly the model's, so a missing or
-    unexpected array, ``head_0`` among them, raises :class:`MalformedHeader`,
-    and so do a non-finite array, a zero-length axis, an array whose rank
-    or shape disagrees with the sizes, a ``selection`` that is not the
-    identity columns of ascending channels and a BiMap or head weight
-    without orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean
+    from the array shapes, K from the last axis of ``clf_kernel``, K*m*m
+    long.  The bundle's array names must be exactly the model's, so a
+    missing or unexpected array, ``head_0`` among them, raises
+    :class:`MalformedHeader`, and so do a non-finite array, a zero-length
+    axis, a kernel whose last axis is not a multiple of m*m, an array
+    whose rank or shape disagrees with the sizes, a ``selection`` that is
+    not the identity columns of ascending channels and a BiMap or head
+    weight without orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean
     (``rbn_mean_0``) that is not SPD raises
     :class:`~spdbci.errors.NotPositiveDefinite`."""
     config = config_from_mapping(bundle.config)
     arrays = bundle.arrays
     _check_arrays(arrays)
-    _, n_windows, _ = arrays["clf_kernel"].shape
+    _, n_windows, feat_len = arrays["clf_kernel"].shape
+    m = arrays["selection"].shape[1]
+    if feat_len % (m * m):
+        raise MalformedHeader(
+            f"model bundle array 'clf_kernel' has last axis {feat_len}, not a multiple "
+            f"of m*m = {m * m}"
+        )
     model = Model(
         arrays["selection"],
         n_windows=n_windows,
         n_bands=arrays["clf_w1"].shape[0],
         n_classes=arrays["clf_head_b"].shape[0],
-        k_heads=1 + sum(name.startswith("head_") for name in arrays),
+        k_heads=feat_len // (m * m),
         conv_out=config.conv_out,
         seed=config.seed,
     )

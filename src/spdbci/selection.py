@@ -8,8 +8,8 @@ geodesic Gram matrix and taking the top-m eigenvectors of L.  Channel
 scores come from the rows of the retained eigenvector stack.
 
 Also houses the multi-bilinear transform: the identity and K-1 parallel
-orthonormal heads, whose tangent-space outputs are stacked along a new
-leading axis.
+orthonormal heads, which act on the classifier's conv kernel by folding
+its K per-head slices into one.
 """
 
 from __future__ import annotations
@@ -178,12 +178,16 @@ def fit_selection(
 
 @dataclass
 class MbtHeads:
-    """K maps applied in parallel to an (m, m) tangent batch.
+    """K maps applied in parallel to an (m, m) tangent, folded into the
+    conv kernel that reads their outputs.
 
     Head 0 is the identity pass-through; heads 1..K-1 are
     ``head_k(V) = W_k^T V W_k`` with ``weights`` the (K-1, m, m) stack of
     orthonormal W_k, all trained by the downstream loss with one batched
-    Stiefel retraction step.
+    Stiefel retraction step.  A conv kernel with one (m, m) slice K_k per
+    head reads the heads' outputs as ``sum_k <head_k(V), K_k> = <V, E>``
+    with ``E = K_0 + sum_k W_k K_k W_k^T``, so the heads act on the
+    kernel, once per step, instead of on every tangent of the batch.
     """
 
     weights: np.ndarray
@@ -200,34 +204,34 @@ class MbtHeads:
         heads = [random_stiefel(rng, m, m) for _ in range(k - 1)]
         return cls(np.reshape(heads, (k - 1, m, m)))
 
-    def forward(self, batch: np.ndarray) -> np.ndarray:
-        """(B, m, m) tangent batch -> (B, K, m, m): the batch, then the
-        trained heads' outputs."""
-        self._cache = batch
+    def forward(self, kernel: np.ndarray) -> np.ndarray:
+        """(..., K*m*m) kernel, one (m, m) slice per head -> the folded
+        (..., m*m) kernel ``E`` that reads the tangent itself."""
         w = self.weights
-        out = np.empty((len(batch), self.K) + batch.shape[1:])
-        out[:, 0] = batch
-        np.matmul(np.swapaxes(w, -1, -2) @ batch[:, None], w, out=out[:, 1:])
-        return out
+        m = w.shape[-1]
+        k = self._cache = kernel.reshape(kernel.shape[:-1] + (self.K, m, m))
+        wt = np.swapaxes(w, -1, -2)
+        folded = k[..., 0, :, :] + (w @ k[..., 1:, :, :] @ wt).sum(axis=-3)
+        return folded.reshape(kernel.shape[:-1] + (m * m,))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        """grad: (B, K, m, m) -> input gradient (B, m, m); the gradient of
-        heads 1..K-1 lands on ``grad_weights``."""
+        """grad: (..., m*m) gradient of the folded kernel -> (..., K*m*m)
+        gradient of the kernel slices, ``dE`` then ``W_k^T dE W_k``; the
+        gradient of heads 1..K-1, ``sum dE W_k K_k^T + dE^T W_k K_k`` over
+        the leading axes, lands on ``grad_weights``."""
         if self._cache is None:
             raise MissingForwardCache("MBT backward before forward")
-        v, w = self._cache, self.weights
-        k, m, _ = w.shape
-        g = grad[:, 1:]
-        # pairs[(k, a, c), (i, j)] = W_k[i, a] W_k[j, c], so the input
-        # gradient G_0 + sum_k W_k G_k W_k^T takes one product over the
-        # flat G of the trained heads
-        pairs = np.einsum("kia,kjc->kacij", w, w).reshape(k * m * m, m * m)
-        d_input = grad[:, 0] + (g.reshape(len(grad), -1) @ pairs).reshape(-1, m, m)
-        # sum_b V_b W_k (G_bk + G_bk^T): contract the batch first, in one
-        # product, then W_k
-        vg = np.tensordot(v, g + np.swapaxes(g, -1, -2), axes=(0, 0))  # (m, m, K-1, m, m)
-        self.grad_weights = np.einsum("ijkac,kja->kic", vg, w)
-        return d_input
+        w = self.weights
+        m = w.shape[-1]
+        k = self._cache.reshape(-1, self.K, m, m)
+        de = grad.reshape(-1, m, m)
+        d_kernel = np.concatenate([de[:, None], np.swapaxes(w, -1, -2) @ de[:, None] @ w],
+                                  axis=1)
+        # t[i, a, k, j, b] = sum_n dE_n[i, a] K_nk[j, b]: contract the
+        # leading axes first, in one product, then W_k
+        t = np.tensordot(de, k[:, 1:], axes=(0, 0))
+        self.grad_weights = np.einsum("iakjb,kab->kij", t + t.transpose(1, 0, 2, 4, 3), w)
+        return d_kernel.reshape(grad.shape[:-1] + (-1,))
 
     def step(self, lr: float) -> None:
         # with K = 1 there is no head to train, and no linalg call runs on

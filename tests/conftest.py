@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from spdbci.classifier import cross_entropy
 from spdbci.config import config_to_mapping
 from spdbci.errors import DimensionMismatch
-from spdbci.layers import _sqrt_and_inv_sqrt
+from spdbci.layers import _eig_fn_backward, _sqrt_and_inv_sqrt
 from spdbci.model import model_to_bundle
 from spdbci.spd import double_center, eig_fn, inv_sqrtm, spd_exp, spd_log, sym
 from spdbci.trainer import train
@@ -121,17 +122,37 @@ def layered_eval_forward(model, covs):
     return model.clf._gated_head(conv_out)[-1]
 
 
-def layered_train_forward(model, covs):
-    """Training logits of ``model`` through its layer chain with LogEig
-    decomposing the ReEig output again (reference oracle for the
-    training ``Model.forward``, where LogEig reuses ReEig's
-    decomposition).  Leaves every layer's cache set for
-    ``model.backward``."""
+def layered_train_step(model, covs, labels):
+    """Training logits and gradients of ``model`` through its layer
+    chain, with LogEig decomposing the ReEig output again, the explicit
+    per-head stack ``W_k^T V W_k`` and the unfolded K*m*m conv (reference
+    oracle for the training ``Model.forward`` and ``Model.backward``,
+    which reuse ReEig's decomposition and fold the heads into the conv
+    kernel).  ReEig and RBN run their Daleckii-Krein and whitening
+    backwards from the ``spd`` primitives.  Returns ``(logits, grads)``
+    with ``grads`` keyed ``bimap``, ``heads`` and ``clf_<name>``."""
     b, s, f = covs.shape[:3]
+    eps = model.reeig.epsilon
+    r = inv_sqrtm(model.rbn.mean)
     x = model.bimap.forward(selected(model, covs))
-    tangent = model.logeig.forward(model.reeig.forward(model.rbn.forward(x)))
-    stacked = model.heads.forward(tangent)
-    return model.clf.forward(stacked.reshape(b, s, f, -1))
+    rectified, w, u = eig_fn(sym(r @ x @ r), lambda v: np.maximum(v, eps))
+    tangent = model.logeig.forward(rectified)
+    heads = np.concatenate([np.eye(model.m)[None], model.heads.weights])  # head 0 is I
+    stacked = np.stack([h.T @ tangent @ h for h in heads], axis=1)  # (B*S*F, K, m, m)
+    logits = model.clf.forward(stacked.reshape(b, s, f, -1))
+
+    d_stacked = model.clf.backward(cross_entropy(logits, labels)[1])
+    d_stacked = d_stacked.reshape(stacked.shape)
+    d_tangent = sum(h @ d_stacked[:, j] @ h.T for j, h in enumerate(heads))
+    d_heads = np.array([sum(v @ h @ (d + d.T) for v, d in zip(tangent, d_stacked[:, j]))
+                        for j, h in enumerate(heads)][1:])
+    grad = _eig_fn_backward(model.logeig.backward(d_tangent), w, u,
+                            np.maximum(w, eps), (w > eps).astype(np.float64))
+    model.bimap.backward(r @ sym(grad) @ r)
+    grads = {"bimap": model.bimap.grad_weight,
+             "heads": d_heads.reshape(model.heads.weights.shape)}
+    grads.update({f"clf_{name}": g for name, g in model.clf.grads.items()})
+    return logits, grads
 
 
 @pytest.fixture

@@ -292,21 +292,27 @@ def test_criterion_4_gradient_suite():
         if err >= 1e-4:
             failures.append(f"reeig->logeig seed {seed} err {err:.2e}")
 
-        # MBT heads: the input and the trained heads' weight gradients
+        # MBT heads: the fold of a (C_out, S, K*m*m) conv kernel, its
+        # gradient with respect to the kernel and to the trained heads
         heads = MbtHeads.initialize(5, 3, rng)
-        tangent = sym(rng.standard_normal((2, 5, 5)))
-        g = rng.standard_normal((2, 3, 5, 5))
-        err = _fd_layer(heads, tangent, g, rng)
+        kernel = rng.standard_normal((2, 2, 3 * 25))
+        g = rng.standard_normal((2, 2, 25))
+        h = 1e-5
+        v = rng.standard_normal(kernel.shape)
+        num = (np.sum(heads.forward(kernel + h * v) * g)
+               - np.sum(heads.forward(kernel - h * v) * g)) / (2 * h)
+        heads.forward(kernel)
+        err = _rel_err(num, heads.backward(g), v)
         grad_w = heads.grad_weights.copy()
-        worst["mbt_input"] = max(worst.get("mbt_input", 0.0), err)
+        worst["mbt_kernel"] = max(worst.get("mbt_kernel", 0.0), err)
         if err >= 1e-4:
-            failures.append(f"mbt input seed {seed} err {err:.2e}")
-        w0, h = heads.weights, 1e-5
+            failures.append(f"mbt kernel seed {seed} err {err:.2e}")
+        w0 = heads.weights
         dw = rng.standard_normal(w0.shape)
         heads.weights = w0 + h * dw
-        plus = np.sum(heads.forward(tangent) * g)
+        plus = np.sum(heads.forward(kernel) * g)
         heads.weights = w0 - h * dw
-        minus = np.sum(heads.forward(tangent) * g)
+        minus = np.sum(heads.forward(kernel) * g)
         num = (plus - minus) / (2 * h)
         err = abs(num - np.sum(grad_w * dw)) / max(abs(num), 1e-10)
         worst["mbt_weights"] = max(worst.get("mbt_weights", 0.0), err)

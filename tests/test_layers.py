@@ -10,6 +10,7 @@ from spdbci.layers import (
     LogEigLayer,
     RbnLayer,
     ReEigLayer,
+    _eig_fn_backward,
     karcher_mean,
     random_stiefel,
     stiefel_project,
@@ -121,6 +122,22 @@ class TestReEig:
         x = random_spd(rng, 5, batch=2)
         g = rng.standard_normal(x.shape)
         assert fd_input_grad(layer, x, g, rng=rng) < 1e-6
+
+    @pytest.mark.parametrize("epsilon", [1e-4, 0.5], ids=["no-clamp", "clamped"])
+    def test_backward_equals_daleckii_krein(self, rng, epsilon):
+        """Above the floor the Daleckii-Krein kernel is all ones, so the
+        backward's ``sym(grad)`` equals the full product; a batch with a
+        clamped eigenvalue keeps the product."""
+        u = np.linalg.qr(rng.standard_normal((6, 5, 5)))[0]
+        spectrum = rng.uniform(0.05, 3.0, (6, 5))
+        layer = ReEigLayer(epsilon)
+        g = rng.standard_normal((6, 5, 5))
+        layer.forward((u * spectrum[:, None, :]) @ np.swapaxes(u, -1, -2))
+        w, u = layer._cache
+        assert np.any(w <= epsilon) == (epsilon == 0.5)
+        want = _eig_fn_backward(g, w, u, np.maximum(w, epsilon), (w > epsilon) * 1.0)
+        got = layer.backward(g)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestLogEig:

@@ -191,18 +191,34 @@ class TestFitSelection:
             score_channels(w, 2, rule="bogus")
 
 
+def _kernel(rng, k, m, lead=(3, 2)):
+    """A random conv kernel with one (m, m) slice per head: (*lead, k*m*m)."""
+    return rng.standard_normal(lead + (k * m * m,))
+
+
+def _fold_oracle(heads, kernel):
+    """``K_0 + sum_k W_k K_k W_k^T``, one kernel slice and head at a time."""
+    k, m = heads.K, heads.weights.shape[-1]
+    slices = kernel.reshape(-1, k, m, m)
+    return np.stack([sl[0] + sum(w @ sl[j] @ w.T for j, w in enumerate(heads.weights, 1))
+                     for sl in slices])
+
+
 class TestMbtHeads:
+    """The heads act on the conv kernel: ``forward`` folds its K slices
+    into E, ``backward`` maps dE to the slices and the head weights."""
+
     def test_single_identity_head(self, rng):
-        """K=1 is the pass-through: no stored head, the batch and its
+        """K=1 is the pass-through: no stored head, the kernel and its
         gradient go through bit for bit, and the step is a no-op."""
         heads = MbtHeads.initialize(4, k=1, rng=rng)
         assert heads.K == 1 and heads.weights.shape == (0, 4, 4)
-        batch = rng.standard_normal((3, 4, 4))
-        out = heads.forward(batch)
-        assert out.shape == (3, 1, 4, 4)
-        assert out[:, 0].tobytes() == batch.tobytes()
-        g = rng.standard_normal((3, 1, 4, 4))
-        assert heads.backward(g).tobytes() == g[:, 0].tobytes()
+        kernel = _kernel(rng, 1, 4)
+        out = heads.forward(kernel)
+        assert out.shape == (3, 2, 16)
+        assert out.tobytes() == kernel.tobytes()
+        g = rng.standard_normal(out.shape)
+        assert heads.backward(g).tobytes() == g.tobytes()
         assert heads.grad_weights.shape == (0, 4, 4)
         heads.step(0.05)
         assert heads.weights.shape == (0, 4, 4) and heads.grad_weights is None
@@ -210,61 +226,68 @@ class TestMbtHeads:
     def test_stack_axis_length(self, rng):
         heads = MbtHeads.initialize(3, k=4, rng=rng)
         assert heads.K == 4 and heads.weights.shape == (3, 3, 3)
-        out = heads.forward(rng.standard_normal((2, 3, 3)))
-        assert out.shape == (2, 4, 3, 3)
+        out = heads.forward(_kernel(rng, 4, 3, lead=(2, 5)))
+        assert out.shape == (2, 5, 9)
+        assert heads.backward(rng.standard_normal(out.shape)).shape == (2, 5, 36)
 
     def test_compositional_oracle(self, rng):
+        """The folded kernel is the per-head sum, and a conv with it reads
+        a tangent V as the unfolded kernel reads the heads' outputs
+        ``W_k^T V W_k``."""
         heads = MbtHeads.initialize(5, k=3, rng=rng)
-        batch = rng.standard_normal((4, 5, 5))
-        stacked = heads.forward(batch)
-        assert stacked[:, 0].tobytes() == batch.tobytes()
-        for k, w in enumerate(heads.weights, start=1):
-            single = np.stack([w.T @ v @ w for v in batch])
-            assert stacked[:, k].tobytes() == single.tobytes()
+        kernel = _kernel(rng, 3, 5)
+        folded = heads.forward(kernel)
+        assert folded.tobytes() == _fold_oracle(heads, kernel).tobytes()
+        v = rng.standard_normal((5, 5))
+        v = v + v.T
+        w = np.concatenate([np.eye(5)[None], heads.weights])
+        stacked = np.concatenate([(w_k.T @ v @ w_k).ravel() for w_k in w])
+        assert np.allclose(folded @ v.ravel(), kernel @ stacked, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_backward_matches_per_head_oracle(self, rng, k):
         heads = MbtHeads.initialize(5, k=k, rng=rng)
-        batch = rng.standard_normal((4, 5, 5))
-        batch = batch + np.swapaxes(batch, 1, 2)
-        g = rng.standard_normal((4, k, 5, 5))
-        heads.forward(batch)
-        gx = heads.backward(g)
+        kernel = _kernel(rng, k, 5)
+        g = rng.standard_normal((3, 2, 25))
+        heads.forward(kernel)
+        gk = heads.backward(g)
         w = np.concatenate([np.eye(5)[None], heads.weights])  # head 0 is I
-        want_x = np.stack([sum(w[j] @ g[b, j] @ w[j].T for j in range(k))
-                           for b in range(4)])
-        want_w = np.array([sum(batch[b] @ w[j] @ (g[b, j] + g[b, j].T) for b in range(4))
+        de = g.reshape(-1, 5, 5)
+        slices = kernel.reshape(-1, k, 5, 5)
+        want_k = np.stack([[w[j].T @ d @ w[j] for j in range(k)] for d in de])
+        want_w = np.array([sum(d @ w[j] @ sl[j].T + d.T @ w[j] @ sl[j]
+                               for d, sl in zip(de, slices))
                            for j in range(1, k)]).reshape(k - 1, 5, 5)
-        assert np.allclose(gx, want_x, rtol=0, atol=1e-12)
+        assert gk.shape == kernel.shape
+        assert np.allclose(gk, want_k.reshape(kernel.shape), rtol=0, atol=1e-12)
         assert heads.grad_weights.shape == want_w.shape
         assert np.allclose(heads.grad_weights, want_w, rtol=0, atol=1e-12)
 
     def test_input_gradient_fd(self, rng):
+        """The kernel gradient against a central difference of the fold."""
         heads = MbtHeads.initialize(5, k=2, rng=rng)
-        batch = rng.standard_normal((3, 5, 5))
-        batch = batch + np.swapaxes(batch, 1, 2)
-        g = rng.standard_normal((3, 2, 5, 5))
-        v = rng.standard_normal(batch.shape)
+        kernel = _kernel(rng, 2, 5)
+        g = rng.standard_normal((3, 2, 25))
+        v = rng.standard_normal(kernel.shape)
         h = 1e-6
-        num = (np.sum(heads.forward(batch + h * v) * g)
-               - np.sum(heads.forward(batch - h * v) * g)) / (2 * h)
-        heads.forward(batch)
-        gx = heads.backward(g)
-        assert abs(num - np.sum(gx * v)) / abs(num) < 1e-6
+        num = (np.sum(heads.forward(kernel + h * v) * g)
+               - np.sum(heads.forward(kernel - h * v) * g)) / (2 * h)
+        heads.forward(kernel)
+        gk = heads.backward(g)
+        assert abs(num - np.sum(gk * v)) / abs(num) < 1e-6
 
     def test_weight_gradient_fd(self, rng):
         heads = MbtHeads.initialize(5, k=3, rng=rng)
-        batch = rng.standard_normal((3, 5, 5))
-        batch = batch + np.swapaxes(batch, 1, 2)
-        g = rng.standard_normal((3, 3, 5, 5))
+        kernel = _kernel(rng, 3, 5)
+        g = rng.standard_normal((3, 2, 25))
         dw = rng.standard_normal(heads.weights.shape)
         w0, h = heads.weights.copy(), 1e-6
         heads.weights = w0 + h * dw
-        plus = np.sum(heads.forward(batch) * g)
+        plus = np.sum(heads.forward(kernel) * g)
         heads.weights = w0 - h * dw
-        minus = np.sum(heads.forward(batch) * g)
+        minus = np.sum(heads.forward(kernel) * g)
         heads.weights = w0
-        heads.forward(batch)
+        heads.forward(kernel)
         heads.backward(g)
         assert heads.grad_weights.shape == (2, 5, 5)  # heads 1..K-1
         num = (plus - minus) / (2 * h)

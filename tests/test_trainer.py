@@ -47,7 +47,7 @@ from spdbci.trainer import (
 from conftest import (
     eval_whitened,
     layered_eval_forward,
-    layered_train_forward,
+    layered_train_step,
     random_spd,
     train_to_bundle,
 )
@@ -335,7 +335,8 @@ class TestTrain:
             model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
 
     def test_training_step_matches_layered_oracle(self, small_trials):
-        """LogEig reusing ReEig's decomposition changes neither the
+        """LogEig reusing ReEig's decomposition, ReEig's identity backward
+        and the heads folded into the conv kernel change neither the
         training logits nor any gradient beyond round-off."""
         cfg = TrainConfig(**SMALL)
         trained, _ = train(cfg, small_trials)
@@ -343,15 +344,33 @@ class TestTrain:
         model, oracle = model_from_bundle(bundle), model_from_bundle(bundle)
         covs, labels = prepare_dataset(small_trials, cfg)
         got = model.forward(covs, training=True)
-        want = layered_train_forward(oracle, covs)
+        model.backward(cross_entropy(got, labels)[1])
+        want, want_grads = layered_train_step(oracle, covs, labels)
         _assert_logits_close(got, want)
-        for net, logits in ((model, got), (oracle, want)):
-            net.backward(cross_entropy(logits, labels)[1])
-        grads = [(model.bimap.grad_weight, oracle.bimap.grad_weight),
-                 (model.heads.grad_weights, oracle.heads.grad_weights),
-                 *((model.clf.grads[k], oracle.clf.grads[k]) for k in oracle.clf.grads)]
-        for got_g, want_g in grads:
-            assert np.max(np.abs(got_g - want_g)) <= 1e-10 * np.max(np.abs(want_g))
+        got_grads = {"bimap": model.bimap.grad_weight, "heads": model.heads.grad_weights,
+                     **{f"clf_{k}": g for k, g in model.clf.grads.items()}}
+        assert got_grads.keys() == want_grads.keys()
+        for name, want_g in want_grads.items():
+            got_g = got_grads[name]
+            assert got_g.shape == want_g.shape, name
+            assert np.max(np.abs(got_g - want_g)) <= 1e-10 * np.max(np.abs(want_g)), name
+
+    def test_bundle_missing_its_last_head_names_it(self, small_trials):
+        """K is read from the kernel, K*m*m long, so a bundle without its
+        last head fails on the missing array, not on the kernel shape."""
+        cfg = TrainConfig(**{**SMALL, "epochs": 0, "k_heads": 3})
+        bundle = train_to_bundle(cfg, small_trials)
+        arrays = {key: arr for key, arr in bundle.arrays.items() if key != "head_2"}
+        with pytest.raises(MalformedHeader, match="missing.*'head_2'"):
+            model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
+
+    def test_bundle_kernel_not_a_multiple_of_m_squared_raises_typed_error(
+        self, small_trials
+    ):
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        arrays = {**bundle.arrays, "clf_kernel": bundle.arrays["clf_kernel"][..., :-1]}
+        with pytest.raises(MalformedHeader, match="'clf_kernel'.*multiple of m\\*m = 4"):
+            model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
 
     def test_model_meta_bundle_key_is_rejected(self, small_trials):
         bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
@@ -526,20 +545,22 @@ class TestFoldedPlan:
         model, _ = train(cfg, small_trials)
         covs, labels = prepare_dataset(small_trials, cfg)
         b, s, f = 5, *covs.shape[1:3]
-        eigh_calls.clear()
-        model.forward(covs[:b], training=False)
-        assert eigh_calls == [1, b * s * f]  # running mean once, then the batch
+        # The plan reuses the whitener RBN computed when its mean was
+        # fitted, so building it decomposes only the batch.
         eigh_calls.clear()
         model.forward(covs[:b], training=False)
         assert eigh_calls == [b * s * f]
-        # One training step: the whitener of the fitted RBN mean, then
-        # ReEig; LogEig reuses ReEig's decomposition, so the batch is
-        # decomposed once.
+        eigh_calls.clear()
+        model.forward(covs[:b], training=False)
+        assert eigh_calls == [b * s * f]
+        # One training step: ReEig alone; RBN whitens by its cached
+        # whitener and LogEig reuses ReEig's decomposition, so the batch
+        # is decomposed once.
         eigh_calls.clear()
         logits = model.forward(covs[:8], training=True)
         model.backward(cross_entropy(logits, labels[:8])[1])
         model.step(cfg.learning_rate)
-        assert eigh_calls == [1, 8 * s * f]
+        assert eigh_calls == [8 * s * f]
 
     @pytest.mark.parametrize("name, factor, error", [
         ("clf_kernel", np.nan, MalformedHeader),
@@ -667,6 +688,26 @@ class TestChannelCut:
         for training in (False, True):
             assert np.array_equal(four.forward(covs, training=training),
                                   one.forward(covs, training=training))
+
+    @pytest.mark.parametrize("batch, conv_out, m, big_m, s, f", [
+        (1, 64, 5, 8, 2, 9), (1, 3, 2, 4, 2, 2), (2, 3, 5, 8, 2, 9), (3, 4, 3, 6, 1, 3),
+        (5, 7, 5, 8, 2, 9), (8, 8, 4, 8, 3, 4), (16, 16, 5, 8, 2, 9), (64, 3, 5, 8, 2, 9),
+        (64, 12, 5, 8, 2, 9), (7, 5, 2, 3, 4, 5), (32, 64, 3, 8, 2, 9),
+    ])
+    def test_fresh_multi_head_training_logits_equal_one_head_bit_for_bit(
+        self, batch, conv_out, m, big_m, s, f
+    ):
+        """The fold of a fresh K=4 kernel is its head-0 slice exactly, so
+        the K=4 and K=1 training logits agree bit for bit at any shape,
+        batch 1 and small conv widths included."""
+        rng = np.random.default_rng(batch * 1000 + conv_out)
+        selection = _selection(rng, big_m, m)
+        covs = random_spd(rng, big_m, batch=batch * s * f)
+        covs = covs.reshape(batch, s, f, big_m, big_m)
+        one, four = (Model(selection, n_windows=s, n_bands=f, n_classes=3, k_heads=k,
+                           conv_out=conv_out, seed=11) for k in (1, 4))
+        assert (four.forward(covs, training=True).tobytes()
+                == one.forward(covs, training=True).tobytes())
 
     def test_online_shape_model_beats_chance(self):
         """online-1trial's setup model, criterion 5's geometry with 30
@@ -850,8 +891,8 @@ class TestEvaluate:
         assert stats["samples"] == len(small_trials.trials)
         assert 0 < stats["mean_s"] <= stats["max_s"]
         assert stats["design_s"] > 0
-        # The running mean is decomposed once, for the plan; each timed
-        # trial makes one eigh over its 2 windows x 2 bands.
+        # The RBN mean is decomposed once, when the bundle loads; each
+        # timed trial makes one eigh over its 2 windows x 2 bands.
         assert eigh_calls == [1] + [2 * 2] * len(small_trials.trials)
 
     def test_bench_rejects_zero_repetitions(self, small_trials):
