@@ -11,6 +11,7 @@ cross-entropy.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import log_softmax
 
 from .errors import LabelOutOfRange, MissingForwardCache, ShapeMismatch
 
@@ -27,12 +28,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class TangentClassifier:
     """Conv + band-importance gate + linear head over tangent features.
 
-    Shapes: the stored conv kernel is (C_out, S, J) and is applied
-    independently per frequency band; the gate bottleneck widths follow
-    the squeezed feature length (one scalar per band).  A forward may
-    convolve with another kernel instead, such as the model's folded one
-    over m*m features, whose gradient backward then returns as
-    ``grads["kernel"]``.
+    Shapes: a forward convolves with the (C_out, S, J) kernel it is
+    given, independently per frequency band, and backward returns that
+    kernel's gradient as ``grads["kernel"]``; the stored ``kernel`` is the
+    parameter the caller derives it from, such as the model's kernel
+    before the heads fold it to m*m features.  The gate bottleneck widths
+    follow the squeezed feature length (one scalar per band).
     """
 
     def __init__(
@@ -60,14 +61,13 @@ class TangentClassifier:
 
     # --- forward pieces -------------------------------------------------
 
-    def conv_forward(self, x: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
-        """(B, S, F, J) -> per-band conv output (B, F, C_out), with the
-        stored kernel or the given (C_out, S, J) one.
+    def conv_forward(self, x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+        """(B, S, F, J) -> per-band conv output (B, F, C_out) with the
+        (C_out, S, J) ``kernel``.
 
         The kernel spans a band's whole (S, J) plane, so the conv is one
         product with the kernel read as a (C_out, S*J) matrix.
         """
-        kernel = self.kernel if kernel is None else kernel
         _, s, j = kernel.shape
         if x.ndim != 4 or x.shape[1:] != (s, self.w1.shape[0], j):
             raise ShapeMismatch(
@@ -90,10 +90,9 @@ class TangentClassifier:
             )
         return squeezed, hidden, gate, flat, flat @ self.head_w + self.head_b
 
-    def forward(self, x: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         """(B, S, F, J) tangent features -> (B, n_classes) logits, with the
-        stored conv kernel or the given one (see :meth:`conv_forward`)."""
-        kernel = self.kernel if kernel is None else kernel
+        conv ``kernel`` (see :meth:`conv_forward`)."""
         conv_out = self.conv_forward(x, kernel)
         squeezed, hidden, gate, flat, logits = self._gated_head(conv_out)
         self._cache = {
@@ -130,12 +129,6 @@ class TangentClassifier:
         self.grads["bias"] = d_conv.sum(axis=(0, 1))
         return np.tensordot(d_conv, c["kernel"], axes=(2, 0)).swapaxes(1, 2)
 
-    def step(self, lr: float) -> None:
-        for name in ("kernel", "bias", "w1", "w2", "head_w", "head_b"):
-            if name in self.grads:
-                setattr(self, name, getattr(self, name) - lr * self.grads[name])
-        self.grads = {}
-
     def parameters(self) -> dict[str, np.ndarray]:
         return {
             "kernel": self.kernel, "bias": self.bias,
@@ -151,9 +144,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     n, c = logits.shape
     if np.any(labels < 0) or np.any(labels >= c):
         raise LabelOutOfRange(f"labels must lie in 0..{c - 1}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
+    logp = log_softmax(logits, axis=1)
     loss = -float(np.mean(logp[np.arange(n), labels]))
     grad = np.exp(logp)
     grad[np.arange(n), labels] -= 1.0

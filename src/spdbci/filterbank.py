@@ -53,13 +53,6 @@ class BandSpec:
         return min(high - low for low, high in self.bands)
 
 
-@dataclass
-class TrialTensor:
-    """Bandpassed, windowed view of one trial: shape (S, F, M, L)."""
-
-    data: np.ndarray
-
-
 #: Successful designs of :func:`design_bandpass`, by their arguments.
 _DESIGNS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -110,11 +103,12 @@ def check_gabor(window_len_samples: int, sample_rate: float, band_width_hz: floa
 
 
 class Segments(list):
-    """``[(label, TrialTensor), ...]`` in trial order, where every tensor
-    is a view of ``data``: one C-contiguous (N, S, F, M, L) array."""
+    """``[(label, tensor), ...]`` in trial order, where every tensor is
+    one trial's bandpassed, windowed (S, F, M, L) view of ``data``: one
+    C-contiguous (N, S, F, M, L) array."""
 
     def __init__(self, labels, data: np.ndarray):
-        super().__init__((label, TrialTensor(tensor)) for label, tensor in zip(labels, data))
+        super().__init__(zip(labels, data))
         self.data = data
 
 
@@ -131,8 +125,8 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None))
     windows are copied once, by a reshape and a transpose, into one
     C-contiguous (N, S, F, M, L) array, so every window is contiguous
     too.  Returns the :class:`Segments` of the block: ``[(label,
-    TrialTensor), ...]`` in trial order, each tensor a view of that
-    array, which is the list's ``data``.
+    tensor), ...]`` in trial order, each tensor a view of that array,
+    which is the list's ``data``.
     """
     fs = trials.sample_rate_hz
     if not check_gabor(window_len, fs, spec.narrowest_width_hz):

@@ -3,10 +3,7 @@ normalization, and LogEig.
 
 All gradients are derived analytically.  Eigenvalue-function backward
 passes use the Daleckii-Krein divided-difference form; eigenvalue pairs
-closer than 1e-12 fall back to the diagonal limit f'(lambda).  Weights
-constrained to the Stiefel manifold are updated by projecting the
-Euclidean gradient onto the tangent space and retracting with a QR
-factorization, so orthonormality is preserved to round-off.
+closer than 1e-12 fall back to the diagonal limit f'(lambda).
 
 Batches are arrays of shape (B, n, n); layers whose backward needs their
 forward pass cache it and raise :class:`MissingForwardCache` if backward
@@ -45,6 +42,12 @@ def stiefel_retract(q: np.ndarray, delta: np.ndarray) -> np.ndarray:
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     return qn * signs[..., None, :]
+
+
+def stiefel_step(q: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+    """One descent step of ``q`` (``q^T q = I``, stacks allowed) along the
+    projection of the Euclidean gradient ``grad``, retracted by QR."""
+    return stiefel_retract(q, -lr * stiefel_project(q, grad))
 
 
 def random_stiefel(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
@@ -92,7 +95,7 @@ def _sqrt_and_inv_sqrt(w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class BiMapLayer:
-    """Bilinear map X -> W X W^T with orthonormal rows kept by the step."""
+    """Bilinear map X -> W X W^T, W with orthonormal rows."""
 
     def __init__(self, weight: np.ndarray):
         self.weight = np.asarray(weight, dtype=np.float64)
@@ -113,14 +116,6 @@ class BiMapLayer:
         # dL/dW = (G + G^T) W X  summed over the batch (X symmetric)
         self.grad_weight = (gsym @ (w @ x)).sum(axis=0)
         return w.T @ grad @ w
-
-    def step(self, lr: float) -> None:
-        if self.grad_weight is None:
-            return
-        q = self.weight.T  # columns orthonormal
-        g = self.grad_weight.T
-        self.weight = stiefel_retract(q, -lr * stiefel_project(q, g)).T
-        self.grad_weight = None
 
 
 class ReEigLayer:

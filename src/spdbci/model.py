@@ -37,7 +37,7 @@ from .classifier import TangentClassifier
 from .config import config_from_mapping
 from .eeg_io import ModelBundle
 from .errors import MalformedHeader, ShapeMismatch
-from .layers import BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, random_stiefel
+from .layers import BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, random_stiefel, stiefel_step
 from .selection import MbtHeads
 from .spd import check_spd, eig_fn
 
@@ -47,7 +47,7 @@ ORTHONORMAL_ATOL = 1e-8
 
 #: Rank of each bundle array that :func:`model_from_bundle` reads sizes
 #: from before the model exists to check its full shape.
-BUNDLE_RANKS = {"selection": 2, "clf_kernel": 3, "clf_w1": 2, "clf_head_b": 1}
+BUNDLE_RANKS = {"selection": 2, "clf_kernel": 3, "clf_head_b": 1}
 
 
 class Model:
@@ -139,8 +139,10 @@ class Model:
                 a @ covs.reshape(b * s * f, big_m, big_m) @ a.T,
                 lambda w: np.log(np.maximum(w, eps)),
             )
-            conv_out = self.clf.conv_forward(tangent.reshape(b, s, f, m * m), kernel)
-            return self.clf._gated_head(conv_out)[-1]
+            logits = self.clf.forward(tangent.reshape(b, s, f, m * m), kernel)
+            # backward has nothing to differentiate, and the batch is freed
+            self.clf._cache = None
+            return logits
         x = self.bimap.forward(self.cut(covs).reshape(b * s * f, m, m))
         x = self.reeig.forward(self.rbn.forward(x))
         tangent = self.logeig.forward(x, eig=self.reeig.output_eig)
@@ -158,16 +160,29 @@ class Model:
         return self._plan
 
     def backward(self, grad_logits: np.ndarray) -> None:
+        """Gradients of the last forward, which must be a training one: an
+        eval forward in between drops the classifier's cache, and backward
+        then raises :class:`~spdbci.errors.MissingForwardCache`."""
         d_tangent = self.clf.backward(grad_logits)  # (B, S, F, m*m)
         self.clf.grads["kernel"] = self.heads.backward(self.clf.grads["kernel"])
         grad = self.logeig.backward(d_tangent.reshape(-1, self.m, self.m))
         self.bimap.backward(self.rbn.backward(self.reeig.backward(grad)))
 
     def step(self, lr: float) -> None:
+        """Apply the pending gradients at rate ``lr`` and drop them: plain
+        descent on the classifier's parameters, and a :func:`stiefel_step`
+        on the heads' columns and on BiMap's rows, which keeps them
+        orthonormal to round-off.  With K = 1 there is no head, and no
+        linalg call runs on the empty stack."""
         self._plan = None
-        self.clf.step(lr)
-        self.heads.step(lr)
-        self.bimap.step(lr)
+        clf, heads, bimap = self.clf, self.heads, self.bimap
+        for name, grad in clf.grads.items():
+            setattr(clf, name, getattr(clf, name) - lr * grad)
+        if heads.grad_weights is not None and heads.K > 1:
+            heads.weights = stiefel_step(heads.weights, heads.grad_weights, lr)
+        if bimap.grad_weight is not None:
+            bimap.weight = stiefel_step(bimap.weight.T, bimap.grad_weight.T, lr).T
+        clf.grads, heads.grad_weights, bimap.grad_weight = {}, None, None
 
     # ------------------------------------------------------------------
 
@@ -248,33 +263,32 @@ def _check_arrays(arrays: dict[str, np.ndarray]) -> None:
 
 
 def model_from_bundle(bundle: ModelBundle) -> Model:
-    """Rebuild a model: hyperparameters from the config snapshot, sizes
-    from the array shapes, K from the last axis of ``clf_kernel``, K*m*m
-    long.  The bundle's array names must be exactly the model's, so a
-    missing or unexpected array, ``head_0`` among them, raises
-    :class:`MalformedHeader`, and so do a non-finite array, a zero-length
-    axis, a kernel whose last axis is not a multiple of m*m, an array
-    whose rank or shape disagrees with the sizes, a ``selection`` that is
-    not the identity columns of ascending channels and a BiMap or head
-    weight without orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean
+    """Rebuild a model: K, the band count and the seed from the config
+    snapshot, the other sizes from the array shapes.  The snapshot's
+    ``m`` must be the width of ``selection``, and the bundle's array
+    names must be exactly the model's, so a missing or unexpected array,
+    ``head_0`` among them, raises :class:`MalformedHeader`, and so do a
+    non-finite array, a zero-length axis, an array whose rank or shape
+    disagrees with the sizes, a ``selection`` that is not the identity
+    columns of ascending channels and a BiMap or head weight without
+    orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean
     (``rbn_mean_0``) that is not SPD raises
     :class:`~spdbci.errors.NotPositiveDefinite`."""
     config = config_from_mapping(bundle.config)
     arrays = bundle.arrays
     _check_arrays(arrays)
-    _, n_windows, feat_len = arrays["clf_kernel"].shape
     m = arrays["selection"].shape[1]
-    if feat_len % (m * m):
+    if config.m != m:
         raise MalformedHeader(
-            f"model bundle array 'clf_kernel' has last axis {feat_len}, not a multiple "
-            f"of m*m = {m * m}"
+            f"model bundle config key 'm' is {config.m}, but array 'selection' "
+            f"selects {m} channels"
         )
     model = Model(
         arrays["selection"],
-        n_windows=n_windows,
-        n_bands=arrays["clf_w1"].shape[0],
+        n_windows=arrays["clf_kernel"].shape[1],
+        n_bands=len(config.bands),
         n_classes=arrays["clf_head_b"].shape[0],
-        k_heads=feat_len // (m * m),
+        k_heads=config.k_heads,
         conv_out=config.conv_out,
         seed=config.seed,
     )

@@ -25,7 +25,7 @@ from .errors import (
     MissingForwardCache,
     NotPositiveDefinite,
 )
-from .layers import random_stiefel, stiefel_project, stiefel_retract
+from .layers import random_stiefel
 from .spd import check_spd, double_center, spd_log, sym
 
 
@@ -183,10 +183,10 @@ class MbtHeads:
 
     Head 0 is the identity pass-through; heads 1..K-1 are
     ``head_k(V) = W_k^T V W_k`` with ``weights`` the (K-1, m, m) stack of
-    orthonormal W_k, all trained by the downstream loss with one batched
-    Stiefel retraction step.  A conv kernel with one (m, m) slice K_k per
-    head reads the heads' outputs as ``sum_k <head_k(V), K_k> = <V, E>``
-    with ``E = K_0 + sum_k W_k K_k W_k^T``, so the heads act on the
+    orthonormal W_k, trained by :meth:`~spdbci.model.Model.step`.  A
+    conv kernel with one (m, m) slice K_k per head reads the heads'
+    outputs as ``sum_k <head_k(V), K_k> = <V, E>`` with
+    ``E = K_0 + sum_k W_k K_k W_k^T``, so the heads act on the
     kernel, once per step, instead of on every tangent of the batch.
     """
 
@@ -232,11 +232,3 @@ class MbtHeads:
         t = np.tensordot(de, k[:, 1:], axes=(0, 0))
         self.grad_weights = np.einsum("iakjb,kab->kij", t + t.transpose(1, 0, 2, 4, 3), w)
         return d_kernel.reshape(grad.shape[:-1] + (-1,))
-
-    def step(self, lr: float) -> None:
-        # with K = 1 there is no head to train, and no linalg call runs on
-        # the empty stack
-        if self.grad_weights is not None and len(self.weights):
-            q = self.weights
-            self.weights = stiefel_retract(q, -lr * stiefel_project(q, self.grad_weights))
-        self.grad_weights = None

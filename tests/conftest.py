@@ -4,7 +4,7 @@ import pytest
 from spdbci.classifier import cross_entropy
 from spdbci.config import config_to_mapping
 from spdbci.errors import DimensionMismatch
-from spdbci.layers import _eig_fn_backward, _sqrt_and_inv_sqrt
+from spdbci.layers import _eig_fn_backward, _sqrt_and_inv_sqrt, stiefel_project, stiefel_retract
 from spdbci.model import model_to_bundle
 from spdbci.spd import double_center, eig_fn, inv_sqrtm, spd_exp, spd_log, sym
 from spdbci.trainer import train
@@ -118,7 +118,7 @@ def layered_eval_forward(model, covs):
     tangent = spd_log(rectified)
     stacked = np.stack([tangent] + [w_k.T @ tangent @ w_k for w_k in model.heads.weights],
                        axis=1)
-    conv_out = model.clf.conv_forward(stacked.reshape(b, s, f, -1))
+    conv_out = model.clf.conv_forward(stacked.reshape(b, s, f, -1), model.clf.kernel)
     return model.clf._gated_head(conv_out)[-1]
 
 
@@ -139,7 +139,7 @@ def layered_train_step(model, covs, labels):
     tangent = model.logeig.forward(rectified)
     heads = np.concatenate([np.eye(model.m)[None], model.heads.weights])  # head 0 is I
     stacked = np.stack([h.T @ tangent @ h for h in heads], axis=1)  # (B*S*F, K, m, m)
-    logits = model.clf.forward(stacked.reshape(b, s, f, -1))
+    logits = model.clf.forward(stacked.reshape(b, s, f, -1), model.clf.kernel)
 
     d_stacked = model.clf.backward(cross_entropy(logits, labels)[1])
     d_stacked = d_stacked.reshape(stacked.shape)
@@ -153,6 +153,27 @@ def layered_train_step(model, covs, labels):
              "heads": d_heads.reshape(model.heads.weights.shape)}
     grads.update({f"clf_{name}": g for name, g in model.clf.grads.items()})
     return logits, grads
+
+
+def per_part_step(model, lr):
+    """One update of ``model`` by three per-part steps (reference oracle
+    for ``Model.step``): plain descent on each classifier parameter with a
+    gradient, the projected-QR Stiefel step on the heads' columns unless
+    K = 1, and the same step on BiMap's rows, taken on the columns of its
+    transpose."""
+    clf, heads, bimap = model.clf, model.heads, model.bimap
+    for name in ("kernel", "bias", "w1", "w2", "head_w", "head_b"):
+        if name in clf.grads:
+            setattr(clf, name, getattr(clf, name) - lr * clf.grads[name])
+    clf.grads = {}
+    if heads.grad_weights is not None and len(heads.weights):
+        q = heads.weights
+        heads.weights = stiefel_retract(q, -lr * stiefel_project(q, heads.grad_weights))
+    heads.grad_weights = None
+    if bimap.grad_weight is not None:
+        q, g = bimap.weight.T, bimap.grad_weight.T
+        bimap.weight = stiefel_retract(q, -lr * stiefel_project(q, g)).T
+        bimap.grad_weight = None
 
 
 @pytest.fixture

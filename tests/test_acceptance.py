@@ -326,9 +326,9 @@ def test_criterion_4_gradient_suite():
         g = rng.standard_normal((3, 2))
         h = 1e-5
         v = rng.standard_normal(fmap.shape)
-        num = (np.sum(clf.forward(fmap + h * v) * g)
-               - np.sum(clf.forward(fmap - h * v) * g)) / (2 * h)
-        clf.forward(fmap)
+        num = (np.sum(clf.forward(fmap + h * v, clf.kernel) * g)
+               - np.sum(clf.forward(fmap - h * v, clf.kernel) * g)) / (2 * h)
+        clf.forward(fmap, clf.kernel)
         gx = clf.backward(g)
         grads = {k: v.copy() for k, v in clf.grads.items()}
         err = abs(num - np.sum(gx * v)) / max(abs(num), 1e-10)
@@ -339,9 +339,9 @@ def test_criterion_4_gradient_suite():
             p0 = getattr(clf, pname).copy()
             dv = rng.standard_normal(p0.shape)
             setattr(clf, pname, p0 + h * dv)
-            plus = np.sum(clf.forward(fmap) * g)
+            plus = np.sum(clf.forward(fmap, clf.kernel) * g)
             setattr(clf, pname, p0 - h * dv)
-            minus = np.sum(clf.forward(fmap) * g)
+            minus = np.sum(clf.forward(fmap, clf.kernel) * g)
             setattr(clf, pname, p0)
             num = (plus - minus) / (2 * h)
             err = abs(num - np.sum(grads[pname] * dv)) / max(abs(num), 1e-10)

@@ -23,32 +23,34 @@ class TestConv:
     def test_zero_kernel(self, rng):
         clf = _clf(rng)
         clf.kernel = np.zeros_like(clf.kernel)
-        out = clf.conv_forward(rng.standard_normal((2, 2, 3, 8)))
+        out = clf.conv_forward(rng.standard_normal((2, 2, 3, 8)), clf.kernel)
         assert np.allclose(out, 0.0)
 
     def test_zero_input_bias_passthrough(self, rng):
         clf = _clf(rng)
         clf.bias = np.arange(4, dtype=np.float64)
-        out = clf.conv_forward(np.zeros((2, 2, 3, 8)))
+        out = clf.conv_forward(np.zeros((2, 2, 3, 8)), clf.kernel)
         assert np.allclose(out, clf.bias)
 
     def test_linearity(self, rng):
         clf = _clf(rng)
         x = rng.standard_normal((2, 2, 3, 8))
-        assert np.allclose(clf.conv_forward(3.0 * x), 3.0 * clf.conv_forward(x))
+        assert np.allclose(clf.conv_forward(3.0 * x, clf.kernel),
+                           3.0 * clf.conv_forward(x, clf.kernel))
 
     def test_shape_mismatch(self, rng):
         # wrong feature length, wrong band count, and the old 5-axis layout
         for shape in [(2, 2, 3, 9), (2, 2, 4, 8), (2, 3, 1, 2, 8)]:
+            clf = _clf(rng)
             with pytest.raises(ShapeMismatch):
-                _clf(rng).conv_forward(rng.standard_normal(shape))
+                clf.conv_forward(rng.standard_normal(shape), clf.kernel)
 
     def test_matches_einsum_oracle(self, rng):
         clf = _clf(rng)
         clf.bias = rng.standard_normal(clf.bias.shape)
         x = rng.standard_normal((5, 2, 3, 8))
         expected = np.einsum("bsfj,csj->bfc", x, clf.kernel) + clf.bias
-        assert np.allclose(clf.conv_forward(x), expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(clf.conv_forward(x, clf.kernel), expected, rtol=0.0, atol=1e-12)
 
 
 class TestBandImportance:
@@ -89,8 +91,8 @@ class TestBandImportance:
         clf.w2 = np.ones_like(clf.w2)
         x = rng.standard_normal((1, 2, 4, 8))
         perm = [1, 0, 2, 3]
-        out = clf.conv_forward(x)
-        out_p = clf.conv_forward(x[:, :, perm])
+        out = clf.conv_forward(x, clf.kernel)
+        out_p = clf.conv_forward(x[:, :, perm], clf.kernel)
         assert np.allclose(out_p, out[:, perm])
         gate, _ = _gate(clf, out)
         gate_p, _ = _gate(clf, out[:, perm])
@@ -129,9 +131,9 @@ class TestClassifierGradients:
         g = rng.standard_normal((3, 2))
         v = rng.standard_normal(x.shape)
         h = 1e-6
-        num = (np.sum(clf.forward(x + h * v) * g)
-               - np.sum(clf.forward(x - h * v) * g)) / (2 * h)
-        clf.forward(x)
+        num = (np.sum(clf.forward(x + h * v, clf.kernel) * g)
+               - np.sum(clf.forward(x - h * v, clf.kernel) * g)) / (2 * h)
+        clf.forward(x, clf.kernel)
         gx = clf.backward(g)
         assert abs(num - np.sum(gx * v)) / abs(num) < 1e-5
 
@@ -144,11 +146,11 @@ class TestClassifierGradients:
         dv = rng.standard_normal(p0.shape)
         h = 1e-6
         setattr(clf, name, p0 + h * dv)
-        plus = np.sum(clf.forward(x) * g)
+        plus = np.sum(clf.forward(x, clf.kernel) * g)
         setattr(clf, name, p0 - h * dv)
-        minus = np.sum(clf.forward(x) * g)
+        minus = np.sum(clf.forward(x, clf.kernel) * g)
         setattr(clf, name, p0)
-        clf.forward(x)
+        clf.forward(x, clf.kernel)
         clf.backward(g)
         num = (plus - minus) / (2 * h)
         assert abs(num - np.sum(clf.grads[name] * dv)) / max(abs(num), 1e-9) < 1e-5

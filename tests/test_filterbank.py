@@ -106,15 +106,15 @@ class TestSegment:
     def test_window_count(self, rng):
         trials = _trial_set(rng.standard_normal((3, 1000)))
         out = segment(trials, BandSpec(), window_len=250)
-        assert all(t.data.shape == (4, 9, 3, 250) for _, t in out)
-        assert all(t.data.flags.c_contiguous for _, t in out)
+        assert all(t.shape == (4, 9, 3, 250) for _, t in out)
+        assert all(t.flags.c_contiguous for _, t in out)
 
     def test_band_selectivity_on_sinusoid(self):
         fs = 250.0
         t = np.arange(2000) / fs
         sine = np.sin(2 * np.pi * 10.0 * t)[None, :].repeat(2, axis=0)
         out = segment(_trial_set(sine), BandSpec(), window_len=500)
-        tensor = out[0][1].data
+        tensor = out[0][1]
         energies = [float(np.sum(tensor[1, f] ** 2)) for f in range(9)]
         # 10 Hz sits in band index 1 (8-12 Hz); 28-32 Hz is index 6
         assert energies[1] >= 100.0 * energies[6]
@@ -133,16 +133,16 @@ class TestSegment:
     def test_linearity(self, rng):
         data = rng.standard_normal((2, 500))
         spec = BandSpec(bands=((8.0, 12.0),))
-        one = segment(_trial_set(data), spec, 250)[0][1].data
-        scaled = segment(_trial_set(3.0 * data), spec, 250)[0][1].data
+        one = segment(_trial_set(data), spec, 250)[0][1]
+        scaled = segment(_trial_set(3.0 * data), spec, 250)[0][1]
         # narrowband IIR recursions amplify round-off (poles near the unit
         # circle), so exact-arithmetic linearity holds only to ~1e-7 here
         assert np.allclose(scaled, 3.0 * one, rtol=1e-6, atol=1e-6 * np.max(np.abs(one)))
 
     def test_determinism(self, rng):
         data = rng.standard_normal((2, 500))
-        a = segment(_trial_set(data), BandSpec(), 125)[0][1].data
-        b = segment(_trial_set(data), BandSpec(), 125)[0][1].data
+        a = segment(_trial_set(data), BandSpec(), 125)[0][1]
+        b = segment(_trial_set(data), BandSpec(), 125)[0][1]
         assert a.tobytes() == b.tobytes()
 
     def test_labels_preserved_in_order(self, rng):
@@ -156,8 +156,8 @@ class TestSegment:
         assert out.data.shape == (2, 4, 9, 3, 250)
         assert out.data.flags.c_contiguous
         for k, (_, tensor) in enumerate(out):
-            assert np.shares_memory(tensor.data, out.data)
-            assert np.array_equal(tensor.data, out.data[k])
+            assert np.shares_memory(tensor, out.data)
+            assert np.array_equal(tensor, out.data[k])
 
     def test_block_equals_its_slice_of_the_set(self, rng):
         data = rng.standard_normal((3, 1000))

@@ -23,6 +23,7 @@ from spdbci.errors import (
     InsufficientData,
     IoFailure,
     MalformedHeader,
+    MissingForwardCache,
     NotPositiveDefinite,
     SchemaMismatch,
     WindowTooLong,
@@ -48,6 +49,7 @@ from conftest import (
     eval_whitened,
     layered_eval_forward,
     layered_train_step,
+    per_part_step,
     random_spd,
     train_to_bundle,
 )
@@ -356,7 +358,7 @@ class TestTrain:
             assert np.max(np.abs(got_g - want_g)) <= 1e-10 * np.max(np.abs(want_g)), name
 
     def test_bundle_missing_its_last_head_names_it(self, small_trials):
-        """K is read from the kernel, K*m*m long, so a bundle without its
+        """K is read from the config snapshot, so a bundle without its
         last head fails on the missing array, not on the kernel shape."""
         cfg = TrainConfig(**{**SMALL, "epochs": 0, "k_heads": 3})
         bundle = train_to_bundle(cfg, small_trials)
@@ -369,8 +371,26 @@ class TestTrain:
     ):
         bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
         arrays = {**bundle.arrays, "clf_kernel": bundle.arrays["clf_kernel"][..., :-1]}
-        with pytest.raises(MalformedHeader, match="'clf_kernel'.*multiple of m\\*m = 4"):
+        with pytest.raises(MalformedHeader,
+                           match=r"'clf_kernel' has shape \(3, 2, 7\), expected \(3, 2, 8\)"):
             model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("k_heads", "3", "missing.*'head_2'"),
+        ("k_heads", "1", "unexpected.*'head_1'"),
+        ("m", "3", "config key 'm' is 3.*'selection' selects 2"),
+        ("bands", "8-16;16-24;24-32", "'clf_w1' has shape \\(2, 1\\), expected \\(3, 1\\)"),
+    ])
+    def test_bundle_config_that_disagrees_with_its_arrays_raises_typed_error(
+        self, small_trials, key, value, name
+    ):
+        """The snapshot's K, m and band count must be those of the arrays;
+        a K=2, m=2, two-band bundle that says otherwise fails on load, not
+        at the first prediction or never."""
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        edited = dataclasses.replace(bundle, config={**bundle.config, key: value})
+        with pytest.raises(MalformedHeader, match=name):
+            model_from_bundle(edited)
 
     def test_model_meta_bundle_key_is_rejected(self, small_trials):
         bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
@@ -524,11 +544,23 @@ class TestFoldedPlan:
             return model_from_bundle(bundle).forward(covs, training=False)
 
         model.forward(covs, training=False)
-        logits = model.forward(covs[:8], training=True)  # changes no weight
+        logits = model.forward(covs[:8], training=True)
+        model.backward(cross_entropy(logits, labels[:8])[1])  # neither moves a weight
         assert np.array_equal(model.forward(covs, training=False), fresh())
-        model.backward(cross_entropy(logits, labels[:8])[1])
         model.step(cfg.learning_rate)  # moves the weights
         assert np.array_equal(model.forward(covs, training=False), fresh())
+
+    def test_backward_after_an_eval_forward_raises_typed_error(self, small_trials):
+        """An eval forward between a training forward and its backward
+        drops the classifier's cache, so the backward fails typed instead
+        of mixing the eval batch with the training one."""
+        cfg = TrainConfig(**SMALL)
+        model, _ = train(cfg, small_trials)
+        covs, labels = prepare_dataset(small_trials, cfg)
+        logits = model.forward(covs[:8], training=True)
+        model.forward(covs[:8], training=False)
+        with pytest.raises(MissingForwardCache):
+            model.backward(cross_entropy(logits, labels[:8])[1])
 
     def test_load_arrays_rebuilds_the_plan(self, small_trials, rng):
         cfg = TrainConfig(**SMALL)
@@ -631,6 +663,57 @@ class TestFoldedPlan:
         arrays = {**bundle.arrays, name: np.ones(shape)}
         with pytest.raises(MalformedHeader, match=f"{name}.*zero-length"):
             model_from_bundle(dataclasses.replace(bundle, arrays=arrays))
+
+
+class TestStep:
+    """``Model.step`` applies the pending gradients: plain descent on the
+    classifier, and a Stiefel step on the heads' columns and BiMap's rows."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_step_matches_per_part_oracle(self, rng, k):
+        """Three forward/backward/step rounds leave every parameter where
+        the per-part oracle leaves it, bit for bit, and keep the BiMap rows
+        and head columns orthonormal; a step with no pending gradient
+        changes nothing."""
+        selection = _selection(rng, 6, 4)
+        model, oracle = (Model(selection, n_windows=2, n_bands=3, n_classes=3, k_heads=k,
+                               conv_out=5, seed=9) for _ in range(2))
+        heads_0 = model.heads.weights.copy()
+        for _ in range(3):
+            covs = random_spd(rng, 6, batch=8 * 2 * 3).reshape(8, 2, 3, 6, 6)
+            labels = rng.integers(0, 3, 8)
+            for net in (model, oracle):
+                net.backward(cross_entropy(net.forward(covs, training=True), labels)[1])
+            model.step(0.1)
+            per_part_step(oracle, 0.1)
+            want = oracle.parameter_arrays()
+            for name, arr in model.parameter_arrays().items():
+                assert arr.tobytes() == want[name].tobytes(), name
+        assert k == 1 or not np.allclose(model.heads.weights, heads_0)
+        w = model.bimap.weight
+        assert np.max(np.abs(w @ w.T - np.eye(4))) < 1e-12
+        for w in model.heads.weights:
+            assert np.max(np.abs(w.T @ w - np.eye(4))) < 1e-12
+        model.step(0.1)
+        for name, arr in model.parameter_arrays().items():
+            assert arr.tobytes() == want[name].tobytes(), name
+
+    def test_one_head_step_runs_no_qr_on_the_empty_head_stack(self, rng, monkeypatch):
+        model = _fresh_model(rng, k=1)
+        covs = random_spd(rng, 4, batch=5 * 2 * 2).reshape(5, 2, 2, 4, 4)
+        logits = model.forward(covs, training=True)
+        model.backward(cross_entropy(logits, rng.integers(0, 2, 5))[1])
+        shapes = []
+        real = np.linalg.qr
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        model.step(0.1)
+        assert shapes == [(2, 2)]  # BiMap's alone
+        assert model.heads.weights.shape == (0, 2, 2)
 
 
 def _bundle_with_selection(small_trials, selection):
