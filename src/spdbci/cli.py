@@ -87,6 +87,7 @@ def cmd_select(args) -> int:
     lines = ["key,value"]
     lines.append("selected_channels," + " ".join(str(c) for c in result.selected_channels))
     lines.append(f"iterations,{result.iterations_run}")
+    lines.append(f"final_drift,{result.final_drift:.12e}")
     for i, obj in enumerate(result.objective_trace):
         lines.append(f"objective_{i},{obj:.12e}")
     with open(args.out, "w", encoding="utf-8") as fh:

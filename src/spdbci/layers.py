@@ -113,13 +113,22 @@ class BiMapLayer:
         x = self._cache
         w = self.weight
         gsym = grad + np.swapaxes(grad, -1, -2)
-        # dL/dW = (G + G^T) W X  summed over the batch (X symmetric)
-        self.grad_weight = (gsym @ (w @ x)).sum(axis=0)
+        # dL/dW = sum_b (G_b + G_b^T) W X_b (X symmetric): one contraction
+        # over the batch and the inner index.  W X_b is formed first
+        # because the cut batch X is strided, and the product is not.
+        self.grad_weight = np.tensordot(gsym, w @ x, ([0, 2], [0, 1]))
         return w.T @ grad @ w
 
 
 class ReEigLayer:
-    """Eigenvalue rectification X -> U diag(max(w, eps)) U^T."""
+    """Eigenvalue rectification X -> U diag(max(w, eps)) U^T of
+    ``sym(X) = U diag(w) U^T``.
+
+    The forward keeps ``(w, U)`` for the backward and for
+    :attr:`output_eig`.  When every eigenvalue of the batch is above
+    ``eps`` the map is the identity on ``sym(X)``, so that is returned
+    as is; only a batch with a clamped eigenvalue forms the product.
+    """
 
     def __init__(self, epsilon: float = 1e-4):
         if epsilon <= 0:
@@ -128,9 +137,12 @@ class ReEigLayer:
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        out, w, u = eig_fn(batch, lambda v: np.maximum(v, self.epsilon))
-        self._cache = (w, u)
-        return out
+        x = sym(batch)
+        w, u = self._cache = np.linalg.eigh(x)
+        eps = self.epsilon
+        if np.all(w[..., 0] > eps):
+            return x
+        return eig_fn(x, lambda v: np.maximum(v, eps), (w, u))[0]
 
     @property
     def output_eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,13 +208,16 @@ def karcher_mean(batch: np.ndarray) -> np.ndarray:
 
 
 class RbnLayer:
-    """Riemannian batch normalization with a fitted reference: whiten by
-    ``whitener = mean^(-1/2)``, where :meth:`fit` sets ``mean`` once before
-    training (the re-centring of Zanini et al., IEEE TBME 2018) and the
-    forward never moves it, so training and the folded plan of
-    :class:`~spdbci.model.Model` run the same map.  Setting ``mean``, by
-    :meth:`fit` or a bundle load, computes the whitener once.  The
-    backward treats it as a statistic (no gradient flows through the mean).
+    """Riemannian batch normalization with a fitted reference: the
+    congruence ``X -> r X r`` by ``r = whitener = mean^(-1/2)``, where
+    :meth:`fit` sets ``mean`` once before training (the re-centring of
+    Zanini et al., IEEE TBME 2018) and the forward never moves it, so
+    training and the folded plan of :class:`~spdbci.model.Model` run the
+    same map.  Setting ``mean``, by :meth:`fit` or a bundle load,
+    computes the whitener once.  The output is symmetric to round-off;
+    :class:`ReEigLayer` symmetrises it before decomposing.  The backward
+    is the adjoint ``G -> r G r`` and treats ``r`` as a statistic (no
+    gradient flows through the mean).
     """
 
     def __init__(self, dim: int):
@@ -223,8 +238,8 @@ class RbnLayer:
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         r = self.whitener
-        return sym(r @ batch @ r)
+        return r @ batch @ r
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         r = self.whitener
-        return r @ sym(grad) @ r
+        return r @ grad @ r

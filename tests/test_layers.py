@@ -109,6 +109,32 @@ class TestReEig:
         out = ReEigLayer(eps).forward(x)
         assert np.min(np.linalg.eigvalsh(out)) >= eps - 1e-12
 
+    def test_unclamped_batch_returns_its_symmetric_part(self, rng):
+        """With every eigenvalue above the floor the forward forms no
+        product: the output is ``sym(x)`` bit for bit."""
+        x = random_spd(rng, 5, batch=3) + 1e-3 * rng.standard_normal((3, 5, 5))
+        out = ReEigLayer(1e-4).forward(x)
+        assert out.tobytes() == sym(x).tobytes()
+
+    @pytest.mark.parametrize("first, second", [(1e-9, 1.0), (1.0, 1e-9)],
+                             ids=["clamped-then-not", "unclamped-then-clamped"])
+    def test_decomposition_is_of_the_last_forward(self, rng, first, second):
+        """Either branch leaves LogEig the decomposition of its own batch:
+        ``output_eig`` rebuilds that forward's output, floored at eps."""
+        eps = 1e-4
+        layer = ReEigLayer(eps)
+        u = np.linalg.qr(rng.standard_normal((2, 4, 4, 4)))[0]
+        spectra = np.array([[low, 0.5, 1.0, 2.0] for low in (first, second)])
+        batches = (u * spectra[:, None, None, :]) @ np.swapaxes(u, -1, -2)
+        layer.forward(batches[0])
+        out = layer.forward(batches[1])
+        w, v = layer.output_eig
+        assert np.min(w) >= eps
+        assert np.array_equal(layer._cache[0], np.linalg.eigh(sym(batches[1]))[0])
+        rebuilt = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+        assert np.max(np.abs(rebuilt - out)) < 1e-12
+        assert np.min(np.linalg.eigvalsh(out)) >= eps - 1e-12
+
     def test_idempotent(self, rng):
         layer = ReEigLayer(0.5)
         x = random_spd(rng, 5, batch=3)
@@ -232,12 +258,12 @@ class TestRbn:
         g = rng.standard_normal(batch.shape)
         layer.forward(batch)
         gx = layer.backward(g)
-        # the map is sym(r x r) with the frozen whitener r = inv_sqrtm(mean)
+        # the map is r x r with the frozen whitener r = inv_sqrtm(mean)
         r = inv_sqrtm(layer.mean)
         v = sym(rng.standard_normal(batch.shape))
         h = 1e-6
-        num = (np.sum(sym(r @ (batch + h * v) @ r) * g)
-               - np.sum(sym(r @ (batch - h * v) @ r) * g)) / (2 * h)
+        num = (np.sum(r @ (batch + h * v) @ r * g)
+               - np.sum(r @ (batch - h * v) @ r * g)) / (2 * h)
         assert abs(num - np.sum(gx * v)) / max(abs(num), 1e-12) < 1e-6
 
 

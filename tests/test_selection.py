@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spdbci import selection
 from spdbci.errors import ConfigError, DimensionMismatch
 from spdbci.layers import karcher_mean, random_stiefel
 from spdbci.selection import (
@@ -101,15 +102,32 @@ class TestAssembleL:
         expected = -2.0 * gg[0, 1] * (delta @ w @ w.T @ delta)
         assert np.max(np.abs(assemble_L(logs, gg, w) - expected)) < 1e-10
 
-    def test_matches_loop_oracle(self, rng):
-        samples = random_spd(rng, 4, batch=4)
+    @pytest.mark.parametrize("big_m, n, m", [(4, 4, 2), (22, 18, 5), (16, 36, 4)],
+                             ids=["toy", "select-22ch", "four-class"])
+    def test_matches_loop_oracle(self, rng, big_m, n, m):
+        """The factored products against the pairwise sum, at a toy shape,
+        the select-22ch shape (2 classes x 9 bands) and a 4-class one."""
+        samples = random_spd(rng, big_m, batch=n)
         logs = spd_log(samples)
         gg = gamma(geodesic_matrix(samples))
-        w = random_stiefel(rng, 4, 2)
+        w = random_stiefel(rng, big_m, m)
         fast = assemble_L(logs, gg, w)
         slow = assemble_L_loop(logs, gg, w)
         assert np.max(np.abs(fast - slow)) < 1e-12
         assert np.max(np.abs(fast - fast.T)) < 1e-10
+
+    def test_common_log_component_cancels_exactly(self, rng):
+        """With a log common to every sample, far larger than their
+        spread, L stays as the pairwise sum of differences gives it: the
+        expanded products do not cancel that part in round-off."""
+        samples = random_spd(rng, 6, batch=8)
+        logs = spd_log(samples)
+        gg = gamma(geodesic_matrix(samples))
+        w = random_stiefel(rng, 6, 3)
+        logs = logs + 1e3 * spd_log(random_spd(rng, 6))
+        want = assemble_L_loop(logs, gg, w)
+        got = assemble_L(logs, gg, w)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_global_scaling_invariance(self, rng):
         samples = random_spd(rng, 4, batch=3)
@@ -182,6 +200,45 @@ class TestFitSelection:
     def test_m_out_of_range(self, rng):
         with pytest.raises(DimensionMismatch):
             fit_selection(random_spd(rng, 4, batch=3), m=5)
+
+    def test_no_iteration_is_a_config_error(self, rng):
+        with pytest.raises(ConfigError):
+            fit_selection(random_spd(rng, 4, batch=3), m=2, max_iters=0)
+
+    def test_matches_loop_oracle_fit(self, rng, monkeypatch):
+        """A fit on the pairwise-sum L picks the same channels after the
+        same number of iterations, along the same objective trace."""
+        samples = random_spd(rng, 10, batch=8)
+        fast = fit_selection(samples, m=3)
+        monkeypatch.setattr(selection, "assemble_L", assemble_L_loop)
+        slow = fit_selection(samples, m=3)
+        assert fast.iterations_run > 2
+        assert fast.selected_channels == slow.selected_channels
+        assert fast.iterations_run == slow.iterations_run
+        assert np.allclose(fast.objective_trace, slow.objective_trace, rtol=1e-10, atol=0)
+        assert fast.final_drift == pytest.approx(slow.final_drift, rel=1e-6)
+
+    @pytest.mark.parametrize("capped", [True, False], ids=["capped", "converged"])
+    def test_one_assembly_per_iteration(self, rng, monkeypatch, capped):
+        """Each iteration assembles L once, the last included: no L is
+        assembled that no update reads.  ``final_drift`` is the last
+        iteration's drift, below the default ``tol`` exactly when the fit
+        stopped on it."""
+        if capped:
+            samples, max_iters = random_spd(rng, 10, batch=8), 3
+        else:
+            samples, max_iters = np.stack(two_class_covariances(8, [1, 3, 5], rng=rng)), 20
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return assemble_L(*args)
+
+        monkeypatch.setattr(selection, "assemble_L", counting)
+        result = fit_selection(samples, m=3, max_iters=max_iters)
+        assert len(calls) == result.iterations_run == len(result.objective_trace)
+        assert (result.iterations_run == max_iters) == capped
+        assert (result.final_drift >= 1e-6) == capped
 
     def test_argmax_scoring_rule(self):
         w = np.array([[0.9, 0.0], [0.1, 0.1], [0.0, 0.95], [0.3, 0.2]])

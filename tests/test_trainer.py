@@ -1022,7 +1022,10 @@ class TestCli:
         sel = tmp_path / "sel.csv"
         assert cli_main(["select", "--config", str(cfg), "--data", str(data),
                          "--out", str(sel)]) == 0
-        assert "selected_channels" in sel.read_text()
+        lines = sel.read_text().splitlines()
+        assert lines[1].startswith("selected_channels,")
+        key, value = lines[3].split(",")
+        assert key == "final_drift" and float(value) >= 0.0
 
         bench = tmp_path / "bench.csv"
         assert cli_main(["bench", "--model", str(model_path), "--data", str(data),
