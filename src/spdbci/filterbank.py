@@ -87,7 +87,8 @@ def design_bandpass(
                          btype="bandpass", fs=sample_rate)
     poles = np.roots(a)
     if poles.size and np.max(np.abs(poles)) >= 1.0:
-        raise UnstableDesign(f"pole magnitude {np.max(np.abs(poles)):.6f} >= 1")
+        raise UnstableDesign(f"band ({low}, {high}) at {sample_rate} Hz: pole "
+                             f"magnitude {np.max(np.abs(poles)):.6f} >= 1")
     b.setflags(write=False)
     a.setflags(write=False)
     _DESIGNS[key] = (b, a)

@@ -3,7 +3,9 @@ normalization, and LogEig.
 
 All gradients are derived analytically.  Eigenvalue-function backward
 passes use the Daleckii-Krein divided-difference form; eigenvalue pairs
-closer than 1e-12 fall back to the diagonal limit f'(lambda).
+closer than 1e-12 fall back to the diagonal limit f'(lambda).  LogEig
+and the Karcher mean reject a spectrum with ``w_min <= 0`` through
+:func:`spdbci.spd.require_positive`.
 
 Batches are arrays of shape (B, n, n); layers whose backward needs their
 forward pass cache it and raise :class:`MissingForwardCache` if backward
@@ -14,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, MissingForwardCache, NotPositiveDefinite
-from .spd import eig_fn, inv_sqrtm, spd_exp, spd_log, sym
+from .errors import ConfigError, MissingForwardCache
+from .spd import eig_fn, inv_sqrtm, require_positive, spd_exp, spd_log, sym
 
 DEGENERATE_EIG_TOL = 1e-12
 
@@ -56,8 +58,7 @@ def random_stiefel(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# On spd.eig_fn: the shared Daleckii-Krein backward and the eigenvalue
-# maps of LogEig and the Karcher-flow step
+# The Daleckii-Krein backward of spd.eig_fn, shared by ReEig and LogEig
 # ---------------------------------------------------------------------------
 
 def _eig_fn_backward(
@@ -73,21 +74,6 @@ def _eig_fn_backward(
     ut = np.swapaxes(u, -1, -2)
     inner = ut @ sym(grad) @ u
     return u @ (k * inner) @ ut
-
-
-def _log_positive(w: np.ndarray) -> np.ndarray:
-    if np.any(w[..., 0] <= 0):
-        raise NotPositiveDefinite("LogEig input is not positive definite")
-    return np.log(w)
-
-
-def _sqrt_and_inv_sqrt(w: np.ndarray) -> np.ndarray:
-    """Eigenvalue functions of ``(x^(1/2), x^(-1/2))``, stacked so one
-    :func:`~spdbci.spd.eig_fn` call returns both."""
-    if np.any(w[..., 0] <= 0):
-        raise NotPositiveDefinite("matrix square root requires a positive definite input")
-    sq = np.sqrt(w)
-    return np.stack([sq, 1.0 / sq])
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +167,7 @@ class LogEigLayer:
         """``eig`` is the decomposition ``(w, u)`` of ``batch`` when the
         caller already holds it, such as :attr:`ReEigLayer.output_eig`;
         forward and backward then run on it and no ``eigh`` runs."""
-        out, w, u = eig_fn(batch, _log_positive, eig)
+        out, w, u = eig_fn(batch, lambda v: np.log(require_positive(v, "LogEig input")), eig)
         self._cache = (w, u)
         return out
 
@@ -202,7 +188,9 @@ def karcher_mean(batch: np.ndarray) -> np.ndarray:
     :class:`NotPositiveDefinite`.
     """
     mean = sym(batch.mean(axis=0))
-    (half, rm), _, _ = eig_fn(mean, _sqrt_and_inv_sqrt)
+    half, w, u = eig_fn(mean, lambda v: np.sqrt(
+        require_positive(v, "karcher_mean's arithmetic mean")))
+    rm = eig_fn(mean, lambda v: 1.0 / np.sqrt(v), (w, u))[0]
     tangent = spd_log(rm @ batch @ rm).mean(axis=0)
     return sym(half @ spd_exp(tangent) @ half)
 

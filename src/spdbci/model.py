@@ -273,7 +273,8 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
     columns of ascending channels and a BiMap or head weight without
     orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean
     (``rbn_mean_0``) that is not SPD raises
-    :class:`~spdbci.errors.NotPositiveDefinite`."""
+    :class:`~spdbci.errors.NotPositiveDefinite`.  A loaded model's
+    weights are final, so its eval plan is built here, once."""
     config = config_from_mapping(bundle.config)
     arrays = bundle.arrays
     _check_arrays(arrays)
@@ -315,4 +316,5 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
                 )
     check_spd(arrays["rbn_mean_0"], "model bundle array 'rbn_mean_0'")
     model.load_arrays(arrays)
+    model._folded_plan()
     return model

@@ -4,8 +4,10 @@ Learns an orthonormal transform W (channels x m) that makes tangent-space
 Euclidean distances between transformed samples track the geodesic
 distances on the SPD manifold.  The trace-maximization update alternates
 between assembling the coupling matrix L from the double-centered
-geodesic Gram matrix and taking the top-m eigenvectors of L.  Channel
-scores come from the rows of the retained eigenvector stack.
+geodesic Gram matrix and taking the top-m eigenvectors of L.  The
+geodesic distances come from the one AIRM kernel,
+:func:`spdbci.spd.airm_distances`.  Channel scores come from the rows
+of the retained eigenvector stack.
 
 Also houses the multi-bilinear transform: the identity and K-1 parallel
 orthonormal heads, which act on the classifier's conv kernel by folding
@@ -18,23 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ConvergenceFailure,
-    DimensionMismatch,
-    MissingForwardCache,
-    NotPositiveDefinite,
-)
+from .errors import ConfigError, ConvergenceFailure, DimensionMismatch, MissingForwardCache
 from .layers import random_stiefel
-from .spd import check_spd, double_center, spd_log, sym
+from .spd import airm_distances, check_spd, spd_log, sym
 
 
 def geodesic_matrix(samples: np.ndarray) -> np.ndarray:
     """Pairwise AIRM distance matrix of a stack of SPD matrices.
 
-    Each sample is factored once, ``X_i = L_i L_i^T``.  The eigenvalues
-    of ``L_i^-1 X_j L_i^-T`` are those of ``X_i^-1/2 X_j X_i^-1/2``, so
-    row i of the matrix takes one batched ``eigvalsh``.
+    Each sample is factored once, ``X_i = L_i L_i^T``, and row i of the
+    matrix is one :func:`~spdbci.spd.airm_distances` call from ``X_i``.
     """
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[0]
@@ -44,17 +39,17 @@ def geodesic_matrix(samples: np.ndarray) -> np.ndarray:
     inv_chol = np.linalg.inv(np.linalg.cholesky(samples))
     g = np.zeros((n, n))
     for i in range(n - 1):
-        w = np.linalg.eigvalsh(sym(inv_chol[i] @ samples[i + 1 :] @ inv_chol[i].T))
-        if np.any(w[:, 0] <= 0):
-            raise NotPositiveDefinite("whitened matrix lost positive definiteness")
-        g[i, i + 1 :] = g[i + 1 :, i] = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+        g[i, i + 1 :] = g[i + 1 :, i] = airm_distances(inv_chol[i], samples[i + 1 :])
     return g
 
 
 def gamma(dist: np.ndarray) -> np.ndarray:
-    """Centered inner-product matrix ``-1/2 H D^2 H`` (entrywise square)."""
+    """Centered inner-product matrix ``-1/2 H D^2 H`` (entrywise square)
+    with ``H = I - (1/n) 1 1^T`` the centering matrix."""
     dist = np.asarray(dist, dtype=np.float64)
-    return double_center(dist**2)
+    n = dist.shape[0]
+    h = np.eye(n) - np.full((n, n), 1.0 / n)
+    return sym(-0.5 * (h @ dist**2 @ h))
 
 
 def assemble_L(log_samples: np.ndarray, gamma_g: np.ndarray, w: np.ndarray) -> np.ndarray:

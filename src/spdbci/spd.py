@@ -2,10 +2,11 @@
 
 The package's one covariance estimator, shrunk by a fixed fraction of
 its own trace; the eigenvalue-function primitive and the matrix log,
-exp and inverse root built on it; the affine-invariant geodesic
-distance; and the double-centering identities used by the
-channel-selection objective.  Everything here is pure and operates on
-plain ``numpy`` arrays; batched inputs use leading axes.
+exp and inverse root built on it; the one affine-invariant (AIRM)
+distance kernel; and the two positivity guards on a spectrum, the
+strict one of :func:`check_spd` and the ``w_min > 0`` one of the maps
+that only need a positive spectrum.  Everything here is pure and
+operates on plain ``numpy`` arrays; batched inputs use leading axes.
 """
 
 from __future__ import annotations
@@ -33,21 +34,29 @@ def sym(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + np.swapaxes(x, -1, -2))
 
 
-def check_spd(x: np.ndarray, name: str = "matrix") -> None:
-    """Raise unless ``x`` is symmetric positive definite.
+def require_spd(w: np.ndarray, name: str) -> np.ndarray:
+    """Ascending spectra ``w`` (``(..., n)``) unchanged, if each has
+    ``w_min > SPD_RTOL * w_max > 0``: the strict rule of :func:`check_spd`."""
+    if np.any(w[..., 0] <= SPD_RTOL * np.maximum(w[..., -1], 0.0)) or np.any(w[..., -1] <= 0):
+        raise NotPositiveDefinite(f"{name} is not positive definite")
+    return w
 
-    Positive definiteness is declared when the smallest eigenvalue
-    exceeds ``SPD_RTOL`` times the largest.
-    """
+
+def require_positive(w: np.ndarray, name: str) -> np.ndarray:
+    """Ascending spectra ``w`` (``(..., n)``) unchanged, if each has
+    ``w_min > 0``: the rule of a map that needs only a positive spectrum."""
+    if np.any(w[..., 0] <= 0):
+        raise NotPositiveDefinite(f"{name} is not positive definite")
+    return w
+
+
+def check_spd(x: np.ndarray, name: str = "matrix") -> None:
+    """Raise unless ``x`` is symmetric and its spectrum passes :func:`require_spd`."""
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {x.shape}")
     if not is_symmetric(x):
         raise NotPositiveDefinite(f"{name} is not symmetric")
-    w = np.linalg.eigvalsh(x)
-    wmax = np.max(w, axis=-1)
-    wmin = np.min(w, axis=-1)
-    if np.any(wmin <= SPD_RTOL * np.maximum(wmax, 0.0)) or np.any(wmax <= 0):
-        raise NotPositiveDefinite(f"{name} is not positive definite")
+    require_spd(np.linalg.eigvalsh(x), name)
 
 
 def covariance(window: np.ndarray, overwrite_window: bool = False) -> np.ndarray:
@@ -84,10 +93,8 @@ def eig_fn(
 
     The one eigenvalue-function primitive of the package, batched over
     leading axes.  ``fn`` maps the ascending eigenvalues ``w`` (shape
-    ``(..., n)``) to an array of the same shape, or to a stack
-    ``(P, ..., n)`` of P eigenvalue functions, which gives P matrices
-    from the single decomposition; it may raise to reject a spectrum.
-    ``eig`` is ``(w, u)`` when the caller already holds the
+    ``(..., n)``) to an array of the same shape; it may raise to reject
+    a spectrum.  ``eig`` is ``(w, u)`` when the caller already holds the
     decomposition of ``x``; then no ``eigh`` runs.  Returns
     ``(out, w, u)``, so a backward pass can reuse ``w`` and ``u``.
     """
@@ -95,23 +102,10 @@ def eig_fn(
     return (u * fn(w)[..., None, :]) @ np.swapaxes(u, -1, -2), w, u
 
 
-def _log_spd(w: np.ndarray) -> np.ndarray:
-    if np.any(w[..., 0] <= SPD_RTOL * np.maximum(w[..., -1], 0.0)) or np.any(
-        w[..., -1] <= 0
-    ):
-        raise NotPositiveDefinite("spd_log requires a positive definite input")
-    return np.log(w)
-
-
-def _inv_sqrt(w: np.ndarray) -> np.ndarray:
-    if np.any(w[..., 0] <= 0):
-        raise NotPositiveDefinite("inv_sqrtm requires a positive definite input")
-    return 1.0 / np.sqrt(w)
-
-
 def spd_log(x: np.ndarray) -> np.ndarray:
     """Matrix logarithm ``U diag(ln w) U^T`` of an SPD matrix (batched)."""
-    return eig_fn(np.asarray(x, dtype=np.float64), _log_spd)[0]
+    return eig_fn(np.asarray(x, dtype=np.float64),
+                  lambda w: np.log(require_spd(w, "spd_log input")))[0]
 
 
 def spd_exp(v: np.ndarray) -> np.ndarray:
@@ -124,12 +118,24 @@ def spd_exp(v: np.ndarray) -> np.ndarray:
 
 def inv_sqrtm(x: np.ndarray) -> np.ndarray:
     """Inverse matrix square root of an SPD matrix (batched)."""
-    return eig_fn(x, _inv_sqrt)[0]
+    return eig_fn(x, lambda w: 1.0 / np.sqrt(require_positive(w, "inv_sqrtm input")))[0]
+
+
+def airm_distances(inv_factor: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """AIRM distances ``||log(x^{-1/2} y x^{-1/2})||_F`` from one SPD
+    ``x = L L^T``, given ``inv_factor = L^{-1}``, to each ``y`` of ``ys``.
+
+    ``L^{-1} y L^{-T}`` has the eigenvalues of ``x^{-1/2} y x^{-1/2}``.
+    That whitened pair may be conditioned far past ``1 / SPD_RTOL``
+    when x and y are SPD, so it is held only to ``w_min > 0``.
+    """
+    w = np.linalg.eigvalsh(sym(inv_factor @ ys @ inv_factor.T))
+    return np.sqrt(np.sum(np.log(require_positive(w, "whitened AIRM pair")) ** 2, axis=-1))
 
 
 def airm_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Geodesic distance ``||log(x^{-1/2} y x^{-1/2})||_F`` under the
-    affine-invariant metric.
+    affine-invariant metric: :func:`airm_distances` of one pair.
 
     Invariant under congruence ``(x, y) -> (A x A^T, A y A^T)`` for any
     invertible ``A``.
@@ -140,26 +146,4 @@ def airm_distance(x: np.ndarray, y: np.ndarray) -> float:
         raise DimensionMismatch(f"shape mismatch: {x.shape} vs {y.shape}")
     check_spd(x, "x")
     check_spd(y, "y")
-    xi = inv_sqrtm(x)
-    middle = sym(xi @ y @ xi)
-    w = np.linalg.eigvalsh(middle)
-    if w[0] <= 0:
-        raise NotPositiveDefinite("whitened matrix lost positive definiteness")
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
-
-
-def centering_matrix(n: int) -> np.ndarray:
-    """The centering matrix ``H = I_n - (1/n) 1 1^T``.
-
-    Satisfies ``H 1 = 0`` and ``H H = H``.
-    """
-    if n < 1:
-        raise DimensionMismatch("n must be >= 1")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
-def double_center(sq_dist: np.ndarray) -> np.ndarray:
-    """Return ``-1/2 H S H`` for a matrix of squared distances ``S``."""
-    n = sq_dist.shape[0]
-    h = centering_matrix(n)
-    return sym(-0.5 * (h @ sq_dist @ h))
+    return float(airm_distances(np.linalg.inv(np.linalg.cholesky(x)), y))

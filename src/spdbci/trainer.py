@@ -236,9 +236,9 @@ def bench_inference(
     """Wall-clock for the full per-trial pipeline (segment through logits).
 
     The filter bank is designed once before the timed loop and its time
-    is reported as ``design_s``, and the model's folded inference plan is
-    built after it, untimed; the per-trial samples then measure the
-    steady state, with every design served from the cache.
+    is reported as ``design_s``; the per-trial samples then measure the
+    steady state, with every design served from the cache and the folded
+    plan that :func:`~spdbci.model.model_from_bundle` built.
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
@@ -251,7 +251,6 @@ def bench_inference(
     for band in spec.bands:
         design_bandpass(band, trials.sample_rate_hz)
     design_s = time.perf_counter() - tic
-    model._folded_plan()
     samples = []
     for _ in range(repetitions):
         for label, data in trials.trials:

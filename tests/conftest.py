@@ -4,9 +4,9 @@ import pytest
 from spdbci.classifier import cross_entropy
 from spdbci.config import config_to_mapping
 from spdbci.errors import DimensionMismatch
-from spdbci.layers import _eig_fn_backward, _sqrt_and_inv_sqrt, stiefel_project, stiefel_retract
+from spdbci.layers import _eig_fn_backward, stiefel_project, stiefel_retract
 from spdbci.model import model_to_bundle
-from spdbci.spd import double_center, eig_fn, inv_sqrtm, spd_exp, spd_log, sym
+from spdbci.spd import eig_fn, inv_sqrtm, spd_exp, spd_log, sym
 from spdbci.trainer import train
 
 
@@ -15,6 +15,21 @@ def random_spd(rng, n, batch=None):
     shape = (batch, n, n) if batch else (n, n)
     a = rng.standard_normal(shape)
     return a @ np.swapaxes(a, -1, -2) + n * np.eye(n)
+
+
+def double_center(sq_dist):
+    """``-1/2 H S H`` with ``H = I - (1/n) 1 1^T`` the centering matrix."""
+    n = sq_dist.shape[0]
+    h = np.eye(n) - 1.0 / n
+    return -0.5 * (h @ sq_dist @ h)
+
+
+def airm_distance_eigh(x, y):
+    """``||log(x^-1/2 y x^-1/2)||_F`` with ``x^-1/2`` from ``eigh`` (reference
+    oracle for ``spd.airm_distances``, which whitens by a Cholesky factor)."""
+    w, u = np.linalg.eigh(x)
+    xi = (u / np.sqrt(w)) @ u.T
+    return float(np.linalg.norm(np.log(np.linalg.eigvalsh(sym(xi @ y @ xi)))))
 
 
 def assemble_L_loop(log_samples, gamma_g, w):
@@ -43,7 +58,8 @@ def karcher_mean_iterated(batch):
     mean = sym(batch.mean(axis=0))
     prev_res = np.inf
     for _ in range(10):
-        (half, rm), _, _ = eig_fn(mean, _sqrt_and_inv_sqrt)
+        w, u = np.linalg.eigh(mean)
+        half, rm = (u * np.sqrt(w)) @ u.T, (u / np.sqrt(w)) @ u.T
         tangent = spd_log(rm @ batch @ rm).mean(axis=0)
         res = float(np.linalg.norm(tangent))
         if res < 1e-9:

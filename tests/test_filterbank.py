@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from spdbci import filterbank
 from spdbci.eeg_io import RawTrialSet
-from spdbci.errors import GaborViolation, InvalidBand, WindowTooLong
+from spdbci.errors import GaborViolation, InvalidBand, UnstableDesign, WindowTooLong
 from spdbci.filterbank import (
     DEFAULT_BANDS,
     BandSpec,
@@ -64,6 +65,13 @@ class TestDesign:
         for _ in range(3):
             with pytest.raises(InvalidBand):
                 design_bandpass((100.0, 130.0), 250.0)
+
+    def test_unstable_design_rejected_and_not_cached(self):
+        # at 2000 Hz the 4-8 Hz design has a pole of magnitude 1.0089
+        for _ in range(2):
+            with pytest.raises(UnstableDesign, match=r"band \(4\.0, 8\.0\) at 2000\.0 Hz"):
+                design_bandpass((4.0, 8.0), 2000.0)
+            assert (4.0, 8.0, 2000.0) not in filterbank._DESIGNS
 
 
 class TestGabor:

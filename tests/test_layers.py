@@ -4,7 +4,7 @@ differences, Stiefel constraint preservation, and the Karcher-flow step."""
 import numpy as np
 import pytest
 
-from spdbci.errors import MissingForwardCache
+from spdbci.errors import MissingForwardCache, NotPositiveDefinite
 from spdbci.layers import (
     BiMapLayer,
     LogEigLayer,
@@ -200,6 +200,10 @@ class TestLogEig:
                           (own.backward(g), shared.backward(g))]:
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
+    def test_rejects_indefinite(self):
+        with pytest.raises(NotPositiveDefinite, match="LogEig"):
+            LogEigLayer().forward(np.diag([1.0, -1.0])[None])
+
     def test_output_eig_before_forward(self):
         with pytest.raises(MissingForwardCache):
             ReEigLayer().output_eig
@@ -215,6 +219,11 @@ class TestKarcher:
         a = 3.0
         batch = np.stack([np.diag([a, 1.0]), np.diag([1 / a, 1.0])])
         assert np.linalg.norm(karcher_mean(batch) - np.eye(2)) < 1e-9
+
+    def test_rejects_indefinite_arithmetic_mean(self):
+        batch = np.stack([np.diag([1.0, -2.0]), np.diag([1.0, 1.0])])
+        with pytest.raises(NotPositiveDefinite, match="karcher_mean"):
+            karcher_mean(batch)
 
 
 class TestRbn:

@@ -1,25 +1,25 @@
-"""SPD algebra: covariance, log/exp and inverse root, geodesic distance,
-centering identities."""
+"""SPD algebra: covariance, log/exp and inverse root, the positivity
+guards, geodesic distance, and the centered inner-product matrix."""
 
 import numpy as np
 import pytest
 from scipy import linalg
 
 from spdbci.errors import DimensionMismatch, NotPositiveDefinite
+from spdbci.selection import gamma
 from spdbci.spd import (
     SHRINKAGE_SCALE,
+    SPD_RTOL,
     airm_distance,
     check_spd,
-    centering_matrix,
     covariance,
-    double_center,
     inv_sqrtm,
     spd_exp,
     spd_log,
     sym,
 )
 
-from conftest import check_psd_theorem1, random_spd
+from conftest import airm_distance_eigh, check_psd_theorem1, random_spd
 
 
 class TestCovariance:
@@ -117,8 +117,34 @@ class TestLogExp:
         assert np.linalg.norm(back - v) / max(np.linalg.norm(v), 1.0) < 1e-8
 
     def test_log_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="spd_log"):
             spd_log(np.diag([1.0, -1.0]))
+
+    def test_log_rejects_spectrum_below_relative_floor(self):
+        with pytest.raises(NotPositiveDefinite, match="spd_log"):
+            spd_log(np.diag([1.0, 0.5 * SPD_RTOL]))
+
+    def test_exp_rejects_asymmetric(self):
+        with pytest.raises(NotPositiveDefinite, match="spd_exp"):
+            spd_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_inv_sqrtm_rejects_indefinite(self):
+        with pytest.raises(NotPositiveDefinite, match="inv_sqrtm"):
+            inv_sqrtm(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+
+
+class TestCheckSpd:
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch, match="probe must be square"):
+            check_spd(np.zeros((2, 3)), "probe")
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(NotPositiveDefinite, match="probe is not symmetric"):
+            check_spd(np.array([[2.0, 1.0], [0.0, 2.0]]), "probe")
+
+    def test_rejects_spectrum_below_relative_floor(self):
+        with pytest.raises(NotPositiveDefinite, match="probe is not positive definite"):
+            check_spd(np.diag([1.0, 0.5 * SPD_RTOL]), "probe")
 
 
 class TestAgainstScipy:
@@ -176,18 +202,27 @@ class TestAirm:
         with pytest.raises(DimensionMismatch):
             airm_distance(random_spd(rng, 3), random_spd(rng, 4))
 
+    def test_matches_eigh_whitening(self, rng):
+        for _ in range(5):
+            x, y = random_spd(rng, 6), random_spd(rng, 6)
+            assert abs(airm_distance(x, y) - airm_distance_eigh(x, y)) < 1e-12
 
-class TestCentering:
+    def test_whitened_pair_past_relative_floor(self):
+        # x and y are each SPD to SPD_RTOL, but their whitened pair
+        # diag(1e-7, 1e7) is conditioned far past 1 / SPD_RTOL
+        x, y = np.diag([1e7, 1.0]), np.diag([1.0, 1e7])
+        assert abs(airm_distance(x, y) - np.sqrt(2.0) * np.log(1e7)) < 1e-12
+
+
+class TestGamma:
     def test_n2_closed_form(self):
-        assert np.allclose(centering_matrix(2), [[0.5, -0.5], [-0.5, 0.5]])
+        assert np.allclose(gamma(np.array([[0.0, 2.0], [2.0, 0.0]])), [[1.0, -1.0], [-1.0, 1.0]])
 
-    def test_annihilates_ones(self):
-        h = centering_matrix(7)
-        assert np.allclose(h @ np.ones(7), 0.0)
-
-    def test_idempotent(self):
-        h = centering_matrix(10)
-        assert np.max(np.abs(h @ h - h)) < 1e-12
+    def test_euclidean_distances_give_centred_gram(self, rng):
+        pts = rng.standard_normal((10, 3))
+        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+        centred = pts - pts.mean(axis=0)
+        assert np.max(np.abs(gamma(d) - centred @ centred.T)) < 1e-12
 
 
 class TestPsdCheck:
@@ -215,10 +250,10 @@ class TestPsdCheck:
             check_psd_theorem1(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
-def test_double_center_row_sums_vanish(rng):
+def test_gamma_row_sums_vanish(rng):
     d = np.abs(rng.standard_normal((6, 6)))
     d = d + d.T
     np.fill_diagonal(d, 0.0)
-    gamma = double_center(d**2)
-    assert np.allclose(gamma.sum(axis=0), 0.0, atol=1e-10)
-    assert np.allclose(gamma, gamma.T)
+    g = gamma(d)
+    assert np.allclose(g.sum(axis=0), 0.0, atol=1e-10)
+    assert np.allclose(g, g.T)
