@@ -19,7 +19,7 @@ from .classifier import cross_entropy
 from .config import TrainConfig, config_from_mapping
 from .eeg_io import ModelBundle, RawTrialSet
 from .errors import ConfigError, InsufficientData, NonFiniteLoss, SchemaMismatch
-from .filterbank import design_bandpass, segment
+from .filterbank import bank_plan, segment
 from .layers import karcher_mean
 from .model import Model, count_parameters, model_from_bundle
 from .selection import fit_selection
@@ -51,12 +51,12 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     window's :func:`covariance`, shrunk by ``spd.SHRINKAGE_SCALE`` times
     its trace over M.  Trials are processed in blocks of about
     :data:`BLOCK_BYTES` of windows, at least one trial each: one
-    :func:`segment` call (one ``lfilter`` call per band) and one batched
-    :func:`covariance` call, which centres the block's (n, S, F, M, L)
-    array in place rather than into a second block-sized array.  So
-    the windows held in memory are bounded by the block, not the set,
-    and every trial's covariances equal its own single-trial run bit
-    for bit, whatever block it falls in.  Raises
+    :func:`segment` call (one filter-kernel call per trial, all bands at
+    once) and one batched :func:`covariance` call, which centres the
+    block's (n, S, F, M, L) array in place rather than into a second
+    block-sized array.  So the windows held in memory are bounded by the
+    block, not the set, and every trial's covariances equal its own
+    single-trial run bit for bit, whatever block it falls in.  Raises
     :class:`InsufficientData` for a set without trials.
     """
     if not trials.trials:
@@ -235,10 +235,11 @@ def bench_inference(
 ) -> dict[str, float]:
     """Wall-clock for the full per-trial pipeline (segment through logits).
 
-    The filter bank is designed once before the timed loop and its time
-    is reported as ``design_s``; the per-trial samples then measure the
-    steady state, with every design served from the cache and the folded
-    plan that :func:`~spdbci.model.model_from_bundle` built.
+    The filter bank is designed and its kernel plan built once before the
+    timed loop, and that time is reported as ``design_s``; the per-trial
+    samples then measure the steady state, with every design and the
+    kernel plan served from the cache and the folded plan that
+    :func:`~spdbci.model.model_from_bundle` built.
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
@@ -248,8 +249,7 @@ def bench_inference(
     model = model_from_bundle(bundle)
     spec = config.band_spec()
     tic = time.perf_counter()
-    for band in spec.bands:
-        design_bandpass(band, trials.sample_rate_hz)
+    bank_plan(spec, trials.sample_rate_hz, config.window_len)
     design_s = time.perf_counter() - tic
     samples = []
     for _ in range(repetitions):

@@ -208,19 +208,19 @@ def eigh_calls(monkeypatch):
 
 
 @pytest.fixture
-def lfilter_calls(monkeypatch):
-    """Count ``scipy.signal.lfilter`` calls made by the filter bank: one
-    entry per call, holding the shape of the filtered array."""
+def kernel_calls(monkeypatch):
+    """Count calls of the filter bank's block kernel: one entry per call,
+    holding the shape of the trial it filters."""
     import spdbci.filterbank
 
     calls = []
-    real = spdbci.filterbank.signal.lfilter
+    real = spdbci.filterbank._filter_trial
 
-    def counting(b, a, x, *args, **kwargs):
+    def counting(x, *args, **kwargs):
         calls.append(np.shape(x))
-        return real(b, a, x, *args, **kwargs)
+        return real(x, *args, **kwargs)
 
-    monkeypatch.setattr(spdbci.filterbank.signal, "lfilter", counting)
+    monkeypatch.setattr(spdbci.filterbank, "_filter_trial", counting)
     return calls
 
 

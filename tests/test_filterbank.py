@@ -16,23 +16,50 @@ from spdbci.filterbank import (
 )
 
 
-def _magnitude_db(b, a, freq_hz, fs):
-    """|H(e^{jw})| in dB by direct polynomial evaluation (freqz-free oracle)."""
-    z = np.exp(-1j * 2 * np.pi * freq_hz / fs)
-    num = np.polyval(b[::-1], z)
-    den = np.polyval(a[::-1], z)
-    return 20 * np.log10(abs(num / den))
+def _magnitude_db(sos, freq_hz, fs):
+    """|H(e^{jw})| in dB by direct evaluation of every section
+    (freqz-free oracle)."""
+    z = np.exp(-1j * 2 * np.pi * np.asarray(freq_hz) / fs)
+    h = np.ones_like(z)
+    for section in sos:
+        h = h * np.polyval(section[2::-1], z) / np.polyval(section[:2:-1], z)
+    return 20 * np.log10(np.abs(h))
+
+
+def _section_poles(sos):
+    return np.concatenate([np.roots(section[3:]) for section in sos])
+
+
+RATES = [250.0, 500.0, 1000.0, 2000.0]
 
 
 class TestDesign:
     def test_passband_and_stopband_response(self):
-        b, a = design_bandpass((8.0, 12.0), 250.0)
-        assert _magnitude_db(b, a, 10.0, 250.0) >= -3.0
-        assert _magnitude_db(b, a, 4.0, 250.0) <= -40.0
+        sos = design_bandpass((8.0, 12.0), 250.0)
+        assert _magnitude_db(sos, 10.0, 250.0) >= -3.0
+        assert _magnitude_db(sos, 4.0, 250.0) <= -40.0
+
+    @pytest.mark.parametrize("fs", RATES)
+    def test_default_bank_meets_its_response_at_every_rate(self, fs):
+        # The -3 dB passband spans about 0.24-0.68 of every band.  The
+        # stopband is equiripple: it touches -40 dB at its edges and its
+        # ripple peaks, so round-off of 1e-6 dB is allowed there.
+        for low, high in DEFAULT_BANDS:
+            sos = design_bandpass((low, high), fs)
+            passband = low + (high - low) * np.linspace(0.25, 0.65, 21)
+            stopband = np.concatenate([np.linspace(0.01, low, 200),
+                                       np.linspace(high, 0.999 * fs / 2, 2000)])
+            assert np.min(_magnitude_db(sos, passband, fs)) >= -3.0
+            assert np.max(_magnitude_db(sos, stopband, fs)) <= -40.0 + 1e-6
 
     def test_poles_inside_unit_circle(self):
-        _, a = design_bandpass((8.0, 12.0), 250.0)
-        assert np.max(np.abs(np.roots(a))) < 1.0
+        sos = design_bandpass((8.0, 12.0), 250.0)
+        assert np.max(np.abs(_section_poles(sos))) < 1.0
+
+    def test_narrowest_low_band_designs_at_2000_hz(self):
+        # the (b, a) form of this design put a root at 1.0089
+        sos = design_bandpass((4.0, 8.0), 2000.0)
+        assert np.max(np.abs(_section_poles(sos))) == pytest.approx(0.99910, abs=1e-5)
 
     def test_band_above_nyquist_rejected(self):
         with pytest.raises(InvalidBand):
@@ -43,23 +70,23 @@ class TestDesign:
             design_bandpass((12.0, 8.0), 250.0)
 
     def test_cached_design_equals_direct_design(self):
-        direct = signal.cheby2(4, 40.0, [8.0, 12.0], btype="bandpass", fs=250.0)
+        direct = signal.cheby2(4, 40.0, [8.0, 12.0], btype="bandpass", fs=250.0,
+                               output="sos")
         for _ in range(2):
-            b, a = design_bandpass((8.0, 12.0), 250.0)
-            assert np.array_equal(b, direct[0]) and np.array_equal(a, direct[1])
+            assert np.array_equal(design_bandpass((8.0, 12.0), 250.0), direct)
 
     def test_cached_design_is_read_only(self):
-        b, a = design_bandpass((8.0, 12.0), 250.0)
-        for coeffs in (b, a):
-            with pytest.raises(ValueError):
-                coeffs[0] = 0.0
+        sos = design_bandpass((8.0, 12.0), 250.0)
+        with pytest.raises(ValueError):
+            sos[0, 0] = 0.0
 
     def test_sample_rate_changes_design(self):
-        b250, a250 = design_bandpass((8.0, 12.0), 250.0)
-        b500, a500 = design_bandpass((8.0, 12.0), 500.0)
-        assert not np.array_equal(a250, a500)
-        direct = signal.cheby2(4, 40.0, [8.0, 12.0], btype="bandpass", fs=500.0)
-        assert np.array_equal(b500, direct[0]) and np.array_equal(a500, direct[1])
+        sos250 = design_bandpass((8.0, 12.0), 250.0)
+        sos500 = design_bandpass((8.0, 12.0), 500.0)
+        assert not np.array_equal(sos250, sos500)
+        direct = signal.cheby2(4, 40.0, [8.0, 12.0], btype="bandpass", fs=500.0,
+                               output="sos")
+        assert np.array_equal(sos500, direct)
 
     def test_invalid_band_rejected_on_every_call(self):
         for _ in range(3):
@@ -67,11 +94,96 @@ class TestDesign:
                 design_bandpass((100.0, 130.0), 250.0)
 
     def test_unstable_design_rejected_and_not_cached(self):
-        # at 2000 Hz the 4-8 Hz design has a pole of magnitude 1.0089
+        # at 2000 Hz a 1-2 microhertz band puts a section pole at 1.0000000146
         for _ in range(2):
-            with pytest.raises(UnstableDesign, match=r"band \(4\.0, 8\.0\) at 2000\.0 Hz"):
-                design_bandpass((4.0, 8.0), 2000.0)
-            assert (4.0, 8.0, 2000.0) not in filterbank._DESIGNS
+            with pytest.raises(UnstableDesign,
+                               match=r"band \(1e-06, 2e-06\) at 2000\.0 Hz"):
+                design_bandpass((1e-6, 2e-6), 2000.0)
+            assert (1e-6, 2e-6, 2000.0) not in filterbank._DESIGNS
+
+
+def _sosfilt_windows(data, spec, fs, window_len):
+    """Reference for ``segment``: ``sosfilt`` of each band over the whole
+    trial, cut into (S, F, M, L) windows."""
+    n_windows = data.shape[1] // window_len
+    used = n_windows * window_len
+    out = np.empty((n_windows, len(spec.bands), data.shape[0], window_len))
+    for f, band in enumerate(spec.bands):
+        sos = signal.cheby2(4, 40.0, list(band), btype="bandpass", fs=fs, output="sos")
+        filtered = signal.sosfilt(sos, data, axis=-1)[:, :used]
+        out[:, f] = filtered.reshape(data.shape[0], n_windows, window_len).swapaxes(0, 1)
+    return out
+
+
+class TestKernel:
+    """``segment``'s block kernel against ``sosfilt``."""
+
+    @pytest.mark.parametrize("fs", RATES)
+    @pytest.mark.parametrize("window_len, samples",
+                             [(125, 1000), (127, 800), (250, 1130), (64, 640), (40, 410)])
+    def test_matches_sosfilt(self, rng, fs, window_len, samples):
+        # windows of whole blocks (64) and not (125, 127, 250, 40), and
+        # trials with trailing samples past the last window
+        data = rng.standard_normal((3, samples))
+        out = segment(_trial_set(data, fs), BandSpec(), window_len)[0][1]
+        expected = _sosfilt_windows(data, BandSpec(), fs, window_len)
+        assert np.max(np.abs(out - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_window_shorter_than_a_block(self, rng):
+        data = rng.standard_normal((2, 100))
+        out = segment(_trial_set(data), BandSpec(), 20)[0][1]
+        expected = _sosfilt_windows(data, BandSpec(), 250.0, 20)
+        assert np.max(np.abs(out - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_prime_window_is_blocks_not_a_per_sample_scan(self, monkeypatch):
+        products = []
+        real = np.matmul
+
+        def counting(*args, **kwargs):
+            products.append(1)
+            return real(*args, **kwargs)
+
+        data = np.random.default_rng(0).standard_normal((2, 127 * 4))
+        monkeypatch.setattr(filterbank.np, "matmul", counting)
+        segment(_trial_set(data), BandSpec(), 127)
+        # 127 samples are 4 blocks a window, so per trial: one product of
+        # states from rest, 4 * 4 - 1 state steps and two products a band
+        per_trial = 1 + (4 * 4 - 1) + 2 * len(DEFAULT_BANDS)
+        assert len(products) == 2 * per_trial
+
+    def test_white_noise_at_2000_hz_stays_with_sosfilt(self):
+        # lfilter on the (b, a) form of 12-16 Hz peaks at 3.5e6 here
+        noise = np.random.default_rng(5).standard_normal((1, 200_000))
+        spec = BandSpec(bands=((12.0, 16.0),))
+        out = segment(_trial_set(noise, 2000.0), spec, 200_000)[0][1]
+        expected = _sosfilt_windows(noise, spec, 2000.0, 200_000)
+        assert np.max(np.abs(expected)) < 1.0
+        assert np.max(np.abs(out - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_plan_is_cached_and_read_only(self):
+        plan = filterbank.bank_plan(BandSpec(), 250.0, 125)
+        assert filterbank.bank_plan(BandSpec(), 250.0, 125) is plan
+        # 125 = 3 * 32 + 29: a window of 189 shares the plan
+        assert filterbank.bank_plan(BandSpec(), 250.0, 189) is plan
+        assert plan.last == 29
+        assert plan.response.shape == (9, filterbank.BLOCK + 8, filterbank.BLOCK)
+        for array in (plan.response, plan.state_in, plan.transition,
+                      plan.last_response, plan.last_transition):
+            with pytest.raises(ValueError):
+                array[0, 0, 0] = 0.0
+
+    def test_plan_designs_every_band_on_every_call(self, monkeypatch):
+        filterbank.bank_plan(BandSpec(), 250.0, 125)
+        calls = []
+        real = filterbank.design_bandpass
+
+        def counting(band, fs):
+            calls.append(band)
+            return real(band, fs)
+
+        monkeypatch.setattr(filterbank, "design_bandpass", counting)
+        filterbank.bank_plan(BandSpec(), 250.0, 125)
+        assert calls == list(DEFAULT_BANDS)
 
 
 class TestGabor:
@@ -143,9 +255,8 @@ class TestSegment:
         spec = BandSpec(bands=((8.0, 12.0),))
         one = segment(_trial_set(data), spec, 250)[0][1]
         scaled = segment(_trial_set(3.0 * data), spec, 250)[0][1]
-        # narrowband IIR recursions amplify round-off (poles near the unit
-        # circle), so exact-arithmetic linearity holds only to ~1e-7 here
-        assert np.allclose(scaled, 3.0 * one, rtol=1e-6, atol=1e-6 * np.max(np.abs(one)))
+        # the kernel is matrix products, linear to round-off
+        assert np.allclose(scaled, 3.0 * one, rtol=1e-12, atol=1e-12 * np.max(np.abs(one)))
 
     def test_determinism(self, rng):
         data = rng.standard_normal((2, 500))

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import signal
 
 from spdbci.cli import main as cli_main
 from spdbci.config import (
@@ -28,7 +27,8 @@ from spdbci.errors import (
     SchemaMismatch,
     WindowTooLong,
 )
-from spdbci.filterbank import design_bandpass
+import spdbci.filterbank as filterbank_module
+from spdbci.filterbank import segment
 from spdbci.model import Model, count_parameters, model_from_bundle, model_to_bundle
 from spdbci.selection import fit_selection
 from spdbci.spd import covariance
@@ -74,21 +74,18 @@ _SPEC = {"channels": "4", "samples_per_trial": "100", "trials_per_class": "2"}
 
 
 def per_window_covariances(trials, cfg):
-    """Reference for ``prepare_dataset``: filter each band of each trial,
-    slice the windows out one by one and call the 2-D ``covariance`` once
-    per window."""
+    """Reference for ``prepare_dataset``: filter each trial on its own
+    through ``segment``, slice the windows out one by one and call the
+    2-D ``covariance`` once per window."""
     spec = cfg.band_spec()
-    n_windows = trials.samples_per_trial // cfg.window_len
     out = []
-    for _, data in trials.trials:
-        m = data.shape[0]
-        covs = np.empty((n_windows, len(spec.bands), m, m))
-        for f, band in enumerate(spec.bands):
-            b, a = design_bandpass(band, trials.sample_rate_hz)
-            filtered = signal.lfilter(b, a, data, axis=1)
-            for s in range(n_windows):
-                window = filtered[:, s * cfg.window_len : (s + 1) * cfg.window_len].copy()
-                covs[s, f] = covariance(window)
+    for item in trials.trials:
+        windows = segment(dataclasses.replace(trials, trials=[item]), spec, cfg.window_len)[0][1]
+        n_windows, n_bands, m = windows.shape[:3]
+        covs = np.empty((n_windows, n_bands, m, m))
+        for s in range(n_windows):
+            for f in range(n_bands):
+                covs[s, f] = covariance(windows[s, f].copy())
         out.append(covs)
     return np.stack(out)
 
@@ -862,28 +859,28 @@ class TestPrepareBlocks:
     trials at a time, ``max(1, BLOCK_BYTES // trial window bytes)``
     trials per block, and no trial's result depends on its block."""
 
-    def test_filter_and_covariance_call_budget(self, lfilter_calls, covariance_blocks):
+    def test_filter_and_covariance_call_budget(self, kernel_calls, covariance_blocks):
         # Default bank: 9 bands, 2 windows of 125 samples, 8 channels, so
         # one trial's windows take 144 kB and a 1 MiB block holds 7.
         trials = _c5_shaped_trials(10)
         cfg = TrainConfig()
         covs, _ = prepare_dataset(trials, cfg)
         assert covariance_blocks == [7, 7, 6]
-        assert [shape[0] for shape in lfilter_calls] == [7] * 9 + [7] * 9 + [6] * 9
+        assert kernel_calls == [(8, 250)] * 20
         assert np.array_equal(covs, per_window_covariances(trials, cfg))
         for k, item in enumerate(trials.trials):
             one, _ = prepare_dataset(dataclasses.replace(trials, trials=[item]), cfg)
             assert np.array_equal(one, covs[k : k + 1])
 
-    def test_single_trial_is_one_block(self, lfilter_calls, covariance_blocks):
+    def test_single_trial_is_one_block(self, kernel_calls, covariance_blocks):
         trials = _c5_shaped_trials(10)
         prepare_dataset(dataclasses.replace(trials, trials=trials.trials[:1]), TrainConfig())
-        assert lfilter_calls == [(1, 8, 250)] * 9
+        assert kernel_calls == [(8, 250)]
         assert covariance_blocks == [1]
 
     @pytest.mark.parametrize("per_block", [1, 5, 23, 24, 25])
     def test_blocks_match_reference_and_single_trials(self, small_trials, monkeypatch,
-                                                      lfilter_calls, covariance_blocks,
+                                                      kernel_calls, covariance_blocks,
                                                       per_block):
         cfg = TrainConfig(**SMALL)
         # One SMALL trial's windows: 2 windows x 2 bands x 4 channels x 64 samples.
@@ -893,7 +890,7 @@ class TestPrepareBlocks:
         n = len(small_trials.trials)
         sizes = [min(per_block, n - start) for start in range(0, n, per_block)]
         assert covariance_blocks == sizes
-        assert len(lfilter_calls) == 2 * len(sizes)
+        assert kernel_calls == [(4, 128)] * n
         assert np.array_equal(covs, per_window_covariances(small_trials, cfg))
         assert labels.tolist() == [label for label, _ in small_trials.trials]
         for k, item in enumerate(small_trials.trials):
@@ -977,6 +974,32 @@ class TestEvaluate:
         # The RBN mean is decomposed once, when the bundle loads; each
         # timed trial makes one eigh over its 2 windows x 2 bands.
         assert eigh_calls == [1] + [2 * 2] * len(small_trials.trials)
+
+    def test_bench_builds_the_filter_plan_before_timing(self, small_trials, monkeypatch):
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        monkeypatch.setattr(filterbank_module, "_PLANS", {})
+        builds = []
+        real_build = filterbank_module._build_plan
+
+        def counting_build(*args):
+            builds.append(1)
+            return real_build(*args)
+
+        # plans built while a timed trial is prepared
+        timed = []
+        real_prepare = trainer_module.prepare_dataset
+
+        def counting_prepare(*args):
+            before = len(builds)
+            out = real_prepare(*args)
+            timed.append(len(builds) - before)
+            return out
+
+        monkeypatch.setattr(filterbank_module, "_build_plan", counting_build)
+        monkeypatch.setattr(trainer_module, "prepare_dataset", counting_prepare)
+        bench_inference(bundle, small_trials, repetitions=2)
+        assert builds == [1]
+        assert timed == [0] * 2 * len(small_trials.trials)
 
     def test_bench_rejects_zero_repetitions(self, small_trials):
         bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
