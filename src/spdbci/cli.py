@@ -13,7 +13,6 @@ from .config import TrainConfig, config_to_mapping, load_config, read_key_values
 from .eeg_io import load_model, load_trials, save_model, save_trials
 from .errors import SpdBciError
 from .model import count_parameters, model_to_bundle
-from .selection import fit_selection
 from .synth import generate_from_spec
 from .trainer import (
     bench_inference,
@@ -21,6 +20,7 @@ from .trainer import (
     evaluate_cv,
     evaluate_holdout,
     prepare_dataset,
+    select_channels,
     train,
 )
 
@@ -79,11 +79,7 @@ def cmd_select(args) -> int:
     config = _load_config(args.config)
     trials = load_trials(args.data)
     covs, labels = prepare_dataset(trials, config)
-    reps = class_band_representatives(covs, labels)
-    result = fit_selection(
-        reps, m=config.m, max_iters=config.selection_max_iters,
-        tol=config.selection_tol, scoring=config.channel_scoring,
-    )
+    result = select_channels(config, class_band_representatives(covs, labels))
     lines = ["key,value"]
     lines.append("selected_channels," + " ".join(str(c) for c in result.selected_channels))
     lines.append(f"iterations,{result.iterations_run}")

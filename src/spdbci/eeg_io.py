@@ -37,6 +37,34 @@ BUNDLE_MAGIC = b"SBCM"
 BUNDLE_VERSION = 1
 
 
+def _write_framed(payload: bytes, path) -> None:
+    """Write ``payload`` followed by its CRC-32, the trailer of both
+    containers."""
+    blob = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
+def _read(path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
+def _unframe(blob: bytes, what: str) -> bytes:
+    """The payload of a CRC-framed ``blob`` of at least four bytes;
+    a trailer that disagrees raises :class:`ChecksumError`."""
+    payload, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        raise ChecksumError(f"{what} checksum mismatch")
+    return payload
+
+
 @dataclass
 class RawTrialSet:
     """Validated set of labeled raw trials."""
@@ -97,24 +125,14 @@ def save_trials(trials: RawTrialSet, path) -> None:
     for label, data in trials.trials:
         chunks.append(struct.pack("<I", label))
         chunks.append(np.ascontiguousarray(data, dtype="<f4").tobytes())
-    payload = b"".join(chunks)
-    blob = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    _write_framed(b"".join(chunks), path)
 
 
 def load_trials(path) -> RawTrialSet:
     """Read and validate an EEGB v1 file.  A class count above
     ``max(2, n_trials)``, more than the trials can back, raises
     :class:`MalformedHeader`."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    blob = _read(path)
 
     head_len = 4 + struct.calcsize("<IIIIIf")
     if len(blob) < head_len + 4 or blob[:4] != EEGB_MAGIC:
@@ -135,9 +153,7 @@ def load_trials(path) -> RawTrialSet:
         raise DimensionMismatch(
             f"file is {len(blob)} bytes, header implies {expected}"
         )
-    payload, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise ChecksumError("EEGB payload checksum mismatch")
+    payload = _unframe(blob, "EEGB payload")
 
     trials = []
     offset = head_len
@@ -190,13 +206,7 @@ def save_model(bundle: ModelBundle, path) -> None:
     chunks = [BUNDLE_MAGIC, struct.pack("<II", BUNDLE_VERSION, len(meta)), meta]
     for arr in bundle.arrays.values():
         chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    payload = b"".join(chunks)
-    blob = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    _write_framed(b"".join(chunks), path)
 
 
 def _array_entries(entries) -> list[tuple[str, tuple[int, ...]]]:
@@ -230,19 +240,13 @@ def load_model(path) -> ModelBundle:
     map strings to strings, or whose array list is not exactly named,
     integer-shaped entries (see :func:`_array_entries`), raises
     :class:`MalformedHeader`."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    blob = _read(path)
     if len(blob) < 16 or blob[:4] != BUNDLE_MAGIC:
         raise MalformedHeader("not a model bundle")
     version, meta_len = struct.unpack("<II", blob[4:12])
     if version != BUNDLE_VERSION:
         raise VersionMismatch(f"unsupported bundle version {version}")
-    payload, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise ChecksumError("model bundle checksum mismatch")
+    payload = _unframe(blob, "model bundle")
     try:
         manifest = json.loads(payload[12 : 12 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

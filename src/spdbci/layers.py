@@ -201,7 +201,10 @@ class RbnLayer:
     :meth:`fit` sets ``mean`` once before training (the re-centring of
     Zanini et al., IEEE TBME 2018) and the forward never moves it, so
     training and the folded plan of :class:`~spdbci.model.Model` run the
-    same map.  Setting ``mean``, by :meth:`fit` or a bundle load,
+    same map.  The model owns that fit,
+    :meth:`~spdbci.model.Model.fit_reference`: it passes the class-band
+    representatives, cut to the selected channels and seen through the
+    initial BiMap weight.  Setting ``mean``, by :meth:`fit` or a bundle load,
     computes the whitener once.  The output is symmetric to round-off;
     :class:`ReEigLayer` symmetrises it before decomposing.  The backward
     is the adjoint ``G -> r G r`` and treats ``r`` as a statistic (no

@@ -16,17 +16,18 @@ convolve the m*m tangent with ``E``: a training step folds the kernel
 once and maps the gradient of ``E`` back to the kernel slices and the
 heads, instead of copying every tangent K times.
 
-RBN whitens by a reference mean fitted once before training (see
-:class:`~spdbci.layers.RbnLayer`), so training decomposes each batch
-once, in ReEig.  ReEig's output ``U diag(max(w, eps)) U^T`` comes with
-its eigendecomposition, so LogEig runs its forward and backward on
-``(max(w, eps), U)`` instead of a second ``eigh``.
+RBN whitens by a reference mean that :meth:`Model.fit_reference` fits
+once before training (see :class:`~spdbci.layers.RbnLayer`), so
+training decomposes each batch once, in ReEig.  ReEig's output
+``U diag(max(w, eps)) U^T`` comes with its eigendecomposition, so
+LogEig runs its forward and backward on ``(max(w, eps), U)`` instead of
+a second ``eigh``.
 
-Evaluation folds the layers into three steps, exact to round-off: the
-cut, BiMap and whitening by the RBN mean, ``R = mean^(-1/2)``, are one
-fixed (m, M) congruence ``A = R W P^T`` with ``P`` the (M, m)
-selection, ReEig and LogEig are one eigenvalue function
-``log(max(w, eps))``, and the conv reads the tangent through ``E``.
+Evaluation runs the same cut, then folds the layers into three steps,
+exact to round-off: BiMap and whitening by the RBN mean,
+``R = mean^(-1/2)``, are one fixed m x m congruence ``A = R W``, ReEig
+and LogEig are one eigenvalue function ``log(max(w, eps))``, and the
+conv reads the tangent through ``E``.
 """
 
 from __future__ import annotations
@@ -47,18 +48,18 @@ ORTHONORMAL_ATOL = 1e-8
 
 #: Rank of each bundle array that :func:`model_from_bundle` reads sizes
 #: from before the model exists to check its full shape.
-BUNDLE_RANKS = {"selection": 2, "clf_kernel": 3, "clf_head_b": 1}
+BUNDLE_RANKS = {"selection": 1, "clf_kernel": 3, "clf_head_b": 1}
 
 
 class Model:
     """Trainable pipeline over per-trial covariance tensors.
 
-    ``selection`` (M, m) holds the identity columns of the m selected
-    channels, in ascending order; with m = M it is the identity and
-    nothing is cut.  The chain and the heads run at m x m, and head 0 is
-    the identity pass-through, which has no weight.  Weights are drawn in
-    a fixed order: the BiMap weight, the classifier for one head's m*m
-    features, then heads 1..K-1, whose conv-kernel slices start at zero.
+    ``channels`` lists the m selected channels of the ``n_channels`` (M)
+    of the covariances, in ascending order; with m = M nothing is cut.
+    The chain and the heads run at m x m, and head 0 is the identity
+    pass-through, which has no weight.  Weights are drawn in a fixed
+    order: the BiMap weight, the classifier for one head's m*m features,
+    then heads 1..K-1, whose conv-kernel slices start at zero.
     So a fresh model computes exactly what a fresh one-head model of the
     same seed does (the function-preserving growth of Net2Net, Chen et
     al., ICLR 2016): the folded kernel is then exactly the one-head one.
@@ -66,14 +67,15 @@ class Model:
     A training forward folds the current kernel through the heads and
     convolves the m*m tangent with it, as evaluation does.  The first
     eval forward builds the folded plan from the current
-    weights and RBN mean and caches it; :meth:`step` and
-    :meth:`load_arrays` drop it, so weights are changed through those
-    methods, and the RBN mean is fitted before the first forward.
+    weights and RBN mean and caches it; :meth:`fit_reference`,
+    :meth:`step` and :meth:`load_arrays` drop it, so weights and the RBN
+    mean are changed through those methods.
     """
 
     def __init__(
         self,
-        selection: np.ndarray,
+        channels: np.ndarray | list[int],
+        n_channels: int,
         n_windows: int,
         n_bands: int,
         n_classes: int,
@@ -84,9 +86,9 @@ class Model:
         rng = np.random.default_rng(seed)
         self.n_windows = n_windows
         self.n_bands = n_bands
-        self.n_channels, self.m = selection.shape
+        self.channels = np.asarray(channels)
+        self.n_channels, self.m = n_channels, len(self.channels)
         self.n_classes = n_classes
-        self.selection = selection
 
         m = self.m
         self.bimap = BiMapLayer(random_stiefel(rng, m, m).T)
@@ -112,16 +114,19 @@ class Model:
 
     # ------------------------------------------------------------------
 
-    @property
-    def channels(self) -> np.ndarray:
-        """The selected channels, ascending: the row of each column's 1."""
-        return np.argmax(self.selection, axis=0)
-
     def cut(self, covs: np.ndarray) -> np.ndarray:
         """The rows and columns of the selected channels: (..., M, M) ->
         (..., m, m)."""
         ch = self.channels
         return covs[..., ch[:, None], ch]
+
+    def fit_reference(self, reps: np.ndarray) -> None:
+        """Fit the RBN mean on SPD representatives (..., M, M), cut to the
+        selected channels and seen through the BiMap weight;
+        :func:`~spdbci.trainer.train` runs it once, on the initial weight."""
+        self._plan = None
+        w = self.bimap.weight
+        self.rbn.fit(w @ self.cut(reps) @ w.T)
 
     def forward(self, covs: np.ndarray, training: bool = True) -> np.ndarray:
         """(B, S, F, M, M) covariance batch -> (B, C) logits."""
@@ -132,29 +137,26 @@ class Model:
                 f"({self.n_windows}, {self.n_bands}, {self.n_channels})"
             )
         m = self.m
+        x = self.cut(covs).reshape(b * s * f, m, m)
         if not training:
             a, kernel = self._folded_plan()
             eps = self.reeig.epsilon
-            tangent, _, _ = eig_fn(
-                a @ covs.reshape(b * s * f, big_m, big_m) @ a.T,
-                lambda w: np.log(np.maximum(w, eps)),
-            )
+            tangent, _, _ = eig_fn(a @ x @ a.T, lambda w: np.log(np.maximum(w, eps)))
             logits = self.clf.forward(tangent.reshape(b, s, f, m * m), kernel)
             # backward has nothing to differentiate, and the batch is freed
             self.clf._cache = None
             return logits
-        x = self.bimap.forward(self.cut(covs).reshape(b * s * f, m, m))
-        x = self.reeig.forward(self.rbn.forward(x))
+        x = self.reeig.forward(self.rbn.forward(self.bimap.forward(x)))
         tangent = self.logeig.forward(x, eig=self.reeig.output_eig)
         return self.clf.forward(tangent.reshape(b, s, f, m * m),
                                 self.heads.forward(self.clf.kernel))
 
     def _folded_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """The congruence ``A = inv_sqrtm(rbn.mean) W_bimap P^T`` (m, M)
-        and the folded kernel ``E`` (C_out, S, m*m), built on first use."""
+        """The congruence ``A = inv_sqrtm(rbn.mean) W_bimap`` (m, m) and
+        the folded kernel ``E`` (C_out, S, m*m), built on first use."""
         if self._plan is None:
             self._plan = (
-                self.rbn.whitener @ self.bimap.weight @ self.selection.T,
+                self.rbn.whitener @ self.bimap.weight,
                 self.heads.forward(self.clf.kernel),
             )
         return self._plan
@@ -198,8 +200,10 @@ class Model:
 
     def buffer_arrays(self) -> dict[str, np.ndarray]:
         """Non-learnable state: the fitted RBN mean and the channel
-        selection."""
-        return {"rbn_mean_0": self.rbn.mean, "selection": self.selection}
+        selection as an (M,) mask, 1 at each selected channel."""
+        mask = np.zeros(self.n_channels)
+        mask[self.channels] = 1.0
+        return {"rbn_mean_0": self.rbn.mean, "selection": mask}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         self._plan = None
@@ -208,7 +212,7 @@ class Model:
         )
         self.bimap.weight = arrays["bimap_0"].copy()
         self.rbn.mean = arrays["rbn_mean_0"].copy()
-        self.selection = arrays["selection"].copy()
+        self.channels = np.flatnonzero(arrays["selection"])
         for name in self.clf.parameters():
             setattr(self.clf, name, arrays[f"clf_{name}"].copy())
 
@@ -227,11 +231,11 @@ def model_to_bundle(model: Model, config: dict[str, str]) -> ModelBundle:
     )
 
 
-def _check_arrays(arrays: dict[str, np.ndarray]) -> None:
+def _check_arrays(arrays: dict[str, np.ndarray], m: int) -> None:
     """Reject bundle arrays whose sizes cannot be read: a non-finite
     entry, a zero-length axis, a missing ``BUNDLE_RANKS`` array or one of
-    another rank, or a ``selection`` that is not the identity columns of
-    m <= M channels in ascending order."""
+    another rank, or a ``selection`` mask with an entry other than 0 or 1
+    or whose count of 1s is not the snapshot's ``m``."""
     for name, arr in arrays.items():
         if 0 in arr.shape:
             raise MalformedHeader(f"model bundle array {name!r} has a zero-length axis")
@@ -246,46 +250,35 @@ def _check_arrays(arrays: dict[str, np.ndarray]) -> None:
                 f"expected {ndim}"
             )
     selection = arrays["selection"]
-    big_m, m = selection.shape
-    if m > big_m:
-        raise MalformedHeader(
-            f"model bundle array 'selection' has shape {(big_m, m)}, expected "
-            "(M, m) with m <= M"
-        )
     if not np.all((selection == 0) | (selection == 1)):
         raise MalformedHeader("model bundle array 'selection' has an entry other than 0 or 1")
-    if not np.all(selection.sum(axis=0) == 1):
-        raise MalformedHeader("model bundle array 'selection' has a column without exactly one 1")
-    if not np.all(np.diff(np.argmax(selection, axis=0)) > 0):
+    count = np.count_nonzero(selection)
+    if count != m:
         raise MalformedHeader(
-            "model bundle array 'selection' repeats a channel or lists one out of order"
+            f"model bundle config key 'm' is {m}, but array 'selection' "
+            f"selects {count} channels"
         )
 
 
 def model_from_bundle(bundle: ModelBundle) -> Model:
     """Rebuild a model: K, the band count and the seed from the config
-    snapshot, the other sizes from the array shapes.  The snapshot's
-    ``m`` must be the width of ``selection``, and the bundle's array
-    names must be exactly the model's, so a missing or unexpected array,
-    ``head_0`` among them, raises :class:`MalformedHeader`, and so do a
-    non-finite array, a zero-length axis, an array whose rank or shape
-    disagrees with the sizes, a ``selection`` that is not the identity
-    columns of ascending channels and a BiMap or head weight without
+    snapshot, the other sizes from the array shapes.  ``selection`` must
+    be an (M,) mask of 0s and 1s with the snapshot's ``m`` 1s, and the
+    bundle's array names must be exactly the model's, so a missing or
+    unexpected array, ``head_0`` among them, raises
+    :class:`MalformedHeader`, and so do a non-finite array, a zero-length
+    axis, an array whose rank or shape disagrees with the sizes, a mask
+    entry other than 0 or 1 and a BiMap or head weight without
     orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean
     (``rbn_mean_0``) that is not SPD raises
     :class:`~spdbci.errors.NotPositiveDefinite`.  A loaded model's
     weights are final, so its eval plan is built here, once."""
     config = config_from_mapping(bundle.config)
     arrays = bundle.arrays
-    _check_arrays(arrays)
-    m = arrays["selection"].shape[1]
-    if config.m != m:
-        raise MalformedHeader(
-            f"model bundle config key 'm' is {config.m}, but array 'selection' "
-            f"selects {m} channels"
-        )
+    _check_arrays(arrays, config.m)
     model = Model(
-        arrays["selection"],
+        np.flatnonzero(arrays["selection"]),
+        n_channels=arrays["selection"].shape[0],
         n_windows=arrays["clf_kernel"].shape[1],
         n_bands=len(config.bands),
         n_classes=arrays["clf_head_b"].shape[0],

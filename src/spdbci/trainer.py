@@ -22,7 +22,7 @@ from .errors import ConfigError, InsufficientData, NonFiniteLoss, SchemaMismatch
 from .filterbank import bank_plan, segment
 from .layers import karcher_mean
 from .model import Model, count_parameters, model_from_bundle
-from .selection import fit_selection
+from .selection import SelectionTransform, fit_selection
 from .spd import covariance
 
 
@@ -91,6 +91,13 @@ def class_band_representatives(covs: np.ndarray, labels: np.ndarray) -> np.ndarr
     return np.stack(reps)
 
 
+def select_channels(config: TrainConfig, reps: np.ndarray) -> SelectionTransform:
+    """Fit channel selection on class-band representatives with the
+    config's ``m``, iteration cap, tolerance and scoring rule."""
+    return fit_selection(reps, m=config.m, max_iters=config.selection_max_iters,
+                         tol=config.selection_tol, scoring=config.channel_scoring)
+
+
 def train(
     config: TrainConfig,
     trials: RawTrialSet,
@@ -105,15 +112,9 @@ def train(
     n_classes = trials.n_classes
 
     reps = class_band_representatives(covs, labels)
-    selection = fit_selection(
-        reps,
-        m=config.m,
-        max_iters=config.selection_max_iters,
-        tol=config.selection_tol,
-        scoring=config.channel_scoring,
-    )
     model = Model(
-        np.eye(covs.shape[-1])[:, selection.selected_channels],
+        select_channels(config, reps).selected_channels,
+        n_channels=covs.shape[-1],
         n_windows=s,
         n_bands=f,
         n_classes=n_classes,
@@ -121,8 +122,7 @@ def train(
         conv_out=config.conv_out,
         seed=config.seed,
     )
-    w = model.bimap.weight
-    model.rbn.fit(w @ model.cut(reps) @ w.T)
+    model.fit_reference(reps)
 
     rng = np.random.default_rng(config.seed)
     losses: list[float] = []

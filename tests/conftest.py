@@ -107,9 +107,10 @@ def train_to_bundle(config, trials):
 
 def selected(model, covs):
     """(B*S*F, m, m): each (M, M) covariance cut to the model's selected
-    channels as ``P^T X P``, with ``P`` its (M, m) selection matrix."""
+    channels as ``P^T X P``, with ``P`` the (M, m) identity columns of
+    those channels."""
     big_m = covs.shape[-1]
-    p = model.selection
+    p = np.eye(big_m)[:, model.channels]
     return p.T @ covs.reshape(-1, big_m, big_m) @ p
 
 

@@ -2,11 +2,14 @@
 file or model bundle either loads or raises an ``SpdBciError`` subclass,
 never a bare builtin exception.
 
-The mutations are plain byte edits (``struct``, ``zlib``); where a case
-recomputes the trailing CRC-32, the checksum no longer hides the field
-checks behind it.
+The mutations are plain byte edits (``struct``, ``zlib``, and ``json``
+where a case rewrites a manifest entry); where a case recomputes the
+trailing CRC-32, the checksum no longer hides the field checks behind
+it.
 """
 
+import json
+import math
 import struct
 import zlib
 
@@ -156,3 +159,46 @@ def test_bundle_header_edge_values(bundle_blob, tmp_path, offset):
             yield f"u32@{offset}={value}", with_crc(bytes(blob[:-4]))
 
     assert not leaks(load_and_build, mutants(), tmp_path / "x.sbcm")
+
+
+def with_selection(bundle_blob: bytes, selection) -> bytes:
+    """``bundle_blob`` with its last array, ``selection``, rewritten in the
+    manifest and the payload, and the CRC recomputed."""
+    (meta_len,) = struct.unpack_from("<I", bundle_blob, 8)
+    manifest = json.loads(bundle_blob[12 : 12 + meta_len])
+    entry = manifest["arrays"][-1]
+    assert entry["name"] == "selection"
+    others = bundle_blob[12 + meta_len : -4 - 8 * math.prod(entry["shape"])]
+    entry["shape"] = list(np.shape(selection))
+    meta = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    return with_crc(bundle_blob[:8] + struct.pack("<I", len(meta)) + meta + others
+                    + np.asarray(selection, dtype="<f8").tobytes())
+
+
+def test_bundle_selection_rewritten_as_is_loads(bundle_blob, tmp_path):
+    path = tmp_path / "x.sbcm"
+    path.write_bytes(bundle_blob)
+    mask = load_model(path).arrays["selection"]
+    assert mask.shape == (3,) and mask.sum() == 2  # M = 3 channels, m = 2
+    assert with_selection(bundle_blob, mask) == bundle_blob
+
+
+@pytest.mark.parametrize("selection", [
+    np.float64(1.0),
+    np.eye(3)[:, [0, 2]],
+    np.zeros(0),
+    np.array([1.0, 2.0, 0.0]),
+    np.array([1.0, 0.5, 1.0]),
+    np.array([1.0, -1.0, 1.0]),
+    np.array([1.0, np.nan, 1.0]),
+    np.zeros(3),
+    np.array([1.0, 0.0, 0.0]),
+    np.ones(3),
+], ids=["rank-0", "rank-2-one-hot", "zero-length", "entry-two", "entry-half",
+        "entry-minus-one", "entry-nan", "all-zeros", "count-one", "count-three"])
+def test_bundle_selection_mask_edge_values(bundle_blob, tmp_path, selection):
+    path = tmp_path / "x.sbcm"
+    path.write_bytes(with_selection(bundle_blob, selection))
+    with pytest.raises(SpdBciError) as caught:
+        load_and_build(path)
+    assert type(caught.value) is MalformedHeader

@@ -23,6 +23,7 @@ from spdbci.errors import (
     IoFailure,
     MalformedHeader,
     MissingForwardCache,
+    NonFiniteLoss,
     NotPositiveDefinite,
     SchemaMismatch,
     WindowTooLong,
@@ -30,7 +31,6 @@ from spdbci.errors import (
 import spdbci.filterbank as filterbank_module
 from spdbci.filterbank import segment
 from spdbci.model import Model, count_parameters, model_from_bundle, model_to_bundle
-from spdbci.selection import fit_selection
 from spdbci.spd import covariance
 from spdbci.synth import generate_from_spec, synthetic_trials, two_class_covariances
 import spdbci.trainer as trainer_module
@@ -41,6 +41,7 @@ from spdbci.trainer import (
     evaluate_holdout,
     predict,
     prepare_dataset,
+    select_channels,
     stratified_folds,
     train,
 )
@@ -278,6 +279,14 @@ class TestTrain:
         w = model.bimap.weight
         assert np.linalg.norm(w @ w.T - np.eye(w.shape[0])) < 1e-8
 
+    def test_diverging_loss_raises_typed_error(self, small_trials):
+        """A step that overflows the weights makes the loss non-finite,
+        and training stops there, typed, naming the epoch."""
+        cfg = TrainConfig(**{**SMALL, "learning_rate": 1e300})
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteLoss, match=r"loss became \S+ at epoch 0"):
+            train(cfg, small_trials)
+
     def test_bundle_round_trip_preserves_predictions(self, small_trials, tmp_path):
         cfg = TrainConfig(**SMALL)
         bundle = train_to_bundle(cfg, small_trials)
@@ -409,20 +418,17 @@ class TestTrain:
                                         **model.buffer_arrays()}.keys()
 
     def test_reloaded_model_keeps_selection_and_parameter_count(self, small_trials):
-        """The bundle's ``selection`` gives the fitted channels back, and
-        the K-1 trained heads are m x m."""
+        """The bundle's ``selection`` mask gives the fitted channels back,
+        and the K-1 trained heads are m x m."""
         cfg = TrainConfig(**SMALL)
         covs, labels = prepare_dataset(small_trials, cfg)
-        selection = fit_selection(
-            class_band_representatives(covs, labels), m=cfg.m,
-            max_iters=cfg.selection_max_iters, tol=cfg.selection_tol,
-            scoring=cfg.channel_scoring,
-        )
+        picks = select_channels(cfg, class_band_representatives(covs, labels)).selected_channels
         model, _ = train(cfg, small_trials, dataset=(covs, labels))
-        reloaded = model_from_bundle(model_to_bundle(model, config_to_mapping(cfg)))
-        assert reloaded.channels.tolist() == selection.selected_channels
-        assert np.array_equal(reloaded.selection,
-                              np.eye(small_trials.channels)[:, selection.selected_channels])
+        bundle = model_to_bundle(model, config_to_mapping(cfg))
+        assert bundle.arrays["selection"].tolist() == [
+            float(c in picks) for c in range(small_trials.channels)]
+        reloaded = model_from_bundle(bundle)
+        assert reloaded.channels.tolist() == picks
         assert reloaded.heads.weights.shape == (cfg.k_heads - 1, cfg.m, cfg.m)
         assert count_parameters(reloaded) == count_parameters(model)
         assert np.array_equal(reloaded.forward(covs, training=False),
@@ -461,13 +467,13 @@ def _assert_logits_close(got, want, rtol=1e-10):
     assert float(np.max(np.abs(got - want))) <= rtol * scale
 
 
-def _selection(rng, big_m, m):
-    """(M, m) selection matrix of m channels drawn from ``rng``."""
-    return np.eye(big_m)[:, np.sort(rng.choice(big_m, m, replace=False))]
+def _channels(rng, big_m, m):
+    """m of ``big_m`` channels drawn from ``rng``, ascending."""
+    return np.sort(rng.choice(big_m, m, replace=False))
 
 
 def _fresh_model(rng, big_m=4, m=2, k=2, s=2, f=2, c_out=3, n_cls=2, seed=0):
-    return Model(_selection(rng, big_m, m), n_windows=s, n_bands=f, n_classes=n_cls,
+    return Model(_channels(rng, big_m, m), big_m, n_windows=s, n_bands=f, n_classes=n_cls,
                  k_heads=k, conv_out=c_out, seed=seed)
 
 
@@ -569,6 +575,17 @@ class TestFoldedPlan:
         assert np.array_equal(model.forward(covs, training=False),
                               model_from_bundle(other).forward(covs, training=False))
 
+    def test_fit_reference_rebuilds_the_plan(self, small_trials):
+        cfg = TrainConfig(**SMALL)
+        model, _ = train(cfg, small_trials)
+        covs, labels = prepare_dataset(small_trials, cfg)
+        before = model.forward(covs, training=False)
+        model.fit_reference(class_band_representatives(covs[:8], labels[:8]))
+        bundle = model_to_bundle(model, config_to_mapping(cfg))
+        after = model.forward(covs, training=False)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, model_from_bundle(bundle).forward(covs, training=False))
+
     def test_eigh_budget(self, small_trials, eigh_calls):
         cfg = TrainConfig(**SMALL)
         model, _ = train(cfg, small_trials)
@@ -619,7 +636,7 @@ class TestFoldedPlan:
 
     @pytest.mark.parametrize("name, shape", [
         ("clf_kernel", (3, 8)),
-        pytest.param("selection", (4,), id="selection-1d"),
+        pytest.param("selection", (), id="selection-0d"),
         pytest.param("selection", (2, 4), id="selection-2x4"),
         ("clf_w1", ()),
         ("clf_head_b", ()),
@@ -672,8 +689,8 @@ class TestStep:
         the per-part oracle leaves it, bit for bit, and keep the BiMap rows
         and head columns orthonormal; a step with no pending gradient
         changes nothing."""
-        selection = _selection(rng, 6, 4)
-        model, oracle = (Model(selection, n_windows=2, n_bands=3, n_classes=3, k_heads=k,
+        channels = _channels(rng, 6, 4)
+        model, oracle = (Model(channels, 6, n_windows=2, n_bands=3, n_classes=3, k_heads=k,
                                conv_out=5, seed=9) for _ in range(2))
         heads_0 = model.heads.weights.copy()
         for _ in range(3):
@@ -723,16 +740,15 @@ class TestChannelCut:
     at m x m, with the cut folded into the inference congruence."""
 
     @pytest.mark.parametrize("selection, message", [
-        (2.0 * np.eye(4)[:, [0, 2]], "other than 0 or 1"),
-        (np.eye(4)[:, [0, 2]] - 0.5, "other than 0 or 1"),
-        (np.eye(4)[:, [0, 2]] + np.eye(4)[:, [1, 3]], "exactly one 1"),
-        (np.eye(4)[:, [0, 2]] * [0.0, 1.0], "exactly one 1"),
-        (np.eye(4)[:, [1, 1]], "repeats a channel"),
-        (np.eye(4)[:, [2, 0]], "out of order"),
-        (np.eye(4, 5), "m <= M"),
-    ], ids=["entry-two", "entry-half", "two-ones", "no-one", "repeated", "out-of-order",
-            "m-above-M"])
+        (np.array([2.0, 0.0, 1.0, 0.0]), "other than 0 or 1"),
+        (np.array([1.0, 0.0, 0.5, 0.0]), "other than 0 or 1"),
+        (np.zeros(4), "selects 0 channels"),
+        (np.array([1.0, 1.0, 1.0, 0.0]), "selects 3 channels"),
+        (np.eye(4)[:, [0, 2]], "2 dimensions, expected 1"),
+    ], ids=["entry-two", "entry-half", "all-zeros", "count-above-m", "one-hot"])
     def test_bad_selection_raises_typed_error(self, small_trials, selection, message):
+        """The (M,) mask holds 0s and 1s, config ``m`` of them 1s; the
+        (M, m) one-hot of the older format fails on its rank."""
         with pytest.raises(MalformedHeader, match=f"'selection'.*{message}"):
             model_from_bundle(_bundle_with_selection(small_trials, selection))
 
@@ -760,9 +776,9 @@ class TestChannelCut:
         exactly what the K=1 model of the same seed and selection does.
         Runs at the train-c5 shape and batch: 8 channels, m=5, 2 windows,
         9 bands and the default 64 conv outputs."""
-        selection = _selection(rng, 8, 5)
+        channels = _channels(rng, 8, 5)
         covs = random_spd(rng, 8, batch=64 * 2 * 9).reshape(64, 2, 9, 8, 8)
-        one, four = (Model(selection, n_windows=2, n_bands=9, n_classes=2, k_heads=k,
+        one, four = (Model(channels, 8, n_windows=2, n_bands=9, n_classes=2, k_heads=k,
                            conv_out=64, seed=7) for k in (1, 4))
         assert np.array_equal(four.bimap.weight, one.bimap.weight)
         for training in (False, True):
@@ -781,10 +797,10 @@ class TestChannelCut:
         the K=4 and K=1 training logits agree bit for bit at any shape,
         batch 1 and small conv widths included."""
         rng = np.random.default_rng(batch * 1000 + conv_out)
-        selection = _selection(rng, big_m, m)
+        channels = _channels(rng, big_m, m)
         covs = random_spd(rng, big_m, batch=batch * s * f)
         covs = covs.reshape(batch, s, f, big_m, big_m)
-        one, four = (Model(selection, n_windows=s, n_bands=f, n_classes=3, k_heads=k,
+        one, four = (Model(channels, big_m, n_windows=s, n_bands=f, n_classes=3, k_heads=k,
                            conv_out=conv_out, seed=11) for k in (1, 4))
         assert (four.forward(covs, training=True).tobytes()
                 == one.forward(covs, training=True).tobytes())
