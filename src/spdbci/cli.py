@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .config import TrainConfig, config_to_mapping, load_config, read_key_values
-from .eeg_io import load_model, load_trials, save_model, save_trials
+from .eeg_io import load_model, load_trials, save_model, save_trials, write_file
 from .errors import SpdBciError
 from .model import count_parameters, model_to_bundle
 from .synth import generate_from_spec
@@ -25,6 +25,11 @@ from .trainer import (
 )
 
 
+def _write_csv(path, lines: list[str]) -> None:
+    """Write ``lines`` as a UTF-8 CSV report, one per line."""
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def _write_report(report, path) -> None:
     lines = ["metric,value"]
     for i, acc in enumerate(report.fold_accuracies):
@@ -37,8 +42,7 @@ def _write_report(report, path) -> None:
     for i in range(n):
         for j in range(n):
             lines.append(f"confusion_{i}_{j},{report.confusion[i, j]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, lines)
 
 
 def _load_config(path) -> TrainConfig:
@@ -86,8 +90,7 @@ def cmd_select(args) -> int:
     lines.append(f"final_drift,{result.final_drift:.12e}")
     for i, obj in enumerate(result.objective_trace):
         lines.append(f"objective_{i},{obj:.12e}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(args.out, lines)
     print(f"selected channels: {result.selected_channels}")
     return 0
 
@@ -96,10 +99,7 @@ def cmd_bench(args) -> int:
     bundle = load_model(args.model)
     trials = load_trials(args.data)
     stats = bench_inference(bundle, trials, repetitions=args.reps)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write("metric,value\n")
-        for key, value in stats.items():
-            fh.write(f"{key},{value}\n")
+    _write_csv(args.report, ["metric,value"] + [f"{key},{value}" for key, value in stats.items()])
     print(f"mean latency {stats['mean_s'] * 1e3:.2f} ms over {stats['samples']} runs")
     return 0
 

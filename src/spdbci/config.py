@@ -6,7 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, InvalidBand, IoFailure
+from .eeg_io import read_file
+from .errors import ConfigError, InvalidBand
 from .filterbank import DEFAULT_BANDS, BandSpec
 
 
@@ -105,15 +106,12 @@ def read_key_values(path) -> dict[str, str]:
     without ``=`` or a repeated key raises :class:`ConfigError`; a file
     that cannot be read raises :class:`IoFailure`.
     """
-    items: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        text = read_file(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text") from exc
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    for lineno, line in enumerate(lines, 1):
+    items: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

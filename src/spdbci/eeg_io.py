@@ -1,10 +1,10 @@
-"""Binary trial format (EEGB v1) and the model bundle container with
-bit-exact round-trip persistence.
+"""The one file reader and writer, the binary trial format (EEGB v1),
+and the model bundle container with bit-exact round-trip persistence.
 
 EEGB v1 layout (little-endian):
     magic "EEGB" | version u32=1 | M u32 | samples_per_trial u32 |
     n_trials u32 | n_classes u32 | sample_rate f32 |
-    per trial: label u32, then M x samples f32 channel-major |
+    per trial one record: label u32, then M x samples f32 channel-major |
     CRC-32 u32 over all preceding bytes.
 
 Model bundles use an analogous container ("SBCM" v1): a JSON manifest of
@@ -33,27 +33,41 @@ from .errors import (
 
 EEGB_MAGIC = b"EEGB"
 EEGB_VERSION = 1
+#: magic, version, M, samples_per_trial, n_trials, n_classes, sample_rate
+EEGB_HEADER = struct.Struct("<4sIIIIIf")
 BUNDLE_MAGIC = b"SBCM"
 BUNDLE_VERSION = 1
 
 
-def _write_framed(payload: bytes, path) -> None:
-    """Write ``payload`` followed by its CRC-32, the trailer of both
-    containers."""
-    blob = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-
-
-def _read(path) -> bytes:
+def read_file(path) -> bytes:
+    """The bytes of the file at ``path``; a file that cannot be read
+    raises :class:`IoFailure`."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+
+
+def write_file(path, data: bytes) -> None:
+    """Write ``data`` to the file at ``path``; a path that cannot be
+    written raises :class:`IoFailure`."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
+def _write_framed(payload: bytes, path) -> None:
+    """Write ``payload`` followed by its CRC-32, the trailer of both
+    containers."""
+    write_file(path, payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
+def _eegb_record(channels: int, samples: int) -> np.dtype:
+    """The EEGB v1 trial record: a u32 label, then channel-major f32 samples."""
+    return np.dtype([("label", "<u4"), ("samples", "<f4", (channels, samples))])
 
 
 def _unframe(blob: bytes, what: str) -> bytes:
@@ -112,34 +126,25 @@ def save_trials(trials: RawTrialSet, path) -> None:
         raise DimensionMismatch(
             f"sample rate {trials.sample_rate_hz} does not fit EEGB's float32 field"
         )
-    header = EEGB_MAGIC + struct.pack(
-        "<IIIIIf",
-        EEGB_VERSION,
-        trials.channels,
-        trials.samples_per_trial,
-        len(trials.trials),
-        trials.n_classes,
-        trials.sample_rate_hz,
+    header = EEGB_HEADER.pack(
+        EEGB_MAGIC, EEGB_VERSION, trials.channels, trials.samples_per_trial,
+        len(trials.trials), trials.n_classes, trials.sample_rate_hz,
     )
-    chunks = [header]
-    for label, data in trials.trials:
-        chunks.append(struct.pack("<I", label))
-        chunks.append(np.ascontiguousarray(data, dtype="<f4").tobytes())
-    _write_framed(b"".join(chunks), path)
+    record = _eegb_record(trials.channels, trials.samples_per_trial)
+    _write_framed(header + np.array(trials.trials, dtype=record).tobytes(), path)
 
 
 def load_trials(path) -> RawTrialSet:
     """Read and validate an EEGB v1 file.  A class count above
     ``max(2, n_trials)``, more than the trials can back, raises
-    :class:`MalformedHeader`."""
-    blob = _read(path)
+    :class:`MalformedHeader`.  The trials are views of one float64
+    (n_trials, M, samples) array."""
+    blob = read_file(path)
 
-    head_len = 4 + struct.calcsize("<IIIIIf")
+    head_len = EEGB_HEADER.size
     if len(blob) < head_len + 4 or blob[:4] != EEGB_MAGIC:
         raise MalformedHeader("not an EEGB file")
-    version, m, samples, n_trials, n_classes, rate = struct.unpack(
-        "<IIIIIf", blob[4:head_len]
-    )
+    _, version, m, samples, n_trials, n_classes, rate = EEGB_HEADER.unpack_from(blob)
     if version != EEGB_VERSION:
         raise VersionMismatch(f"unsupported EEGB version {version}")
     if n_classes > max(2, n_trials):
@@ -147,24 +152,18 @@ def load_trials(path) -> RawTrialSet:
             f"class count {n_classes} exceeds the larger of 2 and the "
             f"trial count {n_trials}"
         )
-    trial_bytes = 4 + 4 * m * samples
-    expected = head_len + n_trials * trial_bytes + 4
+    expected = head_len + n_trials * (4 + 4 * m * samples) + 4
     if len(blob) != expected:
         raise DimensionMismatch(
             f"file is {len(blob)} bytes, header implies {expected}"
         )
     payload = _unframe(blob, "EEGB payload")
-
-    trials = []
-    offset = head_len
-    for _ in range(n_trials):
-        (label,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        data = np.frombuffer(
-            payload, dtype="<f4", count=m * samples, offset=offset
-        ).reshape(m, samples).astype(np.float64)
-        offset += 4 * m * samples
-        trials.append((int(label), data))
+    try:
+        record = _eegb_record(m, samples)
+    except ValueError as exc:  # a record past numpy's 2 GiB, e.g. in a file of no trials
+        raise DimensionMismatch(f"a trial of {m} x {samples} samples is too large") from exc
+    records = np.frombuffer(payload, dtype=record, offset=head_len)
+    trials = list(zip(records["label"].tolist(), records["samples"].astype(np.float64)))
     return RawTrialSet(float(rate), m, samples, trials, n_classes)
 
 
@@ -240,7 +239,7 @@ def load_model(path) -> ModelBundle:
     map strings to strings, or whose array list is not exactly named,
     integer-shaped entries (see :func:`_array_entries`), raises
     :class:`MalformedHeader`."""
-    blob = _read(path)
+    blob = read_file(path)
     if len(blob) < 16 or blob[:4] != BUNDLE_MAGIC:
         raise MalformedHeader("not a model bundle")
     version, meta_len = struct.unpack("<II", blob[4:12])

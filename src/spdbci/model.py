@@ -67,9 +67,10 @@ class Model:
     A training forward folds the current kernel through the heads and
     convolves the m*m tangent with it, as evaluation does.  The first
     eval forward builds the folded plan from the current
-    weights and RBN mean and caches it; :meth:`fit_reference`,
-    :meth:`step` and :meth:`load_arrays` drop it, so weights and the RBN
-    mean are changed through those methods.
+    weights and RBN mean and caches it; :meth:`fit_reference` and
+    :meth:`step` drop it, so weights and the RBN mean are changed through
+    those methods, or filled by :func:`model_from_bundle` before the plan
+    is built.  The channels and ``m`` are set only at construction.
     """
 
     def __init__(
@@ -153,7 +154,8 @@ class Model:
 
     def _folded_plan(self) -> tuple[np.ndarray, np.ndarray]:
         """The congruence ``A = inv_sqrtm(rbn.mean) W_bimap`` (m, m) and
-        the folded kernel ``E`` (C_out, S, m*m), built on first use."""
+        the folded kernel ``E`` (C_out, S, m*m), built on first use and
+        dropped by :meth:`fit_reference` and :meth:`step`."""
         if self._plan is None:
             self._plan = (
                 self.rbn.whitener @ self.bimap.weight,
@@ -204,17 +206,6 @@ class Model:
         mask = np.zeros(self.n_channels)
         mask[self.channels] = 1.0
         return {"rbn_mean_0": self.rbn.mean, "selection": mask}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self._plan = None
-        self.heads.weights = np.reshape(
-            [arrays[f"head_{k}"] for k in range(1, self.heads.K)], self.heads.weights.shape
-        )
-        self.bimap.weight = arrays["bimap_0"].copy()
-        self.rbn.mean = arrays["rbn_mean_0"].copy()
-        self.channels = np.flatnonzero(arrays["selection"])
-        for name in self.clf.parameters():
-            setattr(self.clf, name, arrays[f"clf_{name}"].copy())
 
 
 def count_parameters(model: Model) -> int:
@@ -271,8 +262,9 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
     entry other than 0 or 1 and a BiMap or head weight without
     orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean
     (``rbn_mean_0``) that is not SPD raises
-    :class:`~spdbci.errors.NotPositiveDefinite`.  A loaded model's
-    weights are final, so its eval plan is built here, once."""
+    :class:`~spdbci.errors.NotPositiveDefinite`.  The checked arrays fill
+    the model built from the mask, and as its weights are final, its
+    eval plan is built here, once."""
     config = config_from_mapping(bundle.config)
     arrays = bundle.arrays
     _check_arrays(arrays, config.m)
@@ -308,6 +300,12 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
                     f"(max |W^T W - I| = {drift:.1e})"
                 )
     check_spd(arrays["rbn_mean_0"], "model bundle array 'rbn_mean_0'")
-    model.load_arrays(arrays)
+    model.heads.weights = np.reshape(
+        [arrays[f"head_{k}"] for k in range(1, model.heads.K)], model.heads.weights.shape
+    )
+    model.bimap.weight = arrays["bimap_0"].copy()
+    model.rbn.mean = arrays["rbn_mean_0"].copy()
+    for name in model.clf.parameters():
+        setattr(model.clf, name, arrays[f"clf_{name}"].copy())
     model._folded_plan()
     return model

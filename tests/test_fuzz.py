@@ -21,6 +21,7 @@ from spdbci.eeg_io import RawTrialSet, load_model, load_trials, save_model, save
 from spdbci.errors import MalformedHeader, SpdBciError
 from spdbci.model import model_from_bundle
 from spdbci.synth import synthetic_trials, two_class_covariances
+from spdbci.trainer import bench_inference
 
 from conftest import train_to_bundle
 
@@ -73,15 +74,19 @@ def eegb_blob(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def bundle_blob(tmp_path_factory):
+def bundle_trials():
     rng = np.random.default_rng(1)
     covs = two_class_covariances(3, separation=2.0, rng=rng)
-    trials = synthetic_trials(covs, trials_per_class=4, samples_per_trial=64,
-                              sample_rate_hz=250.0, rng=rng)
+    return synthetic_trials(covs, trials_per_class=4, samples_per_trial=64,
+                            sample_rate_hz=250.0, rng=rng)
+
+
+@pytest.fixture(scope="module")
+def bundle_blob(tmp_path_factory, bundle_trials):
     cfg = TrainConfig(epochs=1, batch_size=8, bands=((8.0, 16.0),), window_len=32,
                       m=2, k_heads=2, conv_out=2)
     path = tmp_path_factory.mktemp("bundle") / "tiny.sbcm"
-    save_model(train_to_bundle(cfg, trials), path)
+    save_model(train_to_bundle(cfg, bundle_trials), path)
     return path.read_bytes()
 
 
@@ -97,6 +102,20 @@ def test_eegb_header_edge_values(eegb_blob, tmp_path, field):
             struct.pack_into("<I", blob, EEGB_FIELDS[field], value)
             yield f"{field}={value} (stale crc)", bytes(blob)
             yield f"{field}={value}", with_crc(bytes(blob[:-4]))
+
+    assert not leaks(load_trials, mutants(), tmp_path / "x.eegb")
+
+
+@pytest.mark.parametrize("field", ["channels", "samples_per_trial"])
+def test_eegb_empty_set_edge_dimensions(eegb_blob, tmp_path, field):
+    """A file of no trials is all header, so its length bounds neither
+    dimension."""
+    def mutants():
+        for value in U32_EDGES:
+            blob = bytearray(eegb_blob[:EEGB_FIELDS["first_label"]])
+            struct.pack_into("<I", blob, EEGB_FIELDS["n_trials"], 0)
+            struct.pack_into("<I", blob, EEGB_FIELDS[field], value)
+            yield f"{field}={value}", with_crc(bytes(blob))
 
     assert not leaks(load_trials, mutants(), tmp_path / "x.eegb")
 
@@ -161,26 +180,36 @@ def test_bundle_header_edge_values(bundle_blob, tmp_path, offset):
     assert not leaks(load_and_build, mutants(), tmp_path / "x.sbcm")
 
 
-def with_selection(bundle_blob: bytes, selection) -> bytes:
-    """``bundle_blob`` with its last array, ``selection``, rewritten in the
-    manifest and the payload, and the CRC recomputed."""
+def rewritten(bundle_blob: bytes, config=None, arrays=None) -> bytes:
+    """``bundle_blob`` with the values in ``config`` set in its config
+    snapshot and each array in ``arrays`` rewritten in the manifest and
+    the payload, and the CRC recomputed."""
     (meta_len,) = struct.unpack_from("<I", bundle_blob, 8)
     manifest = json.loads(bundle_blob[12 : 12 + meta_len])
-    entry = manifest["arrays"][-1]
-    assert entry["name"] == "selection"
-    others = bundle_blob[12 + meta_len : -4 - 8 * math.prod(entry["shape"])]
-    entry["shape"] = list(np.shape(selection))
+    manifest["config"].update(config or {})
+    offset, chunks = 12 + meta_len, []
+    for entry in manifest["arrays"]:
+        size = 8 * math.prod(entry["shape"])
+        chunk = bundle_blob[offset : offset + size]
+        offset += size
+        if entry["name"] in (arrays or {}):
+            value = arrays[entry["name"]]
+            entry["shape"] = list(np.shape(value))
+            chunk = np.asarray(value, dtype="<f8").tobytes()
+        chunks.append(chunk)
+    assert offset == len(bundle_blob) - 4
     meta = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    return with_crc(bundle_blob[:8] + struct.pack("<I", len(meta)) + meta + others
-                    + np.asarray(selection, dtype="<f8").tobytes())
+    return with_crc(bundle_blob[:8] + struct.pack("<I", len(meta)) + meta + b"".join(chunks))
 
 
 def test_bundle_selection_rewritten_as_is_loads(bundle_blob, tmp_path):
     path = tmp_path / "x.sbcm"
     path.write_bytes(bundle_blob)
-    mask = load_model(path).arrays["selection"]
+    bundle = load_model(path)
+    mask = bundle.arrays["selection"]
     assert mask.shape == (3,) and mask.sum() == 2  # M = 3 channels, m = 2
-    assert with_selection(bundle_blob, mask) == bundle_blob
+    assert rewritten(bundle_blob, arrays={"selection": mask}) == bundle_blob
+    assert rewritten(bundle_blob, config=bundle.config, arrays=bundle.arrays) == bundle_blob
 
 
 @pytest.mark.parametrize("selection", [
@@ -198,7 +227,58 @@ def test_bundle_selection_rewritten_as_is_loads(bundle_blob, tmp_path):
         "entry-minus-one", "entry-nan", "all-zeros", "count-one", "count-three"])
 def test_bundle_selection_mask_edge_values(bundle_blob, tmp_path, selection):
     path = tmp_path / "x.sbcm"
-    path.write_bytes(with_selection(bundle_blob, selection))
+    path.write_bytes(rewritten(bundle_blob, arrays={"selection": selection}))
     with pytest.raises(SpdBciError) as caught:
         load_and_build(path)
     assert type(caught.value) is MalformedHeader
+
+
+def load_build_and_run(trials):
+    """A reader that loads a bundle, builds its model and runs the eval
+    forward of every trial, as ``spdbci bench`` does."""
+    def reader(path):
+        bench_inference(load_model(path), trials)
+    return reader
+
+
+# every array of the fixture's K = 2 bundle
+BUNDLE_ARRAYS = ["head_1", "bimap_0", "clf_kernel", "clf_bias", "clf_w1", "clf_w2",
+                 "clf_head_w", "clf_head_b", "rbn_mean_0", "selection"]
+
+
+def test_bundle_arrays_are_listed(bundle_blob, bundle_trials, tmp_path):
+    path = tmp_path / "x.sbcm"
+    path.write_bytes(bundle_blob)
+    assert sorted(load_model(path).arrays) == sorted(BUNDLE_ARRAYS)
+    load_build_and_run(bundle_trials)(path)  # the untouched bundle runs
+
+
+@pytest.mark.parametrize("name", BUNDLE_ARRAYS)
+def test_bundle_array_shapes(bundle_blob, bundle_trials, tmp_path, name):
+    path = tmp_path / "x.sbcm"
+    path.write_bytes(bundle_blob)
+    array = load_model(path).arrays[name]
+    shape = array.shape
+
+    def mutants():
+        for new_shape in [(1, *shape), shape[::-1], (*shape[:-1], shape[-1] + 1),
+                          (*shape[:-1], shape[-1] - 1), ()]:
+            yield f"{name}{new_shape}", rewritten(
+                bundle_blob, arrays={name: np.resize(array, new_shape)})
+
+    assert not leaks(load_build_and_run(bundle_trials), mutants(), path)
+
+
+@pytest.mark.parametrize("key, values", [
+    ("k_heads", ["1", "3"]),
+    ("m", ["1", "3"]),
+    ("bands", ["", "8-16;16-24", "7-16", "8-17"]),
+    ("conv_out", ["1", "3"]),
+    ("window_len", ["31", "33"]),
+])
+def test_bundle_config_neighbouring_values(bundle_blob, bundle_trials, tmp_path, key, values):
+    def mutants():
+        for value in values:
+            yield f"{key}={value!r}", rewritten(bundle_blob, config={key: value})
+
+    assert not leaks(load_build_and_run(bundle_trials), mutants(), tmp_path / "x.sbcm")

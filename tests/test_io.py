@@ -115,6 +115,51 @@ class TestEegb:
         assert not path.exists()
 
 
+def _eegb_oracle(trials: RawTrialSet) -> bytes:
+    """EEGB v1 bytes built field by field with ``struct``: the header, then
+    per trial a ``<I`` label and ``<f4`` channel-major samples, then the
+    CRC-32 of all of it."""
+    payload = b"EEGB" + struct.pack(
+        "<IIIIIf", 1, trials.channels, trials.samples_per_trial, len(trials.trials),
+        trials.n_classes, trials.sample_rate_hz,
+    )
+    for label, data in trials.trials:
+        payload += struct.pack("<I", label)
+        payload += struct.pack(f"<{data.size}f", *data.ravel(order="C"))
+    return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
+class TestEegbLayout:
+    @pytest.mark.parametrize("channels, samples, n_trials, n_classes", [
+        (4, 256, 2, 2), (3, 7, 5, 3), (1, 1, 2, 2), (2, 5, 0, 2),
+    ])
+    def test_layout_matches_the_struct_oracle(self, rng, tmp_path, channels, samples,
+                                          n_trials, n_classes):
+        # float64 samples that float32 must round, in trials not laid out
+        # channel-major in memory
+        trials = [(k % n_classes, rng.standard_normal((samples, channels)).T)
+                  for k in range(n_trials)]
+        trial_set = RawTrialSet(1000.0 / 3, channels, samples, trials, n_classes)
+        path = tmp_path / "t.eegb"
+        save_trials(trial_set, path)
+        assert path.read_bytes() == _eegb_oracle(trial_set)
+        loaded = load_trials(path)
+        assert [label for label, _ in loaded.trials] == [label for label, _ in trials]
+        for (_, got), (_, data) in zip(loaded.trials, trials):
+            assert got.tobytes() == data.astype(np.float32).astype(np.float64).tobytes()
+
+    def test_loaded_trials_are_views_of_one_float64_array(self, rng, tmp_path):
+        path = tmp_path / "t.eegb"
+        save_trials(_sample_set(rng, channels=3, samples=16, n_trials=5), path)
+        loaded = load_trials(path)
+        block = loaded.trials[0][1].base
+        assert block.dtype == np.float64 and block.shape == (5, 3, 16)
+        assert block.flags.c_contiguous
+        for k, (label, data) in enumerate(loaded.trials):
+            assert type(label) is int and label == k % 2
+            assert data.base is block and np.shares_memory(data, block[k])
+
+
 class TestRawTrialSet:
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):

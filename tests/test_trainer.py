@@ -565,16 +565,6 @@ class TestFoldedPlan:
         with pytest.raises(MissingForwardCache):
             model.backward(cross_entropy(logits, labels[:8])[1])
 
-    def test_load_arrays_rebuilds_the_plan(self, small_trials, rng):
-        cfg = TrainConfig(**SMALL)
-        model, _ = train(cfg, small_trials)
-        other = train_to_bundle(dataclasses.replace(cfg, seed=1), small_trials)
-        covs, _ = prepare_dataset(small_trials, cfg)
-        model.forward(covs, training=False)
-        model.load_arrays(other.arrays)
-        assert np.array_equal(model.forward(covs, training=False),
-                              model_from_bundle(other).forward(covs, training=False))
-
     def test_fit_reference_rebuilds_the_plan(self, small_trials):
         cfg = TrainConfig(**SMALL)
         model, _ = train(cfg, small_trials)
@@ -1153,6 +1143,38 @@ class TestCli:
                          "--folds", str(folds), "--report", str(report)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.mark.parametrize("kind", ["in-missing-dir", "is-a-dir"])
+    @pytest.mark.parametrize("command", ["gen-synthetic", "train", "eval-cv",
+                                         "eval-holdout", "select", "bench"])
+    def test_unwritable_output_fails_typed(self, small_trials, tmp_path, capsys,
+                                           command, kind):
+        """An output path that cannot be written, inside a missing
+        directory or naming an existing one, exits 1 with ``error:`` and
+        creates no file."""
+        data, cfg, spec, bundle = (tmp_path / name for name in
+                                   ("d.eegb", "train.cfg", "gen.cfg", "m.sbcm"))
+        save_trials(small_trials, data)
+        _write_small_config(cfg)
+        spec.write_text("channels = 4\nsamples_per_trial = 128\ntrials_per_class = 4\n")
+        if command == "bench":
+            save_model(train_to_bundle(TrainConfig(**SMALL), small_trials), bundle)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "missing" / "out.csv" if kind == "in-missing-dir" else out_dir
+        args = {
+            "gen-synthetic": ["--spec", spec, "--out", out],
+            "train": ["--config", cfg, "--data", data, "--out", out],
+            "eval-cv": ["--config", cfg, "--data", data, "--folds", "2", "--report", out],
+            "eval-holdout": ["--config", cfg, "--train", data, "--test", data,
+                             "--report", out],
+            "select": ["--config", cfg, "--data", data, "--out", out],
+            "bench": ["--model", bundle, "--data", data, "--report", out],
+        }[command]
+        capsys.readouterr()
+        assert cli_main([command, *map(str, args)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(out_dir.iterdir()) == []
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.eegb"
