@@ -32,10 +32,12 @@ conv reads the tangent through ``E``.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .classifier import TangentClassifier
-from .config import config_from_mapping
+from .config import TrainConfig, config_from_mapping
 from .eeg_io import ModelBundle
 from .errors import MalformedHeader, ShapeMismatch
 from .layers import BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, random_stiefel, stiefel_step
@@ -251,21 +253,34 @@ def _check_arrays(arrays: dict[str, np.ndarray], m: int) -> None:
         )
 
 
+def bundle_config(bundle: ModelBundle) -> TrainConfig:
+    """The bundle's config snapshot as a :class:`TrainConfig`.  Unlike a
+    config file, the snapshot must name every key: a default standing in
+    for a missing one (the default bank for a model trained on other
+    bands) would run the model on a pipeline it was not trained for, so
+    a missing key raises :class:`MalformedHeader`.  An unknown key or an
+    unparsable value raises :class:`~spdbci.errors.ConfigError`."""
+    missing = sorted({f.name for f in fields(TrainConfig)} - bundle.config.keys())
+    if missing:
+        raise MalformedHeader(f"model bundle config snapshot lacks the keys {missing}")
+    return config_from_mapping(bundle.config)
+
+
 def model_from_bundle(bundle: ModelBundle) -> Model:
     """Rebuild a model: K, the band count and the seed from the config
-    snapshot, the other sizes from the array shapes.  ``selection`` must
-    be an (M,) mask of 0s and 1s with the snapshot's ``m`` 1s, and the
-    bundle's array names must be exactly the model's, so a missing or
-    unexpected array, ``head_0`` among them, raises
-    :class:`MalformedHeader`, and so do a non-finite array, a zero-length
-    axis, an array whose rank or shape disagrees with the sizes, a mask
-    entry other than 0 or 1 and a BiMap or head weight without
-    orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean
+    snapshot (see :func:`bundle_config`), the other sizes from the array
+    shapes.  ``selection`` must be an (M,) mask of 0s and 1s with the
+    snapshot's ``m`` 1s, and the bundle's array names must be exactly the
+    model's, so a missing or unexpected array, ``head_0`` among them,
+    raises :class:`MalformedHeader`, and so do a non-finite array, a
+    zero-length axis, an array whose rank or shape disagrees with the
+    sizes, a mask entry other than 0 or 1 and a BiMap or head weight
+    without orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean
     (``rbn_mean_0``) that is not SPD raises
     :class:`~spdbci.errors.NotPositiveDefinite`.  The checked arrays fill
     the model built from the mask, and as its weights are final, its
     eval plan is built here, once."""
-    config = config_from_mapping(bundle.config)
+    config = bundle_config(bundle)
     arrays = bundle.arrays
     _check_arrays(arrays, config.m)
     model = Model(

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import cross_entropy
-from .config import TrainConfig, config_from_mapping
+from .config import TrainConfig
 from .eeg_io import ModelBundle, RawTrialSet
 from .errors import ConfigError, InsufficientData, NonFiniteLoss, SchemaMismatch
 from .filterbank import bank_plan, segment
 from .layers import karcher_mean
-from .model import Model, count_parameters, model_from_bundle
+from .model import Model, bundle_config, count_parameters, model_from_bundle
 from .selection import SelectionTransform, fit_selection
 from .spd import covariance
 
@@ -52,9 +52,9 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     its trace over M.  Trials are processed in blocks of about
     :data:`BLOCK_BYTES` of windows, at least one trial each: one
     :func:`segment` call (one filter-kernel call per trial, all bands at
-    once) and one batched :func:`covariance` call, which centres the
-    block's (n, S, F, M, L) array in place rather than into a second
-    block-sized array.  So the windows held in memory are bounded by the
+    once) and one batched :func:`covariance` call on the block's
+    (n, S, F, M, L) array, which reads the windows without centring or
+    copying them.  So the windows held in memory are bounded by the
     block, not the set, and every trial's covariances equal its own
     single-trial run bit for bit, whatever block it falls in.  Raises
     :class:`InsufficientData` for a set without trials.
@@ -71,7 +71,7 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     for start in range(0, n, per_block):
         block = slice(start, start + per_block)
         windows = segment(trials, spec, config.window_len, block).data
-        covs[block] = covariance(windows, overwrite_window=True)
+        covs[block] = covariance(windows)
     labels = np.asarray([label for label, _ in trials.trials], dtype=np.int64)
     return covs, labels
 
@@ -245,7 +245,7 @@ def bench_inference(
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     if not trials.trials:
         raise InsufficientData("the trial set has no trials")
-    config = config_from_mapping(bundle.config)
+    config = bundle_config(bundle)
     model = model_from_bundle(bundle)
     spec = config.band_spec()
     tic = time.perf_counter()

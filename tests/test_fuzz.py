@@ -12,6 +12,7 @@ import json
 import math
 import struct
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -182,11 +183,16 @@ def test_bundle_header_edge_values(bundle_blob, tmp_path, offset):
 
 def rewritten(bundle_blob: bytes, config=None, arrays=None) -> bytes:
     """``bundle_blob`` with the values in ``config`` set in its config
-    snapshot and each array in ``arrays`` rewritten in the manifest and
-    the payload, and the CRC recomputed."""
+    snapshot (a key whose value is ``None`` deleted) and each array in
+    ``arrays`` rewritten in the manifest and the payload, and the CRC
+    recomputed."""
     (meta_len,) = struct.unpack_from("<I", bundle_blob, 8)
     manifest = json.loads(bundle_blob[12 : 12 + meta_len])
-    manifest["config"].update(config or {})
+    for key, value in (config or {}).items():
+        if value is None:
+            del manifest["config"][key]
+        else:
+            manifest["config"][key] = value
     offset, chunks = 12 + meta_len, []
     for entry in manifest["arrays"]:
         size = 8 * math.prod(entry["shape"])
@@ -282,3 +288,38 @@ def test_bundle_config_neighbouring_values(bundle_blob, bundle_trials, tmp_path,
             yield f"{key}={value!r}", rewritten(bundle_blob, config={key: value})
 
     assert not leaks(load_build_and_run(bundle_trials), mutants(), tmp_path / "x.sbcm")
+
+
+CONFIG_KEYS = [f.name for f in fields(TrainConfig)]
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_bundle_config_missing_key_is_malformed(bundle_blob, bundle_trials, tmp_path, key):
+    """A snapshot must name every key: a default must not stand in for
+    the value the model was trained with."""
+    path = tmp_path / "x.sbcm"
+    path.write_bytes(rewritten(bundle_blob, config={key: None}))
+    with pytest.raises(SpdBciError) as caught:
+        load_build_and_run(bundle_trials)(path)
+    assert type(caught.value) is MalformedHeader
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dropout", "0.5"),
+    ("epochs", "-1"),
+    ("batch_size", "0"),
+    ("learning_rate", "nan"),
+    ("learning_rate", "inf"),
+    ("learning_rate", "0"),
+    ("seed", "-1"),
+    ("selection_max_iters", "0"),
+    ("selection_tol", "0"),
+    ("channel_scoring", "max"),
+    ("conv_out", "three"),
+])
+def test_bundle_config_bad_values_fail_typed(bundle_blob, bundle_trials, tmp_path, key, value):
+    """An unknown key, and a value out of range for a key that only
+    training reads, run through ``bench_inference``."""
+    blob = rewritten(bundle_blob, config={key: value})
+    assert not leaks(load_build_and_run(bundle_trials), [(f"{key}={value!r}", blob)],
+                     tmp_path / "x.sbcm")

@@ -71,24 +71,42 @@ class TestCovariance:
             for i in range(3):
                 for j in range(4):
                     assert np.array_equal(batch[i, j], covariance(windows[i, j]))
+            assert np.array_equal(batch, np.swapaxes(batch, -1, -2))
             check_spd(batch)
 
     def test_batch_with_one_degenerate_window_is_spd(self):
-        windows = np.random.default_rng(6).standard_normal((4, 3, 50))
+        windows = np.random.default_rng(6).standard_normal((5, 3, 50))
         windows[2, 1] = windows[2, 0]
         windows[3] = 0.0
+        windows[4] += [[1e6], [-2e6], [0.0]]  # centred, not folded
         assert np.linalg.matrix_rank(self.raw_covariance(windows[2])) == 2
         batch = covariance(windows)
-        for i in range(4):
+        for i in range(5):
             assert np.array_equal(batch[i], covariance(windows[i]))
         check_spd(batch)
 
-    def test_overwrite_window_centres_in_place(self):
-        windows = np.random.default_rng(7).standard_normal((3, 4, 5, 40))
-        scratch = windows.copy()
-        out = covariance(scratch, overwrite_window=True)
-        assert np.array_equal(out, covariance(windows))
-        assert np.array_equal(scratch, windows - windows.mean(axis=-1, keepdims=True))
+    @pytest.mark.parametrize("ratio", [0.0, 9.0, 1e2, 1e4, 1e6, 1e8])
+    def test_row_offsets_match_the_two_pass_oracle(self, ratio):
+        """Noise plus a per-row offset of ``ratio`` times the row's
+        standard deviation: 9 is folded, 1e2 and more are centred."""
+        rng = np.random.default_rng(8)
+        noise = rng.standard_normal((4, 6, 200)) * rng.uniform(0.1, 10.0, (4, 6, 1))
+        sign = rng.choice([-1.0, 1.0], (4, 6, 1))
+        windows = noise + ratio * sign * noise.std(axis=-1, keepdims=True)
+        out = covariance(windows)
+        raw = self.raw_covariance(windows)
+        eps = np.maximum(SHRINKAGE_SCALE * np.trace(raw, axis1=-2, axis2=-1) / 6, 1e-12)
+        oracle = raw + eps[:, None, None] * np.eye(6)
+        for k in range(4):
+            assert np.max(np.abs(out[k] - oracle[k])) <= 1e-12 * np.max(np.abs(oracle[k]))
+        check_spd(out)
+
+    def test_constant_offset_window_is_scaled_identity(self):
+        # folded, this window's covariance has the eigenvalue -2.6e-10
+        window = np.stack([np.full(20, 1000.1), np.full(20, 2000.5)])
+        out = covariance(window)
+        assert np.allclose(out, 1e-12 * np.eye(2), rtol=0, atol=1e-24)
+        check_spd(out)
 
     def test_window_without_samples_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -406,6 +406,18 @@ class TestTrain:
         with pytest.raises(ConfigError, match="_model_meta"):
             model_from_bundle(legacy)
 
+    def test_bundle_config_without_bands_raises_typed_error(self, small_trials):
+        """A model trained on nine bands shifted by 1 Hz has the default
+        bank's band count, so a snapshot without ``bands`` would run it on
+        the default 4-40 Hz bank; it fails on load instead."""
+        shifted = tuple((lo + 1.0, hi + 1.0) for lo, hi in filterbank_module.DEFAULT_BANDS)
+        cfg = TrainConfig(**{**SMALL, "epochs": 0, "bands": shifted})
+        bundle = train_to_bundle(cfg, small_trials)
+        assert bench_inference(bundle, small_trials)["samples"] == len(small_trials.trials)
+        config = {key: value for key, value in bundle.config.items() if key != "bands"}
+        with pytest.raises(MalformedHeader, match=r"lacks the keys \['bands'\]"):
+            bench_inference(dataclasses.replace(bundle, config=config), small_trials)
+
     def test_bundle_holds_exactly_the_model_arrays(self, small_trials):
         cfg = TrainConfig(**SMALL)
         model, _ = train(cfg, small_trials)
@@ -845,9 +857,9 @@ def covariance_blocks(monkeypatch):
     call, holding the number of trials in the block."""
     calls = []
 
-    def counting(window, **kwargs):
+    def counting(window):
         calls.append(np.shape(window)[0])
-        return covariance(window, **kwargs)
+        return covariance(window)
 
     monkeypatch.setattr(trainer_module, "covariance", counting)
     return calls
