@@ -5,12 +5,12 @@ Type II bandpass filters and cut into non-overlapping windows, producing
 a windows x bands x channels x samples tensor per trial.  The design
 (order 4, 40 dB stopband attenuation) is fixed and kept in
 second-order sections, which stay accurate up to 2000 Hz where the
-(b, a) transfer function does not.  Each trial is filtered by one call
-of a block kernel that runs all bands at once as a few matrix products
-(:func:`_filter_trial`), and matches ``sosfilt`` to round-off.  Designs
-are cached per (band, sample rate) and the kernel's plans per (bands,
-sample rate, window length modulo the block), so a bank is designed
-once per process and every later call only filters.
+(b, a) transfer function does not.  Each block of trials is filtered by
+one call of a kernel that runs all bands of all its trials at once as a
+few matrix products (:func:`_filter_block`), and matches ``sosfilt`` to
+round-off.  Designs are cached per (band, sample rate) and the kernel's
+plans per (bands, sample rate, window length modulo the block), so a
+bank is designed once per process and every later call only filters.
 """
 
 from __future__ import annotations
@@ -184,37 +184,41 @@ def bank_plan(spec: BandSpec, sample_rate: float, window_len: int) -> BankPlan:
     return plan
 
 
-def _filter_trial(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
-    """Filter one (M, T) trial through every band of ``plan`` into its
-    C-contiguous (S, F, M, L) windows ``out``; samples past ``S * L``
-    are not read.
+def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
+    """Filter the (N, M, T) trials ``x`` through every band of ``plan``
+    into their C-contiguous (N, S, F, M, L) windows ``out``; samples
+    past ``S * L`` are not read.
 
     Every window is cut into Q = ceil(L / b) blocks, the last of
     ``plan.last`` samples, and copied once into rows of ``b`` samples
-    plus ``n`` state columns, (window, block, channel)-major.  One
-    product gives every band's state from rest at the end of every
-    block; a recurrence of S * Q - 1 products, all bands at once, turns
-    those into the state at the start of every block.  Then each band
-    writes its windows with two products, one for the full blocks and
-    one for the last: a row's samples against the Toeplitz matrix of the
-    impulse response, plus its state against the state response, each
-    block straight into its (M, b) tile of ``out``.  So every output
-    equals ``sosfilt`` to round-off, and the arithmetic is fixed by M, T
-    and L alone.
+    plus ``n`` state columns, (window, block, trial·channel)-major, so
+    the trials of the block are just more rows.  One product gives every
+    band's state from rest at the end of every block; a recurrence of
+    S * Q - 1 products, all bands and trials at once, turns those into
+    the state at the start of every block.  Then each band writes its
+    windows with two products, one for the full blocks and one for the
+    last: a row's samples against the Toeplitz matrix of the impulse
+    response, plus its state against the state response, each block
+    straight into its (M, b) tile of ``out``.  So the numpy calls are as
+    many for N trials as for one, a lone trial makes the products of a
+    per-trial kernel, every row of a product is computed from that row
+    alone, and every output equals ``sosfilt`` to round-off.
     """
-    n_windows, n_bands, m, window_len = out.shape
+    n_trials, n_windows, n_bands, m, window_len = out.shape
     b, last, n = plan.block, plan.last, plan.transition.shape[-1]
     per_window = -(-window_len // b)
     full = window_len - last  # samples in the full blocks of a window
-    windows = x[:, : n_windows * window_len].reshape(m, n_windows, window_len)
-    blocks = np.empty((n_windows, per_window, m, b + n))
-    blocks[:, :-1, :, :b] = windows[..., :full].reshape(
-        m, n_windows, per_window - 1, b).transpose(1, 2, 0, 3)
-    blocks[:, -1, :, : b - last] = 0.0
-    blocks[:, -1, :, b - last : b] = windows[..., full:].swapaxes(0, 1)
+    windows = x[..., : n_windows * window_len].reshape(n_trials, m, n_windows, window_len)
+    blocks = np.empty((n_windows, per_window, n_trials * m, b + n))
+    # the same rows with the trial and channel axes apart
+    split = blocks.reshape(n_windows, per_window, n_trials, m, b + n)
+    split[:, :-1, ..., :b] = windows[..., :full].reshape(
+        n_trials, m, n_windows, per_window - 1, b).transpose(2, 3, 0, 1, 4)
+    split[:, -1, ..., : b - last] = 0.0
+    split[:, -1, ..., b - last : b] = windows[..., full:].transpose(2, 0, 1, 3)
     # states[f, s, k] is [state at the start | state from rest at the end]
     # of block k of window s, in band f
-    states = np.empty((n_bands, n_windows, per_window, m, 2 * n))
+    states = np.empty((n_bands, n_windows, per_window, n_trials * m, 2 * n))
     np.matmul(blocks.reshape(-1, b + n)[:, :b], plan.state_in,
               out=states.reshape(n_bands, -1, 2 * n)[..., n:])
     states[:, 0, 0, :, :n] = 0.0
@@ -226,12 +230,15 @@ def _filter_trial(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
         step = plan.last_transition if k == 0 else plan.transition
         np.matmul(prev, step, out=cur[..., :n])
         prev = cur
+    # tiles[f, s, k, t] and ends[f, s, t] are the (M, b) tile of block k
+    # and the (M, last) tile of the last block of window s of trial t
+    tiles = out[..., :full].reshape(
+        n_trials, n_windows, n_bands, m, per_window - 1, b).transpose(2, 1, 4, 0, 3, 5)
+    ends = out[..., full:].transpose(2, 1, 0, 3, 4)
     for f in range(n_bands):
         blocks[..., b:] = states[f, ..., :n]
-        band = out[:, f]
-        tiles = band[..., :full].reshape(n_windows, m, per_window - 1, b).swapaxes(1, 2)
-        np.matmul(blocks[:, :-1], plan.response[f], out=tiles)
-        np.matmul(blocks[:, -1], plan.last_response[f], out=band[..., full:])
+        np.matmul(split[:, :-1], plan.response[f], out=tiles[f])
+        np.matmul(split[:, -1], plan.last_response[f], out=ends[f])
 
 
 def check_gabor(window_len_samples: int, sample_rate: float, band_width_hz: float) -> bool:
@@ -260,12 +267,13 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None))
     non-overlapping windows covering a prefix of the trial; trailing
     samples are dropped.  Every band filters each trial causally,
     forward only, through the SOS form of its design: one call of the
-    block kernel per trial filters all bands of the trial's windows
-    straight into one C-contiguous (N, S, F, M, L) array, so every
-    window is contiguous too.  A trial's output does not depend on the
-    other trials of the block.  Returns the :class:`Segments` of the
-    block: ``[(label, tensor), ...]`` in trial order, each tensor a view
-    of that array, which is the list's ``data``.
+    block kernel filters all bands of every trial's windows straight
+    into one C-contiguous (N, S, F, M, L) array, so every window is
+    contiguous too.  A trial's output does not depend on the other
+    trials of the block: it equals its own one-trial call bit for bit.
+    Returns the :class:`Segments` of the block: ``[(label, tensor),
+    ...]`` in trial order, each tensor a view of that array, which is
+    the list's ``data``.
     """
     fs = trials.sample_rate_hz
     if not check_gabor(window_len, fs, spec.narrowest_width_hz):
@@ -281,6 +289,6 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None))
     items = trials.trials[block]
     n_windows = trials.samples_per_trial // window_len
     out = np.empty((len(items), n_windows, len(spec.bands), trials.channels, window_len))
-    for k, (_, data) in enumerate(items):
-        _filter_trial(data, plan, out[k])
+    if items:
+        _filter_block(np.array([data for _, data in items]), plan, out)
     return Segments([label for label, _ in items], out)

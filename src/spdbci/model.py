@@ -49,8 +49,9 @@ from .spd import check_spd, eig_fn
 ORTHONORMAL_ATOL = 1e-8
 
 #: Rank of each bundle array that :func:`model_from_bundle` reads sizes
-#: from before the model exists to check its full shape.
-BUNDLE_RANKS = {"selection": 1, "clf_kernel": 3, "clf_head_b": 1}
+#: or the sample rate from before the model exists to check its full
+#: shape.
+BUNDLE_RANKS = {"selection": 1, "clf_kernel": 3, "clf_head_b": 1, "sample_rate": 1}
 
 
 class Model:
@@ -58,6 +59,10 @@ class Model:
 
     ``channels`` lists the m selected channels of the ``n_channels`` (M)
     of the covariances, in ascending order; with m = M nothing is cut.
+    ``sample_rate`` is the rate in Hz of the trials the model is trained
+    on; the filter designs depend on it, so
+    :func:`~spdbci.trainer.bench_inference` runs a bundle only on trials
+    at that rate.
     The chain and the heads run at m x m, and head 0 is the identity
     pass-through, which has no weight.  Weights are drawn in a fixed
     order: the BiMap weight, the classifier for one head's m*m features,
@@ -85,8 +90,10 @@ class Model:
         k_heads: int,
         conv_out: int,
         seed: int,
+        sample_rate: float,
     ):
         rng = np.random.default_rng(seed)
+        self.sample_rate = float(sample_rate)
         self.n_windows = n_windows
         self.n_bands = n_bands
         self.channels = np.asarray(channels)
@@ -203,11 +210,13 @@ class Model:
         return arrays
 
     def buffer_arrays(self) -> dict[str, np.ndarray]:
-        """Non-learnable state: the fitted RBN mean and the channel
-        selection as an (M,) mask, 1 at each selected channel."""
+        """Non-learnable state: the fitted RBN mean, the channel
+        selection as an (M,) mask, 1 at each selected channel, and the
+        training sample rate as a (1,) array."""
         mask = np.zeros(self.n_channels)
         mask[self.channels] = 1.0
-        return {"rbn_mean_0": self.rbn.mean, "selection": mask}
+        return {"rbn_mean_0": self.rbn.mean, "selection": mask,
+                "sample_rate": np.array([self.sample_rate])}
 
 
 def count_parameters(model: Model) -> int:
@@ -227,8 +236,9 @@ def model_to_bundle(model: Model, config: dict[str, str]) -> ModelBundle:
 def _check_arrays(arrays: dict[str, np.ndarray], m: int) -> None:
     """Reject bundle arrays whose sizes cannot be read: a non-finite
     entry, a zero-length axis, a missing ``BUNDLE_RANKS`` array or one of
-    another rank, or a ``selection`` mask with an entry other than 0 or 1
-    or whose count of 1s is not the snapshot's ``m``."""
+    another rank, a ``selection`` mask with an entry other than 0 or 1
+    or whose count of 1s is not the snapshot's ``m``, or a
+    ``sample_rate`` that is not positive."""
     for name, arr in arrays.items():
         if 0 in arr.shape:
             raise MalformedHeader(f"model bundle array {name!r} has a zero-length axis")
@@ -251,6 +261,8 @@ def _check_arrays(arrays: dict[str, np.ndarray], m: int) -> None:
             f"model bundle config key 'm' is {m}, but array 'selection' "
             f"selects {count} channels"
         )
+    if not np.all(arrays["sample_rate"] > 0):
+        raise MalformedHeader("model bundle array 'sample_rate' is not positive")
 
 
 def bundle_config(bundle: ModelBundle) -> TrainConfig:
@@ -269,15 +281,16 @@ def bundle_config(bundle: ModelBundle) -> TrainConfig:
 def model_from_bundle(bundle: ModelBundle) -> Model:
     """Rebuild a model: K, the band count and the seed from the config
     snapshot (see :func:`bundle_config`), the other sizes from the array
-    shapes.  ``selection`` must be an (M,) mask of 0s and 1s with the
-    snapshot's ``m`` 1s, and the bundle's array names must be exactly the
-    model's, so a missing or unexpected array, ``head_0`` among them,
-    raises :class:`MalformedHeader`, and so do a non-finite array, a
-    zero-length axis, an array whose rank or shape disagrees with the
-    sizes, a mask entry other than 0 or 1 and a BiMap or head weight
-    without orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean
-    (``rbn_mean_0``) that is not SPD raises
-    :class:`~spdbci.errors.NotPositiveDefinite`.  The checked arrays fill
+    shapes and the training sample rate from ``sample_rate``.
+    ``selection`` must be an (M,) mask of 0s and 1s with the snapshot's
+    ``m`` 1s, and the bundle's array names must be exactly the model's,
+    so a missing or unexpected array, ``head_0`` and ``sample_rate``
+    among them, raises :class:`MalformedHeader`, and so do a non-finite
+    array, a zero-length axis, an array whose rank or shape disagrees
+    with the sizes, a mask entry other than 0 or 1, a sample rate that
+    is not positive and a BiMap or head weight without orthonormal
+    columns (to ``ORTHONORMAL_ATOL``); an RBN mean (``rbn_mean_0``) that
+    is not SPD raises :class:`~spdbci.errors.NotPositiveDefinite`.  The checked arrays fill
     the model built from the mask, and as its weights are final, its
     eval plan is built here, once."""
     config = bundle_config(bundle)
@@ -292,6 +305,7 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
         k_heads=config.k_heads,
         conv_out=config.conv_out,
         seed=config.seed,
+        sample_rate=arrays["sample_rate"][0],
     )
     expected = {**model.parameter_arrays(), **model.buffer_arrays()}
     if arrays.keys() != expected.keys():

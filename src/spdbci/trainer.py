@@ -38,9 +38,11 @@ class EvalReport:
 
 #: Windows filtered per :func:`prepare_dataset` block, in bytes: seven
 #: 8-channel, 2-window trials of the default bank.  A larger trial is a
-#: block of its own.  On train-c5, blocks of 1-4 MiB prepared equally
-#: fast; smaller ones pay scipy's per-call overhead, and larger ones
-#: leave the cache.
+#: block of its own.  On train-c5 with one filter-kernel call per block,
+#: 1 MiB prepared fastest of 256 KiB-4 MiB: smaller blocks repeat the
+#: kernel's per-call work for fewer trials (256 KiB, one trial a block,
+#: at half the rate), and larger ones leave the cache (1.5-4 MiB 9-16%
+#: slower).
 BLOCK_BYTES = 1 << 20
 
 
@@ -51,13 +53,13 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     window's :func:`covariance`, shrunk by ``spd.SHRINKAGE_SCALE`` times
     its trace over M.  Trials are processed in blocks of about
     :data:`BLOCK_BYTES` of windows, at least one trial each: one
-    :func:`segment` call (one filter-kernel call per trial, all bands at
-    once) and one batched :func:`covariance` call on the block's
-    (n, S, F, M, L) array, which reads the windows without centring or
-    copying them.  So the windows held in memory are bounded by the
-    block, not the set, and every trial's covariances equal its own
-    single-trial run bit for bit, whatever block it falls in.  Raises
-    :class:`InsufficientData` for a set without trials.
+    :func:`segment` call (one filter-kernel call for all trials and
+    bands of the block) and one batched :func:`covariance` call on the
+    block's (n, S, F, M, L) array, which reads the windows without
+    centring or copying them.  So the windows held in memory are bounded
+    by the block, not the set, and every trial's covariances equal its
+    own single-trial run bit for bit, whatever block it falls in.
+    Raises :class:`InsufficientData` for a set without trials.
     """
     if not trials.trials:
         raise InsufficientData("the trial set has no trials")
@@ -121,6 +123,7 @@ def train(
         k_heads=config.k_heads,
         conv_out=config.conv_out,
         seed=config.seed,
+        sample_rate=trials.sample_rate_hz,
     )
     model.fit_reference(reps)
 
@@ -239,7 +242,10 @@ def bench_inference(
     timed loop, and that time is reported as ``design_s``; the per-trial
     samples then measure the steady state, with every design and the
     kernel plan served from the cache and the folded plan that
-    :func:`~spdbci.model.model_from_bundle` built.
+    :func:`~spdbci.model.model_from_bundle` built.  A trial set at
+    another sample rate than the model was trained on raises
+    :class:`SchemaMismatch`; rates are compared as the float32 that
+    EEGB stores.
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
@@ -247,6 +253,13 @@ def bench_inference(
         raise InsufficientData("the trial set has no trials")
     config = bundle_config(bundle)
     model = model_from_bundle(bundle)
+    with np.errstate(over="ignore"):
+        rates = np.float32([trials.sample_rate_hz, model.sample_rate])
+    if rates[0] != rates[1]:
+        raise SchemaMismatch(
+            f"model was trained at {model.sample_rate} Hz, trials are at "
+            f"{trials.sample_rate_hz} Hz"
+        )
     spec = config.band_spec()
     tic = time.perf_counter()
     bank_plan(spec, trials.sample_rate_hz, config.window_len)

@@ -211,17 +211,17 @@ def eigh_calls(monkeypatch):
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Count calls of the filter bank's block kernel: one entry per call,
-    holding the shape of the trial it filters."""
+    holding the (n, M, T) shape of the block of trials it filters."""
     import spdbci.filterbank
 
     calls = []
-    real = spdbci.filterbank._filter_trial
+    real = spdbci.filterbank._filter_block
 
     def counting(x, *args, **kwargs):
         calls.append(np.shape(x))
         return real(x, *args, **kwargs)
 
-    monkeypatch.setattr(spdbci.filterbank, "_filter_trial", counting)
+    monkeypatch.setattr(spdbci.filterbank, "_filter_block", counting)
     return calls
 
 

@@ -435,7 +435,7 @@ def _expected_count(big_m, m, k, s, f, c_out, n_cls):
 def _build_model(rng, big_m, m, k, s, f, c_out, n_cls):
     channels = np.sort(rng.choice(big_m, m, replace=False))
     return Model(channels, big_m, n_windows=s, n_bands=f, n_classes=n_cls,
-                 k_heads=k, conv_out=c_out, seed=0)
+                 k_heads=k, conv_out=c_out, seed=0, sample_rate=250.0)
 
 
 def test_criterion_7_parameter_accounting():

@@ -135,21 +135,42 @@ class TestKernel:
         expected = _sosfilt_windows(data, BandSpec(), 250.0, 20)
         assert np.max(np.abs(out - expected)) <= 1e-10 * np.max(np.abs(expected))
 
-    def test_prime_window_is_blocks_not_a_per_sample_scan(self, monkeypatch):
+    @staticmethod
+    def _products(monkeypatch, trials, window_len):
+        """The operand shapes of every ``np.matmul`` call of one
+        ``segment`` call, with unit axes dropped."""
         products = []
         real = np.matmul
 
-        def counting(*args, **kwargs):
-            products.append(1)
-            return real(*args, **kwargs)
+        def counting(a, b, **kwargs):
+            products.append(tuple(tuple(d for d in np.shape(op) if d != 1)
+                                  for op in (a, b, kwargs["out"])))
+            return real(a, b, **kwargs)
 
-        data = np.random.default_rng(0).standard_normal((2, 127 * 4))
         monkeypatch.setattr(filterbank.np, "matmul", counting)
-        segment(_trial_set(data), BandSpec(), 127)
-        # 127 samples are 4 blocks a window, so per trial: one product of
-        # states from rest, 4 * 4 - 1 state steps and two products a band
-        per_trial = 1 + (4 * 4 - 1) + 2 * len(DEFAULT_BANDS)
-        assert len(products) == 2 * per_trial
+        segment(trials, BandSpec(), window_len)
+        monkeypatch.undo()
+        return products
+
+    def test_prime_window_is_blocks_not_a_per_sample_scan(self, monkeypatch):
+        data = np.random.default_rng(0).standard_normal((2, 127 * 4))
+        products = self._products(monkeypatch, _trial_set(data), 127)
+        # 127 samples are 4 blocks a window, so per block of trials: one
+        # product of states from rest, 4 * 4 - 1 state steps and two
+        # products a band, however many trials the block holds
+        assert len(products) == 1 + (4 * 4 - 1) + 2 * len(DEFAULT_BANDS) == 34
+
+    def test_one_trial_block_makes_the_lone_trial_products(self, monkeypatch):
+        # the products a per-trial kernel made for this trial: 4 windows
+        # of 4 blocks, the last of 31 samples, on 2 channels, 9 bands of
+        # 8 states each, 32 + 8 columns a block row
+        data = np.random.default_rng(0).standard_normal((2, 127 * 4))
+        trials = RawTrialSet(250.0, 2, 127 * 4, [(0, data)], n_classes=2)
+        expected = ([((32, 32), (9, 32, 8), (9, 32, 8))]
+                    + [((9, 2, 16), (9, 16, 8), (9, 2, 8))] * 15
+                    + [((4, 3, 2, 40), (40, 32), (4, 3, 2, 32)),
+                       ((4, 2, 40), (40, 31), (4, 2, 31))] * 9)
+        assert self._products(monkeypatch, trials, 127) == expected
 
     def test_white_noise_at_2000_hz_stays_with_sosfilt(self):
         # lfilter on the (b, a) form of 12-16 Hz peaks at 3.5e6 here
@@ -159,6 +180,29 @@ class TestKernel:
         expected = _sosfilt_windows(noise, spec, 2000.0, 200_000)
         assert np.max(np.abs(expected)) < 1.0
         assert np.max(np.abs(out - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_block_of_mixed_layouts_equals_its_single_trials(self, rng):
+        # a C-contiguous trial, a Fortran-ordered one and a strided view
+        # of a wider array filter in one kernel call
+        wide = rng.standard_normal((8, 1000))
+        items = [(0, rng.standard_normal((8, 500))),
+                 (1, np.asfortranarray(rng.standard_normal((8, 500)))),
+                 (1, wide[:, ::2])]
+        assert not items[2][1].flags.c_contiguous and not items[2][1].flags.f_contiguous
+        trials = RawTrialSet(250.0, 8, 500, items)
+        block = segment(trials, BandSpec(), 125)
+        for k, item in enumerate(items):
+            one = segment(RawTrialSet(250.0, 8, 500, [item], n_classes=2), BandSpec(), 125)
+            assert np.array_equal(block.data[k], one.data[0])
+
+    def test_multi_trial_block_at_2000_hz_stays_with_sosfilt(self, rng):
+        spec = BandSpec(bands=((4.0, 8.0), (12.0, 16.0)))
+        data = [rng.standard_normal((3, 4100)) for _ in range(3)]
+        trials = RawTrialSet(2000.0, 3, 4100, [(k % 2, d) for k, d in enumerate(data)])
+        block = segment(trials, spec, 1000)
+        for k, d in enumerate(data):
+            expected = _sosfilt_windows(d, spec, 2000.0, 1000)
+            assert np.max(np.abs(block.data[k] - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     def test_plan_is_cached_and_read_only(self):
         plan = filterbank.bank_plan(BandSpec(), 250.0, 125)

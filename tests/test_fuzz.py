@@ -249,7 +249,7 @@ def load_build_and_run(trials):
 
 # every array of the fixture's K = 2 bundle
 BUNDLE_ARRAYS = ["head_1", "bimap_0", "clf_kernel", "clf_bias", "clf_w1", "clf_w2",
-                 "clf_head_w", "clf_head_b", "rbn_mean_0", "selection"]
+                 "clf_head_w", "clf_head_b", "rbn_mean_0", "selection", "sample_rate"]
 
 
 def test_bundle_arrays_are_listed(bundle_blob, bundle_trials, tmp_path):

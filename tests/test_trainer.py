@@ -16,7 +16,7 @@ from spdbci.config import (
     load_config,
 )
 from spdbci.classifier import cross_entropy
-from spdbci.eeg_io import load_model, save_model, save_trials
+from spdbci.eeg_io import load_model, load_trials, save_model, save_trials
 from spdbci.errors import (
     ConfigError,
     InsufficientData,
@@ -300,7 +300,7 @@ class TestTrain:
         fresh, _ = train(cfg, small_trials)
         assert np.array_equal(predict(model, covs), predict(fresh, covs))
 
-    @pytest.mark.parametrize("name", ["clf_kernel", "rbn_mean_0", "selection"])
+    @pytest.mark.parametrize("name", ["clf_kernel", "rbn_mean_0", "selection", "sample_rate"])
     def test_bundle_missing_array_raises_typed_error(self, small_trials, name):
         bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
         arrays = {key: arr for key, arr in bundle.arrays.items() if key != name}
@@ -406,6 +406,25 @@ class TestTrain:
         with pytest.raises(ConfigError, match="_model_meta"):
             model_from_bundle(legacy)
 
+    def test_bench_rejects_trials_at_another_sample_rate(self, small_trials):
+        # the bank's designs depend on the rate: a 250 Hz model read
+        # 500 Hz trials through filters it was not trained on
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        faster = dataclasses.replace(small_trials, sample_rate_hz=500.0)
+        with pytest.raises(SchemaMismatch, match="trained at 250.0 Hz, trials are at 500.0 Hz"):
+            bench_inference(bundle, faster)
+
+    def test_bench_compares_rates_as_eegb_stores_them(self, tmp_path):
+        # 1000/3 Hz is not a float32: the file holds it rounded
+        rng = np.random.default_rng(4)
+        trials = synthetic_trials(two_class_covariances(4, rng=rng), 3, 128, 1000.0 / 3.0,
+                                  rng=rng)
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), trials)
+        save_trials(trials, tmp_path / "d.eegb")
+        stored = load_trials(tmp_path / "d.eegb")
+        assert stored.sample_rate_hz != trials.sample_rate_hz
+        assert bench_inference(bundle, stored)["samples"] == len(trials.trials)
+
     def test_bundle_config_without_bands_raises_typed_error(self, small_trials):
         """A model trained on nine bands shifted by 1 Hz has the default
         bank's band count, so a snapshot without ``bands`` would run it on
@@ -424,10 +443,12 @@ class TestTrain:
         bundle = model_to_bundle(model, config_to_mapping(cfg))
         assert list(bundle.arrays) == [
             "head_1", "bimap_0", "clf_kernel", "clf_bias", "clf_w1",
-            "clf_w2", "clf_head_w", "clf_head_b", "rbn_mean_0", "selection",
+            "clf_w2", "clf_head_w", "clf_head_b", "rbn_mean_0", "selection", "sample_rate",
         ]
         assert bundle.arrays.keys() == {**model.parameter_arrays(),
                                         **model.buffer_arrays()}.keys()
+        assert bundle.arrays["sample_rate"].tolist() == [small_trials.sample_rate_hz]
+        assert model_from_bundle(bundle).sample_rate == small_trials.sample_rate_hz
 
     def test_reloaded_model_keeps_selection_and_parameter_count(self, small_trials):
         """The bundle's ``selection`` mask gives the fitted channels back,
@@ -486,7 +507,7 @@ def _channels(rng, big_m, m):
 
 def _fresh_model(rng, big_m=4, m=2, k=2, s=2, f=2, c_out=3, n_cls=2, seed=0):
     return Model(_channels(rng, big_m, m), big_m, n_windows=s, n_bands=f, n_classes=n_cls,
-                 k_heads=k, conv_out=c_out, seed=seed)
+                 k_heads=k, conv_out=c_out, seed=seed, sample_rate=250.0)
 
 
 class TestFoldedPlan:
@@ -617,6 +638,10 @@ class TestFoldedPlan:
         ("head_1", 2.0, MalformedHeader),
         ("rbn_mean_0", np.nan, MalformedHeader),
         ("rbn_mean_0", -1.0, NotPositiveDefinite),
+        ("sample_rate", 0.0, MalformedHeader),
+        ("sample_rate", -1.0, MalformedHeader),
+        ("sample_rate", np.nan, MalformedHeader),
+        ("sample_rate", np.inf, MalformedHeader),
     ])
     def test_bundle_that_would_mispredict_raises_typed_error(
         self, small_trials, name, factor, error
@@ -693,7 +718,7 @@ class TestStep:
         changes nothing."""
         channels = _channels(rng, 6, 4)
         model, oracle = (Model(channels, 6, n_windows=2, n_bands=3, n_classes=3, k_heads=k,
-                               conv_out=5, seed=9) for _ in range(2))
+                               conv_out=5, seed=9, sample_rate=250.0) for _ in range(2))
         heads_0 = model.heads.weights.copy()
         for _ in range(3):
             covs = random_spd(rng, 6, batch=8 * 2 * 3).reshape(8, 2, 3, 6, 6)
@@ -781,7 +806,7 @@ class TestChannelCut:
         channels = _channels(rng, 8, 5)
         covs = random_spd(rng, 8, batch=64 * 2 * 9).reshape(64, 2, 9, 8, 8)
         one, four = (Model(channels, 8, n_windows=2, n_bands=9, n_classes=2, k_heads=k,
-                           conv_out=64, seed=7) for k in (1, 4))
+                           conv_out=64, seed=7, sample_rate=250.0) for k in (1, 4))
         assert np.array_equal(four.bimap.weight, one.bimap.weight)
         for training in (False, True):
             assert np.array_equal(four.forward(covs, training=training),
@@ -803,7 +828,7 @@ class TestChannelCut:
         covs = random_spd(rng, big_m, batch=batch * s * f)
         covs = covs.reshape(batch, s, f, big_m, big_m)
         one, four = (Model(channels, big_m, n_windows=s, n_bands=f, n_classes=3, k_heads=k,
-                           conv_out=conv_out, seed=11) for k in (1, 4))
+                           conv_out=conv_out, seed=11, sample_rate=250.0) for k in (1, 4))
         assert (four.forward(covs, training=True).tobytes()
                 == one.forward(covs, training=True).tobytes())
 
@@ -884,7 +909,7 @@ class TestPrepareBlocks:
         cfg = TrainConfig()
         covs, _ = prepare_dataset(trials, cfg)
         assert covariance_blocks == [7, 7, 6]
-        assert kernel_calls == [(8, 250)] * 20
+        assert kernel_calls == [(7, 8, 250), (7, 8, 250), (6, 8, 250)]
         assert np.array_equal(covs, per_window_covariances(trials, cfg))
         for k, item in enumerate(trials.trials):
             one, _ = prepare_dataset(dataclasses.replace(trials, trials=[item]), cfg)
@@ -893,7 +918,7 @@ class TestPrepareBlocks:
     def test_single_trial_is_one_block(self, kernel_calls, covariance_blocks):
         trials = _c5_shaped_trials(10)
         prepare_dataset(dataclasses.replace(trials, trials=trials.trials[:1]), TrainConfig())
-        assert kernel_calls == [(8, 250)]
+        assert kernel_calls == [(1, 8, 250)]
         assert covariance_blocks == [1]
 
     @pytest.mark.parametrize("per_block", [1, 5, 23, 24, 25])
@@ -908,11 +933,29 @@ class TestPrepareBlocks:
         n = len(small_trials.trials)
         sizes = [min(per_block, n - start) for start in range(0, n, per_block)]
         assert covariance_blocks == sizes
-        assert kernel_calls == [(4, 128)] * n
+        assert kernel_calls == [(size, 4, 128) for size in sizes]
         assert np.array_equal(covs, per_window_covariances(small_trials, cfg))
         assert labels.tolist() == [label for label, _ in small_trials.trials]
         for k, item in enumerate(small_trials.trials):
             one, _ = prepare_dataset(dataclasses.replace(small_trials, trials=[item]), cfg)
+            assert np.array_equal(one, covs[k : k + 1])
+
+    def test_multi_trial_blocks_at_the_22_channel_shape(self, monkeypatch, kernel_calls,
+                                                        covariance_blocks):
+        # 22 channels at 500 Hz, 8 windows of 250 samples: 7 full blocks
+        # of 32 and a last block of 26 a window.  Three trials a block
+        # put trials of both classes into the kernel's rows together.
+        rng = np.random.default_rng(11)
+        covs22 = two_class_covariances(22, planted=[0, 4, 9, 13, 20], rng=rng)
+        trials = synthetic_trials(covs22, 4, 2000, 500.0, rng=rng)
+        cfg = TrainConfig(window_len=250)
+        monkeypatch.setattr(trainer_module, "BLOCK_BYTES", 3 * 8 * 8 * 9 * 22 * 250 + 7)
+        covs, _ = prepare_dataset(trials, cfg)
+        assert covariance_blocks == [3, 3, 2]
+        assert kernel_calls == [(3, 22, 2000), (3, 22, 2000), (2, 22, 2000)]
+        assert np.array_equal(covs, per_window_covariances(trials, cfg))
+        for k, item in enumerate(trials.trials):
+            one, _ = prepare_dataset(dataclasses.replace(trials, trials=[item]), cfg)
             assert np.array_equal(one, covs[k : k + 1])
 
     def test_window_longer_than_the_trials_raises_typed_error(self, small_trials):
