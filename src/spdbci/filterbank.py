@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .errors import ConfigError, GaborViolation, InvalidBand, UnstableDesign, WindowTooLong
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    GaborViolation,
+    InvalidBand,
+    UnstableDesign,
+    WindowTooLong,
+)
 
 #: Default layout: nine 4 Hz-wide bands covering 4-40 Hz.
 DEFAULT_BANDS: tuple[tuple[float, float], ...] = tuple(
@@ -186,8 +193,10 @@ def bank_plan(spec: BandSpec, sample_rate: float, window_len: int) -> BankPlan:
 
 def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
     """Filter the (N, M, T) trials ``x`` through every band of ``plan``
-    into their C-contiguous (N, S, F, M, L) windows ``out``; samples
-    past ``S * L`` are not read.
+    into their (N, S, F, M, L) windows ``out``: a C-contiguous array, or
+    the first M rows of a C-contiguous (N, S, F, R, L) buffer (the
+    tiles below are views of it either way); samples past ``S * L`` are
+    not read.
 
     Every window is cut into Q = ceil(L / b) blocks, the last of
     ``plan.last`` samples, and copied once into rows of ``b`` samples
@@ -252,14 +261,17 @@ def check_gabor(window_len_samples: int, sample_rate: float, band_width_hz: floa
 class Segments(list):
     """``[(label, tensor), ...]`` in trial order, where every tensor is
     one trial's bandpassed, windowed (S, F, M, L) view of ``data``: one
-    C-contiguous (N, S, F, M, L) array."""
+    (N, S, F, M, L) array whose rows of L samples are contiguous, the
+    first M rows of :func:`segment`'s ``out`` buffer when it is given
+    and a C-contiguous array of its own otherwise."""
 
     def __init__(self, labels, data: np.ndarray):
         super().__init__(zip(labels, data))
         self.data = data
 
 
-def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None)) -> Segments:
+def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None),
+            out: np.ndarray | None = None) -> Segments:
     """Filter and window the trials ``trials.trials[block]`` of a
     :class:`~spdbci.eeg_io.RawTrialSet` (all of them by default).
 
@@ -268,12 +280,18 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None))
     samples are dropped.  Every band filters each trial causally,
     forward only, through the SOS form of its design: one call of the
     block kernel filters all bands of every trial's windows straight
-    into one C-contiguous (N, S, F, M, L) array, so every window is
-    contiguous too.  A trial's output does not depend on the other
-    trials of the block: it equals its own one-trial call bit for bit.
-    Returns the :class:`Segments` of the block: ``[(label, tensor),
-    ...]`` in trial order, each tensor a view of that array, which is
-    the list's ``data``.
+    into one (N, S, F, M, L) array, so every window's rows are
+    contiguous.  That array is the first M rows of ``out``, a
+    C-contiguous float64 (N, S, F, R, L) buffer with R >= M, when it is
+    given: :func:`~spdbci.trainer.prepare_dataset` passes R = M + 1, so
+    that :func:`~spdbci.spd.covariance` can pad every window with a row
+    of ones in place.  The rows past M are not written.  Without
+    ``out``, the array is a new C-contiguous one.  A trial's output does
+    not depend on the other trials of the block or on R: it equals its
+    own one-trial call bit for bit.  Returns the :class:`Segments` of
+    the block: ``[(label, tensor), ...]`` in trial order, each tensor a
+    view of that array, which is the list's ``data``.  An ``out`` of
+    another shape, dtype or layout raises :class:`DimensionMismatch`.
     """
     fs = trials.sample_rate_hz
     if not check_gabor(window_len, fs, spec.narrowest_width_hz):
@@ -287,8 +305,17 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None))
         )
     plan = bank_plan(spec, fs, window_len)
     items = trials.trials[block]
-    n_windows = trials.samples_per_trial // window_len
-    out = np.empty((len(items), n_windows, len(spec.bands), trials.channels, window_len))
+    m = trials.channels
+    shape = (len(items), trials.samples_per_trial // window_len, len(spec.bands))
+    if out is None:
+        out = np.empty(shape + (m, window_len))
+    elif (out.ndim != 5 or out.shape[:3] + out.shape[4:] != shape + (window_len,)
+          or out.shape[3] < m or out.dtype != np.float64 or not out.flags.c_contiguous):
+        raise DimensionMismatch(
+            f"out must be a C-contiguous float64 buffer of shape {shape} + (R, {window_len}) "
+            f"with R >= {m}, got {out.dtype} {out.shape}"
+        )
+    windows = out[..., :m, :]
     if items:
-        _filter_block(np.array([data for _, data in items]), plan, out)
-    return Segments([label for label, _ in items], out)
+        _filter_block(np.array([data for _, data in items]), plan, windows)
+    return Segments([label for label, _ in items], windows)

@@ -1,12 +1,14 @@
 """Symmetric positive-definite matrix algebra.
 
-The package's one covariance estimator, one Gram product per window
-with the row means folded in, shrunk by a fixed fraction of its own
-trace; the eigenvalue-function primitive and the matrix log,
-exp and inverse root built on it; the one affine-invariant (AIRM)
-distance kernel; and the two positivity guards on a spectrum, the
-strict one of :func:`check_spd` and the ``w_min > 0`` one of the maps
-that only need a positive spectrum.  Everything here is pure and
+The package's one covariance estimator, shrunk by a fixed fraction of
+its own trace: one general matrix product (BLAS ``gemm``) per window
+padded with a row of ones gives its Gram matrix and its row sums, and
+the row means are folded into the Gram matrix.  Then the
+eigenvalue-function primitive and the matrix log, exp and inverse root
+built on it; the one affine-invariant (AIRM) distance kernel; and the
+two positivity guards on a spectrum, the strict one of
+:func:`check_spd` and the ``w_min > 0`` one of the maps that only need
+a positive spectrum.  Everything here is pure and
 operates on plain ``numpy`` arrays; batched inputs use leading axes.
 """
 
@@ -25,9 +27,13 @@ SHRINKAGE_SCALE = 1e-4
 #: :func:`covariance` folds the mean into the Gram product of a window
 #: whose every row has ``mean**2 <= FOLD_RATIO * var``, and centres any
 #: other window first.  The fold's error is about ``c u (1 + mean**2 /
-#: var)`` of the largest entry, with ``u = 2**-53`` and ``c`` measured
-#: at 10-14 for M <= 22 and L <= 2000.  So 1e2 keeps it under 1e-12 with
-#: a 6x margin: 1.6e-13 was measured at the ratio 1e2, 1.4e-12 at 1e3.
+#: var)`` of the largest entry, with ``u = 2**-53``.  Against a two-pass
+#: extended-precision oracle on noise rows with offsets, for M <= 22 and
+#: L <= 2000, ``c`` measured 5-15 for most shapes and at most 29, at
+#: M = 1 and L = 2000, where the row sum is one long dot product of the
+#: padded ``gemm`` (``syrk`` with a pairwise row sum measured at most 17).
+#: So 1e2 keeps it under 1e-12 with a 3x margin: 3.3e-13 was measured at
+#: the ratio 1e2, 3.2e-12 at 1e3.
 FOLD_RATIO = 1e2
 
 
@@ -67,7 +73,7 @@ def check_spd(x: np.ndarray, name: str = "matrix") -> None:
     require_spd(np.linalg.eigvalsh(x), name)
 
 
-def covariance(window: np.ndarray) -> np.ndarray:
+def covariance(window: np.ndarray, padded: np.ndarray | None = None) -> np.ndarray:
     """Shrunk spatial covariance ``C + eps I`` of one window or a batch.
 
     ``window`` is channels x samples, or ``(..., M, L)`` for a batch of
@@ -75,18 +81,35 @@ def covariance(window: np.ndarray) -> np.ndarray:
     ``eps = max(SHRINKAGE_SCALE * trace(C) / M, 1e-12)``, so every
     output is SPD, a zero or rank-deficient window included.
 
-    ``C = X X^T / L - mu mu^T`` comes from one Gram product of the
-    window ``X`` as it is and its row means ``mu``; the window is never
-    centred or written.  That fold's rounding error in ``C_ij`` scales
-    with the rows' mean squares ``mu_i^2 + var_i``, where centring's
-    scales with their variances, so it is up to ``1 + mu_i^2 / var_i``
-    times larger.  A window whose rows all keep ``mu_i^2 <= FOLD_RATIO
-    * var_i`` stays within 1e-12 of its largest entry (see
-    :data:`FOLD_RATIO`); any other window is centred, ``C = Z Z^T / L``
-    with ``Z = X - mu``, as a copy.  The choice is made per window from
-    that window alone, so each matrix of a batch equals the 2-D call on
-    its window bit for bit when the windows are C-contiguous, and every
-    output is exactly symmetric.
+    ``C = X X^T / L - mu mu^T`` comes from one product of the window
+    ``X`` as it is with ``[X; 1]^T``, ``X`` padded with a row of ones:
+    its first M columns are ``X X^T`` and its last the row sums ``L mu``,
+    so one pass over the window gives both.  ``padded`` is that
+    ``(..., M + 1, L)`` buffer, with ``window`` its first M rows (a
+    caller that filtered the windows into it, like
+    :func:`~spdbci.trainer.prepare_dataset`); this call writes the ones
+    into its last row.  Without it the window is padded in a copy, and
+    the same product runs on the same values, so both routes give the
+    same bits.  The product is a general one (``gemm``): numpy sends
+    ``X @ X.T`` alone to the symmetric ``syrk``, which OpenBLAS 0.3.31
+    runs about 1.6 times slower at these shapes (0.83 against 0.51 ms
+    for the 72 windows of a 22-channel, 250-sample, 9-band trial on one
+    thread of a 2-core x86-64 VM).  Its ``X X^T`` block is made exactly
+    symmetric by averaging it with its transpose.  The window is never
+    centred or written.
+
+    That fold's rounding error in ``C_ij`` scales with the rows' mean
+    squares ``mu_i^2 + var_i``, where centring's scales with their
+    variances, so it is up to ``1 + mu_i^2 / var_i`` times larger.  A
+    window whose rows all keep ``mu_i^2 <= FOLD_RATIO * var_i`` stays
+    within 1e-12 of its largest entry (see :data:`FOLD_RATIO`); any
+    other window is centred, ``C = Z Z^T / L`` with ``Z = X - mu``, as a
+    copy.  The choice is made per window from that window alone, so each
+    matrix of a batch equals the 2-D call on its window bit for bit when
+    the windows' rows are contiguous, and every output is exactly
+    symmetric.  A ``padded`` of another shape than ``(..., M + 1, L)``,
+    or whose first M rows are not ``window``, raises
+    :class:`DimensionMismatch`.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim < 2 or 0 in window.shape[-2:]:
@@ -94,9 +117,23 @@ def covariance(window: np.ndarray) -> np.ndarray:
             f"window must be (..., M, L) with M, L >= 1, got {window.shape}"
         )
     m, length = window.shape[-2:]
-    mean = window.sum(axis=-1) / length
-    cov = window @ np.swapaxes(window, -1, -2)
-    cov /= length
+    if padded is None:
+        padded = np.empty(window.shape[:-2] + (m + 1, length))
+        padded[..., :m, :] = window
+    elif (padded.shape != window.shape[:-2] + (m + 1, length)
+          or padded.strides != window.strides
+          or padded.ctypes.data != window.ctypes.data):
+        raise DimensionMismatch(
+            f"padded must be the (..., M + 1, L) buffer whose first M rows are the "
+            f"{window.shape} window, got {padded.shape}"
+        )
+    padded[..., m, :] = 1.0
+    gram = padded[..., :m, :] @ np.swapaxes(padded, -1, -2)
+    mean = gram[..., m] / length
+    gram = gram[..., :m]
+    # (a + b) / 2 is exact, so one division by 2L rounds as dividing by L does
+    cov = gram + np.swapaxes(gram, -1, -2)
+    cov /= 2 * length
     cov -= mean[..., :, None] * mean[..., None, :]
     var = np.diagonal(cov, axis1=-2, axis2=-1)
     # a cancelled variance is tiny or negative, so it fails this test too

@@ -38,11 +38,13 @@ class EvalReport:
 
 #: Windows filtered per :func:`prepare_dataset` block, in bytes: seven
 #: 8-channel, 2-window trials of the default bank.  A larger trial is a
-#: block of its own.  On train-c5 with one filter-kernel call per block,
-#: 1 MiB prepared fastest of 256 KiB-4 MiB: smaller blocks repeat the
-#: kernel's per-call work for fewer trials (256 KiB, one trial a block,
-#: at half the rate), and larger ones leave the cache (1.5-4 MiB 9-16%
-#: slower).
+#: block of its own.  A trial is counted at its M rows of windows, not
+#: the M + 1 rows of the padded buffer that holds them, which would put
+#: 6 of those trials in a block.  On train-c5 with one filter-kernel call
+#: per block, 1 MiB prepared fastest of 256 KiB-4 MiB: smaller blocks
+#: repeat the kernel's per-call work for fewer trials (256 KiB, one
+#: trial a block, at half the rate), and larger ones leave the cache
+#: (1.5-4 MiB 9-16% slower).
 BLOCK_BYTES = 1 << 20
 
 
@@ -55,11 +57,15 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     :data:`BLOCK_BYTES` of windows, at least one trial each: one
     :func:`segment` call (one filter-kernel call for all trials and
     bands of the block) and one batched :func:`covariance` call on the
-    block's (n, S, F, M, L) array, which reads the windows without
-    centring or copying them.  So the windows held in memory are bounded
-    by the block, not the set, and every trial's covariances equal its
-    own single-trial run bit for bit, whatever block it falls in.
-    Raises :class:`InsufficientData` for a set without trials.
+    block's windows.  The windows are filtered into the first M rows of
+    an (n, S, F, M + 1, L) buffer, allocated once and reused by every
+    block, and the covariance call pads each window with a row of ones
+    in its last row: one matrix product per window then gives the Gram
+    matrix and the row sums, with no copy or centring of the window.
+    So the windows held in memory are bounded by the block, not the set,
+    and every trial's covariances equal its own single-trial run bit for
+    bit, whatever block it falls in.  Raises :class:`InsufficientData`
+    for a set without trials.
     """
     if not trials.trials:
         raise InsufficientData("the trial set has no trials")
@@ -68,12 +74,13 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     n_windows = trials.samples_per_trial // config.window_len
     # A trial too short for one window holds no bytes; segment rejects it.
     trial_bytes = 8 * n_windows * len(spec.bands) * m * config.window_len
-    per_block = max(1, BLOCK_BYTES // max(1, trial_bytes))
+    per_block = min(n, max(1, BLOCK_BYTES // max(1, trial_bytes)))
     covs = np.empty((n, n_windows, len(spec.bands), m, m))
+    padded = np.empty((per_block, n_windows, len(spec.bands), m + 1, config.window_len))
     for start in range(0, n, per_block):
         block = slice(start, start + per_block)
-        windows = segment(trials, spec, config.window_len, block).data
-        covs[block] = covariance(windows)
+        out = padded[: min(per_block, n - start)]
+        covs[block] = covariance(segment(trials, spec, config.window_len, block, out).data, out)
     labels = np.asarray([label for label, _ in trials.trials], dtype=np.int64)
     return covs, labels
 

@@ -6,7 +6,13 @@ from scipy import signal
 
 from spdbci import filterbank
 from spdbci.eeg_io import RawTrialSet
-from spdbci.errors import GaborViolation, InvalidBand, UnstableDesign, WindowTooLong
+from spdbci.errors import (
+    DimensionMismatch,
+    GaborViolation,
+    InvalidBand,
+    UnstableDesign,
+    WindowTooLong,
+)
 from spdbci.filterbank import (
     DEFAULT_BANDS,
     BandSpec,
@@ -329,6 +335,30 @@ class TestSegment:
         block = segment(trials, BandSpec(), 250, slice(1, 3))
         assert [label for label, _ in block] == [1, 1]
         assert np.array_equal(block.data, whole.data[1:3])
+
+    def test_out_buffer_takes_the_windows_in_its_first_rows(self, rng):
+        """``out`` with rows past M gets the bits of a call without it in
+        its first M rows, and its other rows are not written."""
+        items = [(k % 2, rng.standard_normal((3, 1000))) for k in range(3)]
+        trials = RawTrialSet(250.0, 3, 1000, items)
+        out = np.full((2, 4, 9, 5, 250), np.nan)
+        block = segment(trials, BandSpec(), 250, slice(1, 3), out)
+        assert [label for label, _ in block] == [1, 0]
+        assert np.shares_memory(block.data, out)
+        assert np.array_equal(block.data, segment(trials, BandSpec(), 250).data[1:3])
+        assert np.all(np.isnan(out[..., 3:, :]))
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((2, 4, 9, 2, 250), np.float64), ((3, 4, 9, 4, 250), np.float64),
+        ((2, 4, 9, 4, 251), np.float64), ((2, 4, 9, 4), np.float64),
+        ((2, 4, 9, 4, 250), np.float32),
+    ], ids=["fewer-rows", "more-trials", "longer-rows", "rank-4", "float32"])
+    def test_out_of_another_shape_or_dtype_rejected(self, rng, shape, dtype):
+        trials = _trial_set(rng.standard_normal((4, 1000)))
+        with pytest.raises(DimensionMismatch, match="out must be"):
+            segment(trials, BandSpec(), 250, out=np.zeros(shape, dtype))
+        with pytest.raises(DimensionMismatch, match="out must be"):
+            segment(trials, BandSpec(), 250, out=np.zeros((2, 4, 9, 4, 500))[..., ::2])
 
     def test_empty_set_gives_empty_list(self, rng):
         trials = _trial_set(rng.standard_normal((2, 500)))

@@ -101,6 +101,36 @@ class TestCovariance:
             assert np.max(np.abs(out[k] - oracle[k])) <= 1e-12 * np.max(np.abs(oracle[k]))
         check_spd(out)
 
+    @pytest.mark.parametrize("m, length", [(6, 200), (1, 200), (6, 1), (1, 1)])
+    def test_padded_buffer_gives_the_bits_of_the_copy(self, m, length):
+        """Windows filtered into the first M rows of an (..., M + 1, L)
+        buffer give bit for bit the covariances of the same windows
+        padded in a copy, every one exactly symmetric: folded rows
+        (offset ratio 9), centred rows (1e4) and a zero window together."""
+        rng = np.random.default_rng(9)
+        noise = rng.standard_normal((3, 2, m, length)) * rng.uniform(0.1, 10.0, (3, 2, m, 1))
+        sign = rng.choice([-1.0, 1.0], (3, 2, m, 1))
+        ratio = np.array([9.0, 1e4, 0.0])[:, None, None, None]
+        windows = noise + ratio * sign * noise.std(axis=-1, keepdims=True)
+        windows[2, 1] = 0.0
+        padded = np.full((3, 2, m + 1, length), np.nan)
+        padded[..., :m, :] = windows
+        out = covariance(padded[..., :m, :], padded)
+        assert out.tobytes() == covariance(windows).tobytes()
+        assert np.array_equal(out, np.swapaxes(out, -1, -2))
+        assert np.array_equal(padded[..., :m, :], windows)
+        assert np.array_equal(out[2, 1], 1e-12 * np.eye(m))
+        check_spd(out)
+
+    def test_padded_buffer_of_other_windows_rejected(self):
+        padded = np.zeros((2, 4, 10))
+        with pytest.raises(DimensionMismatch):
+            covariance(padded[:, :3, :].copy(), padded)
+        with pytest.raises(DimensionMismatch):
+            covariance(padded[:, :2, :], padded)
+        with pytest.raises(DimensionMismatch):
+            covariance(padded[:, 1:, :], padded)
+
     def test_constant_offset_window_is_scaled_identity(self):
         # folded, this window's covariance has the eigenvalue -2.6e-10
         window = np.stack([np.full(20, 1000.1), np.full(20, 2000.5)])

@@ -876,15 +876,25 @@ class TestPrepareDataset:
             prepare_dataset(empty, TrainConfig(**SMALL))
 
 
+class _BlockCalls(list):
+    """One entry per call, holding the number of trials in the block;
+    ``padded`` holds, per call, whether the padded buffer was passed."""
+
+    def __init__(self):
+        super().__init__()
+        self.padded = []
+
+
 @pytest.fixture
 def covariance_blocks(monkeypatch):
-    """Count ``prepare_dataset``'s ``covariance`` calls: one entry per
-    call, holding the number of trials in the block."""
-    calls = []
+    """Count ``prepare_dataset``'s ``covariance`` calls, forwarding the
+    padded buffer when one is passed."""
+    calls = _BlockCalls()
 
-    def counting(window):
+    def counting(window, padded=None):
         calls.append(np.shape(window)[0])
-        return covariance(window)
+        calls.padded.append(padded is not None)
+        return covariance(window, padded)
 
     monkeypatch.setattr(trainer_module, "covariance", counting)
     return calls
@@ -909,6 +919,8 @@ class TestPrepareBlocks:
         cfg = TrainConfig()
         covs, _ = prepare_dataset(trials, cfg)
         assert covariance_blocks == [7, 7, 6]
+        # every block pads its windows in the buffer they were filtered into
+        assert covariance_blocks.padded == [True, True, True]
         assert kernel_calls == [(7, 8, 250), (7, 8, 250), (6, 8, 250)]
         assert np.array_equal(covs, per_window_covariances(trials, cfg))
         for k, item in enumerate(trials.trials):
@@ -1198,6 +1210,30 @@ class TestCli:
                          "--folds", str(folds), "--report", str(report)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval-cv", "select"])
+    @pytest.mark.parametrize("key, value, named", [
+        ("m", "5", "m=5 must lie in 1..4"),
+        ("window_len", "200", "window_len 200 exceeds trial length 128"),
+        ("window_len", "2", "violates the uncertainty bound"),
+        ("bands", "8-16;16-125", "band (16.0, 125.0) must satisfy"),
+    ], ids=["m-above-channels", "window-above-trial", "window-below-gabor", "band-at-nyquist"])
+    def test_bad_config_value_fails_typed(self, small_trials, tmp_path, capsys,
+                                          command, key, value, named):
+        """A config value that the 4-channel, 128-sample, 250 Hz data
+        cannot take exits 1 with ``error:``, no traceback and no output."""
+        data, cfg, out = tmp_path / "d.eegb", tmp_path / "train.cfg", tmp_path / "out"
+        save_trials(small_trials, data)
+        options = {**SMALL, "bands": "8-16;16-24", key: value}
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in options.items()))
+        out_args = ["--folds", "2", "--report", out] if command == "eval-cv" else ["--out", out]
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(cfg), "--data", str(data),
+                         *map(str, out_args)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and named in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["in-missing-dir", "is-a-dir"])
     @pytest.mark.parametrize("command", ["gen-synthetic", "train", "eval-cv",
