@@ -18,7 +18,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,13 +81,15 @@ def _unframe(blob: bytes, what: str) -> bytes:
 
 @dataclass
 class RawTrialSet:
-    """Validated set of labeled raw trials."""
+    """Validated set of labeled raw trials.  ``n_classes`` is given, not
+    inferred from the labels: at least 2, with every label in
+    ``0..n_classes - 1``."""
 
     sample_rate_hz: float
     channels: int
     samples_per_trial: int
     trials: list[tuple[int, np.ndarray]]
-    n_classes: int = field(default=0)
+    n_classes: int
 
     def __post_init__(self):
         if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
@@ -96,9 +98,6 @@ class RawTrialSet:
             )
         if self.channels < 1 or self.samples_per_trial < 1:
             raise DimensionMismatch("channels and samples_per_trial must be positive")
-        labels = [label for label, _ in self.trials]
-        if self.n_classes == 0:
-            self.n_classes = (max(labels) + 1) if labels else 0
         if self.n_classes < 2:
             raise DimensionMismatch("at least two classes are required")
         for label, data in self.trials:
@@ -113,30 +112,33 @@ class RawTrialSet:
                 raise DimensionMismatch(f"label {label} outside 0..{self.n_classes - 1}")
 
 
-def save_trials(trials: RawTrialSet, path) -> None:
-    """Write a trial set in EEGB v1 format.
-
-    A sample rate whose float32 is not finite and positive could not be
-    read back, so it raises :class:`DimensionMismatch` before the file
-    is opened.
-    """
+def eegb_rate(rate: float) -> np.float32:
+    """``rate`` as EEGB's float32 field stores it.  This is the one form
+    in which sample rates are compared: two rates are the same rate iff
+    their ``eegb_rate`` are equal, so a set matches its own EEGB round
+    trip.  A rate whose float32 is not finite and positive could not be
+    read back, and raises :class:`DimensionMismatch`."""
     with np.errstate(over="ignore"):
-        stored_rate = np.float32(trials.sample_rate_hz)
-    if not (np.isfinite(stored_rate) and stored_rate > 0):
-        raise DimensionMismatch(
-            f"sample rate {trials.sample_rate_hz} does not fit EEGB's float32 field"
-        )
+        stored = np.float32(rate)
+    if not (np.isfinite(stored) and stored > 0):
+        raise DimensionMismatch(f"sample rate {rate} does not fit EEGB's float32 field")
+    return stored
+
+
+def save_trials(trials: RawTrialSet, path) -> None:
+    """Write a trial set in EEGB v1 format.  The sample rate is stored as
+    its :func:`eegb_rate`, checked before the file is opened."""
     header = EEGB_HEADER.pack(
         EEGB_MAGIC, EEGB_VERSION, trials.channels, trials.samples_per_trial,
-        len(trials.trials), trials.n_classes, trials.sample_rate_hz,
+        len(trials.trials), trials.n_classes, eegb_rate(trials.sample_rate_hz),
     )
     record = _eegb_record(trials.channels, trials.samples_per_trial)
     _write_framed(header + np.array(trials.trials, dtype=record).tobytes(), path)
 
 
 def load_trials(path) -> RawTrialSet:
-    """Read and validate an EEGB v1 file.  A class count above
-    ``max(2, n_trials)``, more than the trials can back, raises
+    """Read and validate an EEGB v1 file.  A class count below 2, or
+    above ``max(2, n_trials)``, more than the trials can back, raises
     :class:`MalformedHeader`.  The trials are views of one float64
     (n_trials, M, samples) array."""
     blob = read_file(path)
@@ -147,10 +149,9 @@ def load_trials(path) -> RawTrialSet:
     _, version, m, samples, n_trials, n_classes, rate = EEGB_HEADER.unpack_from(blob)
     if version != EEGB_VERSION:
         raise VersionMismatch(f"unsupported EEGB version {version}")
-    if n_classes > max(2, n_trials):
+    if not 2 <= n_classes <= max(2, n_trials):
         raise MalformedHeader(
-            f"class count {n_classes} exceeds the larger of 2 and the "
-            f"trial count {n_trials}"
+            f"class count {n_classes} must lie in 2..max(2, trial count {n_trials})"
         )
     expected = head_len + n_trials * (4 + 4 * m * samples) + 4
     if len(blob) != expected:

@@ -193,9 +193,8 @@ def bank_plan(spec: BandSpec, sample_rate: float, window_len: int) -> BankPlan:
 
 def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
     """Filter the (N, M, T) trials ``x`` through every band of ``plan``
-    into their (N, S, F, M, L) windows ``out``: a C-contiguous array, or
-    the first M rows of a C-contiguous (N, S, F, R, L) buffer (the
-    tiles below are views of it either way); samples past ``S * L`` are
+    into their (N, S, F, M, L) windows ``out``, whose rows have unit
+    stride (the tiles below are views of it); samples past ``S * L`` are
     not read.
 
     Every window is cut into Q = ceil(L / b) blocks, the last of
@@ -258,20 +257,8 @@ def check_gabor(window_len_samples: int, sample_rate: float, band_width_hz: floa
     return (window_len_samples / sample_rate) * band_width_hz >= GABOR_BOUND
 
 
-class Segments(list):
-    """``[(label, tensor), ...]`` in trial order, where every tensor is
-    one trial's bandpassed, windowed (S, F, M, L) view of ``data``: one
-    (N, S, F, M, L) array whose rows of L samples are contiguous, the
-    first M rows of :func:`segment`'s ``out`` buffer when it is given
-    and a C-contiguous array of its own otherwise."""
-
-    def __init__(self, labels, data: np.ndarray):
-        super().__init__(zip(labels, data))
-        self.data = data
-
-
 def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None),
-            out: np.ndarray | None = None) -> Segments:
+            out: np.ndarray | None = None) -> list[tuple[int, np.ndarray]]:
     """Filter and window the trials ``trials.trials[block]`` of a
     :class:`~spdbci.eeg_io.RawTrialSet` (all of them by default).
 
@@ -280,18 +267,15 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None),
     samples are dropped.  Every band filters each trial causally,
     forward only, through the SOS form of its design: one call of the
     block kernel filters all bands of every trial's windows straight
-    into one (N, S, F, M, L) array, so every window's rows are
-    contiguous.  That array is the first M rows of ``out``, a
-    C-contiguous float64 (N, S, F, R, L) buffer with R >= M, when it is
-    given: :func:`~spdbci.trainer.prepare_dataset` passes R = M + 1, so
-    that :func:`~spdbci.spd.covariance` can pad every window with a row
-    of ones in place.  The rows past M are not written.  Without
-    ``out``, the array is a new C-contiguous one.  A trial's output does
-    not depend on the other trials of the block or on R: it equals its
-    own one-trial call bit for bit.  Returns the :class:`Segments` of
-    the block: ``[(label, tensor), ...]`` in trial order, each tensor a
-    view of that array, which is the list's ``data``.  An ``out`` of
-    another shape, dtype or layout raises :class:`DimensionMismatch`.
+    into one (N, S, F, M, L) float64 array whose rows of L samples have
+    unit stride.  That array is ``out`` when it is given, and a new
+    C-contiguous one otherwise.  A trial's output does not depend on the
+    other trials of the block or on the layout of ``out``'s leading
+    axes: it equals its own one-trial call bit for bit.  Returns
+    ``[(label, tensor), ...]`` in trial order, each tensor one trial's
+    (S, F, M, L) view of that array.  An ``out`` of another shape or
+    dtype, or whose rows are not unit-stride, raises
+    :class:`DimensionMismatch`, and so does a read-only one.
     """
     fs = trials.sample_rate_hz
     if not check_gabor(window_len, fs, spec.narrowest_width_hz):
@@ -305,17 +289,16 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None),
         )
     plan = bank_plan(spec, fs, window_len)
     items = trials.trials[block]
-    m = trials.channels
-    shape = (len(items), trials.samples_per_trial // window_len, len(spec.bands))
+    shape = (len(items), trials.samples_per_trial // window_len, len(spec.bands),
+             trials.channels, window_len)
     if out is None:
-        out = np.empty(shape + (m, window_len))
-    elif (out.ndim != 5 or out.shape[:3] + out.shape[4:] != shape + (window_len,)
-          or out.shape[3] < m or out.dtype != np.float64 or not out.flags.c_contiguous):
+        out = np.empty(shape)
+    elif (out.shape != shape or out.dtype != np.float64 or out.strides[-1] != 8
+          or not out.flags.writeable):
         raise DimensionMismatch(
-            f"out must be a C-contiguous float64 buffer of shape {shape} + (R, {window_len}) "
-            f"with R >= {m}, got {out.dtype} {out.shape}"
+            f"out must be a writable float64 array of shape {shape} with unit-stride "
+            f"rows, got {out.dtype} {out.shape} with strides {out.strides}"
         )
-    windows = out[..., :m, :]
     if items:
-        _filter_block(np.array([data for _, data in items]), plan, windows)
-    return Segments([label for label, _ in items], windows)
+        _filter_block(np.array([data for _, data in items]), plan, out)
+    return [(label, windows) for (label, _), windows in zip(items, out)]

@@ -94,6 +94,7 @@ def synthetic_trials(
         channels=n_channels,
         samples_per_trial=samples_per_trial,
         trials=list(zip(labels, data)),
+        n_classes=len(covariances),
     )
 
 
@@ -126,11 +127,10 @@ def generate_from_spec(items: dict[str, str]) -> RawTrialSet:
 
     Keys: seed, channels, samples_per_trial, sample_rate, trials_per_class,
     separation, noise, planted (comma-separated indices, optional).
-    channels, samples_per_trial and trials_per_class are required;
-    channels and samples_per_trial must be >= 1, seed >= 0, separation
-    finite, positive and reachable, and the planted indices distinct
-    channels, else :class:`ConfigError` is raised, as it is for any other
-    key.
+    channels, samples_per_trial and trials_per_class are required and
+    must be >= 1, seed >= 0, separation finite, positive and reachable,
+    and the planted indices distinct channels, else :class:`ConfigError`
+    is raised, as it is for any other key.
     """
     unknown = sorted(items.keys() - SPEC_KEYS)
     if unknown:
@@ -159,7 +159,7 @@ def generate_from_spec(items: dict[str, str]) -> RawTrialSet:
     )
     return synthetic_trials(
         covs,
-        trials_per_class=_spec_value(items, "trials_per_class", int),
+        trials_per_class=_positive_spec_value(items, "trials_per_class"),
         samples_per_trial=_positive_spec_value(items, "samples_per_trial"),
         sample_rate_hz=_spec_value(items, "sample_rate", float, "250"),
         noise_scale=_spec_value(items, "noise", float, "0.1"),

@@ -11,13 +11,13 @@ training partition before network training.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classifier import cross_entropy
 from .config import TrainConfig
-from .eeg_io import ModelBundle, RawTrialSet
+from .eeg_io import ModelBundle, RawTrialSet, eegb_rate
 from .errors import ConfigError, InsufficientData, NonFiniteLoss, SchemaMismatch
 from .filterbank import bank_plan, segment
 from .layers import karcher_mean
@@ -57,15 +57,17 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     :data:`BLOCK_BYTES` of windows, at least one trial each: one
     :func:`segment` call (one filter-kernel call for all trials and
     bands of the block) and one batched :func:`covariance` call on the
-    block's windows.  The windows are filtered into the first M rows of
-    an (n, S, F, M + 1, L) buffer, allocated once and reused by every
-    block, and the covariance call pads each window with a row of ones
-    in its last row: one matrix product per window then gives the Gram
-    matrix and the row sums, with no copy or centring of the window.
-    So the windows held in memory are bounded by the block, not the set,
-    and every trial's covariances equal its own single-trial run bit for
-    bit, whatever block it falls in.  Raises :class:`InsufficientData`
-    for a set without trials.
+    block's windows.  The spare row belongs to this function and
+    :func:`covariance`: the windows are the first M rows of an
+    (n, S, F, M + 1, L) buffer, allocated once and reused by every
+    block; :func:`segment` filters into that M-row view, and the
+    covariance call pads each window with a row of ones in the last
+    row, so one matrix product per window gives the Gram matrix and the
+    row sums, with no copy or centring of the window.  So the windows
+    held in memory are bounded by the block, not the set, and every
+    trial's covariances equal its own single-trial run bit for bit,
+    whatever block it falls in.  Raises :class:`InsufficientData` for a
+    set without trials.
     """
     if not trials.trials:
         raise InsufficientData("the trial set has no trials")
@@ -80,7 +82,9 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     for start in range(0, n, per_block):
         block = slice(start, start + per_block)
         out = padded[: min(per_block, n - start)]
-        covs[block] = covariance(segment(trials, spec, config.window_len, block, out).data, out)
+        windows = out[..., :m, :]
+        segment(trials, spec, config.window_len, block, windows)
+        covs[block] = covariance(windows, out)
     labels = np.asarray([label for label, _ in trials.trials], dtype=np.int64)
     return covs, labels
 
@@ -215,12 +219,14 @@ def evaluate_holdout(
 ) -> EvalReport:
     """Train on one set and score another.  Sets that differ in channel
     count, class count, sample rate or windows per trial raise
-    :class:`SchemaMismatch` before training."""
+    :class:`SchemaMismatch` before training; rates are compared by
+    :func:`~spdbci.eeg_io.eegb_rate`, as the float32 that EEGB stores,
+    so a set matches its own EEGB round trip."""
     if train_set.channels != eval_set.channels:
         raise SchemaMismatch("train and eval channel counts differ")
     if train_set.n_classes != eval_set.n_classes:
         raise SchemaMismatch("train and eval class counts differ")
-    if train_set.sample_rate_hz != eval_set.sample_rate_hz:
+    if eegb_rate(train_set.sample_rate_hz) != eegb_rate(eval_set.sample_rate_hz):
         raise SchemaMismatch("train and eval sample rates differ")
     windows = [s.samples_per_trial // config.window_len for s in (train_set, eval_set)]
     if windows[0] != windows[1]:
@@ -251,8 +257,9 @@ def bench_inference(
     kernel plan served from the cache and the folded plan that
     :func:`~spdbci.model.model_from_bundle` built.  A trial set at
     another sample rate than the model was trained on raises
-    :class:`SchemaMismatch`; rates are compared as the float32 that
-    EEGB stores.
+    :class:`SchemaMismatch`; rates are compared by
+    :func:`~spdbci.eeg_io.eegb_rate`, as the float32 that EEGB stores,
+    so trials match a model trained on their own EEGB round trip.
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
@@ -260,9 +267,7 @@ def bench_inference(
         raise InsufficientData("the trial set has no trials")
     config = bundle_config(bundle)
     model = model_from_bundle(bundle)
-    with np.errstate(over="ignore"):
-        rates = np.float32([trials.sample_rate_hz, model.sample_rate])
-    if rates[0] != rates[1]:
+    if eegb_rate(trials.sample_rate_hz) != eegb_rate(model.sample_rate):
         raise SchemaMismatch(
             f"model was trained at {model.sample_rate} Hz, trials are at "
             f"{trials.sample_rate_hz} Hz"
@@ -274,10 +279,7 @@ def bench_inference(
     samples = []
     for _ in range(repetitions):
         for label, data in trials.trials:
-            one = RawTrialSet(
-                trials.sample_rate_hz, trials.channels, trials.samples_per_trial,
-                [(label, data)], trials.n_classes,
-            )
+            one = replace(trials, trials=[(label, data)])
             tic = time.perf_counter()
             covs, _ = prepare_dataset(one, config)
             predict(model, covs)

@@ -195,20 +195,21 @@ class TestKernel:
                  (1, np.asfortranarray(rng.standard_normal((8, 500)))),
                  (1, wide[:, ::2])]
         assert not items[2][1].flags.c_contiguous and not items[2][1].flags.f_contiguous
-        trials = RawTrialSet(250.0, 8, 500, items)
+        trials = RawTrialSet(250.0, 8, 500, items, n_classes=2)
         block = segment(trials, BandSpec(), 125)
         for k, item in enumerate(items):
             one = segment(RawTrialSet(250.0, 8, 500, [item], n_classes=2), BandSpec(), 125)
-            assert np.array_equal(block.data[k], one.data[0])
+            assert np.array_equal(block[k][1], one[0][1])
 
     def test_multi_trial_block_at_2000_hz_stays_with_sosfilt(self, rng):
         spec = BandSpec(bands=((4.0, 8.0), (12.0, 16.0)))
         data = [rng.standard_normal((3, 4100)) for _ in range(3)]
-        trials = RawTrialSet(2000.0, 3, 4100, [(k % 2, d) for k, d in enumerate(data)])
+        trials = RawTrialSet(2000.0, 3, 4100, [(k % 2, d) for k, d in enumerate(data)],
+                             n_classes=2)
         block = segment(trials, spec, 1000)
         for k, d in enumerate(data):
             expected = _sosfilt_windows(d, spec, 2000.0, 1000)
-            assert np.max(np.abs(block.data[k] - expected)) <= 1e-10 * np.max(np.abs(expected))
+            assert np.max(np.abs(block[k][1] - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     def test_plan_is_cached_and_read_only(self):
         plan = filterbank.bank_plan(BandSpec(), 250.0, 125)
@@ -322,37 +323,57 @@ class TestSegment:
     def test_tensors_are_views_of_one_block_array(self, rng):
         trials = _trial_set(rng.standard_normal((3, 1000)))
         out = segment(trials, BandSpec(), window_len=250)
-        assert out.data.shape == (2, 4, 9, 3, 250)
-        assert out.data.flags.c_contiguous
+        data = out[0][1].base
+        assert data.shape == (2, 4, 9, 3, 250)
+        assert data.flags.c_contiguous
         for k, (_, tensor) in enumerate(out):
-            assert np.shares_memory(tensor, out.data)
-            assert np.array_equal(tensor, out.data[k])
+            assert tensor.base is data
+            assert np.array_equal(tensor, data[k])
 
     def test_block_equals_its_slice_of_the_set(self, rng):
         data = rng.standard_normal((3, 1000))
-        trials = RawTrialSet(250.0, 3, 1000, [(0, data), (1, data), (1, 2.0 * data)])
+        trials = RawTrialSet(250.0, 3, 1000, [(0, data), (1, data), (1, 2.0 * data)],
+                             n_classes=2)
         whole = segment(trials, BandSpec(), 250)
         block = segment(trials, BandSpec(), 250, slice(1, 3))
         assert [label for label, _ in block] == [1, 1]
-        assert np.array_equal(block.data, whole.data[1:3])
+        assert all(np.array_equal(b, w) for (_, b), (_, w) in zip(block, whole[1:3]))
 
     def test_out_buffer_takes_the_windows_in_its_first_rows(self, rng):
-        """``out`` with rows past M gets the bits of a call without it in
-        its first M rows, and its other rows are not written."""
+        """The M-row view of a buffer with spare rows gets the bits of a
+        call without ``out``, and the spare rows are not written."""
         items = [(k % 2, rng.standard_normal((3, 1000))) for k in range(3)]
-        trials = RawTrialSet(250.0, 3, 1000, items)
-        out = np.full((2, 4, 9, 5, 250), np.nan)
-        block = segment(trials, BandSpec(), 250, slice(1, 3), out)
+        trials = RawTrialSet(250.0, 3, 1000, items, n_classes=2)
+        buffer = np.full((2, 4, 9, 5, 250), np.nan)
+        block = segment(trials, BandSpec(), 250, slice(1, 3), buffer[..., :3, :])
         assert [label for label, _ in block] == [1, 0]
-        assert np.shares_memory(block.data, out)
-        assert np.array_equal(block.data, segment(trials, BandSpec(), 250).data[1:3])
-        assert np.all(np.isnan(out[..., 3:, :]))
+        whole = segment(trials, BandSpec(), 250)
+        for k, (_, tensor) in enumerate(block):
+            assert np.shares_memory(tensor, buffer)
+            assert np.array_equal(buffer[k, ..., :3, :], whole[k + 1][1])
+        assert np.all(np.isnan(buffer[..., 3:, :]))
+
+    def test_out_of_any_axis_order_takes_the_same_bits(self, rng):
+        trials = _trial_set(rng.standard_normal((3, 1000)))
+        # bands outermost in memory; rows still unit-stride
+        out = np.empty((9, 2, 4, 3, 250)).transpose(1, 2, 0, 3, 4)
+        block = segment(trials, BandSpec(), 250, out=out)
+        for (_, tensor), (_, expected) in zip(block, segment(trials, BandSpec(), 250)):
+            assert np.shares_memory(tensor, out)
+            assert np.array_equal(tensor, expected)
+
+    def test_read_only_out_rejected(self, rng):
+        trials = _trial_set(rng.standard_normal((4, 1000)))
+        out = np.zeros((2, 4, 9, 4, 250))
+        out.setflags(write=False)
+        with pytest.raises(DimensionMismatch, match="out must be"):
+            segment(trials, BandSpec(), 250, out=out)
 
     @pytest.mark.parametrize("shape, dtype", [
-        ((2, 4, 9, 2, 250), np.float64), ((3, 4, 9, 4, 250), np.float64),
-        ((2, 4, 9, 4, 251), np.float64), ((2, 4, 9, 4), np.float64),
-        ((2, 4, 9, 4, 250), np.float32),
-    ], ids=["fewer-rows", "more-trials", "longer-rows", "rank-4", "float32"])
+        ((2, 4, 9, 2, 250), np.float64), ((2, 4, 9, 5, 250), np.float64),
+        ((3, 4, 9, 4, 250), np.float64), ((2, 4, 9, 4, 251), np.float64),
+        ((2, 4, 9, 4), np.float64), ((2, 4, 9, 4, 250), np.float32),
+    ], ids=["fewer-rows", "more-rows", "more-trials", "longer-rows", "rank-4", "float32"])
     def test_out_of_another_shape_or_dtype_rejected(self, rng, shape, dtype):
         trials = _trial_set(rng.standard_normal((4, 1000)))
         with pytest.raises(DimensionMismatch, match="out must be"):

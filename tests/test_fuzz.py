@@ -17,6 +17,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from spdbci.cli import main as cli_main
 from spdbci.config import TrainConfig
 from spdbci.eeg_io import RawTrialSet, load_model, load_trials, save_model, save_trials
 from spdbci.errors import MalformedHeader, SpdBciError
@@ -145,6 +146,32 @@ def test_eegb_class_count_is_bounded_by_the_trial_count(eegb_blob, tmp_path):
     # the fixture file holds three trials
     assert_malformed(class_count_mutant(eegb_blob, tmp_path / "x.eegb", 4))
     assert load_trials(class_count_mutant(eegb_blob, tmp_path / "y.eegb", 3)).n_classes == 3
+
+
+@pytest.mark.parametrize("n_classes", [0, 1])
+def test_eegb_class_count_below_two_is_malformed(eegb_blob, tmp_path, capsys, n_classes):
+    """The class count is read, never inferred from the labels: 0 or 1
+    fails typed, and ``train`` on the file exits 1 with ``error:``
+    instead of a traceback."""
+    path = class_count_mutant(eegb_blob, tmp_path / "x.eegb", n_classes)
+    assert_malformed(path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nbands = 8-16\nwindow_len = 4\nm = 2\n")
+    model = tmp_path / "m.sbcm"
+
+    def train(data):
+        return cli_main(["train", "--config", str(cfg), "--data", str(data),
+                         "--out", str(model)])
+
+    # the unmutated file trains with this config
+    (tmp_path / "ok.eegb").write_bytes(eegb_blob)
+    assert train(tmp_path / "ok.eegb") == 0
+    model.unlink()
+    capsys.readouterr()
+    assert train(path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not model.exists()
 
 
 def test_eegb_sample_rate_edge_values(eegb_blob, tmp_path):

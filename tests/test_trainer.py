@@ -235,6 +235,7 @@ class TestSynth:
         ({**_SPEC, "planted": "9"}, "planted"),
         ({**_SPEC, "channels": "0"}, "channels"),
         ({**_SPEC, "samples_per_trial": "-5"}, "samples_per_trial"),
+        ({**_SPEC, "trials_per_class": "0"}, "trials_per_class"),
         ({**_SPEC, "separation": "nan"}, "separation"),
         ({**_SPEC, "separation": "inf"}, "separation"),
         ({**_SPEC, "separation": "1e6"}, "separation"),
@@ -245,6 +246,7 @@ class TestSynth:
         ({**_SPEC, "noize": "5"}, "noize"),
     ], ids=["missing-channels", "non-numeric-noise", "non-numeric-planted",
             "planted-out-of-range", "zero-channels", "negative-samples",
+            "zero-trials-per-class",
             "nan-separation", "inf-separation", "huge-separation",
             "unreachable-separation", "negative-seed", "duplicate-planted",
             "misspelt-separation", "misspelt-noise"])
@@ -424,6 +426,27 @@ class TestTrain:
         stored = load_trials(tmp_path / "d.eegb")
         assert stored.sample_rate_hz != trials.sample_rate_hz
         assert bench_inference(bundle, stored)["samples"] == len(trials.trials)
+
+    @pytest.mark.parametrize("rate", [250.1, 1000.0 / 3.0])
+    def test_holdout_compares_rates_as_eegb_stores_them(self, tmp_path, rate):
+        # neither rate is a float32: the file holds it rounded, and the
+        # two sets are at the same rate as EEGB stores it
+        rng = np.random.default_rng(4)
+        trials = synthetic_trials(two_class_covariances(4, rng=rng), 3, 128, rate, rng=rng)
+        save_trials(trials, tmp_path / "d.eegb")
+        stored = load_trials(tmp_path / "d.eegb")
+        assert stored.sample_rate_hz != trials.sample_rate_hz
+        report = evaluate_holdout(TrainConfig(**{**SMALL, "epochs": 0}), trials, stored)
+        assert report.confusion.sum() == len(trials.trials)
+
+    def test_rates_that_differ_as_float32_are_refused_everywhere(self, small_trials):
+        cfg = TrainConfig(**{**SMALL, "epochs": 0})
+        bundle = train_to_bundle(cfg, small_trials)
+        faster = dataclasses.replace(small_trials, sample_rate_hz=500.0)
+        with pytest.raises(SchemaMismatch, match="sample rates differ"):
+            evaluate_holdout(cfg, small_trials, faster)
+        with pytest.raises(SchemaMismatch, match="trained at 250.0 Hz, trials are at 500.0 Hz"):
+            bench_inference(bundle, faster)
 
     def test_bundle_config_without_bands_raises_typed_error(self, small_trials):
         """A model trained on nine bands shifted by 1 Hz has the default
