@@ -38,8 +38,8 @@ import numpy as np
 
 from .classifier import TangentClassifier
 from .config import TrainConfig, config_from_mapping
-from .eeg_io import ModelBundle
-from .errors import MalformedHeader, ShapeMismatch
+from .eeg_io import ModelBundle, eegb_rate
+from .errors import DimensionMismatch, MalformedHeader, ShapeMismatch
 from .layers import BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, random_stiefel, stiefel_step
 from .selection import MbtHeads
 from .spd import check_spd, eig_fn
@@ -238,7 +238,9 @@ def _check_arrays(arrays: dict[str, np.ndarray], m: int) -> None:
     entry, a zero-length axis, a missing ``BUNDLE_RANKS`` array or one of
     another rank, a ``selection`` mask with an entry other than 0 or 1
     or whose count of 1s is not the snapshot's ``m``, or a
-    ``sample_rate`` that is not positive."""
+    ``sample_rate`` that :func:`~spdbci.eeg_io.eegb_rate` refuses: one
+    whose float32 is not finite and positive, so that no trial set could
+    match it."""
     for name, arr in arrays.items():
         if 0 in arr.shape:
             raise MalformedHeader(f"model bundle array {name!r} has a zero-length axis")
@@ -261,8 +263,11 @@ def _check_arrays(arrays: dict[str, np.ndarray], m: int) -> None:
             f"model bundle config key 'm' is {m}, but array 'selection' "
             f"selects {count} channels"
         )
-    if not np.all(arrays["sample_rate"] > 0):
-        raise MalformedHeader("model bundle array 'sample_rate' is not positive")
+    for rate in arrays["sample_rate"]:
+        try:
+            eegb_rate(rate)
+        except DimensionMismatch as exc:
+            raise MalformedHeader(f"model bundle array 'sample_rate': {exc}") from None
 
 
 def bundle_config(bundle: ModelBundle) -> TrainConfig:
@@ -287,9 +292,10 @@ def model_from_bundle(bundle: ModelBundle) -> Model:
     so a missing or unexpected array, ``head_0`` and ``sample_rate``
     among them, raises :class:`MalformedHeader`, and so do a non-finite
     array, a zero-length axis, an array whose rank or shape disagrees
-    with the sizes, a mask entry other than 0 or 1, a sample rate that
-    is not positive and a BiMap or head weight without orthonormal
-    columns (to ``ORTHONORMAL_ATOL``); an RBN mean (``rbn_mean_0``) that
+    with the sizes, a mask entry other than 0 or 1, a sample rate whose
+    float32 is not finite and positive (see
+    :func:`~spdbci.eeg_io.eegb_rate`) and a BiMap or head weight without
+    orthonormal columns (to ``ORTHONORMAL_ATOL``); an RBN mean (``rbn_mean_0``) that
     is not SPD raises :class:`~spdbci.errors.NotPositiveDefinite`.  The checked arrays fill
     the model built from the mask, and as its weights are final, its
     eval plan is built here, once."""

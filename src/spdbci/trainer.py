@@ -10,7 +10,10 @@ training partition before network training.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,19 +92,64 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     return covs, labels
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def class_band_representatives(covs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """One representative per (class, band), pooling windows and trials:
-    one Karcher-flow step from their arithmetic mean."""
-    classes = np.unique(labels)
-    n_bands = covs.shape[2]
-    reps = []
-    for c in classes:
-        in_class = labels == c
-        for f in range(n_bands):
-            # index one (class, band) group: a whole-class copy sets the memory peak
-            group = covs[in_class, :, f].reshape(-1, covs.shape[-1], covs.shape[-1])
-            reps.append(karcher_mean(group))
-    return np.stack(reps)
+    the :func:`~spdbci.layers.karcher_mean` of the group, one
+    Karcher-flow step from their arithmetic mean.
+
+    The groups run on every CPU the process may use (:func:`_cpu_count`,
+    at most one thread per group): the calling thread and one helper per
+    other CPU each take the next group in (class, band) order until none
+    is left, so no more threads are runnable than there are CPUs.  numpy
+    releases the GIL in the ``eigh`` and ``gemm`` calls that make up a
+    mean.  The helpers live in a pool made for this call and joined
+    before it returns; with one CPU or one group no pool is made.  Each
+    group's mean is computed alone, from the same data, so the result is
+    the same bit for bit whatever the CPU count.  A group that fails
+    stops the handing out of groups, and the caller raises the error of
+    the first failing group in order, as the serial loop would.
+    """
+    m = covs.shape[-1]
+    groups = [(labels == c, f) for c in np.unique(labels) for f in range(covs.shape[2])]
+    reps = np.empty((len(groups), m, m))
+    failures: dict[int, BaseException] = {}
+    order = iter(range(len(groups)))
+    lock = threading.Lock()
+
+    def run_groups() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(order, None)
+            if i is None:
+                return
+            in_class, f = groups[i]
+            try:
+                # index one (class, band) group: a whole-class copy sets the memory peak
+                reps[i] = karcher_mean(covs[in_class, :, f].reshape(-1, m, m))
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+
+    helpers = min(_cpu_count(), len(groups)) - 1
+    if helpers > 0:
+        with ThreadPoolExecutor(helpers) as pool:
+            running = [pool.submit(run_groups) for _ in range(helpers)]
+            run_groups()
+            for future in running:
+                future.result()
+    else:
+        run_groups()
+    if failures:
+        raise failures[min(failures)]
+    return reps
 
 
 def select_channels(config: TrainConfig, reps: np.ndarray) -> SelectionTransform:

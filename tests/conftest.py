@@ -46,6 +46,17 @@ def assemble_L_loop(log_samples, gamma_g, w):
     return 0.5 * (out + out.T)
 
 
+def karcher_mean_one_pass(batch):
+    """One Karcher-flow step from the arithmetic mean with the whole
+    batch whitened, logged and averaged at once (reference oracle for
+    ``layers.karcher_mean``, which takes the tangent step in slices)."""
+    mean = sym(batch.mean(axis=0))
+    half, w, u = eig_fn(mean, np.sqrt)
+    rm = eig_fn(mean, lambda v: 1.0 / np.sqrt(v), (w, u))[0]
+    tangent = spd_log(rm @ batch @ rm).mean(axis=0)
+    return sym(half @ spd_exp(tangent) @ half)
+
+
 def karcher_mean_iterated(batch):
     """Karcher mean of an SPD batch by fixed-point iteration from the
     arithmetic mean (reference oracle for ``layers.karcher_mean``, which

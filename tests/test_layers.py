@@ -10,6 +10,7 @@ from spdbci.layers import (
     LogEigLayer,
     RbnLayer,
     ReEigLayer,
+    KARCHER_SLICE,
     _eig_fn_backward,
     karcher_mean,
     random_stiefel,
@@ -18,7 +19,9 @@ from spdbci.layers import (
 )
 from spdbci.spd import airm_distance, inv_sqrtm, spd_log, sym
 
-from conftest import random_spd
+import spdbci.layers as layers_module
+
+from conftest import karcher_mean_one_pass, random_spd
 
 
 def fd_input_grad(layer, x, g, h=1e-6, rng=None):
@@ -223,6 +226,38 @@ class TestKarcher:
     def test_rejects_indefinite_arithmetic_mean(self):
         batch = np.stack([np.diag([1.0, -2.0]), np.diag([1.0, 1.0])])
         with pytest.raises(NotPositiveDefinite, match="karcher_mean"):
+            karcher_mean(batch)
+
+    @pytest.mark.parametrize("n, size", [
+        (4, KARCHER_SLICE - 1), (4, KARCHER_SLICE), (4, KARCHER_SLICE + 1),
+        (2, 3 * KARCHER_SLICE + 7), (22, 2 * KARCHER_SLICE + 1),
+        (1, KARCHER_SLICE - 1), (1, 2 * KARCHER_SLICE + 9),
+    ])
+    def test_sliced_step_equals_the_one_pass_step_bit_for_bit(self, rng, n, size):
+        batch = random_spd(rng, n, batch=size) * rng.uniform(0.01, 100.0, (size, 1, 1))
+        assert karcher_mean(batch).tobytes() == karcher_mean_one_pass(batch).tobytes()
+
+    def test_strided_batch_equals_the_one_pass_step_bit_for_bit(self, rng):
+        whole = random_spd(rng, 5, batch=2 * KARCHER_SLICE + 6)
+        batch = np.swapaxes(whole, -1, -2)[::2]
+        assert karcher_mean(batch).tobytes() == karcher_mean_one_pass(batch).tobytes()
+
+    def test_tangent_step_runs_in_slices(self, rng, monkeypatch):
+        sizes = []
+        real_log = layers_module.spd_log
+
+        def recording_log(x):
+            sizes.append(len(x))
+            return real_log(x)
+
+        monkeypatch.setattr(layers_module, "spd_log", recording_log)
+        karcher_mean(random_spd(rng, 3, batch=2 * KARCHER_SLICE + 5))
+        assert sizes == [KARCHER_SLICE, KARCHER_SLICE, 5]
+
+    def test_non_spd_member_in_the_last_slice_raises(self, rng):
+        batch = random_spd(rng, 4, batch=2 * KARCHER_SLICE + 3)
+        batch[-1] = -1e-6 * np.eye(4)
+        with pytest.raises(NotPositiveDefinite, match="spd_log input"):
             karcher_mean(batch)
 
 

@@ -2,6 +2,9 @@
 
 import dataclasses
 import re
+import sys
+import threading
+from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
@@ -30,6 +33,7 @@ from spdbci.errors import (
 )
 import spdbci.filterbank as filterbank_module
 from spdbci.filterbank import segment
+from spdbci.layers import karcher_mean
 from spdbci.model import Model, count_parameters, model_from_bundle, model_to_bundle
 from spdbci.spd import covariance
 from spdbci.synth import generate_from_spec, synthetic_trials, two_class_covariances
@@ -665,6 +669,10 @@ class TestFoldedPlan:
         ("sample_rate", -1.0, MalformedHeader),
         ("sample_rate", np.nan, MalformedHeader),
         ("sample_rate", np.inf, MalformedHeader),
+        # 250 Hz times these is 1e300 and 1e-300 Hz: positive, but with no
+        # finite and positive float32 for EEGB to store
+        ("sample_rate", 4e297, MalformedHeader),
+        ("sample_rate", 4e-303, MalformedHeader),
     ])
     def test_bundle_that_would_mispredict_raises_typed_error(
         self, small_trials, name, factor, error
@@ -1012,6 +1020,169 @@ class TestPrepareBlocks:
         assert np.array_equal(covs, per_window_covariances(trials, cfg))
 
 
+class _InlineExecutor:
+    """Stands in for ``ThreadPoolExecutor``: runs each task when it is
+    submitted, in the calling thread, and records the worker counts it
+    was asked for."""
+
+    asked: list[int] = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+class _NoPool:
+    def __init__(self, max_workers):
+        raise AssertionError(f"a pool of {max_workers} was made")
+
+
+def _serial_representatives(covs, labels):
+    """The (class, band) Karcher means one after another in the caller."""
+    m = covs.shape[-1]
+    return np.stack([karcher_mean(covs[labels == c, :, f].reshape(-1, m, m))
+                     for c in np.unique(labels) for f in range(covs.shape[2])])
+
+
+class TestRepresentativePool:
+    """``class_band_representatives`` runs its (class, band) groups on
+    every CPU the process may use, and the count changes no bit.  At 64
+    CPUs the pool is an inline stand-in, and no thread may start."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, small_trials):
+        """4 (class, band) groups of 24 windows."""
+        return prepare_dataset(small_trials, TrainConfig(**SMALL))
+
+    @staticmethod
+    def _use_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(trainer_module, "_cpu_count", lambda: cpus)
+        if cpus == 64:
+            def refuse(thread):
+                raise AssertionError(f"thread {thread.name} started")
+
+            monkeypatch.setattr(threading.Thread, "start", refuse)
+            monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _InlineExecutor)
+            monkeypatch.setattr(_InlineExecutor, "asked", [])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_representatives_do_not_depend_on_the_cpu_count(self, dataset, monkeypatch, cpus):
+        covs, labels = dataset
+        self._use_cpus(monkeypatch, cpus)
+        if cpus == 1:
+            monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _NoPool)
+        threads_before = threading.active_count()
+        reps = class_band_representatives(covs, labels)
+        assert reps.tobytes() == _serial_representatives(covs, labels).tobytes()
+        assert threading.active_count() == threads_before
+        if cpus == 64:
+            # at most min(CPUs, groups) - 1 helpers: the caller runs a share
+            assert _InlineExecutor.asked == [min(64, 4) - 1]
+
+    @staticmethod
+    def _spoil(covs, labels, cls, band, how):
+        """A copy of ``covs`` whose (cls, band) group is not SPD: one
+        member negative definite, or every member, so that the
+        arithmetic mean is not positive definite either."""
+        covs = covs.copy()
+        members = np.flatnonzero(labels == cls)
+        for k in members[:1] if how == "member" else members:
+            covs[k, :, band] = -1e-6 * np.eye(covs.shape[-1])
+        return covs
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    @pytest.mark.parametrize("cls, band", [(0, 0), (0, 1), (1, 1)])
+    def test_a_non_spd_group_raises_in_the_caller(self, dataset, monkeypatch, cpus, cls, band):
+        covs, labels = dataset
+        self._use_cpus(monkeypatch, cpus)
+        spoilt = self._spoil(covs, labels, cls, band, "member")
+        threads_before = threading.active_count()
+        with pytest.raises(NotPositiveDefinite, match="spd_log input"):
+            class_band_representatives(spoilt, labels)
+        assert threading.active_count() == threads_before
+
+    def test_the_first_failing_group_sets_the_error(self, dataset, monkeypatch):
+        """Group 1 fails only after group 3 has failed on the other
+        thread; group 1's error is raised, as the serial loop would
+        raise it."""
+        covs, labels = dataset
+        self._use_cpus(monkeypatch, 2)
+        batches = [covs[labels == c, :, f].reshape(-1, 4, 4) for c in (0, 1) for f in (0, 1)]
+        group_3_failed = threading.Event()
+
+        def mean_or_fail(batch):
+            if np.array_equal(batch, batches[1]):
+                assert group_3_failed.wait(timeout=30)
+                raise NotPositiveDefinite("group 1")
+            if np.array_equal(batch, batches[3]):
+                group_3_failed.set()
+                raise NotPositiveDefinite("group 3")
+            return karcher_mean(batch)
+
+        monkeypatch.setattr(trainer_module, "karcher_mean", mean_or_fail)
+        with pytest.raises(NotPositiveDefinite, match="group 1"):
+            class_band_representatives(covs, labels)
+
+    def test_many_threads_take_each_group_once(self, monkeypatch):
+        """16 groups on 8 threads, more than there are cores, with a 1 us
+        switch interval: each round takes each group's mean once and
+        puts it in its own row."""
+        rng = np.random.default_rng(0)
+        covs = random_spd(rng, 3, batch=40 * 2 * 4).reshape(40, 2, 4, 3, 3)
+        labels = np.arange(40) % 4
+        expected = _serial_representatives(covs, labels).tobytes()
+        calls = []
+
+        def counting_mean(batch):
+            calls.append(len(batch))
+            return karcher_mean(batch)
+
+        self._use_cpus(monkeypatch, 8)
+        monkeypatch.setattr(trainer_module, "karcher_mean", counting_mean)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert class_band_representatives(covs, labels).tobytes() == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [20] * 20 * 16
+
+    def test_a_failure_in_a_helper_thread_raises_in_the_caller(self, dataset, monkeypatch):
+        """The caller's first group waits until the helper has started
+        one, which fails in the helper."""
+        covs, labels = dataset
+        self._use_cpus(monkeypatch, 2)
+        helper_started = threading.Event()
+        failed_in = []
+
+        def mean_or_fail(batch):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_started.wait(timeout=30)
+                return karcher_mean(batch)
+            helper_started.set()
+            failed_in.append(threading.current_thread().name)
+            raise NotPositiveDefinite("failed in a helper")
+
+        monkeypatch.setattr(trainer_module, "karcher_mean", mean_or_fail)
+        with pytest.raises(NotPositiveDefinite, match="failed in a helper"):
+            class_band_representatives(covs, labels)
+        assert len(failed_in) == 1
+
+
 class TestFolds:
     def test_partition(self):
         labels = np.array([0, 1] * 50)
@@ -1232,6 +1403,22 @@ class TestCli:
         assert cli_main(["eval-cv", "--config", str(cfg), "--data", str(data),
                          "--folds", str(folds), "--report", str(report)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_bench_refuses_a_bundle_rate_that_eegb_cannot_store(self, small_trials,
+                                                                 tmp_path, capsys):
+        """The bundle's rate fails on load, named as its array, before
+        any trial is compared with it."""
+        data, model_path, report = tmp_path / "d.eegb", tmp_path / "m.sbcm", tmp_path / "b.csv"
+        save_trials(small_trials, data)
+        bundle = train_to_bundle(TrainConfig(**{**SMALL, "epochs": 0}), small_trials)
+        save_model(dataclasses.replace(
+            bundle, arrays={**bundle.arrays, "sample_rate": np.array([1e300])}), model_path)
+        capsys.readouterr()
+        assert cli_main(["bench", "--model", str(model_path), "--data", str(data),
+                         "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "model bundle array 'sample_rate'" in err
         assert not report.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval-cv", "select"])
