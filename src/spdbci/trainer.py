@@ -11,7 +11,6 @@ training partition before network training.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -105,51 +104,33 @@ def class_band_representatives(covs: np.ndarray, labels: np.ndarray) -> np.ndarr
     the :func:`~spdbci.layers.karcher_mean` of the group, one
     Karcher-flow step from their arithmetic mean.
 
-    The groups run on every CPU the process may use (:func:`_cpu_count`,
-    at most one thread per group): the calling thread and one helper per
-    other CPU each take the next group in (class, band) order until none
-    is left, so no more threads are runnable than there are CPUs.  numpy
-    releases the GIL in the ``eigh`` and ``gemm`` calls that make up a
-    mean.  The helpers live in a pool made for this call and joined
-    before it returns; with one CPU or one group no pool is made.  Each
-    group's mean is computed alone, from the same data, so the result is
-    the same bit for bit whatever the CPU count.  A group that fails
-    stops the handing out of groups, and the caller raises the error of
-    the first failing group in order, as the serial loop would.
+    The groups run on a pool of one thread per CPU the process may use
+    (:func:`_cpu_count`), at most one per group.  The caller only waits,
+    so no more threads are runnable than there are CPUs; numpy releases
+    the GIL in the ``eigh`` and ``gemm`` calls that make up a mean.  The
+    pool is made for this call and joined before it returns.  No pool is
+    made with one CPU or one group, nor when ``karcher_mean`` is wrapped
+    (it has a ``__wrapped__``, as a ``functools.wraps`` profiler or
+    tracer gives it): such a wrapper may keep state that two threads
+    would corrupt, so it runs in the caller alone.  Each group's mean is
+    computed alone from the same data, so the result is the same bit for
+    bit whatever the CPU count.  Results come back in (class, band)
+    order, so the first failing group's error is raised, as the serial
+    loop raised it, and groups not yet started are cancelled.
     """
     m = covs.shape[-1]
     groups = [(labels == c, f) for c in np.unique(labels) for f in range(covs.shape[2])]
-    reps = np.empty((len(groups), m, m))
-    failures: dict[int, BaseException] = {}
-    order = iter(range(len(groups)))
-    lock = threading.Lock()
 
-    def run_groups() -> None:
-        while True:
-            with lock:
-                i = None if failures else next(order, None)
-            if i is None:
-                return
-            in_class, f = groups[i]
-            try:
-                # index one (class, band) group: a whole-class copy sets the memory peak
-                reps[i] = karcher_mean(covs[in_class, :, f].reshape(-1, m, m))
-            except BaseException as exc:
-                with lock:
-                    failures[i] = exc
+    def fit(group):
+        in_class, f = group
+        # index one (class, band) group: a whole-class copy sets the memory peak
+        return karcher_mean(covs[in_class, :, f].reshape(-1, m, m))
 
-    helpers = min(_cpu_count(), len(groups)) - 1
-    if helpers > 0:
-        with ThreadPoolExecutor(helpers) as pool:
-            running = [pool.submit(run_groups) for _ in range(helpers)]
-            run_groups()
-            for future in running:
-                future.result()
-    else:
-        run_groups()
-    if failures:
-        raise failures[min(failures)]
-    return reps
+    workers = min(_cpu_count(), len(groups))
+    if workers < 2 or hasattr(karcher_mean, "__wrapped__"):
+        return np.stack([fit(g) for g in groups])
+    with ThreadPoolExecutor(workers) as pool:
+        return np.stack(list(pool.map(fit, groups)))
 
 
 def select_channels(config: TrainConfig, reps: np.ndarray) -> SelectionTransform:

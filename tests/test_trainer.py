@@ -2,9 +2,7 @@
 
 import dataclasses
 import re
-import sys
 import threading
-from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
@@ -1021,9 +1019,8 @@ class TestPrepareBlocks:
 
 
 class _InlineExecutor:
-    """Stands in for ``ThreadPoolExecutor``: runs each task when it is
-    submitted, in the calling thread, and records the worker counts it
-    was asked for."""
+    """Stands in for ``ThreadPoolExecutor``: maps its tasks lazily, in
+    the calling thread, and records the worker counts it was asked for."""
 
     asked: list[int] = []
 
@@ -1036,13 +1033,8 @@ class _InlineExecutor:
     def __exit__(self, *exc_info):
         return False
 
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class _NoPool:
@@ -1059,8 +1051,9 @@ def _serial_representatives(covs, labels):
 
 class TestRepresentativePool:
     """``class_band_representatives`` runs its (class, band) groups on
-    every CPU the process may use, and the count changes no bit.  At 64
-    CPUs the pool is an inline stand-in, and no thread may start."""
+    every CPU the process may use, and the count changes no bit.  At 2
+    CPUs every group runs on a pool thread; at 64 the pool is an inline
+    stand-in, and no thread may start."""
 
     @pytest.fixture(scope="class")
     def dataset(self, small_trials):
@@ -1089,8 +1082,8 @@ class TestRepresentativePool:
         assert reps.tobytes() == _serial_representatives(covs, labels).tobytes()
         assert threading.active_count() == threads_before
         if cpus == 64:
-            # at most min(CPUs, groups) - 1 helpers: the caller runs a share
-            assert _InlineExecutor.asked == [min(64, 4) - 1]
+            # one worker per group at most; the caller only waits
+            assert _InlineExecutor.asked == [min(64, 4)]
 
     @staticmethod
     def _spoil(covs, labels, cls, band, how):
@@ -1136,51 +1129,30 @@ class TestRepresentativePool:
         with pytest.raises(NotPositiveDefinite, match="group 1"):
             class_band_representatives(covs, labels)
 
-    def test_many_threads_take_each_group_once(self, monkeypatch):
-        """16 groups on 8 threads, more than there are cores, with a 1 us
-        switch interval: each round takes each group's mean once and
-        puts it in its own row."""
-        rng = np.random.default_rng(0)
-        covs = random_spd(rng, 3, batch=40 * 2 * 4).reshape(40, 2, 4, 3, 3)
-        labels = np.arange(40) % 4
-        expected = _serial_representatives(covs, labels).tobytes()
-        calls = []
-
-        def counting_mean(batch):
-            calls.append(len(batch))
-            return karcher_mean(batch)
-
-        self._use_cpus(monkeypatch, 8)
-        monkeypatch.setattr(trainer_module, "karcher_mean", counting_mean)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                assert class_band_representatives(covs, labels).tobytes() == expected
-        finally:
-            sys.setswitchinterval(interval)
-        assert calls == [20] * 20 * 16
-
-    def test_a_failure_in_a_helper_thread_raises_in_the_caller(self, dataset, monkeypatch):
-        """The caller's first group waits until the helper has started
-        one, which fails in the helper."""
+    def test_under_the_benchmark_tracer_the_means_run_in_the_caller(self, dataset, monkeypatch):
+        """The benchmark's tracer wraps ``karcher_mean`` and keeps one
+        span stack for all threads.  Under it no pool is made, so each
+        Karcher span nests in the call's span and closes after it opens,
+        and the representatives keep their bytes."""
         covs, labels = dataset
-        self._use_cpus(monkeypatch, 2)
-        helper_started = threading.Event()
-        failed_in = []
+        expected = _serial_representatives(covs, labels).tobytes()
+        self._use_cpus(monkeypatch, 64)
+        monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _NoPool)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import spdbci
+        from tracer import Tracer
 
-        def mean_or_fail(batch):
-            if threading.current_thread() is threading.main_thread():
-                assert helper_started.wait(timeout=30)
-                return karcher_mean(batch)
-            helper_started.set()
-            failed_in.append(threading.current_thread().name)
-            raise NotPositiveDefinite("failed in a helper")
-
-        monkeypatch.setattr(trainer_module, "karcher_mean", mean_or_fail)
-        with pytest.raises(NotPositiveDefinite, match="failed in a helper"):
-            class_band_representatives(covs, labels)
-        assert len(failed_in) == 1
+        rec = Tracer()
+        rec.install(spdbci)
+        try:
+            reps = trainer_module.class_band_representatives(covs, labels)
+        finally:
+            rec.uninstall()
+        assert reps.tobytes() == expected
+        outer = [i for i, s in enumerate(rec.spans) if s[0] == "trainer.class_band_representatives"]
+        means = [s for s in rec.spans if s[0] == "layers.karcher_mean"]
+        assert len(outer) == 1 and len(means) == 4
+        assert all(parent == outer[0] and end > start for _, start, end, parent in means)
 
 
 class TestFolds:
