@@ -66,14 +66,18 @@ class TangentClassifier:
         (C_out, S, J) ``kernel``.
 
         The kernel spans a band's whole (S, J) plane, so the conv is one
-        product with the kernel read as a (C_out, S*J) matrix.
+        product with the kernel read as a (C_out, S*J) matrix.  Features
+        of another shape, or a kernel with other than the head's C_out,
+        raise :class:`ShapeMismatch`.
         """
-        _, s, j = kernel.shape
+        c_out, s, j = kernel.shape
         if x.ndim != 4 or x.shape[1:] != (s, self.w1.shape[0], j):
             raise ShapeMismatch(
                 f"features {x.shape} are not (B, S, F, J) = (B, {s}, "
                 f"{self.w1.shape[0]}, {j})"
             )
+        if c_out != len(self.bias):
+            raise ShapeMismatch(f"kernel has {c_out} output maps, the head reads {len(self.bias)}")
         return np.tensordot(x, kernel, axes=([1, 3], [1, 2])) + self.bias
 
     def _gated_head(self, conv_out: np.ndarray):
@@ -84,10 +88,6 @@ class TangentClassifier:
         hidden = np.maximum(squeezed @ self.w1, 0.0)
         gate = _sigmoid(hidden @ self.w2)
         flat = (gate[..., None] * conv_out).reshape(len(conv_out), -1)
-        if flat.shape[1] != self.head_w.shape[0]:
-            raise ShapeMismatch(
-                f"flattened width {flat.shape[1]} != head input {self.head_w.shape[0]}"
-            )
         return squeezed, hidden, gate, flat, flat @ self.head_w + self.head_b
 
     def forward(self, x: np.ndarray, kernel: np.ndarray) -> np.ndarray:

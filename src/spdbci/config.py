@@ -1,10 +1,12 @@
-"""Experiment configuration: defaults, the flat key=value file format,
-and round-tripping to the snapshot stored in model bundles."""
+"""The flat key=value schemas: the training configuration and the
+synthetic data spec, the one typed reader that builds either from string
+pairs, the file format, and round-tripping to the snapshot stored in
+model bundles."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .eeg_io import read_file
 from .errors import ConfigError, InvalidBand
@@ -69,26 +71,70 @@ def _format_bands(bands) -> str:
     return ";".join(f"{lo:g}-{hi:g}" for lo, hi in bands)
 
 
-def config_from_mapping(items: dict[str, str]) -> TrainConfig:
-    """Build a TrainConfig from string key=value pairs; unknown keys and
-    unparsable values raise :class:`ConfigError`."""
-    known = {f.name: f for f in fields(TrainConfig)}
+@dataclass
+class SyntheticSpec:
+    """What ``spdbci gen-synthetic`` draws (see :mod:`spdbci.synth`).
+    ``planted`` lists the channels that carry the class, distinct and in
+    ``0..channels - 1``; empty means every channel."""
+
+    channels: int
+    samples_per_trial: int
+    trials_per_class: int
+    seed: int = 0
+    sample_rate: float = 250.0
+    separation: float = 2.0
+    noise: float = 0.1
+    planted: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        for key in ("channels", "samples_per_trial", "trials_per_class"):
+            if (value := getattr(self, key)) < 1:
+                raise ConfigError(f"synthetic spec key {key!r} must be >= 1, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"synthetic spec key 'seed' must be >= 0, got {self.seed}")
+        if len(set(self.planted)) != len(self.planted) or not all(
+            0 <= i < self.channels for i in self.planted
+        ):
+            raise ConfigError(
+                f"synthetic spec key 'planted': indices {list(self.planted)} must be "
+                f"distinct and lie in 0..{self.channels - 1}"
+            )
+
+
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",")) if text.strip() else ()
+
+
+#: How a value is read, by its field's annotation, which this module's
+#: ``from __future__ import annotations`` keeps as source text.
+_READERS = {"int": int, "float": float, "str": str,
+            "tuple[tuple[float, float], ...]": _parse_bands, "tuple[int, ...]": _parse_ints}
+
+
+def read_mapping(schema, items: dict[str, str], what: str):
+    """Build the flat dataclass ``schema`` from string key=value pairs,
+    reading each value by its field's type.  An unknown key, an
+    unparsable value or a missing key without a default raises
+    :class:`ConfigError` naming the key and ``what`` was being read;
+    range checks are the dataclass's own."""
+    known = {f.name: f for f in fields(schema)}
     kwargs = {}
     for key, value in items.items():
         if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown {what} key {key!r}")
         try:
-            if key == "bands":
-                kwargs[key] = _parse_bands(value)
-            elif known[key].type in ("int", int):
-                kwargs[key] = int(value)
-            elif known[key].type in ("float", float):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
+            kwargs[key] = _READERS[known[key].type](value)
         except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from exc
-    return TrainConfig(**kwargs)
+            raise ConfigError(f"{what} key {key!r}: cannot parse {value!r}") from exc
+    for key, f in known.items():
+        if key not in kwargs and f.default is MISSING:
+            raise ConfigError(f"{what} lacks the required key {key!r}")
+    return schema(**kwargs)
+
+
+def config_from_mapping(items: dict[str, str]) -> TrainConfig:
+    """A TrainConfig from string key=value pairs (see :func:`read_mapping`)."""
+    return read_mapping(TrainConfig, items, "config")
 
 
 def config_to_mapping(config: TrainConfig) -> dict[str, str]:

@@ -83,7 +83,8 @@ def _unframe(blob: bytes, what: str) -> bytes:
 class RawTrialSet:
     """Validated set of labeled raw trials.  ``n_classes`` is given, not
     inferred from the labels: at least 2, with every label in
-    ``0..n_classes - 1``."""
+    ``0..n_classes - 1``.  The sample rate must have an
+    :func:`eegb_rate`, so every set can be saved and compared."""
 
     sample_rate_hz: float
     channels: int
@@ -92,10 +93,7 @@ class RawTrialSet:
     n_classes: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
-            raise DimensionMismatch(
-                f"sample rate must be finite and positive, got {self.sample_rate_hz}"
-            )
+        eegb_rate(self.sample_rate_hz)
         if self.channels < 1 or self.samples_per_trial < 1:
             raise DimensionMismatch("channels and samples_per_trial must be positive")
         if self.n_classes < 2:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import SyntheticSpec, read_mapping
 from .eeg_io import RawTrialSet
 from .errors import ConfigError
 from .spd import SPD_RTOL, airm_distance
@@ -98,70 +99,14 @@ def synthetic_trials(
     )
 
 
-#: The keys :func:`generate_from_spec` reads.
-SPEC_KEYS = ("seed", "channels", "samples_per_trial", "sample_rate", "trials_per_class",
-             "separation", "noise", "planted")
-
-
-def _spec_value(items: dict[str, str], key: str, kind, default: str | None = None):
-    """``kind(items[key])``, or ``kind(default)`` when the key is absent;
-    a missing required key or an unparsable value raises ConfigError."""
-    value = items.get(key, default)
-    if value is None:
-        raise ConfigError(f"synthetic spec lacks the required key {key!r}")
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise ConfigError(f"synthetic spec key {key!r}: cannot parse {value!r}") from exc
-
-
-def _positive_spec_value(items: dict[str, str], key: str) -> int:
-    value = _spec_value(items, key, int)
-    if value < 1:
-        raise ConfigError(f"synthetic spec key {key!r} must be >= 1, got {value}")
-    return value
-
-
 def generate_from_spec(items: dict[str, str]) -> RawTrialSet:
-    """Build a synthetic trial set from a flat key=value spec.
-
-    Keys: seed, channels, samples_per_trial, sample_rate, trials_per_class,
-    separation, noise, planted (comma-separated indices, optional).
-    channels, samples_per_trial and trials_per_class are required and
-    must be >= 1, seed >= 0, separation finite, positive and reachable,
-    and the planted indices distinct channels, else :class:`ConfigError`
-    is raised, as it is for any other key.
-    """
-    unknown = sorted(items.keys() - SPEC_KEYS)
-    if unknown:
-        raise ConfigError(f"synthetic spec has unknown keys {unknown}")
-    seed = _spec_value(items, "seed", int, "0")
-    if seed < 0:
-        raise ConfigError(f"synthetic spec key 'seed' must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    n_channels = _positive_spec_value(items, "channels")
-    planted = None
-    if items.get("planted", "").strip():
-        planted = _spec_value(items, "planted",
-                              lambda text: [int(tok) for tok in text.split(",")])
-        if len(set(planted)) != len(planted) or not all(
-            0 <= i < n_channels for i in planted
-        ):
-            raise ConfigError(
-                f"synthetic spec key 'planted': indices {planted} must be "
-                f"distinct and lie in 0..{n_channels - 1}"
-            )
-    covs = two_class_covariances(
-        n_channels=n_channels,
-        planted=planted,
-        separation=_spec_value(items, "separation", float, "2.0"),
-        rng=rng,
-    )
-    return synthetic_trials(
-        covs,
-        trials_per_class=_positive_spec_value(items, "trials_per_class"),
-        samples_per_trial=_positive_spec_value(items, "samples_per_trial"),
-        sample_rate_hz=_spec_value(items, "sample_rate", float, "250"),
-        noise_scale=_spec_value(items, "noise", float, "0.1"),
-        rng=rng,
-    )
+    """Build a synthetic trial set from a flat key=value spec: the keys
+    and their checks are :class:`~spdbci.config.SyntheticSpec`'s, and a
+    separation that is not finite, positive and reachable raises
+    :class:`ConfigError` too."""
+    spec = read_mapping(SyntheticSpec, items, "synthetic spec")
+    rng = np.random.default_rng(spec.seed)
+    covs = two_class_covariances(spec.channels, list(spec.planted) or None,
+                                 spec.separation, rng)
+    return synthetic_trials(covs, spec.trials_per_class, spec.samples_per_trial,
+                            spec.sample_rate, spec.noise, rng)

@@ -45,6 +45,13 @@ class TestConv:
             with pytest.raises(ShapeMismatch):
                 clf.conv_forward(rng.standard_normal(shape), clf.kernel)
 
+    @pytest.mark.parametrize("maps", [1, 5])
+    def test_kernel_with_other_output_map_count(self, rng, maps):
+        # 1 map would broadcast against the bias, 5 would not
+        clf = _clf(rng, conv_out=4)
+        with pytest.raises(ShapeMismatch, match="output maps"):
+            clf.forward(rng.standard_normal((2, 2, 3, 8)), rng.standard_normal((maps, 2, 8)))
+
     def test_matches_einsum_oracle(self, rng):
         clf = _clf(rng)
         clf.bias = rng.standard_normal(clf.bias.shape)

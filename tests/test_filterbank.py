@@ -7,6 +7,7 @@ from scipy import signal
 from spdbci import filterbank
 from spdbci.eeg_io import RawTrialSet
 from spdbci.errors import (
+    ConfigError,
     DimensionMismatch,
     GaborViolation,
     InvalidBand,
@@ -247,12 +248,22 @@ class TestGabor:
     def test_boundary(self):
         assert check_gabor(5, 250.0, 4.0) is True
 
+    @pytest.mark.parametrize("args", [(0, 250.0, 4.0), (250, 0.0, 4.0), (250, 250.0, 0.0)],
+                             ids=["window", "rate", "width"])
+    def test_zero_argument_rejected(self, args):
+        with pytest.raises(ConfigError, match="positive"):
+            check_gabor(*args)
+
 
 class TestBandSpec:
     def test_default_layout(self):
         assert len(DEFAULT_BANDS) == 9
         assert DEFAULT_BANDS[0] == (4.0, 8.0)
         assert DEFAULT_BANDS[-1] == (36.0, 40.0)
+
+    def test_no_band_rejected(self):
+        with pytest.raises(InvalidBand, match="at least one band"):
+            BandSpec(())
 
     def test_overlapping_bands_rejected(self):
         with pytest.raises(InvalidBand):

@@ -178,7 +178,10 @@ class TestRawTrialSet:
         with pytest.raises(NonFiniteValue):
             RawTrialSet(250.0, 2, 10, [(0, bad), (1, np.zeros((2, 10)))], 2)
 
-    @pytest.mark.parametrize("rate", [np.nan, np.inf], ids=["nan", "inf"])
+    # 1e300 and 1e-300 Hz are finite and positive, but EEGB's float32
+    # field holds neither, so such a set could be neither saved nor compared
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 1e300, 1e-300],
+                             ids=["nan", "inf", "float32-overflow", "float32-underflow"])
     def test_nonfinite_sample_rate_rejected(self, rate):
         with pytest.raises(DimensionMismatch):
             RawTrialSet(rate, 2, 10, [(0, np.zeros((2, 10))), (1, np.zeros((2, 10)))], 2)
@@ -196,6 +199,14 @@ def _sample_bundle(rng):
 
 
 class TestBundle:
+    def test_equality_is_config_then_arrays_in_order(self, rng):
+        bundle = _sample_bundle(rng)
+        assert bundle.__eq__("bundle") is NotImplemented and bundle != "bundle"
+        assert bundle != ModelBundle({**bundle.config, "m": "3"}, bundle.arrays)
+        assert bundle != ModelBundle(bundle.config, dict(reversed(bundle.arrays.items())))
+        assert bundle == ModelBundle(dict(bundle.config),
+                                     {k: a.copy() for k, a in bundle.arrays.items()})
+
     def test_round_trip_bit_exact(self, rng, tmp_path):
         path = tmp_path / "m.sbcm"
         bundle = _sample_bundle(rng)
@@ -266,12 +277,13 @@ def test_malformed_manifest_raises_typed_error(tmp_path, manifest, error):
         [{"name": "w", "shape": ["2"]}],
         [{"name": "w", "shape": [True, 2]}],
         [{"name": 5, "shape": [2]}],
+        [{"name": "w", "shape": [-1, -2]}],
         [{"name": "w", "shape": [2], "dtype": "<f8"}],
         [{"name": "w"}],
         [["w", [2]]],
         {"name": "w", "shape": [2]},
     ],
-    ids=["repeated-name", "float-dim", "string-dim", "bool-dim", "int-name",
+    ids=["repeated-name", "float-dim", "string-dim", "bool-dim", "int-name", "negative-dims",
          "extra-entry-key", "no-shape", "entry-is-a-list", "arrays-is-a-mapping"],
 )
 def test_garbled_array_entry_raises_typed_error(tmp_path, arrays):

@@ -4,7 +4,7 @@ differences, Stiefel constraint preservation, and the Karcher-flow step."""
 import numpy as np
 import pytest
 
-from spdbci.errors import MissingForwardCache, NotPositiveDefinite
+from spdbci.errors import ConfigError, MissingForwardCache, NotPositiveDefinite
 from spdbci.layers import (
     BiMapLayer,
     LogEigLayer,
@@ -95,6 +95,14 @@ class TestBiMap:
 
 
 class TestReEig:
+    def test_epsilon_must_be_positive(self):
+        with pytest.raises(ConfigError, match="epsilon"):
+            ReEigLayer(0.0)
+
+    def test_backward_without_forward(self):
+        with pytest.raises(MissingForwardCache):
+            ReEigLayer().backward(np.zeros((1, 3, 3)))
+
     def test_clamps_small_eigenvalues(self):
         layer = ReEigLayer(1e-4)
         out = layer.forward(np.diag([1e-9, 1.0])[None])
@@ -170,6 +178,10 @@ class TestReEig:
 
 
 class TestLogEig:
+    def test_backward_without_forward(self):
+        with pytest.raises(MissingForwardCache):
+            LogEigLayer().backward(np.zeros((1, 3, 3)))
+
     def test_matches_spd_log(self, rng):
         x = random_spd(rng, 5, batch=4)
         assert np.allclose(LogEigLayer().forward(x), spd_log(x))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spdbci import selection
-from spdbci.errors import ConfigError, DimensionMismatch
+from spdbci.errors import ConfigError, ConvergenceFailure, DimensionMismatch, MissingForwardCache
 from spdbci.layers import karcher_mean, random_stiefel
 from spdbci.selection import (
     MbtHeads,
@@ -31,6 +31,10 @@ from conftest import (
 
 
 class TestDistanceMatrices:
+    def test_one_sample_rejected(self, rng):
+        with pytest.raises(DimensionMismatch, match="two samples"):
+            geodesic_matrix(random_spd(rng, 4, batch=1))
+
     def test_identical_pair(self, rng):
         x = random_spd(rng, 4)
         assert np.allclose(geodesic_matrix(np.stack([x, x])), 0.0)
@@ -87,6 +91,11 @@ class TestGamma:
 
 
 class TestAssembleL:
+    def test_mis_sized_gamma_rejected(self, rng):
+        samples = random_spd(rng, 4, batch=3)
+        with pytest.raises(DimensionMismatch, match="gamma_G"):
+            assemble_L(spd_log(samples), np.zeros((2, 2)), np.eye(4)[:, :2])
+
     def test_identical_samples_give_zero(self, rng):
         x = random_spd(rng, 4)
         samples = np.stack([x, x, x])
@@ -202,6 +211,25 @@ class TestFitSelection:
         with pytest.raises(DimensionMismatch):
             fit_selection(random_spd(rng, 4, batch=3), m=5)
 
+    def test_one_sample_rejected(self, rng):
+        with pytest.raises(DimensionMismatch, match="two samples"):
+            fit_selection(random_spd(rng, 4, batch=1), m=2)
+
+    def test_objective_decrease_raises_convergence_failure(self, rng, monkeypatch):
+        """An update that lowers the trace objective, here one that takes
+        the bottom subspace from the second iteration on, stops the fit
+        typed instead of returning its picks."""
+        calls = []
+
+        def worsening(l_matrix, m):
+            calls.append(1)
+            return update_W(l_matrix, m) if len(calls) == 1 else np.linalg.eigh(l_matrix)[1][:, :m]
+
+        monkeypatch.setattr(selection, "update_W", worsening)
+        with pytest.raises(ConvergenceFailure, match="objective decreased"):
+            fit_selection(random_spd(rng, 6, batch=5), m=2)
+        assert len(calls) == 2
+
     def test_no_iteration_is_a_config_error(self, rng):
         with pytest.raises(ConfigError):
             fit_selection(random_spd(rng, 4, batch=3), m=2, max_iters=0)
@@ -265,6 +293,10 @@ def _fold_oracle(heads, kernel):
 class TestMbtHeads:
     """The heads act on the conv kernel: ``forward`` folds its K slices
     into E, ``backward`` maps dE to the slices and the head weights."""
+
+    def test_backward_without_forward(self, rng):
+        with pytest.raises(MissingForwardCache):
+            MbtHeads.initialize(3, 2, rng).backward(np.zeros((1, 9)))
 
     def test_single_identity_head(self, rng):
         """K=1 is the pass-through: no stored head, and the kernel and its

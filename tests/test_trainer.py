@@ -3,7 +3,7 @@
 import dataclasses
 import re
 import threading
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +11,12 @@ import pytest
 
 from spdbci.cli import main as cli_main
 from spdbci.config import (
+    SyntheticSpec,
     TrainConfig,
     config_from_mapping,
     config_to_mapping,
     load_config,
+    read_mapping,
 )
 from spdbci.classifier import cross_entropy
 from spdbci.eeg_io import load_model, load_trials, save_model, save_trials
@@ -113,12 +115,17 @@ class TestConfig:
         again = config_from_mapping(config_to_mapping(cfg))
         assert again == cfg
 
+    @staticmethod
+    def _readme_rows(heading):
+        """``(key, default)`` of each table row under README's ``## heading``."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split(f"## {heading}", 1)[1].split("\n## ", 1)[0]
+        return re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, flags=re.MULTILINE)
+
     def test_readme_table_matches_schema(self):
         """README's Configuration table lists every TrainConfig field, in
         order, with its default."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
-        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, flags=re.MULTILINE)
+        rows = self._readme_rows("Configuration")
         assert [key for key, _ in rows] == [f.name for f in fields(TrainConfig)]
         defaults = TrainConfig()
         for key, text in rows:
@@ -130,6 +137,20 @@ class TestConfig:
             else:
                 assert getattr(config_from_mapping({key: text}), key) == getattr(
                     defaults, key), key
+
+    def test_readme_spec_table_matches_schema(self):
+        """README's synthetic-spec table lists every SyntheticSpec field, in
+        order, with its default, or ``required`` for a field without one."""
+        rows = self._readme_rows("Command-line usage")
+        assert [key for key, _ in rows] == [f.name for f in fields(SyntheticSpec)]
+        required = {f.name: "1" for f in fields(SyntheticSpec) if f.default is MISSING}
+        for f, (key, text) in zip(fields(SyntheticSpec), rows):
+            text = text.strip().strip("`")
+            if f.default is MISSING:
+                assert text == "required", key
+            else:
+                spec = read_mapping(SyntheticSpec, {**required, key: text}, "synthetic spec")
+                assert getattr(spec, key) == f.default, key
 
     def test_unknown_key_rejected(self):
         for key in ("no_such_knob", "bimap_layers", "std_divisor",
@@ -182,6 +203,9 @@ class TestConfig:
             {"learning_rate": -1.0},
             {"seed": -1},
             {"conv_out": 0},
+            {"m": 0},
+            {"k_heads": 0},
+            {"window_len": 0},
             {"selection_max_iters": 0},
             {"channel_scoring": "bogus"},
             {"selection_tol": 0.0},
@@ -201,6 +225,10 @@ class TestSynth:
         from spdbci.spd import airm_distance
         cov0, cov1 = two_class_covariances(6, separation=2.5, rng=rng)
         assert airm_distance(cov0, cov1) >= 2.5
+
+    def test_no_planted_channel_rejected(self, rng):
+        with pytest.raises(ConfigError, match="planted"):
+            two_class_covariances(4, planted=[], rng=rng)
 
     def test_planted_channels_identical_elsewhere(self, rng):
         cov0, cov1 = two_class_covariances(8, planted=[2, 4], rng=rng)
@@ -1071,6 +1099,15 @@ class TestRepresentativePool:
             monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _InlineExecutor)
             monkeypatch.setattr(_InlineExecutor, "asked", [])
 
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        """Where ``os`` reports no affinity mask, the machine's count is
+        used, and 1 where even that is unknown."""
+        monkeypatch.delattr(trainer_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(trainer_module.os, "cpu_count", lambda: 3)
+        assert trainer_module._cpu_count() == 3
+        monkeypatch.setattr(trainer_module.os, "cpu_count", lambda: None)
+        assert trainer_module._cpu_count() == 1
+
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_representatives_do_not_depend_on_the_cpu_count(self, dataset, monkeypatch, cpus):
         covs, labels = dataset
@@ -1182,17 +1219,17 @@ class TestEvaluate:
                    - report.mean_accuracy) < 1e-12
 
     def test_holdout_schema_mismatch(self, small_trials, rng):
-        # (channels, samples per trial, sample rate) of the eval set; the
-        # training set is 4 channels of 128 samples at 250 Hz.
+        # (channels, classes, samples per trial, sample rate) of the eval
+        # set; the training set is 4 channels, 2 classes, 128 samples at 250 Hz.
         cases = {
-            "channel counts": (6, 128, 250.0),
-            "sample rates": (4, 128, 500.0),
-            "windows per trial": (4, 256, 250.0),
+            "channel counts": (6, 2, 128, 250.0),
+            "class counts": (4, 3, 128, 250.0),
+            "sample rates": (4, 2, 128, 500.0),
+            "windows per trial": (4, 2, 256, 250.0),
         }
-        for reason, (channels, samples, rate) in cases.items():
-            other = synthetic_trials(
-                two_class_covariances(channels, rng=rng), 4, samples, rate, rng=rng
-            )
+        for reason, (channels, classes, samples, rate) in cases.items():
+            covs = two_class_covariances(channels, rng=rng) + (np.eye(channels),) * (classes - 2)
+            other = synthetic_trials(covs, 4, samples, rate, rng=rng)
             with pytest.raises(SchemaMismatch, match=reason):
                 evaluate_holdout(TrainConfig(**SMALL), small_trials, other)
 
@@ -1280,6 +1317,14 @@ class TestCli:
                          "--folds", "3", "--report", str(report)]) == 0
         text = report.read_text()
         assert "mean_accuracy" in text and "confusion_0_0" in text
+
+        holdout = tmp_path / "holdout.csv"
+        capsys.readouterr()
+        assert cli_main(["eval-holdout", "--config", str(cfg), "--train", str(data),
+                         "--test", str(data), "--report", str(holdout)]) == 0
+        assert capsys.readouterr().out.startswith("holdout accuracy ")
+        rows = dict(line.split(",", 1) for line in holdout.read_text().splitlines()[1:])
+        assert 0.0 <= float(rows["mean_accuracy"]) <= 1.0 and "confusion_1_1" in rows
 
         sel = tmp_path / "sel.csv"
         assert cli_main(["select", "--config", str(cfg), "--data", str(data),
@@ -1396,10 +1441,12 @@ class TestCli:
     @pytest.mark.parametrize("command", ["train", "eval-cv", "select"])
     @pytest.mark.parametrize("key, value, named", [
         ("m", "5", "m=5 must lie in 1..4"),
+        ("m", "0", "m, k_heads, window_len must be positive"),
         ("window_len", "200", "window_len 200 exceeds trial length 128"),
         ("window_len", "2", "violates the uncertainty bound"),
         ("bands", "8-16;16-125", "band (16.0, 125.0) must satisfy"),
-    ], ids=["m-above-channels", "window-above-trial", "window-below-gabor", "band-at-nyquist"])
+    ], ids=["m-above-channels", "m-zero", "window-above-trial", "window-below-gabor",
+            "band-at-nyquist"])
     def test_bad_config_value_fails_typed(self, small_trials, tmp_path, capsys,
                                           command, key, value, named):
         """A config value that the 4-channel, 128-sample, 250 Hz data
