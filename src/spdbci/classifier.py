@@ -17,12 +17,15 @@ from .errors import LabelOutOfRange, MissingForwardCache, ShapeMismatch
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
+    """``1 / (1 + exp(-x))`` from ``e = exp(-|x|)``, which never
+    overflows: ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)``
+    elsewhere, with no boolean-mask indexing.  ``-|x|`` is picked from
+    ``-x`` and ``x`` by the same test, so a NaN keeps the sign bit that
+    ``-abs`` would set, and every input gives the bits of
+    ``1 / (1 + exp(-x))`` or ``exp(x) / (1 + exp(x))`` exactly."""
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class TangentClassifier:

@@ -192,10 +192,10 @@ def bank_plan(spec: BandSpec, sample_rate: float, window_len: int) -> BankPlan:
 
 
 def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
-    """Filter the (N, M, T) trials ``x`` through every band of ``plan``
-    into their (N, S, F, M, L) windows ``out``, whose rows have unit
-    stride (the tiles below are views of it); samples past ``S * L`` are
-    not read.
+    """Filter the (N, M, T) trials ``x``, of any layout, through every
+    band of ``plan`` into their (N, S, F, M, L) windows ``out``, whose
+    rows have unit stride (the tiles below are views of it); samples
+    past ``S * L`` are not read, and ``x`` is not written.
 
     Every window is cut into Q = ceil(L / b) blocks, the last of
     ``plan.last`` samples, and copied once into rows of ``b`` samples
@@ -203,11 +203,13 @@ def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
     the trials of the block are just more rows.  One product gives every
     band's state from rest at the end of every block; a recurrence of
     S * Q - 1 products, all bands and trials at once, turns those into
-    the state at the start of every block.  Then each band writes its
-    windows with two products, one for the full blocks and one for the
-    last: a row's samples against the Toeplitz matrix of the impulse
-    response, plus its state against the state response, each block
-    straight into its (M, b) tile of ``out``.  So the numpy calls are as
+    the state at the start of every block, stepping through the S * Q
+    blocks in order on one (F, S * Q, rows, 2n) array.  Then each band
+    copies its start states next to the samples and writes its windows
+    with two products, one for the full blocks and one for the last: a
+    row's samples against the Toeplitz matrix of the impulse response,
+    plus its state against the state response, each block straight into
+    its (M, b) tile of ``out``.  So the numpy calls are as
     many for N trials as for one, a lone trial makes the products of a
     per-trial kernel, every row of a product is computed from that row
     alone, and every output equals ``sosfilt`` to round-off.
@@ -224,29 +226,31 @@ def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
         n_trials, m, n_windows, per_window - 1, b).transpose(2, 3, 0, 1, 4)
     split[:, -1, ..., : b - last] = 0.0
     split[:, -1, ..., b - last : b] = windows[..., full:].transpose(2, 0, 1, 3)
-    # states[f, s, k] is [state at the start | state from rest at the end]
-    # of block k of window s, in band f
-    states = np.empty((n_bands, n_windows, per_window, n_trials * m, 2 * n))
+    # states[f, j] is [state at the start | state from rest at the end]
+    # of block j % Q of window j // Q, in band f
+    n_steps = n_windows * per_window
+    states = np.empty((n_bands, n_steps, n_trials * m, 2 * n))
     np.matmul(blocks.reshape(-1, b + n)[:, :b], plan.state_in,
               out=states.reshape(n_bands, -1, 2 * n)[..., n:])
-    states[:, 0, 0, :, :n] = 0.0
-    prev = states[:, 0, 0]
-    for j in range(1, n_windows * per_window):
-        s, k = divmod(j, per_window)
-        cur = states[:, s, k]
+    states[:, 0, :, :n] = 0.0
+    # iterating the step axis gives each step's views more cheaply than
+    # indexing states[:, j] does
+    starts = states[..., :n].swapaxes(0, 1)
+    for j, (prev, start) in enumerate(zip(states.swapaxes(0, 1), starts[1:]), 1):
         # block 0 of a window follows the last block of the one before
-        step = plan.last_transition if k == 0 else plan.transition
-        np.matmul(prev, step, out=cur[..., :n])
-        prev = cur
+        step = plan.transition if j % per_window else plan.last_transition
+        np.matmul(prev, step, out=start)
     # tiles[f, s, k, t] and ends[f, s, t] are the (M, b) tile of block k
     # and the (M, last) tile of the last block of window s of trial t
     tiles = out[..., :full].reshape(
         n_trials, n_windows, n_bands, m, per_window - 1, b).transpose(2, 1, 4, 0, 3, 5)
     ends = out[..., full:].transpose(2, 1, 0, 3, 4)
+    state_cols = blocks.reshape(n_steps, n_trials * m, b + n)[..., b:]
+    body, tail = split[:, :-1], split[:, -1]
     for f in range(n_bands):
-        blocks[..., b:] = states[f, ..., :n]
-        np.matmul(split[:, :-1], plan.response[f], out=tiles[f])
-        np.matmul(split[:, -1], plan.last_response[f], out=ends[f])
+        state_cols[...] = states[f, ..., :n]
+        np.matmul(body, plan.response[f], out=tiles[f])
+        np.matmul(tail, plan.last_response[f], out=ends[f])
 
 
 def check_gabor(window_len_samples: int, sample_rate: float, band_width_hz: float) -> bool:
@@ -269,9 +273,11 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None),
     block kernel filters all bands of every trial's windows straight
     into one (N, S, F, M, L) float64 array whose rows of L samples have
     unit stride.  That array is ``out`` when it is given, and a new
-    C-contiguous one otherwise.  A trial's output does not depend on the
-    other trials of the block or on the layout of ``out``'s leading
-    axes: it equals its own one-trial call bit for bit.  Returns
+    C-contiguous one otherwise.  The kernel reads a lone trial where it
+    is, and the trials of a larger block stacked into one array.  A
+    trial's output does not depend on the other trials of the block, on
+    its own memory layout or on the layout of ``out``'s leading axes: it
+    equals its own one-trial call bit for bit.  Returns
     ``[(label, tensor), ...]`` in trial order, each tensor one trial's
     (S, F, M, L) view of that array.  An ``out`` of another shape or
     dtype, or whose rows are not unit-stride, raises
@@ -299,6 +305,9 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None),
             f"out must be a writable float64 array of shape {shape} with unit-stride "
             f"rows, got {out.dtype} {out.shape} with strides {out.strides}"
         )
-    if items:
+    if len(items) == 1:
+        # a lone trial is read where it is, not stacked into a copy
+        _filter_block(np.asarray(items[0][1])[None], plan, out)
+    elif items:
         _filter_block(np.array([data for _, data in items]), plan, out)
     return [(label, windows) for (label, _), windows in zip(items, out)]

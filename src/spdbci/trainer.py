@@ -58,9 +58,11 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     its trace over M.  Trials are processed in blocks of about
     :data:`BLOCK_BYTES` of windows, at least one trial each: one
     :func:`segment` call (one filter-kernel call for all trials and
-    bands of the block) and one batched :func:`covariance` call on the
-    block's windows.  The spare row belongs to this function and
-    :func:`covariance`: the windows are the first M rows of an
+    bands of the block, which reads a lone trial where it is) and one
+    batched :func:`covariance` call on the block's windows.  A set of
+    one block returns that call's covariances as they are; a larger set
+    copies each block's into one array.  The spare row belongs to this
+    function and :func:`covariance`: the windows are the first M rows of an
     (n, S, F, M + 1, L) buffer, allocated once and reused by every
     block; :func:`segment` filters into that M-row view, and the
     covariance call pads each window with a row of ones in the last
@@ -79,14 +81,21 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     # A trial too short for one window holds no bytes; segment rejects it.
     trial_bytes = 8 * n_windows * len(spec.bands) * m * config.window_len
     per_block = min(n, max(1, BLOCK_BYTES // max(1, trial_bytes)))
-    covs = np.empty((n, n_windows, len(spec.bands), m, m))
     padded = np.empty((per_block, n_windows, len(spec.bands), m + 1, config.window_len))
-    for start in range(0, n, per_block):
-        block = slice(start, start + per_block)
+
+    def block_covariances(start):
         out = padded[: min(per_block, n - start)]
         windows = out[..., :m, :]
-        segment(trials, spec, config.window_len, block, windows)
-        covs[block] = covariance(windows, out)
+        segment(trials, spec, config.window_len, slice(start, start + per_block), windows)
+        return covariance(windows, out)
+
+    if n == per_block:
+        # one block: its covariances are the set's, with no copy
+        covs = block_covariances(0)
+    else:
+        covs = np.empty((n, n_windows, len(spec.bands), m, m))
+        for start in range(0, n, per_block):
+            covs[start : start + per_block] = block_covariances(start)
     labels = np.asarray([label for label, _ in trials.trials], dtype=np.int64)
     return covs, labels
 

@@ -6,7 +6,7 @@ from spdbci.config import config_to_mapping
 from spdbci.errors import DimensionMismatch
 from spdbci.layers import _eig_fn_backward, stiefel_project, stiefel_retract
 from spdbci.model import model_to_bundle
-from spdbci.spd import eig_fn, inv_sqrtm, spd_exp, spd_log, sym
+from spdbci.spd import FOLD_RATIO, SHRINKAGE_SCALE, eig_fn, inv_sqrtm, spd_exp, spd_log, sym
 from spdbci.trainer import train
 
 
@@ -15,6 +15,45 @@ def random_spd(rng, n, batch=None):
     shape = (batch, n, n) if batch else (n, n)
     a = rng.standard_normal(shape)
     return a @ np.swapaxes(a, -1, -2) + n * np.eye(n)
+
+
+def covariance_oracle(window):
+    """``spd.covariance`` of ``window`` with numpy's plainest bookkeeping:
+    the Gram block added to its transposed view, ``np.trace``, and the
+    shrinkage added through a fancy-indexed diagonal (reference oracle
+    pinning the bits of ``covariance``, which takes the same steps with
+    fewer passes and no index arrays)."""
+    m, length = window.shape[-2:]
+    padded = np.empty(window.shape[:-2] + (m + 1, length))
+    padded[..., :m, :] = window
+    padded[..., m, :] = 1.0
+    gram = padded[..., :m, :] @ np.swapaxes(padded, -1, -2)
+    mean = gram[..., m] / length
+    gram = gram[..., :m]
+    cov = gram + np.swapaxes(gram, -1, -2)
+    cov /= 2 * length
+    cov -= mean[..., :, None] * mean[..., None, :]
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
+    centre = np.any(mean * mean > FOLD_RATIO * var, axis=-1)
+    if np.any(centre):
+        z = window[centre] - mean[centre][..., None]
+        cov[centre] = (z @ np.swapaxes(z, -1, -2)) / length
+    eps = np.maximum(SHRINKAGE_SCALE * np.trace(cov, axis1=-2, axis2=-1) / m, 1e-12)
+    diag = np.arange(m)
+    cov[..., diag, diag] += eps[..., None]
+    return cov
+
+
+def sigmoid_masked(x):
+    """Logistic sigmoid by boolean masks: ``1 / (1 + exp(-x))`` on
+    ``x >= 0`` and ``exp(x) / (1 + exp(x))`` elsewhere (reference oracle
+    pinning the bits of ``classifier._sigmoid``)."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def double_center(sq_dist):
@@ -219,17 +258,29 @@ def eigh_calls(monkeypatch):
     return calls
 
 
+class KernelCalls(list):
+    """One entry per call of the filter kernel, holding the (n, M, T)
+    shape of its block of trials; ``inputs`` holds, per call, the block
+    array itself, so a test can ask whether it shares memory with a
+    trial (it was not copied) or not."""
+
+    def __init__(self):
+        super().__init__()
+        self.inputs = []
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Count calls of the filter bank's block kernel: one entry per call,
-    holding the (n, M, T) shape of the block of trials it filters."""
+    """Count calls of the filter bank's block kernel (see
+    :class:`KernelCalls`)."""
     import spdbci.filterbank
 
-    calls = []
+    calls = KernelCalls()
     real = spdbci.filterbank._filter_block
 
     def counting(x, *args, **kwargs):
         calls.append(np.shape(x))
+        calls.inputs.append(x)
         return real(x, *args, **kwargs)
 
     monkeypatch.setattr(spdbci.filterbank, "_filter_block", counting)

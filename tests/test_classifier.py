@@ -4,8 +4,10 @@ gating, loss, and gradients."""
 import numpy as np
 import pytest
 
-from spdbci.classifier import TangentClassifier, cross_entropy
+from spdbci.classifier import TangentClassifier, _sigmoid, cross_entropy
 from spdbci.errors import LabelOutOfRange, ShapeMismatch
+
+from conftest import sigmoid_masked
 
 
 def _clf(rng, n_bands=3, n_windows=2, feat_len=8, n_classes=2, conv_out=4):
@@ -77,6 +79,19 @@ class TestBandImportance:
         gate, gated = _gate(clf, conv_out)
         assert np.allclose(gate, 0.5)
         assert np.allclose(gated, 0.5 * conv_out)
+
+    def test_sigmoid_gives_the_bits_of_the_masked_formula(self, rng):
+        """Extremes, both zeros and NaNs of both signs, and a (64, 9)
+        gate batch, bit for bit and with no overflow."""
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64).view(np.float64)
+        edge = np.concatenate([[1e3, -1e3, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324], nans])
+        for x in (edge, rng.standard_normal((64, 9)) * 20.0):
+            with np.errstate(over="raise"):
+                out = _sigmoid(x)
+            assert out.shape == x.shape
+            assert out.tobytes() == sigmoid_masked(x).tobytes()
+        assert np.signbit(_sigmoid(edge)[-3:]).tolist() == [False, True, False]
 
     def test_gate_range_sweep(self):
         for seed in range(50):

@@ -19,7 +19,7 @@ from spdbci.spd import (
     sym,
 )
 
-from conftest import airm_distance_eigh, check_psd_theorem1, random_spd
+from conftest import airm_distance_eigh, check_psd_theorem1, covariance_oracle, random_spd
 
 
 class TestCovariance:
@@ -101,12 +101,14 @@ class TestCovariance:
             assert np.max(np.abs(out[k] - oracle[k])) <= 1e-12 * np.max(np.abs(oracle[k]))
         check_spd(out)
 
-    @pytest.mark.parametrize("m, length", [(6, 200), (1, 200), (6, 1), (1, 1)])
+    @pytest.mark.parametrize("m, length", [(6, 200), (1, 200), (6, 1), (1, 1), (2, 200),
+                                           (8, 125), (22, 250)])
     def test_padded_buffer_gives_the_bits_of_the_copy(self, m, length):
         """Windows filtered into the first M rows of an (..., M + 1, L)
         buffer give bit for bit the covariances of the same windows
-        padded in a copy, every one exactly symmetric: folded rows
-        (offset ratio 9), centred rows (1e4) and a zero window together."""
+        padded in a copy, and both give the bits of the plain-numpy
+        oracle, every one exactly symmetric: folded rows (offset ratio
+        9), centred rows (1e4) and a zero window together."""
         rng = np.random.default_rng(9)
         noise = rng.standard_normal((3, 2, m, length)) * rng.uniform(0.1, 10.0, (3, 2, m, 1))
         sign = rng.choice([-1.0, 1.0], (3, 2, m, 1))
@@ -117,6 +119,10 @@ class TestCovariance:
         padded[..., :m, :] = windows
         out = covariance(padded[..., :m, :], padded)
         assert out.tobytes() == covariance(windows).tobytes()
+        assert out.tobytes() == covariance_oracle(windows).tobytes()
+        for i in range(3):
+            for j in range(2):
+                assert covariance(windows[i, j]).tobytes() == out[i, j].tobytes()
         assert np.array_equal(out, np.swapaxes(out, -1, -2))
         assert np.array_equal(padded[..., :m, :], windows)
         assert np.array_equal(out[2, 1], 1e-12 * np.eye(m))

@@ -979,6 +979,9 @@ class TestPrepareBlocks:
         # every block pads its windows in the buffer they were filtered into
         assert covariance_blocks.padded == [True, True, True]
         assert kernel_calls == [(7, 8, 250), (7, 8, 250), (6, 8, 250)]
+        # a block of several trials is stacked into an array of its own
+        assert not any(np.shares_memory(x, data) for x in kernel_calls.inputs
+                       for _, data in trials.trials)
         assert np.array_equal(covs, per_window_covariances(trials, cfg))
         for k, item in enumerate(trials.trials):
             one, _ = prepare_dataset(dataclasses.replace(trials, trials=[item]), cfg)
@@ -989,6 +992,35 @@ class TestPrepareBlocks:
         prepare_dataset(dataclasses.replace(trials, trials=trials.trials[:1]), TrainConfig())
         assert kernel_calls == [(1, 8, 250)]
         assert covariance_blocks == [1]
+        # the kernel reads a lone trial where it is, with no copy
+        assert np.shares_memory(kernel_calls.inputs[0], trials.trials[0][1])
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_single_trial_of_any_layout_gives_the_bits_of_its_block(
+            self, kernel_calls, layout):
+        """A lone C-ordered, Fortran-ordered or every-other-column trial
+        is filtered where it is, and gives the windows and covariances
+        the same trial gets inside a block of seven."""
+        trials = _c5_shaped_trials(4)
+        cfg = TrainConfig()
+        block = dataclasses.replace(trials, trials=trials.trials[:7])
+        covs, _ = prepare_dataset(block, cfg)
+        windows = segment(block, cfg.band_spec(), cfg.window_len)
+        assert kernel_calls[:2] == [(7, 8, 250), (7, 8, 250)]
+        for k, (label, data) in enumerate(block.trials):
+            if layout == "F":
+                data = np.asfortranarray(data)
+            elif layout == "strided":
+                wide = np.zeros((data.shape[0], 2 * data.shape[1]))
+                wide[:, ::2] = data
+                data = wide[:, ::2]
+            one = dataclasses.replace(block, trials=[(label, data)])
+            calls = len(kernel_calls)
+            [(_, own)] = segment(one, cfg.band_spec(), cfg.window_len)
+            assert own.tobytes() == windows[k][1].tobytes()
+            assert prepare_dataset(one, cfg)[0].tobytes() == covs[k : k + 1].tobytes()
+            assert kernel_calls[calls:] == [(1, 8, 250)] * 2
+            assert all(np.shares_memory(x, data) for x in kernel_calls.inputs[calls:])
 
     @pytest.mark.parametrize("per_block", [1, 5, 23, 24, 25])
     def test_blocks_match_reference_and_single_trials(self, small_trials, monkeypatch,
