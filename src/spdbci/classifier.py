@@ -69,9 +69,13 @@ class TangentClassifier:
         (C_out, S, J) ``kernel``.
 
         The kernel spans a band's whole (S, J) plane, so the conv is one
-        product with the kernel read as a (C_out, S*J) matrix.  Features
-        of another shape, or a kernel with other than the head's C_out,
-        raise :class:`ShapeMismatch`.
+        product with the kernel read as a (C_out, S*J) matrix.  It takes
+        ``np.tensordot``'s own steps on the same operand layouts, without
+        its generic axis handling: the features as a (B*F, S*J) copy, the
+        kernel as its (S*J, C_out) transposed view, and one ``np.dot``.
+        So it gives tensordot's bits; a contiguous copy of the kernel's
+        view would change them.  Features of another shape, or a kernel
+        with other than the head's C_out, raise :class:`ShapeMismatch`.
         """
         c_out, s, j = kernel.shape
         if x.ndim != 4 or x.shape[1:] != (s, self.w1.shape[0], j):
@@ -81,7 +85,10 @@ class TangentClassifier:
             )
         if c_out != len(self.bias):
             raise ShapeMismatch(f"kernel has {c_out} output maps, the head reads {len(self.bias)}")
-        return np.tensordot(x, kernel, axes=([1, 3], [1, 2])) + self.bias
+        b, f = x.shape[0], x.shape[2]
+        features = x.transpose(0, 2, 1, 3).reshape(b * f, s * j)
+        conv = np.dot(features, kernel.transpose(1, 2, 0).reshape(s * j, c_out))
+        return conv.reshape(b, f, c_out) + self.bias
 
     def _gated_head(self, conv_out: np.ndarray):
         """Gate, flatten and linear head of a (B, F, C_out) conv output:

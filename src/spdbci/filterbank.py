@@ -118,18 +118,19 @@ class BankPlan:
     samples) that starts in state ``z`` (a row of ``n``) gives the
     output ``[u | z] @ response[f]`` and ends in the state
     ``[z | u @ state_in[f]] @ transition[f]``.  The last block of every
-    window holds ``last`` samples, 1 to ``b``, at the end of a row whose
-    first ``b - last`` samples are zero: its output is
-    ``[u | z] @ last_response[f]`` and ``last_transition`` carries its
-    state."""
+    window holds ``last`` samples, 1 to ``b``.  At the end of a row whose
+    first ``b - last`` samples are zero, ``u @ state_in[f]`` is its state
+    from rest, and ``last_transition`` carries its state.  At the start
+    of a row with zeros after it, ``[u | z] @ response[f]`` is its
+    output in the first ``last`` columns; the other columns are the
+    filter's response past the window."""
 
     block: int
     last: int
     response: np.ndarray  # (F, b + n, b): impulse response, then each state's
     state_in: np.ndarray  # (F, b, n): the end state of an impulse at each sample
     transition: np.ndarray  # (F, 2n, n): each state after b samples, then identity
-    last_response: np.ndarray  # (F, b + n, last)
-    last_transition: np.ndarray  # (F, 2n, n)
+    last_transition: np.ndarray  # (F, 2n, n): the same after ``last`` samples
 
 
 #: Plans of :func:`bank_plan`, by (bands, sample rate, last block).
@@ -164,10 +165,7 @@ def _build_plan(designs: list[np.ndarray], last: int) -> BankPlan:
         sos = design.copy()  # sosfilt takes no read-only array
         response[f], state_in[f], transition[f] = _block_matrices(sos, b)
         last_transition[f] = _block_matrices(sos, last)[2]
-    # the last block's samples sit at the end of its row, its state
-    # response starts with them
-    last_response = np.concatenate([response[:, :b, b - last:], response[:, b:, :last]], axis=1)
-    arrays = (response, state_in, transition, last_response, last_transition)
+    arrays = (response, state_in, transition, last_transition)
     for array in arrays:
         array.setflags(write=False)
     return BankPlan(b, last, *arrays)
@@ -191,46 +189,62 @@ def bank_plan(spec: BandSpec, sample_rate: float, window_len: int) -> BankPlan:
     return plan
 
 
+def row_len(window_len: int) -> int:
+    """Samples in a row of :func:`segment`'s ``out``: ``Q * b``, the
+    ``window_len``-sample window rounded up to Q whole blocks of
+    :data:`BLOCK` samples."""
+    return -(-window_len // BLOCK) * BLOCK
+
+
 def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
     """Filter the (N, M, T) trials ``x``, of any layout, through every
-    band of ``plan`` into their (N, S, F, M, L) windows ``out``, whose
-    rows have unit stride (the tiles below are views of it); samples
-    past ``S * L`` are not read, and ``x`` is not written.
+    band of ``plan`` into the (N, S, F, M, Q * b) rows ``out``: the L
+    samples of each window, then Q * b - L columns of the filter's
+    response past the window, which no caller reads.  Each (M, Q * b)
+    plane of ``out`` must be C-contiguous, so that it is one (M * Q, b)
+    matrix of block rows; its leading axes may have any strides.
+    Samples of ``x`` past ``S * L`` are not read, and ``x`` is not
+    written.
 
     Every window is cut into Q = ceil(L / b) blocks, the last of
-    ``plan.last`` samples, and copied once into rows of ``b`` samples
-    plus ``n`` state columns, (window, block, trial·channel)-major, so
-    the trials of the block are just more rows.  One product gives every
-    band's state from rest at the end of every block; a recurrence of
-    S * Q - 1 products, all bands and trials at once, turns those into
-    the state at the start of every block, stepping through the S * Q
-    blocks in order on one (F, S * Q, rows, 2n) array.  Then each band
-    copies its start states next to the samples and writes its windows
-    with two products, one for the full blocks and one for the last: a
-    row's samples against the Toeplitz matrix of the impulse response,
-    plus its state against the state response, each block straight into
-    its (M, b) tile of ``out``.  So the numpy calls are as
-    many for N trials as for one, a lone trial makes the products of a
-    per-trial kernel, every row of a product is computed from that row
-    alone, and every output equals ``sosfilt`` to round-off.
+    ``plan.last`` samples, and copied twice.  The state rows are ``b``
+    samples each, (window, block, trial·channel)-major, the last block
+    at the end of its row; one product of them gives every band's state
+    from rest at the end of every block, and a recurrence of S * Q - 1
+    products, all bands and trials at once, turns those into the state
+    at the start of every block, stepping through the S * Q blocks in
+    order on one (F, S * Q, rows, 2n) array.  The block rows are ``b``
+    samples plus ``n`` state columns, (window, trial, channel,
+    block)-major, the last block at the start of its row with zeros
+    after it.  Each band copies its start states next to the samples and
+    writes its windows with one product per (window, trial): its
+    (M * Q, b + n) block rows against the Toeplitz matrix of the impulse
+    response stacked on the state response, straight into its M rows of
+    ``out``.  So the numpy calls are as many for N trials as for one,
+    every row of a product is computed from that row alone, and every
+    output equals ``sosfilt`` to round-off.
     """
-    n_trials, n_windows, n_bands, m, window_len = out.shape
+    n_trials, n_windows, n_bands, m, width = out.shape
     b, last, n = plan.block, plan.last, plan.transition.shape[-1]
-    per_window = -(-window_len // b)
+    per_window = width // b
+    window_len = width - b + last
     full = window_len - last  # samples in the full blocks of a window
     windows = x[..., : n_windows * window_len].reshape(n_trials, m, n_windows, window_len)
-    blocks = np.empty((n_windows, per_window, n_trials * m, b + n))
-    # the same rows with the trial and channel axes apart
-    split = blocks.reshape(n_windows, per_window, n_trials, m, b + n)
-    split[:, :-1, ..., :b] = windows[..., :full].reshape(
-        n_trials, m, n_windows, per_window - 1, b).transpose(2, 3, 0, 1, 4)
-    split[:, -1, ..., : b - last] = 0.0
-    split[:, -1, ..., b - last : b] = windows[..., full:].transpose(2, 0, 1, 3)
+    body = windows[..., :full].reshape(n_trials, m, n_windows, per_window - 1, b)
+    tail = windows[..., full:]
+    rows = n_trials * m
+    state_rows = np.empty((n_windows, per_window, n_trials, m, b))
+    state_rows[:, :-1] = body.transpose(2, 3, 0, 1, 4)
+    state_rows[:, -1, ..., : b - last] = 0.0
+    state_rows[:, -1, ..., b - last :] = tail.transpose(2, 0, 1, 3)
+    blocks = np.empty((n_windows, n_trials, m, per_window, b + n))
+    blocks[..., :-1, :b] = body.transpose(2, 0, 1, 3, 4)
+    blocks[..., -1, :last] = tail.transpose(2, 0, 1, 3)
+    blocks[..., -1, last:b] = 0.0
     # states[f, j] is [state at the start | state from rest at the end]
     # of block j % Q of window j // Q, in band f
-    n_steps = n_windows * per_window
-    states = np.empty((n_bands, n_steps, n_trials * m, 2 * n))
-    np.matmul(blocks.reshape(-1, b + n)[:, :b], plan.state_in,
+    states = np.empty((n_bands, n_windows * per_window, rows, 2 * n))
+    np.matmul(state_rows.reshape(-1, b), plan.state_in,
               out=states.reshape(n_bands, -1, 2 * n)[..., n:])
     states[:, 0, :, :n] = 0.0
     # iterating the step axis gives each step's views more cheaply than
@@ -240,17 +254,17 @@ def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
         # block 0 of a window follows the last block of the one before
         step = plan.transition if j % per_window else plan.last_transition
         np.matmul(prev, step, out=start)
-    # tiles[f, s, k, t] and ends[f, s, t] are the (M, b) tile of block k
-    # and the (M, last) tile of the last block of window s of trial t
-    tiles = out[..., :full].reshape(
-        n_trials, n_windows, n_bands, m, per_window - 1, b).transpose(2, 1, 4, 0, 3, 5)
-    ends = out[..., full:].transpose(2, 1, 0, 3, 4)
-    state_cols = blocks.reshape(n_steps, n_trials * m, b + n)[..., b:]
-    body, tail = split[:, :-1], split[:, -1]
+    # tiles[s, t] is the (M * Q, b) matrix of the block rows of window s
+    # of trial t, in band f
+    tiles = out.reshape(n_trials, n_windows, n_bands, m * per_window, b).swapaxes(0, 1)
+    block_rows = blocks.reshape(n_windows, n_trials, m * per_window, b + n)
+    state_cols = blocks.reshape(n_windows, rows, per_window, b + n)[..., b:]
+    # the start states in block-row order, (F, S, rows, Q, n)
+    block_starts = states.reshape(
+        n_bands, n_windows, per_window, rows, 2 * n)[..., :n].swapaxes(2, 3)
     for f in range(n_bands):
-        state_cols[...] = states[f, ..., :n]
-        np.matmul(body, plan.response[f], out=tiles[f])
-        np.matmul(tail, plan.last_response[f], out=ends[f])
+        state_cols[...] = block_starts[f]
+        np.matmul(block_rows, plan.response[f], out=tiles[:, :, f])
 
 
 def check_gabor(window_len_samples: int, sample_rate: float, band_width_hz: float) -> bool:
@@ -271,17 +285,21 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None),
     samples are dropped.  Every band filters each trial causally,
     forward only, through the SOS form of its design: one call of the
     block kernel filters all bands of every trial's windows straight
-    into one (N, S, F, M, L) float64 array whose rows of L samples have
-    unit stride.  That array is ``out`` when it is given, and a new
-    C-contiguous one otherwise.  The kernel reads a lone trial where it
-    is, and the trials of a larger block stacked into one array.  A
-    trial's output does not depend on the other trials of the block, on
-    its own memory layout or on the layout of ``out``'s leading axes: it
-    equals its own one-trial call bit for bit.  Returns
-    ``[(label, tensor), ...]`` in trial order, each tensor one trial's
-    (S, F, M, L) view of that array.  An ``out`` of another shape or
-    dtype, or whose rows are not unit-stride, raises
-    :class:`DimensionMismatch`, and so does a read-only one.
+    into one (N, S, F, M, Q * b) float64 array of block-aligned rows,
+    ``Q * b`` = :func:`row_len` of ``window_len``.  Columns L to Q * b of
+    each row hold the filter's response past the window and are never
+    read.  That array is ``out`` when it is given, and a new
+    C-contiguous one otherwise; each of its (M, Q * b) planes must be
+    C-contiguous, and its leading axes may have any layout.  The kernel
+    reads a lone trial where it is, and the trials of a larger block
+    stacked into one array.  A trial's windows do not depend on the
+    other trials of the block, on its own memory layout or on the
+    layout of ``out``'s leading axes: they equal its own one-trial call
+    bit for bit.  Returns ``[(label, tensor), ...]`` in trial order,
+    each tensor one trial's (S, F, M, L) windows, the ``[..., :L]`` view
+    of that array.  An ``out`` of another shape or dtype (rows shorter
+    or longer than Q * b included), whose (M, Q * b) planes are not
+    C-contiguous, or that is read-only raises :class:`DimensionMismatch`.
     """
     fs = trials.sample_rate_hz
     if not check_gabor(window_len, fs, spec.narrowest_width_hz):
@@ -295,19 +313,22 @@ def segment(trials, spec: BandSpec, window_len: int, block: slice = slice(None),
         )
     plan = bank_plan(spec, fs, window_len)
     items = trials.trials[block]
+    width = row_len(window_len)
     shape = (len(items), trials.samples_per_trial // window_len, len(spec.bands),
-             trials.channels, window_len)
+             trials.channels, width)
     if out is None:
         out = np.empty(shape)
     elif (out.shape != shape or out.dtype != np.float64 or out.strides[-1] != 8
+          or (out.shape[-2] > 1 and out.strides[-2] != 8 * width)
           or not out.flags.writeable):
         raise DimensionMismatch(
-            f"out must be a writable float64 array of shape {shape} with unit-stride "
-            f"rows, got {out.dtype} {out.shape} with strides {out.strides}"
+            f"out must be a writable float64 array of shape {shape} whose "
+            f"{shape[-2:]} planes are C-contiguous, got {out.dtype} {out.shape} "
+            f"with strides {out.strides}"
         )
     if len(items) == 1:
         # a lone trial is read where it is, not stacked into a copy
         _filter_block(np.asarray(items[0][1])[None], plan, out)
     elif items:
         _filter_block(np.array([data for _, data in items]), plan, out)
-    return [(label, windows) for (label, _), windows in zip(items, out)]
+    return [(label, rows[..., :window_len]) for (label, _), rows in zip(items, out)]

@@ -98,6 +98,8 @@ class Model:
         self.n_bands = n_bands
         self.channels = np.asarray(channels)
         self.n_channels, self.m = n_channels, len(self.channels)
+        # flat index of the (m, m) entries that cut reads off each M*M row
+        self._cut_index = self.channels[:, None] * n_channels + self.channels
         self.n_classes = n_classes
 
         m = self.m
@@ -126,9 +128,9 @@ class Model:
 
     def cut(self, covs: np.ndarray) -> np.ndarray:
         """The rows and columns of the selected channels: (..., M, M) ->
-        (..., m, m)."""
-        ch = self.channels
-        return covs[..., ch[:, None], ch]
+        (..., m, m), taken from each matrix as one flat row of M*M entries
+        through a precomputed index."""
+        return covs.reshape(covs.shape[:-2] + (-1,)).take(self._cut_index, axis=-1)
 
     def fit_reference(self, reps: np.ndarray) -> None:
         """Fit the RBN mean on SPD representatives (..., M, M), cut to the

@@ -21,7 +21,7 @@ from .classifier import cross_entropy
 from .config import TrainConfig
 from .eeg_io import ModelBundle, RawTrialSet, eegb_rate
 from .errors import ConfigError, InsufficientData, NonFiniteLoss, SchemaMismatch
-from .filterbank import bank_plan, segment
+from .filterbank import bank_plan, row_len, segment
 from .layers import karcher_mean
 from .model import Model, bundle_config, count_parameters, model_from_bundle
 from .selection import SelectionTransform, fit_selection
@@ -40,13 +40,13 @@ class EvalReport:
 
 #: Windows filtered per :func:`prepare_dataset` block, in bytes: seven
 #: 8-channel, 2-window trials of the default bank.  A larger trial is a
-#: block of its own.  A trial is counted at its M rows of windows, not
-#: the M + 1 rows of the padded buffer that holds them, which would put
-#: 6 of those trials in a block.  On train-c5 with one filter-kernel call
-#: per block, 1 MiB prepared fastest of 256 KiB-4 MiB: smaller blocks
-#: repeat the kernel's per-call work for fewer trials (256 KiB, one
-#: trial a block, at half the rate), and larger ones leave the cache
-#: (1.5-4 MiB 9-16% slower).
+#: block of its own.  A trial is counted at its M rows of L-sample
+#: windows, not the M + 1 block-aligned rows of the padded buffer that
+#: holds them, which would put 6 of those trials in a block.  On
+#: train-c5 with one filter-kernel call per block, 1 MiB prepared
+#: fastest of 256 KiB-4 MiB: smaller blocks repeat the kernel's
+#: per-call work for fewer trials (256 KiB, one trial a block, at half
+#: the rate), and larger ones leave the cache (1.5-4 MiB 9-16% slower).
 BLOCK_BYTES = 1 << 20
 
 
@@ -63,11 +63,15 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     one block returns that call's covariances as they are; a larger set
     copies each block's into one array.  The spare row belongs to this
     function and :func:`covariance`: the windows are the first M rows of an
-    (n, S, F, M + 1, L) buffer, allocated once and reused by every
-    block; :func:`segment` filters into that M-row view, and the
-    covariance call pads each window with a row of ones in the last
-    row, so one matrix product per window gives the Gram matrix and the
-    row sums, with no copy or centring of the window.  So the windows
+    (n, S, F, M + 1, Q * b) buffer of block-aligned rows (Q * b =
+    :func:`~spdbci.filterbank.row_len` of the window length L),
+    allocated once and reused by every block.  :func:`segment` filters
+    into that M-row view; columns L to Q * b of each row hold the
+    filter's response past the window and are never read.  The
+    covariance call reads the ``[..., :L]`` windows and pads each with a
+    row of ones in the last row, so one matrix product per window gives
+    the Gram matrix and the row sums, with no copy or centring of the
+    window.  So the windows
     held in memory are bounded by the block, not the set, and every
     trial's covariances equal its own single-trial run bit for bit,
     whatever block it falls in.  Raises :class:`InsufficientData` for a
@@ -81,13 +85,12 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     # A trial too short for one window holds no bytes; segment rejects it.
     trial_bytes = 8 * n_windows * len(spec.bands) * m * config.window_len
     per_block = min(n, max(1, BLOCK_BYTES // max(1, trial_bytes)))
-    padded = np.empty((per_block, n_windows, len(spec.bands), m + 1, config.window_len))
+    padded = np.empty((per_block, n_windows, len(spec.bands), m + 1, row_len(config.window_len)))
 
     def block_covariances(start):
         out = padded[: min(per_block, n - start)]
-        windows = out[..., :m, :]
-        segment(trials, spec, config.window_len, slice(start, start + per_block), windows)
-        return covariance(windows, out)
+        segment(trials, spec, config.window_len, slice(start, start + per_block), out[..., :m, :])
+        return covariance(out[..., :m, : config.window_len], out[..., : config.window_len])
 
     if n == per_block:
         # one block: its covariances are the set's, with no copy

@@ -44,6 +44,14 @@ def covariance_oracle(window):
     return cov
 
 
+def conv_oracle(x, kernel, bias):
+    """The per-band conv of (B, S, F, J) features with a (C_out, S, J)
+    kernel through ``np.tensordot``'s generic axis handling (reference
+    oracle pinning the bits of ``TangentClassifier.conv_forward``, which
+    takes tensordot's steps on the same operand layouts)."""
+    return np.tensordot(x, kernel, axes=([1, 3], [1, 2])) + bias
+
+
 def sigmoid_masked(x):
     """Logistic sigmoid by boolean masks: ``1 / (1 + exp(-x))`` on
     ``x >= 0`` and ``exp(x) / (1 + exp(x))`` elsewhere (reference oracle

@@ -6,8 +6,9 @@ import pytest
 
 from spdbci.classifier import TangentClassifier, _sigmoid, cross_entropy
 from spdbci.errors import LabelOutOfRange, ShapeMismatch
+from spdbci.model import Model
 
-from conftest import sigmoid_masked
+from conftest import conv_oracle, sigmoid_masked
 
 
 def _clf(rng, n_bands=3, n_windows=2, feat_len=8, n_classes=2, conv_out=4):
@@ -60,6 +61,27 @@ class TestConv:
         x = rng.standard_normal((5, 2, 3, 8))
         expected = np.einsum("bsfj,csj->bfc", x, clf.kernel) + clf.bias
         assert np.allclose(clf.conv_forward(x, clf.kernel), expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k_heads", [4, 1])
+    @pytest.mark.parametrize("batch", [64, 1], ids=["training-batch", "one-trial"])
+    def test_model_conv_and_cut_give_the_bits_of_their_oracles(self, rng, k_heads, batch):
+        """The conv of a model's folded kernel, as both forwards run it,
+        equals tensordot's bit for bit, and the flat-index cut equals the
+        fancy-indexed one: 5 of 8 channels, 2 windows, 9 bands."""
+        model = Model([0, 2, 3, 5, 7], n_channels=8, n_windows=2, n_bands=9, n_classes=2,
+                      k_heads=k_heads, conv_out=64, seed=3, sample_rate=250.0)
+        model.heads.weights = rng.standard_normal(model.heads.weights.shape)
+        model.clf.kernel = rng.standard_normal(model.clf.kernel.shape)
+        model.clf.bias = rng.standard_normal(model.clf.bias.shape)
+        kernel = model.heads.forward(model.clf.kernel)
+        x = rng.standard_normal((batch, 2, 9, 25))
+        out = model.clf.conv_forward(x, kernel)
+        assert out.shape == (batch, 9, 64)
+        assert out.tobytes() == conv_oracle(x, kernel, model.clf.bias).tobytes()
+        covs = rng.standard_normal((batch, 2, 9, 8, 8))
+        ch = model.channels
+        assert model.cut(covs).tobytes() == covs[..., ch[:, None], ch].tobytes()
+        assert model.cut(covs[0, 0]).tobytes() == covs[0, 0][..., ch[:, None], ch].tobytes()
 
 
 class TestBandImportance:

@@ -127,13 +127,20 @@ class TestKernel:
 
     @pytest.mark.parametrize("fs", RATES)
     @pytest.mark.parametrize("window_len, samples",
-                             [(125, 1000), (127, 800), (250, 1130), (64, 640), (40, 410)])
+                             [(125, 1000), (127, 800), (250, 1130), (64, 640), (40, 410),
+                              (32, 330), (33, 340), (63, 640)])
     def test_matches_sosfilt(self, rng, fs, window_len, samples):
-        # windows of whole blocks (64) and not (125, 127, 250, 40), and
-        # trials with trailing samples past the last window
+        # windows of whole blocks (64, and 32: one block) and not (125,
+        # 127, 250, 40, and 33 and 63: a last block of 1 and of 31
+        # samples), and trials with trailing samples past the last window.
+        # Windows too short for the default 4 Hz bands at this rate run
+        # on 8 Hz-wide ones.
+        spec = BandSpec()
+        if not check_gabor(window_len, fs, spec.narrowest_width_hz):
+            spec = BandSpec(bands=((4.0, 12.0), (12.0, 20.0), (20.0, 28.0), (28.0, 36.0)))
         data = rng.standard_normal((3, samples))
-        out = segment(_trial_set(data, fs), BandSpec(), window_len)[0][1]
-        expected = _sosfilt_windows(data, BandSpec(), fs, window_len)
+        out = segment(_trial_set(data, fs), spec, window_len)[0][1]
+        expected = _sosfilt_windows(data, spec, fs, window_len)
         assert np.max(np.abs(out - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     def test_window_shorter_than_a_block(self, rng):
@@ -163,20 +170,20 @@ class TestKernel:
         data = np.random.default_rng(0).standard_normal((2, 127 * 4))
         products = self._products(monkeypatch, _trial_set(data), 127)
         # 127 samples are 4 blocks a window, so per block of trials: one
-        # product of states from rest, 4 * 4 - 1 state steps and two
-        # products a band, however many trials the block holds
-        assert len(products) == 1 + (4 * 4 - 1) + 2 * len(DEFAULT_BANDS) == 34
+        # product of states from rest, 4 * 4 - 1 state steps and one
+        # product a band, however many trials the block holds
+        assert len(products) == 1 + (4 * 4 - 1) + len(DEFAULT_BANDS) == 25
 
     def test_one_trial_block_makes_the_lone_trial_products(self, monkeypatch):
         # the products a per-trial kernel made for this trial: 4 windows
         # of 4 blocks, the last of 31 samples, on 2 channels, 9 bands of
-        # 8 states each, 32 + 8 columns a block row
+        # 8 states each, 32 + 8 columns a block row; each band writes the
+        # 2 * 4 block rows of every window in one product
         data = np.random.default_rng(0).standard_normal((2, 127 * 4))
         trials = RawTrialSet(250.0, 2, 127 * 4, [(0, data)], n_classes=2)
         expected = ([((32, 32), (9, 32, 8), (9, 32, 8))]
                     + [((9, 2, 16), (9, 16, 8), (9, 2, 8))] * 15
-                    + [((4, 3, 2, 40), (40, 32), (4, 3, 2, 32)),
-                       ((4, 2, 40), (40, 31), (4, 2, 31))] * 9)
+                    + [((4, 8, 40), (40, 32), (4, 8, 32))] * 9)
         assert self._products(monkeypatch, trials, 127) == expected
 
     def test_white_noise_at_2000_hz_stays_with_sosfilt(self):
@@ -219,8 +226,8 @@ class TestKernel:
         assert filterbank.bank_plan(BandSpec(), 250.0, 189) is plan
         assert plan.last == 29
         assert plan.response.shape == (9, filterbank.BLOCK + 8, filterbank.BLOCK)
-        for array in (plan.response, plan.state_in, plan.transition,
-                      plan.last_response, plan.last_transition):
+        assert not hasattr(plan, "last_response")
+        for array in (plan.response, plan.state_in, plan.transition, plan.last_transition):
             with pytest.raises(ValueError):
                 array[0, 0, 0] = 0.0
 
@@ -289,7 +296,8 @@ class TestSegment:
         trials = _trial_set(rng.standard_normal((3, 1000)))
         out = segment(trials, BandSpec(), window_len=250)
         assert all(t.shape == (4, 9, 3, 250) for _, t in out)
-        assert all(t.flags.c_contiguous for _, t in out)
+        # each window is the start of a row of 8 whole blocks
+        assert all(t.strides[-2:] == (8 * 256, 8) for _, t in out)
 
     def test_band_selectivity_on_sinusoid(self):
         fs = 250.0
@@ -335,11 +343,11 @@ class TestSegment:
         trials = _trial_set(rng.standard_normal((3, 1000)))
         out = segment(trials, BandSpec(), window_len=250)
         data = out[0][1].base
-        assert data.shape == (2, 4, 9, 3, 250)
+        assert data.shape == (2, 4, 9, 3, filterbank.row_len(250)) == (2, 4, 9, 3, 256)
         assert data.flags.c_contiguous
         for k, (_, tensor) in enumerate(out):
             assert tensor.base is data
-            assert np.array_equal(tensor, data[k])
+            assert np.array_equal(tensor, data[k, ..., :250])
 
     def test_block_equals_its_slice_of_the_set(self, rng):
         data = rng.standard_normal((3, 1000))
@@ -355,19 +363,21 @@ class TestSegment:
         call without ``out``, and the spare rows are not written."""
         items = [(k % 2, rng.standard_normal((3, 1000))) for k in range(3)]
         trials = RawTrialSet(250.0, 3, 1000, items, n_classes=2)
-        buffer = np.full((2, 4, 9, 5, 250), np.nan)
+        buffer = np.full((2, 4, 9, 5, 256), np.nan)
         block = segment(trials, BandSpec(), 250, slice(1, 3), buffer[..., :3, :])
         assert [label for label, _ in block] == [1, 0]
         whole = segment(trials, BandSpec(), 250)
         for k, (_, tensor) in enumerate(block):
             assert np.shares_memory(tensor, buffer)
-            assert np.array_equal(buffer[k, ..., :3, :], whole[k + 1][1])
+            assert np.array_equal(buffer[k, ..., :3, :250], whole[k + 1][1])
+            # the columns past the window hold the filter's response
+            assert np.all(np.isfinite(buffer[k, ..., :3, 250:]))
         assert np.all(np.isnan(buffer[..., 3:, :]))
 
     def test_out_of_any_axis_order_takes_the_same_bits(self, rng):
         trials = _trial_set(rng.standard_normal((3, 1000)))
-        # bands outermost in memory; rows still unit-stride
-        out = np.empty((9, 2, 4, 3, 250)).transpose(1, 2, 0, 3, 4)
+        # bands outermost in memory; each (M, Q * b) plane still C-contiguous
+        out = np.empty((9, 2, 4, 3, 256)).transpose(1, 2, 0, 3, 4)
         block = segment(trials, BandSpec(), 250, out=out)
         for (_, tensor), (_, expected) in zip(block, segment(trials, BandSpec(), 250)):
             assert np.shares_memory(tensor, out)
@@ -375,22 +385,38 @@ class TestSegment:
 
     def test_read_only_out_rejected(self, rng):
         trials = _trial_set(rng.standard_normal((4, 1000)))
-        out = np.zeros((2, 4, 9, 4, 250))
+        out = np.zeros((2, 4, 9, 4, 256))
         out.setflags(write=False)
         with pytest.raises(DimensionMismatch, match="out must be"):
             segment(trials, BandSpec(), 250, out=out)
 
     @pytest.mark.parametrize("shape, dtype", [
-        ((2, 4, 9, 2, 250), np.float64), ((2, 4, 9, 5, 250), np.float64),
-        ((3, 4, 9, 4, 250), np.float64), ((2, 4, 9, 4, 251), np.float64),
-        ((2, 4, 9, 4), np.float64), ((2, 4, 9, 4, 250), np.float32),
-    ], ids=["fewer-rows", "more-rows", "more-trials", "longer-rows", "rank-4", "float32"])
+        ((2, 4, 9, 2, 256), np.float64), ((2, 4, 9, 5, 256), np.float64),
+        ((3, 4, 9, 4, 256), np.float64), ((2, 4, 4, 9, 256), np.float64),
+        ((2, 4, 9, 4, 257), np.float64), ((2, 4, 9, 4, 250), np.float64),
+        ((2, 4, 9, 4, 255), np.float64), ((2, 4, 9, 4), np.float64),
+        ((2, 4, 9, 4, 256), np.float32),
+    ], ids=["fewer-rows", "more-rows", "more-trials", "swapped-axes", "longer-rows",
+            "window-rows", "short-rows", "rank-4", "float32"])
     def test_out_of_another_shape_or_dtype_rejected(self, rng, shape, dtype):
+        # 250-sample windows need rows of Q * b = 8 * 32 = 256 samples:
+        # rows of the window's own 250 samples, or of 255, are too short
         trials = _trial_set(rng.standard_normal((4, 1000)))
         with pytest.raises(DimensionMismatch, match="out must be"):
             segment(trials, BandSpec(), 250, out=np.zeros(shape, dtype))
+
+    @pytest.mark.parametrize("out", [
+        np.zeros((2, 4, 9, 4, 512))[..., ::2],
+        np.zeros((2, 4, 9, 8, 256))[..., ::2, :],
+        np.zeros((2, 4, 9, 256, 4)).swapaxes(-1, -2),
+    ], ids=["strided-rows", "strided-planes", "transposed-planes"])
+    def test_out_whose_planes_are_not_contiguous_rejected(self, rng, out):
+        # each window's (M, Q * b) rows must be one (M * Q, b) matrix of
+        # block rows, which the kernel writes in one product
+        trials = _trial_set(rng.standard_normal((4, 1000)))
+        assert out.shape == (2, 4, 9, 4, 256)
         with pytest.raises(DimensionMismatch, match="out must be"):
-            segment(trials, BandSpec(), 250, out=np.zeros((2, 4, 9, 4, 500))[..., ::2])
+            segment(trials, BandSpec(), 250, out=out)
 
     def test_empty_set_gives_empty_list(self, rng):
         trials = _trial_set(rng.standard_normal((2, 500)))
