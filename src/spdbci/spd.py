@@ -1,15 +1,17 @@
 """Symmetric positive-definite matrix algebra.
 
 The package's one covariance estimator, shrunk by a fixed fraction of
-its own trace: one general matrix product (BLAS ``gemm``) per window
-padded with a row of ones gives its Gram matrix and its row sums, and
-the row means are folded into the Gram matrix.  Then the
+its own trace.  It takes the window as the first rows of the caller's
+buffer, whose one spare row it fills with ones: one general matrix
+product (BLAS ``gemm``) per window then gives its Gram matrix and its
+row sums, and the row means are folded into the Gram matrix.  Then the
 eigenvalue-function primitive and the matrix log, exp and inverse root
 built on it; the one affine-invariant (AIRM) distance kernel; and the
 two positivity guards on a spectrum, the strict one of
 :func:`check_spd` and the ``w_min > 0`` one of the maps that only need
-a positive spectrum.  Everything here is pure and
-operates on plain ``numpy`` arrays; batched inputs use leading axes.
+a positive spectrum.  Everything here but that spare row's write is
+pure and operates on plain ``numpy`` arrays; batched inputs use leading
+axes.
 """
 
 from __future__ import annotations
@@ -73,39 +75,31 @@ def check_spd(x: np.ndarray, name: str = "matrix") -> None:
     require_spd(np.linalg.eigvalsh(x), name)
 
 
-def _first_byte(a: np.ndarray) -> np.ndarray:
-    """A one-byte view of the non-empty ``a``'s first item: two arrays
-    start at the same address iff theirs share memory.  Cheaper than
-    comparing ``ndarray.ctypes.data``, which builds an object per array."""
-    return a[(0,) * (a.ndim - 1)][:1].view(np.uint8)[:1]
-
-
-def covariance(window: np.ndarray, padded: np.ndarray | None = None) -> np.ndarray:
+def covariance(padded: np.ndarray) -> np.ndarray:
     """Shrunk spatial covariance ``C + eps I`` of one window or a batch.
 
-    ``window`` is channels x samples, or ``(..., M, L)`` for a batch of
-    windows.  ``C`` is the population covariance of the rows, and
+    ``padded`` is a writable ``(..., M + 1, L)`` array: its first M rows
+    are the window, channels x samples (a batch of windows on the leading
+    axes), and its last row is scratch, which this call fills with ones.
+    ``C`` is the population covariance of the window's rows, and
     ``eps = max(SHRINKAGE_SCALE * trace(C) / M, 1e-12)``, so every
     output is SPD, a zero or rank-deficient window included.
 
     ``C = X X^T / L - mu mu^T`` comes from one product of the window
-    ``X`` as it is with ``[X; 1]^T``, ``X`` padded with a row of ones:
+    ``X`` as it is with ``[X; 1]^T``, ``X`` padded with that row of ones:
     its first M columns are ``X X^T`` and its last the row sums ``L mu``,
-    so one pass over the window gives both.  ``padded`` is that
-    ``(..., M + 1, L)`` buffer, with ``window`` its first M rows (a
-    caller that filtered the windows into it, like
-    :func:`~spdbci.trainer.prepare_dataset`); this call writes the ones
-    into its last row.  Without it the window is padded in a copy, and
-    the same product runs on the same values, so both routes give the
-    same bits.  The product is a general one (``gemm``): numpy sends
+    so one pass over the window gives both.  A caller filters its
+    windows straight into the first M rows, as
+    :func:`~spdbci.trainer.prepare_dataset` does, so no window is
+    copied.  The product is a general one (``gemm``): numpy sends
     ``X @ X.T`` alone to the symmetric ``syrk``, which OpenBLAS 0.3.31
     runs about 1.6 times slower at these shapes (0.83 against 0.51 ms
     for the 72 windows of a 22-channel, 250-sample, 9-band trial on one
     thread of a 2-core x86-64 VM).  Its ``X X^T`` block is made exactly
     symmetric by averaging it with its transpose: a transposed copy, to
     which the block is added in place.  The trace and the shrinkage go
-    through one strided view of the diagonals.  The window is never
-    centred or written.
+    through one strided view of the diagonals.  The window's rows are
+    never centred or written.
 
     That fold's rounding error in ``C_ij`` scales with the rows' mean
     squares ``mu_i^2 + var_i``, where centring's scales with their
@@ -117,29 +111,19 @@ def covariance(window: np.ndarray, padded: np.ndarray | None = None) -> np.ndarr
     are picked out only when there is one.  The choice is made per
     window from that window alone, so each matrix of a batch equals the
     2-D call on its window bit for bit when the windows' rows are
-    contiguous, and every output is exactly symmetric.  A ``padded`` of
-    another shape than ``(..., M + 1, L)``, or whose first M rows are not
-    ``window``, raises :class:`DimensionMismatch`.
+    contiguous, and every output is exactly symmetric.  An array of
+    fewer than two rows or of no columns (M < 1 or L < 1) raises
+    :class:`DimensionMismatch`.
     """
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim < 2 or 0 in window.shape[-2:]:
+    padded = np.asarray(padded, dtype=np.float64)
+    if padded.ndim < 2 or padded.shape[-2] < 2 or padded.shape[-1] < 1:
         raise DimensionMismatch(
-            f"window must be (..., M, L) with M, L >= 1, got {window.shape}"
+            f"padded must be (..., M + 1, L) with M, L >= 1, got {padded.shape}"
         )
-    m, length = window.shape[-2:]
-    if padded is None:
-        padded = np.empty(window.shape[:-2] + (m + 1, length))
-        padded[..., :m, :] = window
-    elif (padded.shape != window.shape[:-2] + (m + 1, length)
-          or padded.strides != window.strides
-          or (window.size
-              and not np.shares_memory(_first_byte(padded), _first_byte(window)))):
-        raise DimensionMismatch(
-            f"padded must be the (..., M + 1, L) buffer whose first M rows are the "
-            f"{window.shape} window, got {padded.shape}"
-        )
+    m, length = padded.shape[-2] - 1, padded.shape[-1]
+    window = padded[..., :m, :]
     padded[..., m, :] = 1.0
-    gram = padded[..., :m, :] @ np.swapaxes(padded, -1, -2)
+    gram = window @ np.swapaxes(padded, -1, -2)
     mean = gram[..., m] / length
     gram = gram[..., :m]
     # a + b == b + a, and (a + b) / 2 is exact, so one division by 2L

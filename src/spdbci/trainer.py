@@ -61,17 +61,16 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     bands of the block, which reads a lone trial where it is) and one
     batched :func:`covariance` call on the block's windows.  A set of
     one block returns that call's covariances as they are; a larger set
-    copies each block's into one array.  The spare row belongs to this
-    function and :func:`covariance`: the windows are the first M rows of an
-    (n, S, F, M + 1, Q * b) buffer of block-aligned rows (Q * b =
+    copies each block's into one array.  The windows are the first M rows
+    of an (n, S, F, M + 1, Q * b) buffer of block-aligned rows (Q * b =
     :func:`~spdbci.filterbank.row_len` of the window length L),
     allocated once and reused by every block.  :func:`segment` filters
     into that M-row view; columns L to Q * b of each row hold the
-    filter's response past the window and are never read.  The
-    covariance call reads the ``[..., :L]`` windows and pads each with a
-    row of ones in the last row, so one matrix product per window gives
-    the Gram matrix and the row sums, with no copy or centring of the
-    window.  So the windows
+    filter's response past the window and are never read.  The spare
+    last row belongs to :func:`covariance`, which takes the buffer's
+    ``[..., :L]`` columns and fills that row with ones, so one matrix
+    product per window gives the Gram matrix and the row sums, with no
+    copy or centring of the window.  So the windows
     held in memory are bounded by the block, not the set, and every
     trial's covariances equal its own single-trial run bit for bit,
     whatever block it falls in.  Raises :class:`InsufficientData` for a
@@ -90,7 +89,7 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     def block_covariances(start):
         out = padded[: min(per_block, n - start)]
         segment(trials, spec, config.window_len, slice(start, start + per_block), out[..., :m, :])
-        return covariance(out[..., :m, : config.window_len], out[..., : config.window_len])
+        return covariance(out[..., : config.window_len])
 
     if n == per_block:
         # one block: its covariances are the set's, with no copy

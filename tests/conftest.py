@@ -17,6 +17,15 @@ def random_spd(rng, n, batch=None):
     return a @ np.swapaxes(a, -1, -2) + n * np.eye(n)
 
 
+def pad(window):
+    """The (..., M + 1, L) input of ``spd.covariance`` for the
+    (..., M, L) ``window``: a new buffer whose first M rows are a copy of
+    the window and whose last row is left for the call to fill."""
+    padded = np.empty(window.shape[:-2] + (window.shape[-2] + 1, window.shape[-1]))
+    padded[..., :-1, :] = window
+    return padded
+
+
 def covariance_oracle(window):
     """``spd.covariance`` of ``window`` with numpy's plainest bookkeeping:
     the Gram block added to its transposed view, ``np.trace``, and the
@@ -24,8 +33,7 @@ def covariance_oracle(window):
     pinning the bits of ``covariance``, which takes the same steps with
     fewer passes and no index arrays)."""
     m, length = window.shape[-2:]
-    padded = np.empty(window.shape[:-2] + (m + 1, length))
-    padded[..., :m, :] = window
+    padded = pad(window)
     padded[..., m, :] = 1.0
     gram = padded[..., :m, :] @ np.swapaxes(padded, -1, -2)
     mean = gram[..., m] / length

@@ -4,7 +4,8 @@ Each test prints a single [PASS]/[FAIL] line for its criterion. The
 suite exercises the Riemannian core, the channel-selection optimality
 properties, synthetic subset recovery, the full gradient battery, two
 end-to-end synthetic classification studies, parameter accounting, and
-the on-disk formats plus CLI determinism.
+the on-disk formats plus CLI determinism.  Two floors over seeds follow
+them: selection recovery and mean held-out accuracy.
 """
 
 import itertools
@@ -45,7 +46,13 @@ from spdbci.spd import (
     sym,
 )
 from spdbci.synth import synthetic_trials, two_class_covariances
-from spdbci.trainer import predict, prepare_dataset, train
+from spdbci.trainer import (
+    class_band_representatives,
+    predict,
+    prepare_dataset,
+    select_channels,
+    train,
+)
 
 from conftest import (
     assemble_L_loop,
@@ -525,3 +532,54 @@ def test_criterion_8_formats_and_cli(tmp_path):
         failures.append("train reruns not byte-identical")
 
     _report(8, "formats and CLI determinism", not failures, f"{failures[:3]}")
+
+
+# ---------------------------------------------------------------------------
+# Quality over seeds: criteria 3 and 5 each test one draw, so an estimator
+# that loses quality on most draws can still pass them.  Both floors were
+# set from measured runs and only ever rise.
+# ---------------------------------------------------------------------------
+
+#: Seeds of 1-20 on which the toy select-22ch chain finds the planted
+#: channels; 19 measured (seed 2 misses), with no margin below that.
+SELECTION_RECOVERY_FLOOR = 19
+#: Mean held-out accuracy over seeds 301-305 of the reduced train-c5
+#: shape; 0.940 measured (0.90-0.97 per seed), less a margin of 0.005.
+MEAN_ACCURACY_FLOOR = 0.935
+
+
+def test_selection_recovery_over_seeds():
+    """The benchmark's toy select-22ch shape (22 channels, 500 Hz, 2000
+    samples, 12 trials per class, 5 planted channels drawn from the
+    seed) through ``prepare_dataset``, ``class_band_representatives``
+    and ``select_channels`` finds the planted set on enough seeds."""
+    cfg = TrainConfig(window_len=250, m=5)
+    missed = []
+    for seed in range(1, 21):
+        rng = np.random.default_rng(seed)
+        planted = sorted(int(c) for c in rng.choice(22, 5, replace=False))
+        covs = two_class_covariances(22, planted=planted, separation=2.0, rng=rng)
+        trials = synthetic_trials(covs, 12, 2000, 500.0, rng=rng)
+        windows, labels = prepare_dataset(trials, cfg)
+        picked = select_channels(cfg, class_band_representatives(windows, labels))
+        if picked.selected_channels != planted:
+            missed.append(seed)
+    assert 20 - len(missed) >= SELECTION_RECOVERY_FLOOR, f"missed on seeds {missed}"
+
+
+def test_mean_accuracy_over_seeds():
+    """Criterion 5's class geometry with 100 fit and 50 held-out trials
+    per class, drawn per seed, and the default config for 10 epochs:
+    the mean held-out accuracy over seeds 301-305 clears the floor."""
+    geometry = two_class_covariances(8, planted=[1, 3, 5], separation=2.0,
+                                     rng=np.random.default_rng(55))
+    cfg = TrainConfig(epochs=10)
+    accuracies = []
+    for seed in range(301, 306):
+        rng = np.random.default_rng(seed)
+        fit_set = synthetic_trials(geometry, 100, 250, 250.0, rng=rng)
+        held_out = synthetic_trials(geometry, 50, 250, 250.0, rng=rng)
+        model, _ = train(cfg, fit_set)
+        covs, labels = prepare_dataset(held_out, cfg)
+        accuracies.append(float(np.mean(predict(model, covs) == labels)))
+    assert np.mean(accuracies) >= MEAN_ACCURACY_FLOOR, accuracies

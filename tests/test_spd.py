@@ -19,7 +19,7 @@ from spdbci.spd import (
     sym,
 )
 
-from conftest import airm_distance_eigh, check_psd_theorem1, covariance_oracle, random_spd
+from conftest import airm_distance_eigh, check_psd_theorem1, covariance_oracle, pad, random_spd
 
 
 class TestCovariance:
@@ -29,13 +29,13 @@ class TestCovariance:
         return z @ np.swapaxes(z, -1, -2) / window.shape[-1]
 
     def test_zero_window_gives_scaled_identity(self):
-        out = covariance(np.zeros((3, 10)))
+        out = covariance(pad(np.zeros((3, 10))))
         assert np.array_equal(out, 1e-12 * np.eye(3))
 
     def test_shrinkage_is_scaled_trace_of_raw_covariance(self):
         window = np.random.default_rng(1).standard_normal((5, 40)) * [[1], [2], [3], [4], [5]]
         raw = self.raw_covariance(window)
-        shrink = covariance(window) - raw
+        shrink = covariance(pad(window)) - raw
         eps = SHRINKAGE_SCALE * np.trace(raw) / 5
         assert SHRINKAGE_SCALE == 1e-4
         # the subtraction leaves a few ulps of each diagonal entry
@@ -47,12 +47,12 @@ class TestCovariance:
         row = np.random.default_rng(0).standard_normal(50)
         window = np.stack([row, row, row])
         assert np.linalg.matrix_rank(self.raw_covariance(window)) == 1
-        check_spd(covariance(window))
+        check_spd(covariance(pad(window)))
 
     def test_independent_noise_near_identity(self):
         rng = np.random.default_rng(42)
         window = rng.standard_normal((2, 100_000))
-        cov = covariance(window)
+        cov = covariance(pad(window))
         assert abs(cov[0, 1]) < 0.02
         assert abs(cov[0, 0] - 1.0) < 0.02
         assert abs(cov[1, 1] - 1.0) < 0.02
@@ -60,17 +60,17 @@ class TestCovariance:
     def test_shrinkage_restores_spd(self):
         row = np.ones(20)
         window = np.stack([row, 2 * row])
-        out = covariance(window)
+        out = covariance(pad(window))
         assert np.all(np.linalg.eigvalsh(out) > 0)
 
     def test_batch_equals_stacked_2d_calls(self):
         for m in (5, 22):
             windows = np.random.default_rng(5).standard_normal((3, 4, m, 40))
-            batch = covariance(windows)
+            batch = covariance(pad(windows))
             assert batch.shape == (3, 4, m, m)
             for i in range(3):
                 for j in range(4):
-                    assert np.array_equal(batch[i, j], covariance(windows[i, j]))
+                    assert np.array_equal(batch[i, j], covariance(pad(windows[i, j])))
             assert np.array_equal(batch, np.swapaxes(batch, -1, -2))
             check_spd(batch)
 
@@ -80,9 +80,9 @@ class TestCovariance:
         windows[3] = 0.0
         windows[4] += [[1e6], [-2e6], [0.0]]  # centred, not folded
         assert np.linalg.matrix_rank(self.raw_covariance(windows[2])) == 2
-        batch = covariance(windows)
+        batch = covariance(pad(windows))
         for i in range(5):
-            assert np.array_equal(batch[i], covariance(windows[i]))
+            assert np.array_equal(batch[i], covariance(pad(windows[i])))
         check_spd(batch)
 
     @pytest.mark.parametrize("ratio", [0.0, 9.0, 1e2, 1e4, 1e6, 1e8])
@@ -93,7 +93,7 @@ class TestCovariance:
         noise = rng.standard_normal((4, 6, 200)) * rng.uniform(0.1, 10.0, (4, 6, 1))
         sign = rng.choice([-1.0, 1.0], (4, 6, 1))
         windows = noise + ratio * sign * noise.std(axis=-1, keepdims=True)
-        out = covariance(windows)
+        out = covariance(pad(windows))
         raw = self.raw_covariance(windows)
         eps = np.maximum(SHRINKAGE_SCALE * np.trace(raw, axis1=-2, axis2=-1) / 6, 1e-12)
         oracle = raw + eps[:, None, None] * np.eye(6)
@@ -103,12 +103,13 @@ class TestCovariance:
 
     @pytest.mark.parametrize("m, length", [(6, 200), (1, 200), (6, 1), (1, 1), (2, 200),
                                            (8, 125), (22, 250)])
-    def test_padded_buffer_gives_the_bits_of_the_copy(self, m, length):
+    def test_padded_buffer_gives_the_oracle_bits(self, m, length):
         """Windows filtered into the first M rows of an (..., M + 1, L)
-        buffer give bit for bit the covariances of the same windows
-        padded in a copy, and both give the bits of the plain-numpy
-        oracle, every one exactly symmetric: folded rows (offset ratio
-        9), centred rows (1e4) and a zero window together."""
+        buffer give bit for bit the plain-numpy oracle's covariances and
+        each window's own 2-D call, every one exactly symmetric: folded
+        rows (offset ratio 9), centred rows (1e4) and a zero window
+        together.  The windows are not written, and the scratch row,
+        NaN before the call, holds ones after it."""
         rng = np.random.default_rng(9)
         noise = rng.standard_normal((3, 2, m, length)) * rng.uniform(0.1, 10.0, (3, 2, m, 1))
         sign = rng.choice([-1.0, 1.0], (3, 2, m, 1))
@@ -117,38 +118,31 @@ class TestCovariance:
         windows[2, 1] = 0.0
         padded = np.full((3, 2, m + 1, length), np.nan)
         padded[..., :m, :] = windows
-        out = covariance(padded[..., :m, :], padded)
-        assert out.tobytes() == covariance(windows).tobytes()
+        out = covariance(padded)
         assert out.tobytes() == covariance_oracle(windows).tobytes()
         for i in range(3):
             for j in range(2):
-                assert covariance(windows[i, j]).tobytes() == out[i, j].tobytes()
+                assert covariance(pad(windows[i, j])).tobytes() == out[i, j].tobytes()
         assert np.array_equal(out, np.swapaxes(out, -1, -2))
         assert np.array_equal(padded[..., :m, :], windows)
+        assert np.all(padded[..., m, :] == 1.0)
         assert np.array_equal(out[2, 1], 1e-12 * np.eye(m))
         check_spd(out)
-
-    def test_padded_buffer_of_other_windows_rejected(self):
-        padded = np.zeros((2, 4, 10))
-        with pytest.raises(DimensionMismatch):
-            covariance(padded[:, :3, :].copy(), padded)
-        with pytest.raises(DimensionMismatch):
-            covariance(padded[:, :2, :], padded)
-        with pytest.raises(DimensionMismatch):
-            covariance(padded[:, 1:, :], padded)
 
     def test_constant_offset_window_is_scaled_identity(self):
         # folded, this window's covariance has the eigenvalue -2.6e-10
         window = np.stack([np.full(20, 1000.1), np.full(20, 2000.5)])
-        out = covariance(window)
+        out = covariance(pad(window))
         assert np.allclose(out, 1e-12 * np.eye(2), rtol=0, atol=1e-24)
         check_spd(out)
 
     def test_window_without_samples_rejected(self):
         with pytest.raises(DimensionMismatch):
-            covariance(np.zeros((2, 3, 0)))
+            covariance(pad(np.zeros((2, 3, 0))))
         with pytest.raises(DimensionMismatch):
-            covariance(np.zeros((2, 0, 5)))
+            covariance(pad(np.zeros((2, 0, 5))))
+        with pytest.raises(DimensionMismatch):
+            covariance(np.zeros(5))
 
 
 class TestLogExp:

@@ -54,6 +54,7 @@ from conftest import (
     eval_whitened,
     layered_eval_forward,
     layered_train_step,
+    pad,
     per_part_step,
     random_spd,
     train_to_bundle,
@@ -90,7 +91,7 @@ def per_window_covariances(trials, cfg):
         covs = np.empty((n_windows, n_bands, m, m))
         for s in range(n_windows):
             for f in range(n_bands):
-                covs[s, f] = covariance(windows[s, f].copy())
+                covs[s, f] = covariance(pad(windows[s, f]))
         out.append(covs)
     return np.stack(out)
 
@@ -274,12 +275,16 @@ class TestSynth:
         ({**_SPEC, "planted": "1,1"}, "planted"),
         ({**_SPEC, "seperation": "9"}, "seperation"),
         ({**_SPEC, "noize": "5"}, "noize"),
+        ({**_SPEC, "noise": "-1"}, "noise"),
+        ({**_SPEC, "noise": "nan"}, "noise"),
+        ({**_SPEC, "noise": "inf"}, "noise"),
     ], ids=["missing-channels", "non-numeric-noise", "non-numeric-planted",
             "planted-out-of-range", "zero-channels", "negative-samples",
             "zero-trials-per-class",
             "nan-separation", "inf-separation", "huge-separation",
             "unreachable-separation", "negative-seed", "duplicate-planted",
-            "misspelt-separation", "misspelt-noise"])
+            "misspelt-separation", "misspelt-noise",
+            "negative-noise", "nan-noise", "inf-noise"])
     def test_bad_spec_raises_config_error(self, items, key):
         with pytest.raises(ConfigError, match=key):
             generate_from_spec(items)
@@ -935,23 +940,23 @@ class TestPrepareDataset:
 
 class _BlockCalls(list):
     """One entry per call, holding the number of trials in the block;
-    ``padded`` holds, per call, whether the padded buffer was passed."""
+    ``inputs`` holds each call's (..., M + 1, L) array."""
 
     def __init__(self):
         super().__init__()
-        self.padded = []
+        self.inputs = []
 
 
 @pytest.fixture
 def covariance_blocks(monkeypatch):
     """Count ``prepare_dataset``'s ``covariance`` calls, forwarding the
-    padded buffer when one is passed."""
+    padded buffer."""
     calls = _BlockCalls()
 
-    def counting(window, padded=None):
-        calls.append(np.shape(window)[0])
-        calls.padded.append(padded is not None)
-        return covariance(window, padded)
+    def counting(padded):
+        calls.append(np.shape(padded)[0])
+        calls.inputs.append(padded)
+        return covariance(padded)
 
     monkeypatch.setattr(trainer_module, "covariance", counting)
     return calls
@@ -976,8 +981,11 @@ class TestPrepareBlocks:
         cfg = TrainConfig()
         covs, _ = prepare_dataset(trials, cfg)
         assert covariance_blocks == [7, 7, 6]
-        # every block pads its windows in the buffer they were filtered into
-        assert covariance_blocks.padded == [True, True, True]
+        # every block's windows are the first 8 of 9 rows of the one
+        # buffer they were filtered into
+        assert all(x.shape[-2:] == (9, 125) for x in covariance_blocks.inputs)
+        assert all(np.shares_memory(x, covariance_blocks.inputs[0])
+                   for x in covariance_blocks.inputs)
         assert kernel_calls == [(7, 8, 250), (7, 8, 250), (6, 8, 250)]
         # a block of several trials is stacked into an array of its own
         assert not any(np.shares_memory(x, data) for x in kernel_calls.inputs
@@ -1428,12 +1436,13 @@ class TestCli:
         ("channels = 4\nseperation = 9\nsamples_per_trial = 128\ntrials_per_class = 4\n",
          "seperation"),
         ("channels = 4\nnoize = 5\nsamples_per_trial = 128\ntrials_per_class = 4\n", "noize"),
+        ("channels = 4\nnoise = -1\nsamples_per_trial = 128\ntrials_per_class = 4\n", "noise"),
     ], ids=["missing-key", "non-numeric", "duplicate-key", "missing-equals",
             "planted-out-of-range", "zero-channels", "negative-samples",
             "nan-separation", "inf-separation", "huge-separation",
             "unreachable-separation", "negative-seed", "duplicate-planted",
             "nan-sample-rate", "huge-sample-rate", "tiny-sample-rate",
-            "misspelt-separation", "misspelt-noise"])
+            "misspelt-separation", "misspelt-noise", "negative-noise"])
     def test_gen_synthetic_bad_spec(self, tmp_path, capsys, spec, named):
         path, out = tmp_path / "gen.cfg", tmp_path / "d.eegb"
         path.write_text(spec)
