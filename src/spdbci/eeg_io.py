@@ -70,13 +70,18 @@ def _eegb_record(channels: int, samples: int) -> np.dtype:
     return np.dtype([("label", "<u4"), ("samples", "<f4", (channels, samples))])
 
 
-def _unframe(blob: bytes, what: str) -> bytes:
-    """The payload of a CRC-framed ``blob`` of at least four bytes;
-    a trailer that disagrees raises :class:`ChecksumError`."""
-    payload, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+def _unframe(blob: bytes, what: str) -> memoryview:
+    """The payload of a CRC-framed ``blob`` of at least four bytes, as a
+    view of ``blob`` rather than a copy of it; a trailer that disagrees
+    raises :class:`ChecksumError`."""
+    payload, (crc,) = memoryview(blob)[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise ChecksumError(f"{what} checksum mismatch")
     return payload
+
+
+#: The largest sample magnitude EEGB's float32 holds: the one sample rule.
+EEGB_SAMPLE_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -84,7 +89,15 @@ class RawTrialSet:
     """Validated set of labeled raw trials.  ``n_classes`` is given, not
     inferred from the labels: at least 2, with every label in
     ``0..n_classes - 1``.  The sample rate must have an
-    :func:`eegb_rate`, so every set can be saved and compared."""
+    :func:`eegb_rate`, so every set can be saved and compared.
+
+    Trials are (channels, samples) arrays.  :func:`load_trials` and
+    :func:`~spdbci.synth.synthetic_trials` hand out float32, EEGB's
+    sample type; a caller's float64 arrays are taken as they are, not
+    converted.  Every sample must fit EEGB's float32: a NaN, an infinity
+    or a magnitude above :data:`EEGB_SAMPLE_MAX` raises
+    :class:`NonFiniteValue`, so every set can be saved as it is and its
+    covariances cannot overflow."""
 
     sample_rate_hz: float
     channels: int
@@ -104,8 +117,12 @@ class RawTrialSet:
                     f"trial shape {data.shape} != "
                     f"({self.channels}, {self.samples_per_trial})"
                 )
-            if not np.all(np.isfinite(data)):
-                raise NonFiniteValue("trial contains NaN or Inf")
+            # NaN fails both comparisons; two reductions allocate nothing
+            if not (-EEGB_SAMPLE_MAX <= data.min() and data.max() <= EEGB_SAMPLE_MAX):
+                raise NonFiniteValue(
+                    f"trial holds a sample that is NaN or outside EEGB's float32 "
+                    f"range [-{EEGB_SAMPLE_MAX:.8g}, {EEGB_SAMPLE_MAX:.8g}]"
+                )
             if not (0 <= label < self.n_classes):
                 raise DimensionMismatch(f"label {label} outside 0..{self.n_classes - 1}")
 
@@ -125,7 +142,9 @@ def eegb_rate(rate: float) -> np.float32:
 
 def save_trials(trials: RawTrialSet, path) -> None:
     """Write a trial set in EEGB v1 format.  The sample rate is stored as
-    its :func:`eegb_rate`, checked before the file is opened."""
+    its :func:`eegb_rate`, checked before the file is opened, and each
+    sample as its float32, which :class:`RawTrialSet` has checked it
+    has."""
     header = EEGB_HEADER.pack(
         EEGB_MAGIC, EEGB_VERSION, trials.channels, trials.samples_per_trial,
         len(trials.trials), trials.n_classes, eegb_rate(trials.sample_rate_hz),
@@ -137,8 +156,9 @@ def save_trials(trials: RawTrialSet, path) -> None:
 def load_trials(path) -> RawTrialSet:
     """Read and validate an EEGB v1 file.  A class count below 2, or
     above ``max(2, n_trials)``, more than the trials can back, raises
-    :class:`MalformedHeader`.  The trials are views of one float64
-    (n_trials, M, samples) array."""
+    :class:`MalformedHeader`.  The trials are views of one C-contiguous
+    float32 (n_trials, M, samples) array holding the file's samples as
+    they are: no float64 copy is made."""
     blob = read_file(path)
 
     head_len = EEGB_HEADER.size
@@ -162,7 +182,7 @@ def load_trials(path) -> RawTrialSet:
     except ValueError as exc:  # a record past numpy's 2 GiB, e.g. in a file of no trials
         raise DimensionMismatch(f"a trial of {m} x {samples} samples is too large") from exc
     records = np.frombuffer(payload, dtype=record, offset=head_len)
-    trials = list(zip(records["label"].tolist(), records["samples"].astype(np.float64)))
+    trials = list(zip(records["label"].tolist(), records["samples"].astype(np.float32)))
     return RawTrialSet(float(rate), m, samples, trials, n_classes)
 
 
@@ -246,7 +266,7 @@ def load_model(path) -> ModelBundle:
         raise VersionMismatch(f"unsupported bundle version {version}")
     payload = _unframe(blob, "model bundle")
     try:
-        manifest = json.loads(payload[12 : 12 + meta_len].decode("utf-8"))
+        manifest = json.loads(bytes(payload[12 : 12 + meta_len]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedHeader("bad bundle manifest") from exc
     if not isinstance(manifest, dict) or sorted(manifest) != ["arrays", "config"]:

@@ -209,7 +209,10 @@ def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
     plane of ``out`` must be C-contiguous, so that it is one (M * Q, b)
     matrix of block rows; its leading axes may have any strides.
     Samples of ``x`` past ``S * L`` are not read, and ``x`` is not
-    written.
+    written.  ``x`` holds float32 samples, as EEGB files and synthetic
+    sets do, or float64 ones: it is read only through the two float64
+    copies below, which hold every sample exactly, so both give the
+    same bits.
 
     Every window is cut into Q = ceil(L / b) blocks, the last of
     ``plan.last`` samples, and copied twice.  The state rows are ``b``

@@ -76,20 +76,29 @@ def synthetic_trials(
     """Gaussian trials with class-specific spatial covariance plus
     additive white noise, classes interleaved.
 
-    Every trial is a view of one (N, channels, samples) array, so the set
-    is one allocation, freed whole.  Trials allocated one by one leave
-    holes in the heap when freed, and whether a later large array reuses
-    them or takes fresh pages then varies from run to run.
+    Every trial is a view of one (N, channels, samples) float32 array,
+    EEGB's sample type, so the set is one allocation, freed whole, and
+    equals its own EEGB round trip.  Each trial is computed in float64,
+    ``chol @ z + noise_scale * z'``, and rounded to float32 once.  A
+    sample that float32 cannot hold raises
+    :class:`~spdbci.errors.NonFiniteValue` (see
+    :class:`~spdbci.eeg_io.RawTrialSet`).  Trials allocated one by one
+    leave holes in the heap when freed, and whether a later large array
+    reuses them or takes fresh pages then varies from run to run.
     """
     rng = rng or np.random.default_rng(0)
     chols = [np.linalg.cholesky(c) for c in covariances]
     n_channels = covariances[0].shape[0]
     shape = (n_channels, samples_per_trial)
     labels = [label for _ in range(trials_per_class) for label in range(len(chols))]
-    data = np.empty((len(labels),) + shape)
+    data = np.empty((len(labels),) + shape, dtype=np.float32)
+    draw, trial64 = np.empty(shape), np.empty(shape)
     for trial, label in zip(data, labels):
-        np.matmul(chols[label], rng.standard_normal(shape), out=trial)
-        trial += noise_scale * rng.standard_normal(shape)
+        np.matmul(chols[label], rng.standard_normal(out=draw), out=trial64)
+        trial64 += np.multiply(rng.standard_normal(out=draw), noise_scale, out=draw)
+        # an overflow to +-inf is RawTrialSet's typed failure, not a warning
+        with np.errstate(over="ignore"):
+            trial[...] = trial64
     return RawTrialSet(
         sample_rate_hz=sample_rate_hz,
         channels=n_channels,

@@ -2,6 +2,8 @@
 
 import json
 import struct
+import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -50,7 +52,9 @@ class TestEegb:
         save_trials(original, p1)
         loaded = load_trials(p1)
         for (la, da), (lb, db) in zip(original.trials, loaded.trials):
-            assert la == lb and da.tobytes() == db.tobytes()
+            # loaded as the float32 the file holds, each value unchanged
+            assert la == lb and db.dtype == np.float32
+            assert db.astype(np.float64).tobytes() == da.tobytes()
         save_trials(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -146,18 +150,34 @@ class TestEegbLayout:
         loaded = load_trials(path)
         assert [label for label, _ in loaded.trials] == [label for label, _ in trials]
         for (_, got), (_, data) in zip(loaded.trials, trials):
-            assert got.tobytes() == data.astype(np.float32).astype(np.float64).tobytes()
+            assert got.tobytes() == data.astype(np.float32).tobytes()
 
-    def test_loaded_trials_are_views_of_one_float64_array(self, rng, tmp_path):
+    def test_loaded_trials_are_views_of_one_float32_array(self, rng, tmp_path):
         path = tmp_path / "t.eegb"
         save_trials(_sample_set(rng, channels=3, samples=16, n_trials=5), path)
         loaded = load_trials(path)
         block = loaded.trials[0][1].base
-        assert block.dtype == np.float64 and block.shape == (5, 3, 16)
+        assert block.dtype == np.float32 and block.shape == (5, 3, 16)
         assert block.flags.c_contiguous
         for k, (label, data) in enumerate(loaded.trials):
             assert type(label) is int and label == k % 2
             assert data.base is block and np.shares_memory(data, block[k])
+
+    def test_load_makes_no_float64_copy(self, rng, tmp_path):
+        # numpy reports its allocations to tracemalloc.  The file's bytes
+        # and the float32 samples copied out of them come to about twice
+        # the file; a float64 copy of the samples alone is twice the file
+        path = tmp_path / "t.eegb"
+        save_trials(_sample_set(rng, channels=22, samples=2000, n_trials=24), path)
+        file_bytes = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_trials(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.trials) == 24
+        assert peak < 2.5 * file_bytes
 
 
 class TestRawTrialSet:
@@ -177,6 +197,34 @@ class TestRawTrialSet:
         bad = np.full((2, 10), np.inf)
         with pytest.raises(NonFiniteValue):
             RawTrialSet(250.0, 2, 10, [(0, bad), (1, np.zeros((2, 10)))], 2)
+
+    # A float64 sample past float32's range could not be saved, and
+    # 1e200-scaled samples overflow their covariances.  Each value is the
+    # one bad sample, in the second trial, so neither reduction may miss it
+    @pytest.mark.parametrize("value", [1e200, -1e200, 3.5e38, -np.inf, np.nan],
+                             ids=["huge", "huge-negative", "past-float32-max",
+                                  "minus-inf", "nan"])
+    def test_sample_outside_float32_rejected(self, rng, value):
+        bad = rng.standard_normal((2, 10))
+        bad[1, 7] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"float32 range \[-3\.4028235e\+38, "):
+                RawTrialSet(250.0, 2, 10, [(0, np.zeros((2, 10))), (1, bad)], 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float32_extremes_accepted_and_saved(self, tmp_path, dtype):
+        # the largest float32 magnitudes are in range, in either sample
+        # type, and round-trip through EEGB unchanged
+        top = np.finfo(np.float32).max
+        data = np.array([[top, -top, 0.0], [1.0, -1.0, np.finfo(np.float32).tiny]], dtype=dtype)
+        trials = RawTrialSet(250.0, 2, 3, [(0, data), (1, data[::-1].copy())], 2)
+        path = tmp_path / "x.eegb"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_trials(trials, path)
+        loaded = load_trials(path)
+        assert loaded.trials[0][1].tobytes() == data.astype(np.float32).tobytes()
 
     # 1e300 and 1e-300 Hz are finite and positive, but EEGB's float32
     # field holds neither, so such a set could be neither saved nor compared

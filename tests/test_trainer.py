@@ -3,6 +3,8 @@
 import dataclasses
 import re
 import threading
+import tracemalloc
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from spdbci.errors import (
     MalformedHeader,
     MissingForwardCache,
     NonFiniteLoss,
+    NonFiniteValue,
     NotPositiveDefinite,
     SchemaMismatch,
     WindowTooLong,
@@ -251,13 +254,52 @@ class TestSynth:
         trials = synthetic_trials(covs, 3, 100, 250.0, rng=np.random.default_rng(seed))
         data = trials.trials[0][1].base
         assert data is not None and data.shape == (6, 4, 100)
+        assert data.dtype == np.float32 and data.flags.c_contiguous
         assert all(x.base is data for _, x in trials.trials)
-        # the values are still each trial's own chol @ z + noise * z'
+        # the values are still each trial's own chol @ z + noise * z',
+        # computed in float64 and rounded to float32 once
         draw = np.random.default_rng(seed)
         chols = [np.linalg.cholesky(c) for c in covs]
         for label, x in trials.trials:
             base = chols[label] @ draw.standard_normal((4, 100))
-            assert np.array_equal(x, base + 0.1 * draw.standard_normal((4, 100)))
+            expected = (base + 0.1 * draw.standard_normal((4, 100))).astype(np.float32)
+            assert x.tobytes() == expected.tobytes()
+
+    def test_set_equals_its_eegb_round_trip(self, rng, tmp_path):
+        # the samples are held as EEGB stores them, so a save and a load
+        # change nothing
+        covs = two_class_covariances(5, planted=[1, 3], rng=rng)
+        trials = synthetic_trials(covs, 4, 300, 500.0, rng=rng)
+        path = tmp_path / "s.eegb"
+        save_trials(trials, path)
+        loaded = load_trials(path)
+        assert [label for label, _ in loaded.trials] == [label for label, _ in trials.trials]
+        for (_, got), (_, data) in zip(loaded.trials, trials.trials):
+            assert got.dtype == data.dtype and got.tobytes() == data.tobytes()
+
+    def test_peak_memory_is_the_float32_set(self, rng):
+        # numpy reports its allocations to tracemalloc.  The set is 22 x
+        # 2000 x 48 float32 samples, half its float64 size; a float64
+        # set, or a float64 copy of the set, would pass 1.0x
+        covs = two_class_covariances(22, planted=[2, 9, 17], rng=rng)
+        float64_bytes = 48 * 22 * 2000 * 8
+        tracemalloc.start()
+        try:
+            trials = synthetic_trials(covs, 24, 2000, 500.0, rng=rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trials.trials) == 48
+        assert peak < 0.6 * float64_bytes
+
+    @pytest.mark.parametrize("noise", ["1e200", "1e39"])
+    def test_noise_past_float32_is_a_typed_failure(self, noise):
+        # the samples overflow float32, which RawTrialSet refuses, with no
+        # RuntimeWarning from the rounding on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"3\.4028235e\+38"):
+                generate_from_spec({**_SPEC, "noise": noise})
 
     @pytest.mark.parametrize("items, key", [
         ({"samples_per_trial": "100", "trials_per_class": "2"}, "channels"),
@@ -1067,6 +1109,31 @@ class TestPrepareBlocks:
             one, _ = prepare_dataset(dataclasses.replace(trials, trials=[item]), cfg)
             assert np.array_equal(one, covs[k : k + 1])
 
+    @pytest.mark.parametrize("n_trials", [1, 8], ids=["one-trial", "three-blocks"])
+    def test_float32_trials_give_the_bits_of_their_float64_values(
+            self, monkeypatch, kernel_calls, n_trials):
+        """The kernel copies the samples into its float64 buffers, which
+        is exact, so the float32 trials that EEGB files and
+        ``synthetic_trials`` hold prepare to the bits of the same values
+        in float64; a block of several float32 trials is stacked as
+        float32."""
+        rng = np.random.default_rng(13)
+        covs22 = two_class_covariances(22, planted=[1, 6, 12, 17, 21], rng=rng)
+        narrow = synthetic_trials(covs22, 4, 2000, 500.0, rng=rng)
+        narrow = dataclasses.replace(narrow, trials=narrow.trials[:n_trials])
+        wide = dataclasses.replace(narrow, trials=[(label, data.astype(np.float64))
+                                                   for label, data in narrow.trials])
+        cfg = TrainConfig(window_len=250)
+        monkeypatch.setattr(trainer_module, "BLOCK_BYTES", 3 * 8 * 8 * 9 * 22 * 250 + 7)
+        narrow_covs, narrow_labels = prepare_dataset(narrow, cfg)
+        blocks = len(kernel_calls)
+        wide_covs, wide_labels = prepare_dataset(wide, cfg)
+        assert blocks == -(-n_trials // 3) and len(kernel_calls) == 2 * blocks
+        assert [x.dtype for x in kernel_calls.inputs] == (
+            [np.dtype(np.float32)] * blocks + [np.dtype(np.float64)] * blocks)
+        assert narrow_covs.tobytes() == wide_covs.tobytes()
+        assert narrow_labels.tolist() == wide_labels.tolist()
+
     def test_window_longer_than_the_trials_raises_typed_error(self, small_trials):
         # 128-sample trials hold no 200-sample window: no block size to
         # divide by, and segment's check must still be the one that fires.
@@ -1437,12 +1504,14 @@ class TestCli:
          "seperation"),
         ("channels = 4\nnoize = 5\nsamples_per_trial = 128\ntrials_per_class = 4\n", "noize"),
         ("channels = 4\nnoise = -1\nsamples_per_trial = 128\ntrials_per_class = 4\n", "noise"),
+        ("channels = 4\nnoise = 1e200\nsamples_per_trial = 128\ntrials_per_class = 4\n",
+         "float32 range [-3.4028235e+38, 3.4028235e+38]"),
     ], ids=["missing-key", "non-numeric", "duplicate-key", "missing-equals",
             "planted-out-of-range", "zero-channels", "negative-samples",
             "nan-separation", "inf-separation", "huge-separation",
             "unreachable-separation", "negative-seed", "duplicate-planted",
             "nan-sample-rate", "huge-sample-rate", "tiny-sample-rate",
-            "misspelt-separation", "misspelt-noise", "negative-noise"])
+            "misspelt-separation", "misspelt-noise", "negative-noise", "float32-overflow-noise"])
     def test_gen_synthetic_bad_spec(self, tmp_path, capsys, spec, named):
         path, out = tmp_path / "gen.cfg", tmp_path / "d.eegb"
         path.write_text(spec)
