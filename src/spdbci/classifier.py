@@ -58,7 +58,6 @@ class TangentClassifier:
             n_bands * conv_out
         )
         self.head_b = np.zeros(n_classes)
-        self.n_classes = n_classes
         self._cache: dict | None = None
         self.grads: dict[str, np.ndarray] = {}
 

@@ -41,8 +41,8 @@ class TrainConfig:
             raise ConfigError(
                 "selection_max_iters >= 1 and a finite selection_tol > 0 required"
             )
-        if self.channel_scoring not in ("row-norm", "argmax"):
-            raise ConfigError("channel_scoring must be 'row-norm' or 'argmax'")
+        if self.channel_scoring != "row-norm":
+            raise ConfigError("channel_scoring must be 'row-norm', the one scoring rule")
         try:
             self.band_spec()
         except InvalidBand as exc:

@@ -125,7 +125,6 @@ class BankPlan:
     output in the first ``last`` columns; the other columns are the
     filter's response past the window."""
 
-    block: int
     last: int
     response: np.ndarray  # (F, b + n, b): impulse response, then each state's
     state_in: np.ndarray  # (F, b, n): the end state of an impulse at each sample
@@ -168,7 +167,7 @@ def _build_plan(designs: list[np.ndarray], last: int) -> BankPlan:
     arrays = (response, state_in, transition, last_transition)
     for array in arrays:
         array.setflags(write=False)
-    return BankPlan(b, last, *arrays)
+    return BankPlan(last, *arrays)
 
 
 def bank_plan(spec: BandSpec, sample_rate: float, window_len: int) -> BankPlan:
@@ -233,7 +232,7 @@ def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
     output equals ``sosfilt`` to round-off.
     """
     n_trials, n_windows, n_bands, m, width = out.shape
-    b, last, n = plan.block, plan.last, plan.transition.shape[-1]
+    b, last, n = BLOCK, plan.last, plan.transition.shape[-1]
     per_window = width // b
     window_len = width - b + last
     full = window_len - last  # samples in the full blocks of a window

@@ -225,17 +225,17 @@ def karcher_mean(batch: np.ndarray) -> np.ndarray:
 class RbnLayer:
     """Riemannian batch normalization with a fitted reference: the
     congruence ``X -> r X r`` by ``r = whitener = mean^(-1/2)``, where
-    :meth:`fit` sets ``mean`` once before training (the re-centring of
-    Zanini et al., IEEE TBME 2018) and the forward never moves it, so
-    training and the folded plan of :class:`~spdbci.model.Model` run the
-    same map.  The model owns that fit,
-    :meth:`~spdbci.model.Model.fit_reference`: it passes the class-band
+    ``mean`` is set once before training (the re-centring of Zanini et
+    al., IEEE TBME 2018) and the forward never moves it, so training and
+    the folded plan of :class:`~spdbci.model.Model` run the same map.
+    The model owns that fit, :meth:`~spdbci.model.Model.fit_reference`:
+    it sets ``mean`` to the :func:`karcher_mean` of the class-band
     representatives, cut to the selected channels and seen through the
-    initial BiMap weight.  Setting ``mean``, by :meth:`fit` or a bundle load,
-    computes the whitener once.  The output is symmetric to round-off;
-    :class:`ReEigLayer` symmetrises it before decomposing.  The backward
-    is the adjoint ``G -> r G r`` and treats ``r`` as a statistic (no
-    gradient flows through the mean).
+    initial BiMap weight.  Setting ``mean``, by that fit or a bundle
+    load, computes the whitener once.  The output is symmetric to
+    round-off; :class:`ReEigLayer` symmetrises it before decomposing.
+    The backward is the adjoint ``G -> r G r`` and treats ``r`` as a
+    statistic (no gradient flows through the mean).
     """
 
     def __init__(self, dim: int):
@@ -249,10 +249,6 @@ class RbnLayer:
     def mean(self, value: np.ndarray) -> None:
         self.whitener = inv_sqrtm(value)
         self._mean = value
-
-    def fit(self, batch: np.ndarray) -> None:
-        """Set ``mean`` to the :func:`karcher_mean` of an SPD batch."""
-        self.mean = karcher_mean(batch)
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         r = self.whitener

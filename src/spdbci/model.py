@@ -40,7 +40,8 @@ from .classifier import TangentClassifier
 from .config import TrainConfig, config_from_mapping
 from .eeg_io import ModelBundle, eegb_rate
 from .errors import DimensionMismatch, MalformedHeader, ShapeMismatch
-from .layers import BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, random_stiefel, stiefel_step
+from .layers import (BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, karcher_mean,
+                     random_stiefel, stiefel_step)
 from .selection import MbtHeads
 from .spd import check_spd, eig_fn
 
@@ -100,7 +101,6 @@ class Model:
         self.n_channels, self.m = n_channels, len(self.channels)
         # flat index of the (m, m) entries that cut reads off each M*M row
         self._cut_index = self.channels[:, None] * n_channels + self.channels
-        self.n_classes = n_classes
 
         m = self.m
         self.bimap = BiMapLayer(random_stiefel(rng, m, m).T)
@@ -133,12 +133,13 @@ class Model:
         return covs.reshape(covs.shape[:-2] + (-1,)).take(self._cut_index, axis=-1)
 
     def fit_reference(self, reps: np.ndarray) -> None:
-        """Fit the RBN mean on SPD representatives (..., M, M), cut to the
-        selected channels and seen through the BiMap weight;
+        """Set the RBN mean to the :func:`~spdbci.layers.karcher_mean` of
+        SPD representatives (..., M, M), cut to the selected channels and
+        seen through the BiMap weight;
         :func:`~spdbci.trainer.train` runs it once, on the initial weight."""
         self._plan = None
         w = self.bimap.weight
-        self.rbn.fit(w @ self.cut(reps) @ w.T)
+        self.rbn.mean = karcher_mean(w @ self.cut(reps) @ w.T)
 
     def forward(self, covs: np.ndarray, training: bool = True) -> np.ndarray:
         """(B, S, F, M, M) covariance batch -> (B, C) logits."""

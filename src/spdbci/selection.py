@@ -102,27 +102,11 @@ class SelectionTransform:
     final_drift: float
 
 
-def score_channels(w: np.ndarray, m: int, rule: str = "row-norm") -> list[int]:
-    """Rank channels by participation in the retained eigenvector stack.
-
-    ``row-norm`` scores channel r by the l2 norm of row r of W and keeps
-    the m largest; ``argmax`` takes the largest-magnitude entry of each
-    eigenvector instead.
-    """
-    if rule == "row-norm":
-        scores = np.linalg.norm(w, axis=1)
-        picked = np.argsort(scores)[::-1][:m]
-    elif rule == "argmax":
-        picked = []
-        for col in range(w.shape[1]):
-            order = np.argsort(np.abs(w[:, col]))[::-1]
-            for idx in order:
-                if idx not in picked:
-                    picked.append(idx)
-                    break
-        picked = np.asarray(picked[:m])
-    else:
-        raise ConfigError(f"unknown scoring rule {rule!r}")
+def score_channels(w: np.ndarray, m: int) -> list[int]:
+    """Rank channels by participation in the retained eigenvector stack:
+    channel r scores the l2 norm of row r of W, and the m largest are
+    kept, in ascending order."""
+    picked = np.argsort(np.linalg.norm(w, axis=1))[::-1][:m]
     return sorted(int(i) for i in picked)
 
 
@@ -143,8 +127,11 @@ def fit_selection(
     representative per (class, band) (see
     :func:`spdbci.trainer.class_band_representatives`), so the distance
     structure reflects between-group geometry rather than within-group
-    noise.
+    noise.  ``scoring`` names the rule of :func:`score_channels`:
+    ``row-norm``, the one rule; any other raises :class:`ConfigError`.
     """
+    if scoring != "row-norm":
+        raise ConfigError(f"unknown channel scoring rule {scoring!r}: 'row-norm' is the only one")
     samples = np.asarray(samples, dtype=np.float64)
     n, big_m = samples.shape[0], samples.shape[1]
     if not (1 <= m <= big_m):
@@ -174,7 +161,7 @@ def fit_selection(
             break
 
     return SelectionTransform(
-        selected_channels=score_channels(w, m, scoring),
+        selected_channels=score_channels(w, m),
         iterations_run=iterations,
         objective_trace=trace,
         final_drift=drift,

@@ -185,8 +185,11 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            logits = model.forward(covs[idx], training=True)
-            loss, grad = cross_entropy(logits, labels[idx])
+            # a diverging step overflows here; the loss check below
+            # reports it, typed, instead of numpy's warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits = model.forward(covs[idx], training=True)
+                loss, grad = cross_entropy(logits, labels[idx])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"loss became {loss} at epoch {len(losses)}")
             model.backward(grad)

@@ -280,7 +280,7 @@ def test_criterion_4_gradient_suite():
         # RBN with its whitener frozen: fitted on the batch, the map is
         # sym(r y r), r = inv_sqrtm(mean)
         rbn = RbnLayer(5)
-        rbn.fit(x)
+        rbn.mean = karcher_mean(x)
         g = rng.standard_normal((2, 5, 5))
         rbn.forward(x)
         gx = rbn.backward(g)

@@ -20,7 +20,7 @@ import pytest
 from spdbci.cli import main as cli_main
 from spdbci.config import TrainConfig
 from spdbci.eeg_io import RawTrialSet, load_model, load_trials, save_model, save_trials
-from spdbci.errors import MalformedHeader, SpdBciError
+from spdbci.errors import ConfigError, MalformedHeader, SpdBciError
 from spdbci.model import model_from_bundle
 from spdbci.synth import synthetic_trials, two_class_covariances
 from spdbci.trainer import bench_inference
@@ -350,3 +350,12 @@ def test_bundle_config_bad_values_fail_typed(bundle_blob, bundle_trials, tmp_pat
     blob = rewritten(bundle_blob, config={key: value})
     assert not leaks(load_build_and_run(bundle_trials), [(f"{key}={value!r}", blob)],
                      tmp_path / "x.sbcm")
+
+
+def test_bundle_config_argmax_scoring_fails_typed(bundle_blob, bundle_trials, tmp_path):
+    """A snapshot naming the deleted ``argmax`` rule is refused, as a
+    config file naming it is: ``row-norm`` is the one scoring rule."""
+    path = tmp_path / "x.sbcm"
+    path.write_bytes(rewritten(bundle_blob, config={"channel_scoring": "argmax"}))
+    with pytest.raises(ConfigError, match="channel_scoring must be 'row-norm'"):
+        load_build_and_run(bundle_trials)(path)

@@ -274,34 +274,35 @@ class TestKarcher:
 
 
 class TestRbn:
-    def test_fit_stores_the_karcher_mean_and_forward_keeps_it(self, rng):
+    def test_mean_sets_the_whitener_and_forward_keeps_both(self, rng):
         batch = random_spd(rng, 4, batch=8)
         layer = RbnLayer(4)
-        layer.fit(batch)
-        fitted = layer.mean.copy()
-        assert np.array_equal(fitted, karcher_mean(batch))
+        layer.mean = fitted = karcher_mean(batch)
+        whitener = layer.whitener.copy()
+        assert np.array_equal(whitener, inv_sqrtm(fitted))
         layer.forward(random_spd(rng, 4, batch=3))
         layer.forward(batch)
         assert np.array_equal(layer.mean, fitted)
+        assert np.array_equal(layer.whitener, whitener)
 
     def test_identical_batch_maps_to_identity(self, rng):
         x = random_spd(rng, 4)
         batch = np.stack([x, x, x])
         layer = RbnLayer(4)
-        layer.fit(batch)
+        layer.mean = karcher_mean(batch)
         assert np.max(np.abs(layer.forward(batch) - np.eye(4))) < 1e-8
 
     def test_commuting_pair_unchanged(self):
         a = 2.0
         batch = np.stack([np.diag([a, 1.0]), np.diag([1 / a, 1.0])])
         layer = RbnLayer(2)
-        layer.fit(batch)
+        layer.mean = karcher_mean(batch)
         assert np.allclose(layer.forward(batch), batch, atol=1e-8)
 
     def test_normalized_mean_is_identity(self, rng):
         batch = random_spd(rng, 6, batch=16)
         layer = RbnLayer(6)
-        layer.fit(batch)
+        layer.mean = karcher_mean(batch)
         out = layer.forward(batch)
         # one Karcher-flow step commutes with congruence, so the Karcher
         # mean of the output of the batch it was fitted on is the identity
@@ -310,7 +311,7 @@ class TestRbn:
     def test_frozen_whitener_gradient_fd(self, rng):
         batch = random_spd(rng, 5, batch=4)
         layer = RbnLayer(5)
-        layer.fit(batch)
+        layer.mean = karcher_mean(batch)
         g = rng.standard_normal(batch.shape)
         layer.forward(batch)
         gx = layer.backward(g)
@@ -348,7 +349,7 @@ def test_spd_closure_through_block(rng):
     w = random_stiefel(rng, 6, 4).T
     out = BiMapLayer(w).forward(x)
     rbn = RbnLayer(4)
-    rbn.fit(out)
+    rbn.mean = karcher_mean(out)
     out = rbn.forward(out)
     out = ReEigLayer(1e-4).forward(out)
     assert np.all(np.linalg.eigvalsh(sym(out)) > 0)

@@ -269,12 +269,14 @@ class TestFitSelection:
         assert (result.iterations_run == max_iters) == capped
         assert (result.final_drift >= 1e-6) == capped
 
-    def test_argmax_scoring_rule(self):
+    def test_row_norm_scoring_rule(self):
         w = np.array([[0.9, 0.0], [0.1, 0.1], [0.0, 0.95], [0.3, 0.2]])
-        assert score_channels(w, 2, rule="argmax") == [0, 2]
-        assert score_channels(w, 2, rule="row-norm") == [0, 2]
-        with pytest.raises(ConfigError):
-            score_channels(w, 2, rule="bogus")
+        assert score_channels(w, 2) == [0, 2]
+
+    @pytest.mark.parametrize("scoring", ["argmax", "bogus"])
+    def test_only_row_norm_scoring_is_accepted(self, rng, scoring):
+        with pytest.raises(ConfigError, match="'row-norm' is the only one"):
+            fit_selection(random_spd(rng, 4, batch=3), m=2, scoring=scoring)
 
 
 def _kernel(rng, k, m, lead=(3, 2)):

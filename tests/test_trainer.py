@@ -21,7 +21,7 @@ from spdbci.config import (
     read_mapping,
 )
 from spdbci.classifier import cross_entropy
-from spdbci.eeg_io import load_model, load_trials, save_model, save_trials
+from spdbci.eeg_io import RawTrialSet, load_model, load_trials, save_model, save_trials
 from spdbci.errors import (
     ConfigError,
     InsufficientData,
@@ -38,7 +38,7 @@ import spdbci.filterbank as filterbank_module
 from spdbci.filterbank import segment
 from spdbci.layers import karcher_mean
 from spdbci.model import Model, count_parameters, model_from_bundle, model_to_bundle
-from spdbci.spd import covariance
+from spdbci.spd import FOLD_RATIO, SHRINKAGE_SCALE, covariance
 from spdbci.synth import generate_from_spec, synthetic_trials, two_class_covariances
 import spdbci.trainer as trainer_module
 from spdbci.trainer import (
@@ -212,6 +212,7 @@ class TestConfig:
             {"window_len": 0},
             {"selection_max_iters": 0},
             {"channel_scoring": "bogus"},
+            {"channel_scoring": "argmax"},
             {"selection_tol": 0.0},
             {"learning_rate": float("nan")},
             {"learning_rate": float("inf")},
@@ -358,13 +359,17 @@ class TestTrain:
         w = model.bimap.weight
         assert np.linalg.norm(w @ w.T - np.eye(w.shape[0])) < 1e-8
 
-    def test_diverging_loss_raises_typed_error(self, small_trials):
+    @pytest.mark.parametrize("rate", [1e300, 1e308, 1.7e308])
+    def test_diverging_loss_raises_typed_error(self, small_trials, rate):
         """A step that overflows the weights makes the loss non-finite,
-        and training stops there, typed, naming the epoch."""
-        cfg = TrainConfig(**{**SMALL, "learning_rate": 1e300})
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NonFiniteLoss, match=r"loss became \S+ at epoch 0"):
-            train(cfg, small_trials)
+        and training stops there, typed, naming the epoch, with no numpy
+        warning before it: the overflow is the failure's, not the
+        caller's to silence."""
+        cfg = TrainConfig(**{**SMALL, "learning_rate": rate})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteLoss, match=r"loss became \S+ at epoch 0"):
+                train(cfg, small_trials)
 
     def test_bundle_round_trip_preserves_predictions(self, small_trials, tmp_path):
         cfg = TrainConfig(**SMALL)
@@ -703,7 +708,10 @@ class TestFoldedPlan:
         model, _ = train(cfg, small_trials)
         covs, labels = prepare_dataset(small_trials, cfg)
         before = model.forward(covs, training=False)
-        model.fit_reference(class_band_representatives(covs[:8], labels[:8]))
+        reps = class_band_representatives(covs[:8], labels[:8])
+        model.fit_reference(reps)
+        w = model.bimap.weight
+        assert np.array_equal(model.rbn.mean, karcher_mean(w @ model.cut(reps) @ w.T))
         bundle = model_to_bundle(model, config_to_mapping(cfg))
         after = model.forward(covs, training=False)
         assert not np.array_equal(after, before)
@@ -973,6 +981,32 @@ class TestPrepareDataset:
             one, label = prepare_dataset(single, cfg)
             assert np.array_equal(one, covs[k : k + 1])
             assert label.tolist() == [item[0]]
+
+    def test_dc_offset_windows_are_centred(self):
+        """A DC-coupled amplifier's offset, 10 mV on 10 uV of noise, gets
+        through the bank's -40 dB stopband, so the windows after each
+        band's step transient carry a row mean far above their spread:
+        they take ``covariance``'s centring path, and every covariance
+        matches centring each window first, then ``Z Z^T / L`` and the
+        shrinkage, to 1e-12 of its largest entry."""
+        rng = np.random.default_rng(11)
+        trials = RawTrialSet(250.0, 8, 1000, [
+            (k % 2, (0.01 + 1e-5 * rng.standard_normal((8, 1000))).astype(np.float32))
+            for k in range(4)
+        ], 2)
+        cfg = TrainConfig()
+        covs, _ = prepare_dataset(trials, cfg)
+        windows = np.stack([w for _, w in segment(trials, cfg.band_spec(), cfg.window_len)])
+        mean = windows.mean(axis=-1, keepdims=True)
+        z = windows - mean
+        oracle = z @ np.swapaxes(z, -1, -2) / cfg.window_len
+        var = np.diagonal(oracle, axis1=-2, axis2=-1)
+        m = oracle.shape[-1]
+        eps = np.maximum(SHRINKAGE_SCALE * var.sum(axis=-1) / m, 1e-12)
+        oracle += np.eye(m) * eps[..., None, None]
+        assert np.any(mean[..., 0] ** 2 > FOLD_RATIO * var)
+        err = np.max(np.abs(covs - oracle), axis=(-2, -1))
+        assert np.all(err <= 1e-12 * np.max(np.abs(oracle), axis=(-2, -1)))
 
     def test_empty_trial_set(self, small_trials):
         empty = dataclasses.replace(small_trials, trials=[])
@@ -1555,8 +1589,9 @@ class TestCli:
         ("window_len", "200", "window_len 200 exceeds trial length 128"),
         ("window_len", "2", "violates the uncertainty bound"),
         ("bands", "8-16;16-125", "band (16.0, 125.0) must satisfy"),
+        ("channel_scoring", "argmax", "channel_scoring must be 'row-norm'"),
     ], ids=["m-above-channels", "m-zero", "window-above-trial", "window-below-gabor",
-            "band-at-nyquist"])
+            "band-at-nyquist", "argmax-scoring"])
     def test_bad_config_value_fails_typed(self, small_trials, tmp_path, capsys,
                                           command, key, value, named):
         """A config value that the 4-channel, 128-sample, 250 Hz data
@@ -1605,6 +1640,24 @@ class TestCli:
         assert cli_main([command, *map(str, args)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert list(out_dir.iterdir()) == []
+
+    def test_diverging_train_fails_typed_with_warnings_as_errors(self, small_trials,
+                                                                  tmp_path, capsys):
+        """A learning rate that overflows the weights exits 1 with the
+        typed ``loss became`` error, even where numpy's warnings are
+        errors, and writes no bundle."""
+        data, cfg, out = tmp_path / "d.eegb", tmp_path / "train.cfg", tmp_path / "m.sbcm"
+        save_trials(small_trials, data)
+        _write_small_config(cfg)
+        with cfg.open("a") as f:
+            f.write("learning_rate = 1e300\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(["train", "--config", str(cfg), "--data", str(data),
+                             "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: loss became")
+        assert not out.exists()
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.eegb"
