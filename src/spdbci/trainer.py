@@ -11,6 +11,7 @@ training partition before network training.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -64,16 +65,29 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     copies each block's into one array.  The windows are the first M rows
     of an (n, S, F, M + 1, Q * b) buffer of block-aligned rows (Q * b =
     :func:`~spdbci.filterbank.row_len` of the window length L),
-    allocated once and reused by every block.  :func:`segment` filters
-    into that M-row view; columns L to Q * b of each row hold the
-    filter's response past the window and are never read.  The spare
+    allocated once per worker and reused by every block it takes.
+    :func:`segment` filters into that M-row view; columns L to Q * b of
+    each row hold the filter's response past the window and are never
+    read.  The spare
     last row belongs to :func:`covariance`, which takes the buffer's
     ``[..., :L]`` columns and fills that row with ones, so one matrix
     product per window gives the Gram matrix and the row sums, with no
     copy or centring of the window.  So the windows
     held in memory are bounded by the block, not the set, and every
     trial's covariances equal its own single-trial run bit for bit,
-    whatever block it falls in.  Raises :class:`InsufficientData` for a
+    whatever block it falls in.
+
+    When each trial fills a block by itself (its windows exceed
+    :data:`BLOCK_BYTES`, as 22-channel, 4 s trials do) and the set has
+    more than one, the blocks run on :func:`_pool_workers` workers, one
+    per CPU the process may use: the caller and pool threads take trials
+    in order from one iterator, each into a padded buffer of its own,
+    and each writes its trial's rows of ``covs`` (:func:`_drain`); numpy
+    releases the GIL in the filter kernel's and ``covariance``'s
+    products.  Multi-trial blocks and one-trial sets run in the caller
+    alone: pooled 8-channel blocks measured no faster.  Either way the
+    first failing block's error is raised, and the pool is joined
+    before the call returns.  Raises :class:`InsufficientData` for a
     set without trials.
     """
     if not trials.trials:
@@ -86,28 +100,145 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     per_block = min(n, max(1, BLOCK_BYTES // max(1, trial_bytes)))
     padded = np.empty((per_block, n_windows, len(spec.bands), m + 1, row_len(config.window_len)))
 
-    def block_covariances(start):
-        out = padded[: min(per_block, n - start)]
+    def block_covariances(buffer, start):
+        out = buffer[: min(per_block, n - start)]
         segment(trials, spec, config.window_len, slice(start, start + per_block), out[..., :m, :])
         return covariance(out[..., : config.window_len])
 
     if n == per_block:
         # one block: its covariances are the set's, with no copy
-        covs = block_covariances(0)
+        covs = block_covariances(padded, 0)
     else:
         covs = np.empty((n, n_windows, len(spec.bands), m, m))
-        for start in range(0, n, per_block):
-            covs[start : start + per_block] = block_covariances(start)
+
+        def fill(buffer, start):
+            covs[start : start + per_block] = block_covariances(buffer, start)
+
+        workers = _pool_workers(n, segment, covariance) if per_block == 1 else 1
+        _drain(range(0, n, per_block), workers, padded, fill)
     labels = np.asarray([label for label, _ in trials.trials], dtype=np.int64)
     return covs, labels
 
 
+def _drain(starts, workers, buffer, fill):
+    """Call ``fill(buffer, start)`` for each of ``starts``, taken in
+    order from one iterator by the caller, with ``buffer``, and by
+    ``workers - 1`` pool threads, each with an empty buffer like it of
+    its own.  Once a call fails, each thread finishes its current call
+    and takes no new start; after the pool is joined, the lowest failing
+    start's error is raised, which is the error a loop over ``starts``
+    raises."""
+    taken = iter(starts)
+    lock = threading.Lock()
+    failures = {}
+
+    def run(own):
+        while True:
+            with lock:
+                start = None if failures else next(taken, None)
+            if start is None:
+                return
+            try:
+                fill(own, start)
+            except BaseException as exc:
+                with lock:
+                    failures[start] = exc
+
+    if workers < 2:
+        run(buffer)
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = pool.map(run, (np.empty_like(buffer) for _ in range(workers - 1)))
+            run(buffer)
+            list(helpers)
+    if failures:
+        raise failures[min(failures)]
+
+
+#: Where :func:`_cpu_count` reads the process's cgroups, and the root
+#: under which their controllers are mounted.
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _cgroup_cpu_limit() -> int | None:
+    """The CPUs a cgroup CPU quota grants this process, or None where
+    no quota is set or none can be read.
+
+    Each line of :data:`_PROC_CGROUP` names a hierarchy and the
+    process's cgroup in it.  cgroup v2 (``0::/path``) keeps the quota
+    in ``cpu.max`` as ``quota period``, or ``max period`` for none; a
+    v1 hierarchy with the ``cpu`` controller keeps it in
+    ``cpu.cfs_quota_us`` (-1 for none) and ``cpu.cfs_period_us``.  A
+    parent's quota bounds its children, so the process's cgroup and
+    each of its parents up to the hierarchy's root count, and the
+    smallest ``ceil(quota / period)``, at least 1, wins.  A file that
+    is missing, unreadable or malformed counts as no quota.
+    """
+    try:
+        with open(_PROC_CGROUP, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError):
+        return None
+    limits = []
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        _, controllers, path = fields
+        if controllers == "":
+            base, read = _CGROUP_ROOT, _read_cpu_max
+        elif "cpu" in controllers.split(","):
+            base, read = os.path.join(_CGROUP_ROOT, controllers), _read_cfs_quota
+        else:
+            continue
+        parts = [p for p in path.split("/") if p]
+        for depth in range(len(parts), -1, -1):
+            try:
+                quota = read(os.path.join(base, *parts[:depth]))
+            except (OSError, ValueError):
+                continue
+            if quota is not None:
+                limits.append(max(1, -(-quota[0] // quota[1])))
+    return min(limits, default=None)
+
+
+def _read_cpu_max(directory):
+    with open(os.path.join(directory, "cpu.max"), encoding="ascii") as fh:
+        quota, period = fh.read().split()
+    return None if quota == "max" else (int(quota), int(period))
+
+
+def _read_cfs_quota(directory):
+    with open(os.path.join(directory, "cpu.cfs_quota_us"), encoding="ascii") as fh:
+        quota = int(fh.read())
+    with open(os.path.join(directory, "cpu.cfs_period_us"), encoding="ascii") as fh:
+        period = int(fh.read())
+    return None if quota < 0 else (quota, period)
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask where the OS
-    reports one, else the machine's count."""
+    reports one, else the machine's count, and no more than a cgroup
+    CPU quota grants (:func:`_cgroup_cpu_limit`)."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        count = len(os.sched_getaffinity(0))
+    else:
+        count = os.cpu_count() or 1
+    limit = _cgroup_cpu_limit()
+    return count if limit is None else min(count, limit)
+
+
+def _pool_workers(items: int, *work) -> int:
+    """Workers for ``items`` independent tasks, the one pool rule: one
+    per CPU the process may use (:func:`_cpu_count`), at most one per
+    item.  1, so no pool, when a function of the ``work`` is wrapped
+    (it has a ``__wrapped__``, as a ``functools.wraps`` profiler or
+    tracer gives it): such a wrapper may keep state that two threads
+    would corrupt, so it runs in the caller alone."""
+    if any(hasattr(fn, "__wrapped__") for fn in work):
+        return 1
+    return min(_cpu_count(), items)
 
 
 def class_band_representatives(covs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -115,19 +246,17 @@ def class_band_representatives(covs: np.ndarray, labels: np.ndarray) -> np.ndarr
     the :func:`~spdbci.layers.karcher_mean` of the group, one
     Karcher-flow step from their arithmetic mean.
 
-    The groups run on a pool of one thread per CPU the process may use
-    (:func:`_cpu_count`), at most one per group.  The caller only waits,
+    The groups run on a pool of :func:`_pool_workers` threads, one per
+    CPU the process may use and at most one per group, with no pool for
+    one worker or a wrapped ``karcher_mean``.  The caller only waits,
     so no more threads are runnable than there are CPUs; numpy releases
     the GIL in the ``eigh`` and ``gemm`` calls that make up a mean.  The
-    pool is made for this call and joined before it returns.  No pool is
-    made with one CPU or one group, nor when ``karcher_mean`` is wrapped
-    (it has a ``__wrapped__``, as a ``functools.wraps`` profiler or
-    tracer gives it): such a wrapper may keep state that two threads
-    would corrupt, so it runs in the caller alone.  Each group's mean is
-    computed alone from the same data, so the result is the same bit for
-    bit whatever the CPU count.  Results come back in (class, band)
-    order, so the first failing group's error is raised, as the serial
-    loop raised it, and groups not yet started are cancelled.
+    pool is made for this call and joined before it returns.  Each
+    group's mean is computed alone from the same data, so the result is
+    the same bit for bit whatever the CPU count.  Results come back in
+    (class, band) order, so the first failing group's error is raised,
+    as the serial loop raised it, and groups not yet started are
+    cancelled.
     """
     m = covs.shape[-1]
     groups = [(labels == c, f) for c in np.unique(labels) for f in range(covs.shape[2])]
@@ -137,8 +266,8 @@ def class_band_representatives(covs: np.ndarray, labels: np.ndarray) -> np.ndarr
         # index one (class, band) group: a whole-class copy sets the memory peak
         return karcher_mean(covs[in_class, :, f].reshape(-1, m, m))
 
-    workers = min(_cpu_count(), len(groups))
-    if workers < 2 or hasattr(karcher_mean, "__wrapped__"):
+    workers = _pool_workers(len(groups), karcher_mean)
+    if workers < 2:
         return np.stack([fit(g) for g in groups])
     with ThreadPoolExecutor(workers) as pool:
         return np.stack(list(pool.map(fit, groups)))

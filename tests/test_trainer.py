@@ -2,9 +2,11 @@
 
 import dataclasses
 import re
+import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from spdbci.classifier import cross_entropy
 from spdbci.eeg_io import RawTrialSet, load_model, load_trials, save_model, save_trials
 from spdbci.errors import (
     ConfigError,
+    GaborViolation,
     InsufficientData,
     IoFailure,
     MalformedHeader,
@@ -1244,6 +1247,8 @@ class TestRepresentativePool:
         """Where ``os`` reports no affinity mask, the machine's count is
         used, and 1 where even that is unknown."""
         monkeypatch.delattr(trainer_module.os, "sched_getaffinity", raising=False)
+        # no cgroup file, so no quota: the count is the machine's alone
+        monkeypatch.setattr(trainer_module, "_PROC_CGROUP", "/nonexistent/cgroup")
         monkeypatch.setattr(trainer_module.os, "cpu_count", lambda: 3)
         assert trainer_module._cpu_count() == 3
         monkeypatch.setattr(trainer_module.os, "cpu_count", lambda: None)
@@ -1331,6 +1336,240 @@ class TestRepresentativePool:
         means = [s for s in rec.spans if s[0] == "layers.karcher_mean"]
         assert len(outer) == 1 and len(means) == 4
         assert all(parent == outer[0] and end > start for _, start, end, parent in means)
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """A real ``ThreadPoolExecutor`` that records the worker counts it
+    was asked for."""
+
+    asked: list[int] = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+        super().__init__(max_workers)
+
+
+class TestPreparePool:
+    """``prepare_dataset`` runs one-trial blocks on every CPU the process
+    may use, the caller included, and the count changes no bit.  Sets
+    whose blocks hold several trials, and one-trial sets, stay in the
+    caller."""
+
+    @pytest.fixture(scope="class")
+    def trials22(self):
+        """4 trials of 22 channels at 500 Hz, 8 windows of 250 samples x 9
+        bands: 3.2 MB of windows each, so one trial a block."""
+        rng = np.random.default_rng(9)
+        covs22 = two_class_covariances(22, planted=[0, 4, 9, 13, 20], rng=rng)
+        return synthetic_trials(covs22, 2, 2000, 500.0, rng=rng)
+
+    CFG = TrainConfig(window_len=250)
+
+    @pytest.fixture(scope="class")
+    def expected(self, trials22):
+        covs = per_window_covariances(trials22, self.CFG)
+        for k, item in enumerate(trials22.trials):
+            one, _ = prepare_dataset(dataclasses.replace(trials22, trials=[item]), self.CFG)
+            assert one.tobytes() == covs[k : k + 1].tobytes()
+        return covs
+
+    @staticmethod
+    def _use_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(trainer_module, "_cpu_count", lambda: cpus)
+        if cpus == 1:
+            monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _NoPool)
+        elif cpus == 2:
+            monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _CountingPool)
+            monkeypatch.setattr(_CountingPool, "asked", [])
+        else:
+            def refuse(thread):
+                raise AssertionError(f"thread {thread.name} started")
+
+            monkeypatch.setattr(threading.Thread, "start", refuse)
+            monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _InlineExecutor)
+            monkeypatch.setattr(_InlineExecutor, "asked", [])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_covariances_do_not_depend_on_the_cpu_count(self, trials22, expected,
+                                                        monkeypatch, cpus):
+        self._use_cpus(monkeypatch, cpus)
+        threads_before = threading.active_count()
+        covs, labels = prepare_dataset(trials22, self.CFG)
+        assert threading.active_count() == threads_before
+        assert covs.tobytes() == expected.tobytes()
+        assert labels.tolist() == [label for label, _ in trials22.trials]
+        # the caller drains blocks too, so the pool holds one thread fewer
+        # than the workers, which are at most one per block
+        if cpus == 2:
+            assert _CountingPool.asked == [1]
+        elif cpus == 64:
+            assert _InlineExecutor.asked == [min(64, 4) - 1]
+
+    def test_multi_trial_blocks_and_one_trial_sets_stay_in_the_caller(self, trials22,
+                                                                      monkeypatch):
+        """No pool is made, and the CPU count is not even read, so a
+        single-trial decode pays nothing for the pool."""
+        asked = []
+
+        def two_cpus():
+            asked.append(1)
+            return 2
+
+        monkeypatch.setattr(trainer_module, "_cpu_count", two_cpus)
+        monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _NoPool)
+        c5 = _c5_shaped_trials(10)
+        covs, _ = prepare_dataset(c5, TrainConfig())
+        assert covs.tobytes() == per_window_covariances(c5, TrainConfig()).tobytes()
+        one = dataclasses.replace(trials22, trials=trials22.trials[:1])
+        prepare_dataset(one, self.CFG)
+        assert asked == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_a_failing_block_raises_in_the_caller(self, trials22, monkeypatch, cpus):
+        """8-sample windows break the Gabor bound for the 4 Hz bands; at
+        22 channels each trial still fills a block by itself."""
+        self._use_cpus(monkeypatch, cpus)
+        threads_before = threading.active_count()
+        with pytest.raises(GaborViolation):
+            prepare_dataset(trials22, TrainConfig(window_len=8))
+        assert threading.active_count() == threads_before
+
+    def test_the_lowest_failing_block_sets_the_error(self, trials22, monkeypatch):
+        """Block 1 fails only after block 2 has failed on the other
+        thread.  Block 1's error is raised, as the serial loop would
+        raise it, and block 3 is never started."""
+        self._use_cpus(monkeypatch, 2)
+        block_2_failed = threading.Event()
+        started = []
+
+        def segment_or_fail(trials, spec, window_len, block, out):
+            started.append(block.start)
+            if block.start == 1:
+                assert block_2_failed.wait(timeout=30)
+                raise GaborViolation("block 1")
+            if block.start == 2:
+                block_2_failed.set()
+                raise GaborViolation("block 2")
+            return segment(trials, spec, window_len, block, out)
+
+        monkeypatch.setattr(trainer_module, "segment", segment_or_fail)
+        threads_before = threading.active_count()
+        with pytest.raises(GaborViolation, match="block 1"):
+            prepare_dataset(trials22, self.CFG)
+        assert threading.active_count() == threads_before
+        assert sorted(started) == [0, 1, 2]
+
+    def test_more_workers_than_cores_take_each_block_once(self, monkeypatch):
+        """8 workers on 2 or fewer cores, switching threads every
+        microsecond: every block is filtered exactly once, and every
+        trial's covariances equal its own single-trial call."""
+        rng = np.random.default_rng(10)
+        covs22 = two_class_covariances(22, planted=[1, 5, 9, 12, 17], rng=rng)
+        trials = synthetic_trials(covs22, 8, 2000, 500.0, rng=rng)
+        expected = np.concatenate([
+            prepare_dataset(dataclasses.replace(trials, trials=[item]), self.CFG)[0]
+            for item in trials.trials])
+        started = []
+
+        def counting_segment(*args, **kwargs):
+            started.append(args[3].start)
+            return segment(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "segment", counting_segment)
+        monkeypatch.setattr(trainer_module, "_cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            covs, _ = prepare_dataset(trials, self.CFG)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(started) == list(range(16))
+        assert covs.tobytes() == expected.tobytes()
+
+    def test_under_the_benchmark_tracer_the_blocks_run_in_the_caller(self, trials22, expected,
+                                                                      monkeypatch):
+        """The benchmark's tracer wraps ``segment`` and ``covariance`` and
+        keeps one span stack for all threads.  Under it no pool is made,
+        so each block's spans nest in the call's span, and the
+        covariances keep their bytes."""
+        self._use_cpus(monkeypatch, 64)
+        monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _NoPool)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import spdbci
+        from tracer import Tracer
+
+        rec = Tracer()
+        rec.install(spdbci)
+        try:
+            covs, _ = trainer_module.prepare_dataset(trials22, self.CFG)
+        finally:
+            rec.uninstall()
+        assert covs.tobytes() == expected.tobytes()
+        outer = [i for i, s in enumerate(rec.spans) if s[0] == "trainer.prepare_dataset"]
+        assert len(outer) == 1
+        for name in ("filterbank.segment", "spd.covariance"):
+            spans = [s for s in rec.spans if s[0] == name]
+            assert len(spans) == 4
+            assert all(parent == outer[0] and end > start for _, start, end, parent in spans)
+
+
+class TestCpuQuota:
+    """``_cpu_count`` takes no more CPUs than the process's cgroup CPU
+    quota grants, ceil(quota / period) and at least 1, read from fake
+    cgroup files."""
+
+    @staticmethod
+    def _cgroup(monkeypatch, tmp_path, proc, files, affinity=8):
+        (tmp_path / "cgroup").write_text(proc)
+        for rel, text in files.items():
+            path = tmp_path / "fs" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        monkeypatch.setattr(trainer_module, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(trainer_module, "_CGROUP_ROOT", str(tmp_path / "fs"))
+        monkeypatch.setattr(trainer_module.os, "sched_getaffinity",
+                            lambda pid: set(range(affinity)), raising=False)
+
+    @pytest.mark.parametrize("proc, files, cpus", [
+        # cgroup v2: quota and period in cpu.max
+        ("0::/a/b\n", {"a/b/cpu.max": "150000 100000\n"}, 2),
+        ("0::/a/b\n", {"a/b/cpu.max": "max 100000\n"}, 8),
+        ("0::/\n", {"cpu.max": "300000 100000\n"}, 3),
+        # a parent's quota bounds its child's
+        ("0::/a/b\n", {"a/cpu.max": "100000 100000\n", "a/b/cpu.max": "400000 100000\n"}, 1),
+        # never below one CPU
+        ("0::/a\n", {"a/cpu.max": "1000 100000\n"}, 1),
+        # cgroup v1: the cpu controller's hierarchy, named by its line
+        ("4:memory:/x\n3:cpu,cpuacct:/x\n",
+         {"cpu,cpuacct/x/cpu.cfs_quota_us": "250000\n",
+          "cpu,cpuacct/x/cpu.cfs_period_us": "100000\n"}, 3),
+        ("3:cpu,cpuacct:/x\n",
+         {"cpu,cpuacct/x/cpu.cfs_quota_us": "-1\n",
+          "cpu,cpuacct/x/cpu.cfs_period_us": "100000\n"}, 8),
+        # a quota above the affinity mask leaves the mask's count
+        ("0::/a\n", {"a/cpu.max": "5000000 100000\n"}, 8),
+        # a cgroup path the mount does not show: its root's quota counts
+        ("1:cpu:/docker/abc\n",
+         {"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+        # no quota file, or one that does not parse: no quota
+        ("0::/a\n", {}, 8),
+        ("0::/a\n", {"a/cpu.max": "lots\n"}, 8),
+        ("3:cpu:/x\n", {"cpu/x/cpu.cfs_quota_us": "50000\n"}, 8),
+        ("not a cgroup line\n", {"cpu.max": "100000 100000\n"}, 8),
+    ])
+    def test_quota_bounds_the_count(self, monkeypatch, tmp_path, proc, files, cpus):
+        self._cgroup(monkeypatch, tmp_path, proc, files)
+        assert trainer_module._cpu_count() == cpus
+
+    def test_affinity_below_the_quota_sets_the_count(self, monkeypatch, tmp_path):
+        self._cgroup(monkeypatch, tmp_path, "0::/\n", {"cpu.max": "400000 100000\n"},
+                     affinity=2)
+        assert trainer_module._cpu_count() == 2
+
+    def test_unreadable_cgroup_file_leaves_the_count(self, monkeypatch, tmp_path):
+        self._cgroup(monkeypatch, tmp_path, "", {}, affinity=5)
+        monkeypatch.setattr(trainer_module, "_PROC_CGROUP", str(tmp_path / "missing"))
+        assert trainer_module._cpu_count() == 5
 
 
 class TestFolds:
