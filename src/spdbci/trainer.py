@@ -11,7 +11,7 @@ training partition before network training.
 from __future__ import annotations
 
 import os
-import threading
+import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -65,30 +65,33 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     copies each block's into one array.  The windows are the first M rows
     of an (n, S, F, M + 1, Q * b) buffer of block-aligned rows (Q * b =
     :func:`~spdbci.filterbank.row_len` of the window length L),
-    allocated once per worker and reused by every block it takes.
-    :func:`segment` filters into that M-row view; columns L to Q * b of
-    each row hold the filter's response past the window and are never
-    read.  The spare
-    last row belongs to :func:`covariance`, which takes the buffer's
-    ``[..., :L]`` columns and fills that row with ones, so one matrix
-    product per window gives the Gram matrix and the row sums, with no
-    copy or centring of the window.  So the windows
+    allocated once (twice when pipelined, below) and reused by every
+    block.  :func:`segment` filters into that M-row view; columns L to
+    Q * b of each row hold the filter's response past the window and are
+    never read.  The spare last row belongs to :func:`covariance`, which
+    takes the buffer's ``[..., :L]`` columns and fills that row with
+    ones, so one matrix product per window gives the Gram matrix and the
+    row sums, with no copy or centring of the window.  So the windows
     held in memory are bounded by the block, not the set, and every
     trial's covariances equal its own single-trial run bit for bit,
     whatever block it falls in.
 
     When each trial fills a block by itself (its windows exceed
-    :data:`BLOCK_BYTES`, as 22-channel, 4 s trials do) and the set has
-    more than one, the blocks run on :func:`_pool_workers` workers, one
-    per CPU the process may use: the caller and pool threads take trials
-    in order from one iterator, each into a padded buffer of its own,
-    and each writes its trial's rows of ``covs`` (:func:`_drain`); numpy
-    releases the GIL in the filter kernel's and ``covariance``'s
-    products.  Multi-trial blocks and one-trial sets run in the caller
-    alone: pooled 8-channel blocks measured no faster.  Either way the
-    first failing block's error is raised, and the pool is joined
-    before the call returns.  Raises :class:`InsufficientData` for a
-    set without trials.
+    :data:`BLOCK_BYTES`, as 22-channel, 4 s trials do), the set has more
+    than one, and :func:`_pool_workers` grants two or more workers, the
+    blocks run as a two-stage pipeline (:func:`_pipeline`): the caller
+    filters each trial into one of two padded buffers while one pool
+    thread takes the other buffer's covariances and writes its trial's
+    rows of ``covs``; numpy releases the GIL in the filter kernel's and
+    ``covariance``'s products.  The covariances are about a third of a
+    trial's time, so the caller's filtering stays the critical path: the
+    stage runs at the calling thread's speed and waits for the helper
+    only when the helper's CPU runs at under about half the caller's.
+    Multi-trial blocks and one-trial sets run in the caller alone:
+    pooled 8-channel blocks measured no faster.  Either way the first
+    failing block's error is raised, and the pool is joined before the
+    call returns.  Raises :class:`InsufficientData` for a set without
+    trials.
     """
     if not trials.trials:
         raise InsufficientData("the trial set has no trials")
@@ -100,59 +103,74 @@ def prepare_dataset(trials: RawTrialSet, config: TrainConfig):
     per_block = min(n, max(1, BLOCK_BYTES // max(1, trial_bytes)))
     padded = np.empty((per_block, n_windows, len(spec.bands), m + 1, row_len(config.window_len)))
 
-    def block_covariances(buffer, start):
+    def filtered(buffer, start):
         out = buffer[: min(per_block, n - start)]
         segment(trials, spec, config.window_len, slice(start, start + per_block), out[..., :m, :])
-        return covariance(out[..., : config.window_len])
+        return out[..., : config.window_len]
 
     if n == per_block:
         # one block: its covariances are the set's, with no copy
-        covs = block_covariances(padded, 0)
+        covs = covariance(filtered(padded, 0))
     else:
         covs = np.empty((n, n_windows, len(spec.bands), m, m))
 
-        def fill(buffer, start):
-            covs[start : start + per_block] = block_covariances(buffer, start)
+        def reduce(windows, start):
+            covs[start : start + per_block] = covariance(windows)
 
-        workers = _pool_workers(n, segment, covariance) if per_block == 1 else 1
-        _drain(range(0, n, per_block), workers, padded, fill)
+        if per_block == 1 and _pool_workers(n, segment, covariance) > 1:
+            _pipeline(range(n), padded, filtered, reduce)
+        else:
+            for start in range(0, n, per_block):
+                reduce(filtered(padded, start), start)
     labels = np.asarray([label for label, _ in trials.trials], dtype=np.int64)
     return covs, labels
 
 
-def _drain(starts, workers, buffer, fill):
-    """Call ``fill(buffer, start)`` for each of ``starts``, taken in
-    order from one iterator by the caller, with ``buffer``, and by
-    ``workers - 1`` pool threads, each with an empty buffer like it of
-    its own.  Once a call fails, each thread finishes its current call
-    and takes no new start; after the pool is joined, the lowest failing
-    start's error is raised, which is the error a loop over ``starts``
-    raises."""
-    taken = iter(starts)
-    lock = threading.Lock()
-    failures = {}
+def _pipeline(starts, buffer, first, second):
+    """Run ``second(first(b, start), start)`` for each of ``starts`` in
+    order, the caller calling each ``first`` and one pool thread each
+    ``second``, so the ``second`` of one start overlaps the ``first`` of
+    the next.  The calls alternate between ``buffer`` and an empty array
+    like it: a ``first`` waits until the ``second`` that last used its
+    buffer has returned.  After a ``first`` fails the caller starts no
+    other, and the ``second`` calls already handed over still run; after
+    a ``second`` fails the thread runs no other and the caller starts no
+    new ``first``.  Once the thread is joined, the lower failing start's
+    error is raised, which is the error a loop over ``starts`` raises."""
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    free.put(buffer)
+    free.put(np.empty_like(buffer))
+    failed = {}  # "first" and "second": (start, error), each set once
 
-    def run(own):
-        while True:
-            with lock:
-                start = None if failures else next(taken, None)
-            if start is None:
-                return
+    def drain():
+        while (item := filled.get()) is not None:
+            buf, start, result = item
             try:
-                fill(own, start)
+                if "second" not in failed:
+                    second(result, start)
             except BaseException as exc:
-                with lock:
-                    failures[start] = exc
+                failed["second"] = (start, exc)
+            finally:
+                free.put(buf)
 
-    if workers < 2:
-        run(buffer)
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = pool.map(run, (np.empty_like(buffer) for _ in range(workers - 1)))
-            run(buffer)
-            list(helpers)
-    if failures:
-        raise failures[min(failures)]
+    with ThreadPoolExecutor(1) as pool:
+        helper = pool.submit(drain)
+        try:
+            for start in starts:
+                buf = free.get()
+                if "second" in failed:
+                    break
+                try:
+                    result = first(buf, start)
+                except BaseException as exc:
+                    failed["first"] = (start, exc)
+                    break
+                filled.put((buf, start, result))
+        finally:
+            filled.put(None)
+            helper.result()
+    if failed:
+        raise min(failed.values(), key=lambda item: item[0])[1]
 
 
 #: Where :func:`_cpu_count` reads the process's cgroups, and the root

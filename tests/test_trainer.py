@@ -1350,10 +1350,11 @@ class _CountingPool(ThreadPoolExecutor):
 
 
 class TestPreparePool:
-    """``prepare_dataset`` runs one-trial blocks on every CPU the process
-    may use, the caller included, and the count changes no bit.  Sets
-    whose blocks hold several trials, and one-trial sets, stay in the
-    caller."""
+    """``prepare_dataset`` pipelines one-trial blocks over two threads
+    when the process may use two CPUs or more: the caller filters each
+    trial while one pool thread takes the covariances of the trial
+    before.  The CPU count changes no bit.  Sets whose blocks hold
+    several trials, and one-trial sets, stay in the caller."""
 
     @pytest.fixture(scope="class")
     def trials22(self):
@@ -1378,16 +1379,9 @@ class TestPreparePool:
         monkeypatch.setattr(trainer_module, "_cpu_count", lambda: cpus)
         if cpus == 1:
             monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _NoPool)
-        elif cpus == 2:
+        else:
             monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _CountingPool)
             monkeypatch.setattr(_CountingPool, "asked", [])
-        else:
-            def refuse(thread):
-                raise AssertionError(f"thread {thread.name} started")
-
-            monkeypatch.setattr(threading.Thread, "start", refuse)
-            monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _InlineExecutor)
-            monkeypatch.setattr(_InlineExecutor, "asked", [])
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_covariances_do_not_depend_on_the_cpu_count(self, trials22, expected,
@@ -1398,12 +1392,9 @@ class TestPreparePool:
         assert threading.active_count() == threads_before
         assert covs.tobytes() == expected.tobytes()
         assert labels.tolist() == [label for label, _ in trials22.trials]
-        # the caller drains blocks too, so the pool holds one thread fewer
-        # than the workers, which are at most one per block
-        if cpus == 2:
+        # one pool thread takes the covariances, however many CPUs
+        if cpus > 1:
             assert _CountingPool.asked == [1]
-        elif cpus == 64:
-            assert _InlineExecutor.asked == [min(64, 4) - 1]
 
     def test_multi_trial_blocks_and_one_trial_sets_stay_in_the_caller(self, trials22,
                                                                       monkeypatch):
@@ -1435,33 +1426,64 @@ class TestPreparePool:
         assert threading.active_count() == threads_before
 
     def test_the_lowest_failing_block_sets_the_error(self, trials22, monkeypatch):
-        """Block 1 fails only after block 2 has failed on the other
-        thread.  Block 1's error is raised, as the serial loop would
-        raise it, and block 3 is never started."""
+        """Block 1's covariances fail only after the caller's filtering
+        of block 2 has failed.  Block 1's error is raised, as the serial
+        loop would raise it, and block 3 is never filtered."""
         self._use_cpus(monkeypatch, 2)
         block_2_failed = threading.Event()
-        started = []
+        filtered, reduced = [], []
 
         def segment_or_fail(trials, spec, window_len, block, out):
-            started.append(block.start)
-            if block.start == 1:
-                assert block_2_failed.wait(timeout=30)
-                raise GaborViolation("block 1")
+            filtered.append(block.start)
             if block.start == 2:
                 block_2_failed.set()
                 raise GaborViolation("block 2")
             return segment(trials, spec, window_len, block, out)
 
+        def covariance_or_fail(padded):
+            reduced.append(len(reduced))  # one thread reduces the blocks in order
+            if reduced[-1] == 1:
+                assert block_2_failed.wait(timeout=30)
+                raise GaborViolation("block 1")
+            return covariance(padded)
+
         monkeypatch.setattr(trainer_module, "segment", segment_or_fail)
+        monkeypatch.setattr(trainer_module, "covariance", covariance_or_fail)
         threads_before = threading.active_count()
         with pytest.raises(GaborViolation, match="block 1"):
             prepare_dataset(trials22, self.CFG)
         assert threading.active_count() == threads_before
-        assert sorted(started) == [0, 1, 2]
+        assert filtered == [0, 1, 2]
+        assert reduced == [0, 1]
 
-    def test_more_workers_than_cores_take_each_block_once(self, monkeypatch):
-        """8 workers on 2 or fewer cores, switching threads every
-        microsecond: every block is filtered exactly once, and every
+    def test_a_failing_reduction_stops_the_filtering(self, trials22, monkeypatch):
+        """Block 1's covariances fail: its error is raised, block 2's
+        covariances are never taken, and block 3 is never filtered,
+        since its buffer comes back only after the failure."""
+        self._use_cpus(monkeypatch, 2)
+        filtered, reduced = [], []
+
+        def counting_segment(trials, spec, window_len, block, out):
+            filtered.append(block.start)
+            return segment(trials, spec, window_len, block, out)
+
+        def covariance_or_fail(padded):
+            reduced.append(len(reduced))
+            if reduced[-1] == 1:
+                raise GaborViolation("block 1")
+            return covariance(padded)
+
+        monkeypatch.setattr(trainer_module, "segment", counting_segment)
+        monkeypatch.setattr(trainer_module, "covariance", covariance_or_fail)
+        with pytest.raises(GaborViolation, match="block 1"):
+            prepare_dataset(trials22, self.CFG)
+        assert filtered in ([0, 1], [0, 1, 2])
+        assert reduced == [0, 1]
+
+    def test_the_caller_filters_and_one_thread_reduces_each_block_once(self, monkeypatch):
+        """16 one-trial blocks at 8 CPUs, switching threads every
+        microsecond: the caller filters every block once, in order, one
+        other thread takes every block's covariances once, and every
         trial's covariances equal its own single-trial call."""
         rng = np.random.default_rng(10)
         covs22 = two_class_covariances(22, planted=[1, 5, 9, 12, 17], rng=rng)
@@ -1469,21 +1491,29 @@ class TestPreparePool:
         expected = np.concatenate([
             prepare_dataset(dataclasses.replace(trials, trials=[item]), self.CFG)[0]
             for item in trials.trials])
-        started = []
+        filtered, reducers = [], []
 
         def counting_segment(*args, **kwargs):
-            started.append(args[3].start)
+            filtered.append((threading.get_ident(), args[3].start))
             return segment(*args, **kwargs)
 
+        def counting_covariance(padded):
+            reducers.append(threading.get_ident())
+            return covariance(padded)
+
         monkeypatch.setattr(trainer_module, "segment", counting_segment)
-        monkeypatch.setattr(trainer_module, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(trainer_module, "covariance", counting_covariance)
+        self._use_cpus(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             covs, _ = prepare_dataset(trials, self.CFG)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(started) == list(range(16))
+        assert filtered == [(threading.get_ident(), k) for k in range(16)]
+        assert len(reducers) == 16 and len(set(reducers)) == 1
+        assert reducers[0] != threading.get_ident()
+        assert _CountingPool.asked == [1]
         assert covs.tobytes() == expected.tobytes()
 
     def test_under_the_benchmark_tracer_the_blocks_run_in_the_caller(self, trials22, expected,
