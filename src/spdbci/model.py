@@ -2,8 +2,10 @@
 transform, and the tangent-space classifier, wired for training with
 hand-derived gradients.
 
-Forward path per trial: covariance tensor (S, F, M, M) -> the rows and
-columns of the m selected channels, (S, F, m, m) -> one
+Forward path per trial: covariance tensor (S, F, M(M + 1)/2), each
+window's matrix as its packed upper triangle (see
+:func:`~spdbci.spd.packed_layout`) -> the rows and columns of the m
+selected channels, (S, F, m, m) -> one
 BiMap/RBN/ReEig block -> LogEig -> K bilinear heads -> per-band conv ->
 band-importance gate -> linear head -> class logits.  Channel selection
 thus cuts the SPD dimension: every layer after the cut runs at m x m.
@@ -43,7 +45,7 @@ from .errors import DimensionMismatch, MalformedHeader, ShapeMismatch
 from .layers import (BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, karcher_mean,
                      random_stiefel, stiefel_step)
 from .selection import MbtHeads
-from .spd import check_spd, eig_fn
+from .spd import check_spd, eig_fn, packed_layout
 
 #: Largest entry of ``|W^T W - I|`` a bundle's BiMap or head weight may
 #: show; the Stiefel retraction keeps trained weights near round-off.
@@ -56,7 +58,8 @@ BUNDLE_RANKS = {"selection": 1, "clf_kernel": 3, "clf_head_b": 1, "sample_rate":
 
 
 class Model:
-    """Trainable pipeline over per-trial covariance tensors.
+    """Trainable pipeline over per-trial covariance tensors, each
+    window's matrix stored as its packed upper triangle.
 
     ``channels`` lists the m selected channels of the ``n_channels`` (M)
     of the covariances, in ascending order; with m = M nothing is cut.
@@ -99,8 +102,9 @@ class Model:
         self.n_bands = n_bands
         self.channels = np.asarray(channels)
         self.n_channels, self.m = n_channels, len(self.channels)
-        # flat index of the (m, m) entries that cut reads off each M*M row
-        self._cut_index = self.channels[:, None] * n_channels + self.channels
+        # packed position of each (m, m) entry that cut reads off a row
+        self._cut_index = packed_layout(n_channels).full[np.ix_(self.channels, self.channels)]
+        self._packed_width = n_channels * (n_channels + 1) // 2
 
         m = self.m
         self.bimap = BiMapLayer(random_stiefel(rng, m, m).T)
@@ -127,28 +131,32 @@ class Model:
     # ------------------------------------------------------------------
 
     def cut(self, covs: np.ndarray) -> np.ndarray:
-        """The rows and columns of the selected channels: (..., M, M) ->
-        (..., m, m), taken from each matrix as one flat row of M*M entries
-        through a precomputed index."""
-        return covs.reshape(covs.shape[:-2] + (-1,)).take(self._cut_index, axis=-1)
+        """The rows and columns of the selected channels: packed rows
+        (..., M(M + 1)/2) -> full (..., m, m), read from each row through
+        a precomputed (m, m) index of packed positions, one ``take``."""
+        return covs.take(self._cut_index, axis=-1)
 
     def fit_reference(self, reps: np.ndarray) -> None:
         """Set the RBN mean to the :func:`~spdbci.layers.karcher_mean` of
-        SPD representatives (..., M, M), cut to the selected channels and
-        seen through the BiMap weight;
+        full SPD representatives (..., M, M), cut to the selected
+        channels and seen through the BiMap weight;
         :func:`~spdbci.trainer.train` runs it once, on the initial weight."""
         self._plan = None
         w = self.bimap.weight
-        self.rbn.mean = karcher_mean(w @ self.cut(reps) @ w.T)
+        self.rbn.mean = karcher_mean(w @ reps[..., self.channels[:, None], self.channels] @ w.T)
 
     def forward(self, covs: np.ndarray, training: bool = True) -> np.ndarray:
-        """(B, S, F, M, M) covariance batch -> (B, C) logits."""
-        b, s, f, big_m, _ = covs.shape
-        if (s, f, big_m) != (self.n_windows, self.n_bands, self.n_channels):
+        """(B, S, F, M(M + 1)/2) packed covariance batch -> (B, C) logits.
+        A tensor of another rank, or whose (S, F) or packed width is not
+        the model's, raises :class:`~spdbci.errors.ShapeMismatch`."""
+        # a tensor of another rank fails this test too
+        if covs.shape[1:] != (self.n_windows, self.n_bands, self._packed_width):
             raise ShapeMismatch(
-                f"covariance tensor {covs.shape[1:]} does not match model "
-                f"({self.n_windows}, {self.n_bands}, {self.n_channels})"
+                f"covariance tensor of shape {covs.shape} does not match the model's "
+                f"(B, {self.n_windows}, {self.n_bands}, {self._packed_width}): "
+                f"packed rows of {self.n_channels} channels"
             )
+        b, s, f = covs.shape[:3]
         m = self.m
         x = self.cut(covs).reshape(b * s * f, m, m)
         if not training:

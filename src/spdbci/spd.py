@@ -1,7 +1,10 @@
 """Symmetric positive-definite matrix algebra.
 
-The package's one covariance estimator, shrunk by a fixed fraction of
-its own trace.  It takes the window as the first rows of the caller's
+The packed layout in which the package stores a window's covariance:
+the M(M + 1)/2 entries on and above the diagonal, row by row
+(:func:`packed_layout`, :func:`pack`, :func:`unpack`).  The package's
+one covariance estimator, shrunk by a fixed fraction of its own trace,
+returns it.  It takes the window as the first rows of the caller's
 buffer, whose one spare row it fills with ones: one general matrix
 product (BLAS ``gemm``) per window then gives its Gram matrix and its
 row sums, and the row means are folded into the Gram matrix.  Then the
@@ -16,9 +19,13 @@ axes.
 
 from __future__ import annotations
 
+import functools
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite, ShapeMismatch
 
 # Relative symmetry tolerance for inputs claiming to be symmetric.
 SYM_RTOL = 1e-10
@@ -75,8 +82,61 @@ def check_spd(x: np.ndarray, name: str = "matrix") -> None:
     require_spd(np.linalg.eigvalsh(x), name)
 
 
+class PackedLayout(NamedTuple):
+    """Index arrays of the packed layout of a symmetric M x M matrix: its
+    P = M(M + 1)/2 entries ``(i, j)`` with ``i <= j``, in row-major
+    order.  Every array is read-only."""
+
+    #: (P,) the row ``i`` and the column ``j`` of each packed entry
+    rows: np.ndarray
+    cols: np.ndarray
+    #: (M,) the packed position of each diagonal entry ``(i, i)``
+    diag: np.ndarray
+    #: (M, M) the packed position of entry ``(i, j)``, and so of ``(j, i)``
+    full: np.ndarray
+    #: (2, P) the flat positions of ``(i, j)`` and of ``(j, i)`` in an
+    #: (M, M + 1) array, such as :func:`covariance`'s Gram product
+    gram: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def packed_layout(m: int) -> PackedLayout:
+    """The :class:`PackedLayout` of M = ``m`` channels, built once per M."""
+    rows, cols = np.triu_indices(m)
+    full = np.empty((m, m), dtype=np.intp)
+    full[rows, cols] = full[cols, rows] = np.arange(len(rows))
+    layout = PackedLayout(rows, cols, full.diagonal().copy(), full,
+                          np.stack([rows * (m + 1) + cols, cols * (m + 1) + rows]))
+    for index in layout:
+        index.flags.writeable = False
+    return layout
+
+
+def packed_order(width: int) -> int:
+    """The M whose packed rows are ``width`` entries wide, M(M + 1)/2 =
+    ``width``; :class:`ShapeMismatch` when no M >= 1 gives that width."""
+    m = (math.isqrt(8 * width + 1) - 1) // 2
+    if m < 1 or m * (m + 1) // 2 != width:
+        raise ShapeMismatch(f"{width} is not the packed width M(M + 1)/2 of any M >= 1")
+    return m
+
+
+def pack(full: np.ndarray) -> np.ndarray:
+    """Packed rows (..., M(M + 1)/2) of symmetric matrices (..., M, M)."""
+    layout = packed_layout(full.shape[-1])
+    return full[..., layout.rows, layout.cols]
+
+
+def unpack(packed: np.ndarray) -> np.ndarray:
+    """Symmetric matrices (..., M, M) of packed rows (..., M(M + 1)/2),
+    each entry read once for ``(i, j)`` and once for ``(j, i)``: one
+    ``take``.  A width that no M gives raises :class:`ShapeMismatch`."""
+    return packed.take(packed_layout(packed_order(packed.shape[-1])).full, axis=-1)
+
+
 def covariance(padded: np.ndarray) -> np.ndarray:
-    """Shrunk spatial covariance ``C + eps I`` of one window or a batch.
+    """Shrunk spatial covariance ``C + eps I`` of one window or a batch,
+    as packed rows: (..., M(M + 1)/2) in the :func:`packed_layout` of M.
 
     ``padded`` is a writable ``(..., M + 1, L)`` array: its first M rows
     are the window, channels x samples (a batch of windows on the leading
@@ -95,11 +155,13 @@ def covariance(padded: np.ndarray) -> np.ndarray:
     ``X @ X.T`` alone to the symmetric ``syrk``, which OpenBLAS 0.3.31
     runs about 1.6 times slower at these shapes (0.83 against 0.51 ms
     for the 72 windows of a 22-channel, 250-sample, 9-band trial on one
-    thread of a 2-core x86-64 VM).  Its ``X X^T`` block is made exactly
-    symmetric by averaging it with its transpose: a transposed copy, to
-    which the block is added in place.  The trace and the shrinkage go
-    through one strided view of the diagonals.  The window's rows are
-    never centred or written.
+    thread of a 2-core x86-64 VM).  Each packed entry of its ``X X^T``
+    block is the average of ``(i, j)`` and ``(j, i)``, so the matrix is
+    exactly symmetric; the division by ``L``, the mean product
+    ``mu_i mu_j``, the trace and the shrinkage then run on the packed
+    entries alone, half the work of the full matrix, and each packed
+    entry takes the same operations on the same operands as it would in
+    the full one.  The window's rows are never centred or written.
 
     That fold's rounding error in ``C_ij`` scales with the rows' mean
     squares ``mu_i^2 + var_i``, where centring's scales with their
@@ -107,13 +169,12 @@ def covariance(padded: np.ndarray) -> np.ndarray:
     window whose rows all keep ``mu_i^2 <= FOLD_RATIO * var_i`` stays
     within 1e-12 of its largest entry (see :data:`FOLD_RATIO`); any
     other window is centred, ``C = Z Z^T / L`` with ``Z = X - mu``, as a
-    copy.  The whole batch is tested at once, and the windows to centre
-    are picked out only when there is one.  The choice is made per
-    window from that window alone, so each matrix of a batch equals the
-    2-D call on its window bit for bit when the windows' rows are
-    contiguous, and every output is exactly symmetric.  An array of
-    fewer than two rows or of no columns (M < 1 or L < 1) raises
-    :class:`DimensionMismatch`.
+    full copy that is then packed.  The whole batch is tested at once,
+    and the windows to centre are picked out only when there is one.
+    The choice is made per window from that window alone, so each row of
+    a batch equals the 2-D call on its window bit for bit when the
+    windows' rows are contiguous.  An array of fewer than two rows or of
+    no columns (M < 1 or L < 1) raises :class:`DimensionMismatch`.
     """
     padded = np.asarray(padded, dtype=np.float64)
     if padded.ndim < 2 or padded.shape[-2] < 2 or padded.shape[-1] < 1:
@@ -121,28 +182,34 @@ def covariance(padded: np.ndarray) -> np.ndarray:
             f"padded must be (..., M + 1, L) with M, L >= 1, got {padded.shape}"
         )
     m, length = padded.shape[-2] - 1, padded.shape[-1]
+    layout = packed_layout(m)
     window = padded[..., :m, :]
     padded[..., m, :] = 1.0
     gram = window @ np.swapaxes(padded, -1, -2)
     mean = gram[..., m] / length
-    gram = gram[..., :m]
+    gram = gram.reshape(gram.shape[:-2] + (-1,))
     # a + b == b + a, and (a + b) / 2 is exact, so one division by 2L
     # rounds as dividing by L does
-    cov = np.swapaxes(gram, -1, -2).copy()
-    cov += gram
+    cov = gram.take(layout.gram[1], axis=-1)
+    cov += gram.take(layout.gram[0], axis=-1)
     cov /= 2 * length
-    cov -= mean[..., :, None] * mean[..., None, :]
-    # a writable view of every diagonal, strided as np.diagonal's
-    var = cov.reshape(cov.shape[:-2] + (m * m,))[..., :: m + 1]
+    # mu_i mu_j in place: one packed temporary fewer than multiplying
+    # the two takes into a third
+    outer = mean.take(layout.rows, axis=-1)
+    outer *= mean.take(layout.cols, axis=-1)
+    cov -= outer
+    var = cov.take(layout.diag, axis=-1)
     # a cancelled variance is tiny or negative, so it fails this test too
     unfolded = mean * mean > FOLD_RATIO * var
     if unfolded.any():
         centre = unfolded.any(axis=-1)
         z = window[centre] - mean[centre][..., None]
-        cov[centre] = (z @ np.swapaxes(z, -1, -2)) / length
-    # the sum of that view is np.trace's reduction
+        cov[centre] = pack((z @ np.swapaxes(z, -1, -2)) / length)
+        var = cov.take(layout.diag, axis=-1)
+    # a contiguous sum over each row of diagonals, as np.trace's reduction
     eps = np.maximum(SHRINKAGE_SCALE * var.sum(axis=-1) / m, 1e-12)
     var += eps[..., None]
+    cov[..., layout.diag] = var
     return cov
 
 

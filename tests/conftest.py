@@ -6,7 +6,8 @@ from spdbci.config import config_to_mapping
 from spdbci.errors import DimensionMismatch
 from spdbci.layers import _eig_fn_backward, stiefel_project, stiefel_retract
 from spdbci.model import model_to_bundle
-from spdbci.spd import FOLD_RATIO, SHRINKAGE_SCALE, eig_fn, inv_sqrtm, spd_exp, spd_log, sym
+from spdbci.spd import (FOLD_RATIO, SHRINKAGE_SCALE, eig_fn, inv_sqrtm, spd_exp, spd_log, sym,
+                        unpack)
 from spdbci.trainer import train
 
 
@@ -172,12 +173,13 @@ def train_to_bundle(config, trials):
 
 
 def selected(model, covs):
-    """(B*S*F, m, m): each (M, M) covariance cut to the model's selected
-    channels as ``P^T X P``, with ``P`` the (M, m) identity columns of
-    those channels."""
-    big_m = covs.shape[-1]
+    """(B*S*F, m, m): each packed covariance row, unpacked to (M, M), cut
+    to the model's selected channels as ``P^T X P``, with ``P`` the
+    (M, m) identity columns of those channels."""
+    full = unpack(covs)
+    big_m = full.shape[-1]
     p = np.eye(big_m)[:, model.channels]
-    return p.T @ covs.reshape(-1, big_m, big_m) @ p
+    return p.T @ full.reshape(-1, big_m, big_m) @ p
 
 
 def eval_whitened(model, covs):

@@ -7,6 +7,7 @@ import pytest
 from spdbci.classifier import TangentClassifier, _sigmoid, cross_entropy
 from spdbci.errors import LabelOutOfRange, ShapeMismatch
 from spdbci.model import Model
+from spdbci.spd import unpack
 
 from conftest import conv_oracle, sigmoid_masked
 
@@ -66,8 +67,10 @@ class TestConv:
     @pytest.mark.parametrize("batch", [64, 1], ids=["training-batch", "one-trial"])
     def test_model_conv_and_cut_give_the_bits_of_their_oracles(self, rng, k_heads, batch):
         """The conv of a model's folded kernel, as both forwards run it,
-        equals tensordot's bit for bit, and the flat-index cut equals the
-        fancy-indexed one: 5 of 8 channels, 2 windows, 9 bands."""
+        equals tensordot's bit for bit, and the cut of packed rows equals
+        the fancy-indexed cut of the full matrices and the cut through a
+        flat index of each full M*M row: 5 of 8 channels, 2 windows, 9
+        bands."""
         model = Model([0, 2, 3, 5, 7], n_channels=8, n_windows=2, n_bands=9, n_classes=2,
                       k_heads=k_heads, conv_out=64, seed=3, sample_rate=250.0)
         model.heads.weights = rng.standard_normal(model.heads.weights.shape)
@@ -78,10 +81,13 @@ class TestConv:
         out = model.clf.conv_forward(x, kernel)
         assert out.shape == (batch, 9, 64)
         assert out.tobytes() == conv_oracle(x, kernel, model.clf.bias).tobytes()
-        covs = rng.standard_normal((batch, 2, 9, 8, 8))
+        covs = rng.standard_normal((batch, 2, 9, 36))
+        full = unpack(covs)
         ch = model.channels
-        assert model.cut(covs).tobytes() == covs[..., ch[:, None], ch].tobytes()
-        assert model.cut(covs[0, 0]).tobytes() == covs[0, 0][..., ch[:, None], ch].tobytes()
+        assert model.cut(covs).tobytes() == full[..., ch[:, None], ch].tobytes()
+        assert model.cut(covs[0, 0]).tobytes() == full[0, 0][..., ch[:, None], ch].tobytes()
+        flat_cut = full.reshape(batch, 2, 9, 64).take(ch[:, None] * 8 + ch, axis=-1)
+        assert model.cut(covs).tobytes() == flat_cut.tobytes()
 
 
 class TestBandImportance:

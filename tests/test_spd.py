@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from spdbci.errors import DimensionMismatch, NotPositiveDefinite
+from spdbci.errors import DimensionMismatch, NotPositiveDefinite, ShapeMismatch
 from spdbci.selection import gamma
 from spdbci.spd import (
     SHRINKAGE_SCALE,
@@ -14,12 +14,21 @@ from spdbci.spd import (
     check_spd,
     covariance,
     inv_sqrtm,
+    pack,
+    packed_layout,
+    packed_order,
     spd_exp,
     spd_log,
     sym,
+    unpack,
 )
 
 from conftest import airm_distance_eigh, check_psd_theorem1, covariance_oracle, pad, random_spd
+
+
+def full_covariance(padded):
+    """:func:`covariance`'s packed rows as full (..., M, M) matrices."""
+    return unpack(covariance(padded))
 
 
 class TestCovariance:
@@ -29,13 +38,13 @@ class TestCovariance:
         return z @ np.swapaxes(z, -1, -2) / window.shape[-1]
 
     def test_zero_window_gives_scaled_identity(self):
-        out = covariance(pad(np.zeros((3, 10))))
+        out = full_covariance(pad(np.zeros((3, 10))))
         assert np.array_equal(out, 1e-12 * np.eye(3))
 
     def test_shrinkage_is_scaled_trace_of_raw_covariance(self):
         window = np.random.default_rng(1).standard_normal((5, 40)) * [[1], [2], [3], [4], [5]]
         raw = self.raw_covariance(window)
-        shrink = covariance(pad(window)) - raw
+        shrink = full_covariance(pad(window)) - raw
         eps = SHRINKAGE_SCALE * np.trace(raw) / 5
         assert SHRINKAGE_SCALE == 1e-4
         # the subtraction leaves a few ulps of each diagonal entry
@@ -47,12 +56,12 @@ class TestCovariance:
         row = np.random.default_rng(0).standard_normal(50)
         window = np.stack([row, row, row])
         assert np.linalg.matrix_rank(self.raw_covariance(window)) == 1
-        check_spd(covariance(pad(window)))
+        check_spd(full_covariance(pad(window)))
 
     def test_independent_noise_near_identity(self):
         rng = np.random.default_rng(42)
         window = rng.standard_normal((2, 100_000))
-        cov = covariance(pad(window))
+        cov = full_covariance(pad(window))
         assert abs(cov[0, 1]) < 0.02
         assert abs(cov[0, 0] - 1.0) < 0.02
         assert abs(cov[1, 1] - 1.0) < 0.02
@@ -60,17 +69,18 @@ class TestCovariance:
     def test_shrinkage_restores_spd(self):
         row = np.ones(20)
         window = np.stack([row, 2 * row])
-        out = covariance(pad(window))
+        out = full_covariance(pad(window))
         assert np.all(np.linalg.eigvalsh(out) > 0)
 
     def test_batch_equals_stacked_2d_calls(self):
         for m in (5, 22):
             windows = np.random.default_rng(5).standard_normal((3, 4, m, 40))
             batch = covariance(pad(windows))
-            assert batch.shape == (3, 4, m, m)
+            assert batch.shape == (3, 4, m * (m + 1) // 2)
             for i in range(3):
                 for j in range(4):
                     assert np.array_equal(batch[i, j], covariance(pad(windows[i, j])))
+            batch = unpack(batch)
             assert np.array_equal(batch, np.swapaxes(batch, -1, -2))
             check_spd(batch)
 
@@ -80,9 +90,9 @@ class TestCovariance:
         windows[3] = 0.0
         windows[4] += [[1e6], [-2e6], [0.0]]  # centred, not folded
         assert np.linalg.matrix_rank(self.raw_covariance(windows[2])) == 2
-        batch = covariance(pad(windows))
+        batch = full_covariance(pad(windows))
         for i in range(5):
-            assert np.array_equal(batch[i], covariance(pad(windows[i])))
+            assert np.array_equal(batch[i], full_covariance(pad(windows[i])))
         check_spd(batch)
 
     @pytest.mark.parametrize("ratio", [0.0, 9.0, 1e2, 1e4, 1e6, 1e8])
@@ -93,7 +103,7 @@ class TestCovariance:
         noise = rng.standard_normal((4, 6, 200)) * rng.uniform(0.1, 10.0, (4, 6, 1))
         sign = rng.choice([-1.0, 1.0], (4, 6, 1))
         windows = noise + ratio * sign * noise.std(axis=-1, keepdims=True)
-        out = covariance(pad(windows))
+        out = full_covariance(pad(windows))
         raw = self.raw_covariance(windows)
         eps = np.maximum(SHRINKAGE_SCALE * np.trace(raw, axis1=-2, axis2=-1) / 6, 1e-12)
         oracle = raw + eps[:, None, None] * np.eye(6)
@@ -118,11 +128,14 @@ class TestCovariance:
         windows[2, 1] = 0.0
         padded = np.full((3, 2, m + 1, length), np.nan)
         padded[..., :m, :] = windows
-        out = covariance(padded)
-        assert out.tobytes() == covariance_oracle(windows).tobytes()
+        packed = covariance(padded)
+        oracle = covariance_oracle(windows)
+        assert packed.tobytes() == pack(oracle).tobytes()
+        out = unpack(packed)
+        assert out.tobytes() == oracle.tobytes()
         for i in range(3):
             for j in range(2):
-                assert covariance(pad(windows[i, j])).tobytes() == out[i, j].tobytes()
+                assert full_covariance(pad(windows[i, j])).tobytes() == out[i, j].tobytes()
         assert np.array_equal(out, np.swapaxes(out, -1, -2))
         assert np.array_equal(padded[..., :m, :], windows)
         assert np.all(padded[..., m, :] == 1.0)
@@ -132,7 +145,7 @@ class TestCovariance:
     def test_constant_offset_window_is_scaled_identity(self):
         # folded, this window's covariance has the eigenvalue -2.6e-10
         window = np.stack([np.full(20, 1000.1), np.full(20, 2000.5)])
-        out = covariance(pad(window))
+        out = full_covariance(pad(window))
         assert np.allclose(out, 1e-12 * np.eye(2), rtol=0, atol=1e-24)
         check_spd(out)
 
@@ -143,6 +156,55 @@ class TestCovariance:
             covariance(pad(np.zeros((2, 0, 5))))
         with pytest.raises(DimensionMismatch):
             covariance(np.zeros(5))
+
+
+class TestPackedLayout:
+    """A symmetric M x M matrix is stored as its M(M + 1)/2 entries on
+    and above the diagonal, row by row."""
+
+    def test_layout_of_three_channels(self):
+        full = np.arange(9.0).reshape(3, 3)
+        layout = packed_layout(3)
+        assert pack(full).tolist() == [0.0, 1.0, 2.0, 4.0, 5.0, 8.0]
+        assert layout.rows.tolist() == [0, 0, 0, 1, 1, 2]
+        assert layout.cols.tolist() == [0, 1, 2, 1, 2, 2]
+        assert layout.diag.tolist() == [0, 3, 5]
+        assert layout.full.tolist() == [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
+        # (i, j) and (j, i) in the (3, 4) Gram product of covariance
+        assert layout.gram.tolist() == [[0, 1, 2, 5, 6, 10], [0, 4, 8, 5, 9, 10]]
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 22, 64])
+    def test_round_trip(self, m):
+        rng = np.random.default_rng(m)
+        rows = rng.standard_normal((3, 2, m * (m + 1) // 2))
+        full = unpack(rows)
+        assert full.shape == (3, 2, m, m)
+        assert np.array_equal(full, np.swapaxes(full, -1, -2))
+        assert pack(full).tobytes() == rows.tobytes()
+        i, j = np.triu_indices(m)
+        assert full[..., i, j].tobytes() == rows.tobytes()
+        sym_full = random_spd(rng, m, batch=4)
+        sym_full = sym_full + np.swapaxes(sym_full, -1, -2)
+        assert unpack(pack(sym_full)).tobytes() == sym_full.tobytes()
+
+    def test_layout_is_built_once_and_read_only(self):
+        layout = packed_layout(5)
+        assert packed_layout(5) is layout
+        for index in layout:
+            with pytest.raises(ValueError):
+                index[...] = 0
+
+    @pytest.mark.parametrize("width, m", [(1, 1), (3, 2), (6, 3), (10, 4), (253, 22),
+                                          (2080, 64)])
+    def test_packed_order(self, width, m):
+        assert packed_order(width) == m
+
+    @pytest.mark.parametrize("width", [0, 2, 4, 5, 7, 252, 254, 2079])
+    def test_width_of_no_channel_count_raises_typed_error(self, width):
+        with pytest.raises(ShapeMismatch, match=f"{width} is not the packed width"):
+            packed_order(width)
+        with pytest.raises(ShapeMismatch):
+            unpack(np.zeros((2, width)))
 
 
 class TestLogExp:

@@ -35,13 +35,14 @@ from spdbci.errors import (
     NonFiniteValue,
     NotPositiveDefinite,
     SchemaMismatch,
+    ShapeMismatch,
     WindowTooLong,
 )
 import spdbci.filterbank as filterbank_module
 from spdbci.filterbank import segment
 from spdbci.layers import karcher_mean
 from spdbci.model import Model, count_parameters, model_from_bundle, model_to_bundle
-from spdbci.spd import FOLD_RATIO, SHRINKAGE_SCALE, covariance
+from spdbci.spd import FOLD_RATIO, SHRINKAGE_SCALE, covariance, pack, unpack
 from spdbci.synth import generate_from_spec, synthetic_trials, two_class_covariances
 import spdbci.trainer as trainer_module
 from spdbci.trainer import (
@@ -86,9 +87,10 @@ _SPEC = {"channels": "4", "samples_per_trial": "100", "trials_per_class": "2"}
 
 
 def per_window_covariances(trials, cfg):
-    """Reference for ``prepare_dataset``: filter each trial on its own
-    through ``segment``, slice the windows out one by one and call the
-    2-D ``covariance`` once per window."""
+    """Reference for ``prepare_dataset``, as full (N, S, F, M, M)
+    matrices: filter each trial on its own through ``segment``, slice the
+    windows out one by one and call the 2-D ``covariance`` once per
+    window, unpacking its row."""
     spec = cfg.band_spec()
     out = []
     for item in trials.trials:
@@ -97,7 +99,7 @@ def per_window_covariances(trials, cfg):
         covs = np.empty((n_windows, n_bands, m, m))
         for s in range(n_windows):
             for f in range(n_bands):
-                covs[s, f] = covariance(pad(windows[s, f]))
+                covs[s, f] = unpack(covariance(pad(windows[s, f])))
         out.append(covs)
     return np.stack(out)
 
@@ -624,7 +626,7 @@ class TestFoldedPlan:
 
     def test_fresh_model_matches_layered_oracle(self, rng):
         model = _fresh_model(rng)
-        covs = random_spd(rng, 4, batch=5 * 2 * 2).reshape(5, 2, 2, 4, 4)
+        covs = pack(random_spd(rng, 4, batch=5 * 2 * 2).reshape(5, 2, 2, 4, 4))
         _assert_logits_close(model.forward(covs, training=False),
                              layered_eval_forward(model, covs))
 
@@ -664,6 +666,7 @@ class TestFoldedPlan:
         ch = model.channels
         covs[..., ch[:, None], ch] = (
             (u * spectrum[:, None, :]) @ np.swapaxes(u, -1, -2)).reshape(5, 2, 2, 2, 2)
+        covs = pack(covs)
         whitened = eval_whitened(model, covs)
         assert np.mean(np.linalg.eigvalsh(whitened) < model.reeig.epsilon) > 0.2
         _assert_logits_close(model.forward(covs, training=False),
@@ -714,7 +717,7 @@ class TestFoldedPlan:
         reps = class_band_representatives(covs[:8], labels[:8])
         model.fit_reference(reps)
         w = model.bimap.weight
-        assert np.array_equal(model.rbn.mean, karcher_mean(w @ model.cut(reps) @ w.T))
+        assert np.array_equal(model.rbn.mean, karcher_mean(w @ model.cut(pack(reps)) @ w.T))
         bundle = model_to_bundle(model, config_to_mapping(cfg))
         after = model.forward(covs, training=False)
         assert not np.array_equal(after, before)
@@ -836,7 +839,7 @@ class TestStep:
                                conv_out=5, seed=9, sample_rate=250.0) for _ in range(2))
         heads_0 = model.heads.weights.copy()
         for _ in range(3):
-            covs = random_spd(rng, 6, batch=8 * 2 * 3).reshape(8, 2, 3, 6, 6)
+            covs = pack(random_spd(rng, 6, batch=8 * 2 * 3).reshape(8, 2, 3, 6, 6))
             labels = rng.integers(0, 3, 8)
             for net in (model, oracle):
                 net.backward(cross_entropy(net.forward(covs, training=True), labels)[1])
@@ -856,7 +859,7 @@ class TestStep:
 
     def test_one_head_step_runs_no_qr_on_the_empty_head_stack(self, rng, monkeypatch):
         model = _fresh_model(rng, k=1)
-        covs = random_spd(rng, 4, batch=5 * 2 * 2).reshape(5, 2, 2, 4, 4)
+        covs = pack(random_spd(rng, 4, batch=5 * 2 * 2).reshape(5, 2, 2, 4, 4))
         logits = model.forward(covs, training=True)
         model.backward(cross_entropy(logits, rng.integers(0, 2, 5))[1])
         shapes = []
@@ -905,8 +908,9 @@ class TestChannelCut:
         assert rest.size > 0
         t = np.eye(small_trials.channels)
         t[rest] = np.random.default_rng(5).standard_normal((rest.size, t.shape[1]))
-        perturbed = t @ covs @ t.T
+        perturbed = t @ unpack(covs) @ t.T
         assert np.all(np.linalg.eigvalsh(perturbed) > 0)
+        perturbed = pack(perturbed)
         assert not np.allclose(perturbed, covs)
         for training in (False, True):
             assert np.array_equal(model.forward(perturbed, training=training),
@@ -919,7 +923,7 @@ class TestChannelCut:
         Runs at the train-c5 shape and batch: 8 channels, m=5, 2 windows,
         9 bands and the default 64 conv outputs."""
         channels = _channels(rng, 8, 5)
-        covs = random_spd(rng, 8, batch=64 * 2 * 9).reshape(64, 2, 9, 8, 8)
+        covs = pack(random_spd(rng, 8, batch=64 * 2 * 9).reshape(64, 2, 9, 8, 8))
         one, four = (Model(channels, 8, n_windows=2, n_bands=9, n_classes=2, k_heads=k,
                            conv_out=64, seed=7, sample_rate=250.0) for k in (1, 4))
         assert np.array_equal(four.bimap.weight, one.bimap.weight)
@@ -941,7 +945,7 @@ class TestChannelCut:
         rng = np.random.default_rng(batch * 1000 + conv_out)
         channels = _channels(rng, big_m, m)
         covs = random_spd(rng, big_m, batch=batch * s * f)
-        covs = covs.reshape(batch, s, f, big_m, big_m)
+        covs = pack(covs.reshape(batch, s, f, big_m, big_m))
         one, four = (Model(channels, big_m, n_windows=s, n_bands=f, n_classes=3, k_heads=k,
                            conv_out=conv_out, seed=11, sample_rate=250.0) for k in (1, 4))
         assert (four.forward(covs, training=True).tobytes()
@@ -966,14 +970,44 @@ class TestChannelCut:
         assert np.mean(accuracies) >= ONLINE_ACCURACY_FLOOR, accuracies
 
 
+class TestPackedShapes:
+    """``Model.forward`` and ``class_band_representatives`` take packed
+    covariance rows (N, S, F, M(M + 1)/2), and any other tensor fails
+    typed, before an entry is read."""
+
+    @pytest.mark.parametrize("shape", [
+        (1, 2, 2, 3, 4),  # rank 5, whose (S, F, M) prefix looks like the model's
+        (1, 2, 2, 3, 3),  # full matrices
+        (1, 2, 2, 9),     # the full 3 * 3 entries in one row
+        (1, 2, 2, 5),     # a width that no M gives
+        (1, 2, 2, 10),    # packed rows of 4 channels
+        (1, 3, 2, 6),     # another window count
+        (1, 2, 1, 6),     # another band count
+        (2, 2, 6),        # no band axis
+        (6,),
+    ])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_forward_on_a_malformed_tensor_raises_typed_error(self, rng, shape, training):
+        model = _fresh_model(rng, big_m=3)
+        with pytest.raises(ShapeMismatch, match=r"\(B, 2, 2, 6\): packed rows of 3 channels"):
+            model.forward(np.ones(shape), training=training)
+        assert model.forward(pack(random_spd(rng, 3, batch=4).reshape(1, 2, 2, 3, 3)),
+                             training=training).shape == (1, 2)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2, 5), (4, 2, 2, 9), (4, 2, 2, 3, 3), (4, 2, 6)])
+    def test_representatives_of_a_malformed_tensor_raise_typed_error(self, shape):
+        with pytest.raises(ShapeMismatch):
+            class_band_representatives(np.ones(shape), np.array([0, 1, 0, 1]))
+
+
 class TestPrepareDataset:
     @pytest.mark.parametrize("options", [SMALL, {"window_len": 64}],
                              ids=["small", "default-bank"])
     def test_equals_per_window_reference(self, small_trials, options):
         cfg = TrainConfig(**options)
         covs, labels = prepare_dataset(small_trials, cfg)
-        assert covs.shape == (24, 2, len(cfg.bands), 4, 4)
-        assert np.array_equal(covs, per_window_covariances(small_trials, cfg))
+        assert covs.shape == (24, 2, len(cfg.bands), 10)
+        assert np.array_equal(unpack(covs), per_window_covariances(small_trials, cfg))
         assert labels.tolist() == [label for label, _ in small_trials.trials]
 
     def test_each_trial_equals_its_slice_of_the_batch(self, small_trials):
@@ -1008,8 +1042,48 @@ class TestPrepareDataset:
         eps = np.maximum(SHRINKAGE_SCALE * var.sum(axis=-1) / m, 1e-12)
         oracle += np.eye(m) * eps[..., None, None]
         assert np.any(mean[..., 0] ** 2 > FOLD_RATIO * var)
-        err = np.max(np.abs(covs - oracle), axis=(-2, -1))
+        err = np.max(np.abs(unpack(covs) - oracle), axis=(-2, -1))
         assert np.all(err <= 1e-12 * np.max(np.abs(oracle), axis=(-2, -1)))
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 22, 64])
+    @pytest.mark.parametrize("blocks", ["one-trial", "multi-trial", "pipelined"])
+    def test_unpacked_rows_are_the_per_window_covariances(self, monkeypatch, m, blocks):
+        """The packed rows of a one-trial set, of blocks of three trials,
+        and of one-trial blocks pipelined over two threads, unpacked, are
+        bit for bit the 2-D covariances of the windows each block was
+        filtered into, at every channel count.  Trial 0 carries a DC
+        offset, so about half its windows, those after each band's step
+        transient, take ``covariance``'s centring path."""
+        rng = np.random.default_rng(m)
+        n = 1 if blocks == "one-trial" else 4
+        data = [1e-5 * rng.standard_normal((m, 1000)) for _ in range(n)]
+        data[0] += 0.01
+        trials = RawTrialSet(250.0, m, 1000, [(k % 2, x.astype(np.float32))
+                                             for k, x in enumerate(data)], 2)
+        cfg = TrainConfig()
+        trial_bytes = 8 * 8 * 9 * m * 125
+        if blocks == "multi-trial":
+            monkeypatch.setattr(trainer_module, "BLOCK_BYTES", 3 * trial_bytes + 7)
+        if blocks == "pipelined":
+            monkeypatch.setattr(trainer_module, "BLOCK_BYTES", trial_bytes)
+            monkeypatch.setattr(trainer_module, "_cpu_count", lambda: 2)
+            monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _CountingPool)
+            monkeypatch.setattr(_CountingPool, "asked", [])
+        windows = []
+
+        def keeping(padded):
+            windows.extend(padded[..., :m, :].copy())  # the buffer is reused
+            return covariance(padded)
+
+        monkeypatch.setattr(trainer_module, "covariance", keeping)
+        covs, _ = prepare_dataset(trials, cfg)
+        assert covs.shape == (n, 8, 9, m * (m + 1) // 2)
+        oracle = np.array([[[unpack(covariance(pad(w))) for w in band] for band in trial]
+                           for trial in windows])
+        assert oracle.shape == (n, 8, 9, m, m)
+        assert unpack(covs).tobytes() == oracle.tobytes()
+        if blocks == "pipelined":
+            assert _CountingPool.asked == [1]
 
     def test_empty_trial_set(self, small_trials):
         empty = dataclasses.replace(small_trials, trials=[])
@@ -1069,7 +1143,7 @@ class TestPrepareBlocks:
         # a block of several trials is stacked into an array of its own
         assert not any(np.shares_memory(x, data) for x in kernel_calls.inputs
                        for _, data in trials.trials)
-        assert np.array_equal(covs, per_window_covariances(trials, cfg))
+        assert np.array_equal(unpack(covs), per_window_covariances(trials, cfg))
         for k, item in enumerate(trials.trials):
             one, _ = prepare_dataset(dataclasses.replace(trials, trials=[item]), cfg)
             assert np.array_equal(one, covs[k : k + 1])
@@ -1122,7 +1196,7 @@ class TestPrepareBlocks:
         sizes = [min(per_block, n - start) for start in range(0, n, per_block)]
         assert covariance_blocks == sizes
         assert kernel_calls == [(size, 4, 128) for size in sizes]
-        assert np.array_equal(covs, per_window_covariances(small_trials, cfg))
+        assert np.array_equal(unpack(covs), per_window_covariances(small_trials, cfg))
         assert labels.tolist() == [label for label, _ in small_trials.trials]
         for k, item in enumerate(small_trials.trials):
             one, _ = prepare_dataset(dataclasses.replace(small_trials, trials=[item]), cfg)
@@ -1141,7 +1215,7 @@ class TestPrepareBlocks:
         covs, _ = prepare_dataset(trials, cfg)
         assert covariance_blocks == [3, 3, 2]
         assert kernel_calls == [(3, 22, 2000), (3, 22, 2000), (2, 22, 2000)]
-        assert np.array_equal(covs, per_window_covariances(trials, cfg))
+        assert np.array_equal(unpack(covs), per_window_covariances(trials, cfg))
         for k, item in enumerate(trials.trials):
             one, _ = prepare_dataset(dataclasses.replace(trials, trials=[item]), cfg)
             assert np.array_equal(one, covs[k : k + 1])
@@ -1187,7 +1261,7 @@ class TestPrepareBlocks:
         assert 8 * 8 * 9 * 22 * 250 > trainer_module.BLOCK_BYTES
         covs, _ = prepare_dataset(trials, cfg)
         assert covariance_blocks == [1, 1, 1, 1]
-        assert np.array_equal(covs, per_window_covariances(trials, cfg))
+        assert np.array_equal(unpack(covs), per_window_covariances(trials, cfg))
 
 
 class _InlineExecutor:
@@ -1215,9 +1289,11 @@ class _NoPool:
 
 
 def _serial_representatives(covs, labels):
-    """The (class, band) Karcher means one after another in the caller."""
-    m = covs.shape[-1]
-    return np.stack([karcher_mean(covs[labels == c, :, f].reshape(-1, m, m))
+    """The (class, band) Karcher means one after another in the caller,
+    of the full matrices of ``covs``' packed rows."""
+    full = unpack(covs)
+    m = full.shape[-1]
+    return np.stack([karcher_mean(full[labels == c, :, f].reshape(-1, m, m))
                      for c in np.unique(labels) for f in range(covs.shape[2])])
 
 
@@ -1276,7 +1352,7 @@ class TestRepresentativePool:
         covs = covs.copy()
         members = np.flatnonzero(labels == cls)
         for k in members[:1] if how == "member" else members:
-            covs[k, :, band] = -1e-6 * np.eye(covs.shape[-1])
+            covs[k, :, band] = pack(-1e-6 * np.eye(4))
         return covs
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
@@ -1296,7 +1372,8 @@ class TestRepresentativePool:
         raise it."""
         covs, labels = dataset
         self._use_cpus(monkeypatch, 2)
-        batches = [covs[labels == c, :, f].reshape(-1, 4, 4) for c in (0, 1) for f in (0, 1)]
+        batches = [unpack(covs[labels == c, :, f]).reshape(-1, 4, 4)
+                   for c in (0, 1) for f in (0, 1)]
         group_3_failed = threading.Event()
 
         def mean_or_fail(batch):
@@ -1368,7 +1445,7 @@ class TestPreparePool:
 
     @pytest.fixture(scope="class")
     def expected(self, trials22):
-        covs = per_window_covariances(trials22, self.CFG)
+        covs = pack(per_window_covariances(trials22, self.CFG))
         for k, item in enumerate(trials22.trials):
             one, _ = prepare_dataset(dataclasses.replace(trials22, trials=[item]), self.CFG)
             assert one.tobytes() == covs[k : k + 1].tobytes()
@@ -1410,7 +1487,7 @@ class TestPreparePool:
         monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _NoPool)
         c5 = _c5_shaped_trials(10)
         covs, _ = prepare_dataset(c5, TrainConfig())
-        assert covs.tobytes() == per_window_covariances(c5, TrainConfig()).tobytes()
+        assert unpack(covs).tobytes() == per_window_covariances(c5, TrainConfig()).tobytes()
         one = dataclasses.replace(trials22, trials=trials22.trials[:1])
         prepare_dataset(one, self.CFG)
         assert asked == []
