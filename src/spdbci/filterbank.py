@@ -220,7 +220,10 @@ def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
     from rest at the end of every block, and a recurrence of S * Q - 1
     products, all bands and trials at once, turns those into the state
     at the start of every block, stepping through the S * Q blocks in
-    order on one (F, S * Q, rows, 2n) array.  The block rows are ``b``
+    order on one (F, S * Q, rows, 2n) array.  A lone one-channel trial
+    is one row, which numpy would multiply as a vector and round
+    otherwise, so it gets a second row of zeros and every step is a
+    matrix product, as it is in a block.  The block rows are ``b``
     samples plus ``n`` state columns, (window, trial, channel,
     block)-major, the last block at the start of its row with zeros
     after it.  Each band copies its start states next to the samples and
@@ -240,17 +243,19 @@ def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
     body = windows[..., :full].reshape(n_trials, m, n_windows, per_window - 1, b)
     tail = windows[..., full:]
     rows = n_trials * m
-    state_rows = np.empty((n_windows, per_window, n_trials, m, b))
-    state_rows[:, :-1] = body.transpose(2, 3, 0, 1, 4)
-    state_rows[:, -1, ..., : b - last] = 0.0
-    state_rows[:, -1, ..., b - last :] = tail.transpose(2, 0, 1, 3)
+    lanes = n_trials + (rows == 1)  # the zero row of a lone channel
+    state_rows = np.empty((n_windows, per_window, lanes, m, b))
+    state_rows[:, :-1, :n_trials] = body.transpose(2, 3, 0, 1, 4)
+    state_rows[:, -1, :n_trials, :, : b - last] = 0.0
+    state_rows[:, -1, :n_trials, :, b - last :] = tail.transpose(2, 0, 1, 3)
+    state_rows[:, :, n_trials:] = 0.0
     blocks = np.empty((n_windows, n_trials, m, per_window, b + n))
     blocks[..., :-1, :b] = body.transpose(2, 0, 1, 3, 4)
     blocks[..., -1, :last] = tail.transpose(2, 0, 1, 3)
     blocks[..., -1, last:b] = 0.0
     # states[f, j] is [state at the start | state from rest at the end]
     # of block j % Q of window j // Q, in band f
-    states = np.empty((n_bands, n_windows * per_window, rows, 2 * n))
+    states = np.empty((n_bands, n_windows * per_window, lanes * m, 2 * n))
     np.matmul(state_rows.reshape(-1, b), plan.state_in,
               out=states.reshape(n_bands, -1, 2 * n)[..., n:])
     states[:, 0, :, :n] = 0.0
@@ -268,7 +273,7 @@ def _filter_block(x: np.ndarray, plan: BankPlan, out: np.ndarray) -> None:
     state_cols = blocks.reshape(n_windows, rows, per_window, b + n)[..., b:]
     # the start states in block-row order, (F, S, rows, Q, n)
     block_starts = states.reshape(
-        n_bands, n_windows, per_window, rows, 2 * n)[..., :n].swapaxes(2, 3)
+        n_bands, n_windows, per_window, lanes * m, 2 * n)[..., :rows, :n].swapaxes(2, 3)
     for f in range(n_bands):
         state_cols[...] = block_starts[f]
         np.matmul(block_rows, plan.response[f], out=tiles[:, :, f])

@@ -183,8 +183,8 @@ class LogEigLayer:
 #: few copies of the batch.  On one 1152-matrix 22 x 22 group (one class
 #: and band of the select-22ch benchmark), one thread of a 2-core x86-64
 #: VM: the temporaries peaked at 17.2 MiB in one pass and 1.2 MiB in
-#: slices of 64, and the mean took 131 ms and 125 ms; slices of 16-256
-#: all ran within 2% of 125 ms.
+#: slices of 64, and the mean took 61 ms and 55 ms (medians of 15
+#: rounds); slices of 16-256 all ran within 2% of 55 ms.
 KARCHER_SLICE = 64
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import queue
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -255,13 +256,54 @@ def _cpu_count() -> int:
 def _pool_workers(items: int, *work) -> int:
     """Workers for ``items`` independent tasks, the one pool rule: one
     per CPU the process may use (:func:`_cpu_count`), at most one per
-    item.  1, so no pool, when a function of the ``work`` is wrapped
-    (it has a ``__wrapped__``, as a ``functools.wraps`` profiler or
-    tracer gives it): such a wrapper may keep state that two threads
-    would corrupt, so it runs in the caller alone."""
+    item.  The caller is one of them: a pooled stage computes in the
+    caller too, beside at most one pool thread fewer than this count
+    (:func:`_pipeline`, :func:`_ordered_map`), so no more threads
+    compute than there are CPUs.  1, so no pool, when a function of the
+    ``work`` is wrapped (it has a ``__wrapped__``, as a
+    ``functools.wraps`` profiler or tracer gives it): such a wrapper may
+    keep state that two threads would corrupt, so it runs in the caller
+    alone."""
     if any(hasattr(fn, "__wrapped__") for fn in work):
         return 1
     return min(_cpu_count(), items)
+
+
+def _ordered_map(fn, items, workers):
+    """``[fn(item) for item in items]`` on ``workers`` threads: the
+    caller and ``workers - 1`` pool threads take the items in order from
+    one shared queue, so the caller computes too.  After an item fails
+    no thread starts another, and the items already started finish.
+    Once the pool is joined, the lowest failing item's error is raised:
+    every item before it had started, so that is the error the loop
+    raises."""
+    taken = iter(range(len(items)))
+    results = [None] * len(items)
+    failed = {}  # item index: error
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                k = None if failed else next(taken, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(items[k])
+            except BaseException as exc:
+                with lock:
+                    failed[k] = exc
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        try:
+            work()
+        finally:
+            for helper in helpers:
+                helper.result()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def class_band_representatives(covs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -274,17 +316,20 @@ def class_band_representatives(covs: np.ndarray, labels: np.ndarray) -> np.ndarr
     back full, (C, F, M, M).  A ``covs`` of another rank, or of a width
     that no M gives, raises :class:`~spdbci.errors.ShapeMismatch`.
 
-    The groups run on a pool of :func:`_pool_workers` threads, one per
-    CPU the process may use and at most one per group, with no pool for
-    one worker or a wrapped ``karcher_mean``.  The caller only waits,
-    so no more threads are runnable than there are CPUs; numpy releases
-    the GIL in the ``eigh`` and ``gemm`` calls that make up a mean.  The
-    pool is made for this call and joined before it returns.  Each
-    group's mean is computed alone from the same data, so the result is
-    the same bit for bit whatever the CPU count.  Results come back in
-    (class, band) order, so the first failing group's error is raised,
-    as the serial loop raised it, and groups not yet started are
-    cancelled.
+    The groups run on :func:`_pool_workers` threads, one per CPU the
+    process may use and at most one per group, with no pool for one
+    worker or a wrapped ``karcher_mean``.  The caller is one of them: it
+    takes groups in (class, band) order from one queue, shared with a
+    pool of one thread fewer (:func:`_ordered_map`), so no more threads
+    compute than there are CPUs, and the caller's groups are allocated
+    in its own heap, which the single-trial calls after it reuse; numpy
+    releases the GIL in the ``eigh`` and ``gemm`` calls that make up a
+    mean.  The pool is made for this call and joined before it returns.
+    Each group's mean is computed alone from the same data, so the
+    result is the same bit for bit whatever the CPU count.  Results come
+    back in (class, band) order; no group starts after one has failed,
+    and the first failing group in that order sets the error, as the
+    serial loop raised it.
     """
     if covs.ndim != 4:
         raise ShapeMismatch(f"covs must be (N, S, F, M(M + 1)/2) packed rows, got {covs.shape}")
@@ -299,8 +344,7 @@ def class_band_representatives(covs: np.ndarray, labels: np.ndarray) -> np.ndarr
     workers = _pool_workers(len(groups), karcher_mean)
     if workers < 2:
         return np.stack([fit(g) for g in groups])
-    with ThreadPoolExecutor(workers) as pool:
-        return np.stack(list(pool.map(fit, groups)))
+    return np.stack(_ordered_map(fit, groups, workers))
 
 
 def select_channels(config: TrainConfig, reps: np.ndarray) -> SelectionTransform:

@@ -6,7 +6,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -1051,9 +1051,11 @@ class TestPrepareDataset:
         """The packed rows of a one-trial set, of blocks of three trials,
         and of one-trial blocks pipelined over two threads, unpacked, are
         bit for bit the 2-D covariances of the windows each block was
-        filtered into, at every channel count.  Trial 0 carries a DC
-        offset, so about half its windows, those after each band's step
-        transient, take ``covariance``'s centring path."""
+        filtered into, and of each trial filtered alone
+        (``per_window_covariances``), at every channel count, one
+        included.  Trial 0 carries a DC offset, so about half its
+        windows, those after each band's step transient, take
+        ``covariance``'s centring path."""
         rng = np.random.default_rng(m)
         n = 1 if blocks == "one-trial" else 4
         data = [1e-5 * rng.standard_normal((m, 1000)) for _ in range(n)]
@@ -1082,6 +1084,7 @@ class TestPrepareDataset:
                            for trial in windows])
         assert oracle.shape == (n, 8, 9, m, m)
         assert unpack(covs).tobytes() == oracle.tobytes()
+        assert unpack(covs).tobytes() == per_window_covariances(trials, cfg).tobytes()
         if blocks == "pipelined":
             assert _CountingPool.asked == [1]
 
@@ -1245,6 +1248,22 @@ class TestPrepareBlocks:
         assert narrow_covs.tobytes() == wide_covs.tobytes()
         assert narrow_labels.tolist() == wide_labels.tolist()
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_few_channel_trials_give_the_bits_of_their_block(self, m):
+        """Four 250-sample trials of one to three channels, prepared as one
+        block, give each trial's own one-trial run bit for bit: a lone
+        one-channel trial's state recurrence rounds as a block's does."""
+        rng = np.random.default_rng(5)
+        trials = RawTrialSet(250.0, m, 250, [(k % 2, rng.standard_normal((m, 250)).astype(
+            np.float32)) for k in range(4)], 2)
+        cfg = TrainConfig()
+        covs, _ = prepare_dataset(trials, cfg)
+        for k, item in enumerate(trials.trials):
+            one = dataclasses.replace(trials, trials=[item])
+            assert prepare_dataset(one, cfg)[0].tobytes() == covs[k : k + 1].tobytes()
+            [(_, own)] = segment(one, cfg.band_spec(), cfg.window_len)
+            assert own.tobytes() == segment(trials, cfg.band_spec(), cfg.window_len)[k][1].tobytes()
+
     def test_window_longer_than_the_trials_raises_typed_error(self, small_trials):
         # 128-sample trials hold no 200-sample window: no block size to
         # divide by, and segment's check must still be the one that fires.
@@ -1265,8 +1284,9 @@ class TestPrepareBlocks:
 
 
 class _InlineExecutor:
-    """Stands in for ``ThreadPoolExecutor``: maps its tasks lazily, in
-    the calling thread, and records the worker counts it was asked for."""
+    """Stands in for ``ThreadPoolExecutor``: maps its tasks lazily, and
+    runs each submitted task at once, in the calling thread, and records
+    the worker counts it was asked for."""
 
     asked: list[int] = []
 
@@ -1281,6 +1301,14 @@ class _InlineExecutor:
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
 
 
 class _NoPool:
@@ -1299,9 +1327,10 @@ def _serial_representatives(covs, labels):
 
 class TestRepresentativePool:
     """``class_band_representatives`` runs its (class, band) groups on
-    every CPU the process may use, and the count changes no bit.  At 2
-    CPUs every group runs on a pool thread; at 64 the pool is an inline
-    stand-in, and no thread may start."""
+    every CPU the process may use, the caller on one of them, and the
+    count changes no bit.  At 2 CPUs the caller and one pool thread take
+    the groups; at 64 the pool is an inline stand-in, and no thread may
+    start."""
 
     @pytest.fixture(scope="class")
     def dataset(self, small_trials):
@@ -1341,8 +1370,127 @@ class TestRepresentativePool:
         assert reps.tobytes() == _serial_representatives(covs, labels).tobytes()
         assert threading.active_count() == threads_before
         if cpus == 64:
-            # one worker per group at most; the caller only waits
-            assert _InlineExecutor.asked == [min(64, 4)]
+            # one worker per group at most, and the caller is one of them
+            assert _InlineExecutor.asked == [min(64, 4) - 1]
+
+    def test_at_two_cpus_the_caller_computes_a_group(self, dataset, monkeypatch):
+        """The first two groups meet at a barrier, so two threads compute
+        means at once, and the calling thread is one of them."""
+        covs, labels = dataset
+        self._use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _CountingPool)
+        monkeypatch.setattr(_CountingPool, "asked", [])
+        idents = []
+        barrier = threading.Barrier(2, timeout=10)
+
+        def recording(batch):
+            idents.append(threading.get_ident())
+            if len(idents) <= 2:
+                barrier.wait()
+            return karcher_mean(batch)
+
+        monkeypatch.setattr(trainer_module, "karcher_mean", recording)
+        reps = class_band_representatives(covs, labels)
+        assert reps.tobytes() == _serial_representatives(covs, labels).tobytes()
+        assert len(idents) == 4 and len(set(idents[:2])) == 2
+        assert threading.get_ident() in idents
+        assert _CountingPool.asked == [1]
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4, 64])
+    def test_no_more_threads_compute_than_cpus(self, dataset, monkeypatch, cpus):
+        """At most ``_cpu_count()`` distinct threads compute means, the
+        caller among them, from a pool of one worker fewer than the
+        pool rule grants."""
+        covs, labels = dataset
+        monkeypatch.setattr(trainer_module, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(trainer_module, "ThreadPoolExecutor", _CountingPool)
+        monkeypatch.setattr(_CountingPool, "asked", [])
+        idents = []
+
+        def recording(batch):
+            idents.append(threading.get_ident())
+            return karcher_mean(batch)
+
+        monkeypatch.setattr(trainer_module, "karcher_mean", recording)
+        threads_before = threading.active_count()
+        reps = class_band_representatives(covs, labels)
+        assert threading.active_count() == threads_before
+        assert reps.tobytes() == _serial_representatives(covs, labels).tobytes()
+        assert len(idents) == 4 and len(set(idents)) <= min(cpus, 4)
+        assert _CountingPool.asked == [min(cpus, 4) - 1]
+
+    def test_the_helpers_lower_failing_group_beats_the_callers_higher_one(
+            self, dataset, monkeypatch):
+        """Groups 0 and 1 meet at a barrier, one in the caller and one on
+        the pool thread.  The pool thread's group fails only after the
+        caller has failed group 2, its next; the pool thread's lower
+        group's error is raised, as the serial loop would raise it, and
+        group 3 never starts."""
+        covs, labels = dataset
+        self._use_cpus(monkeypatch, 2)
+        batches = [unpack(covs[labels == c, :, f]).reshape(-1, 4, 4)
+                   for c in (0, 1) for f in (0, 1)]
+        caller = threading.get_ident()
+        barrier = threading.Barrier(2, timeout=10)
+        caller_failed = threading.Event()
+        started = []
+
+        def mean_or_fail(batch):
+            k = next(i for i, b in enumerate(batches) if np.array_equal(batch, b))
+            started.append(k)
+            if k < 2:
+                barrier.wait()
+            if threading.get_ident() != caller:
+                assert caller_failed.wait(timeout=10)
+                raise NotPositiveDefinite(f"pool thread, group {k}")
+            if k >= 2:
+                caller_failed.set()
+                raise NotPositiveDefinite(f"caller, group {k}")
+            return karcher_mean(batch)
+
+        monkeypatch.setattr(trainer_module, "karcher_mean", mean_or_fail)
+        with pytest.raises(NotPositiveDefinite, match=r"^pool thread, group [01]$"):
+            class_band_representatives(covs, labels)
+        assert sorted(started) == [0, 1, 2]
+
+    @pytest.mark.parametrize("failing", [(), (37, 90, 91)], ids=["none", "three"])
+    def test_ordered_map_under_forced_thread_switches(self, failing):
+        """``_ordered_map`` on 8 threads, more than the CPUs, with the
+        interpreter switching threads every microsecond: every item
+        before the first failure runs exactly once, the results come
+        back in order, and the first failing item's error is raised."""
+        ran = []
+
+        def double(k):
+            ran.append(k)
+            if k in failing:
+                raise NotPositiveDefinite(f"item {k}")
+            return 2 * k
+
+        outcome = {}
+
+        def call():
+            try:
+                outcome["results"] = trainer_module._ordered_map(double, list(range(200)), 8)
+            except NotPositiveDefinite as exc:
+                outcome["error"] = str(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=call)
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert len(ran) == len(set(ran))
+        if failing:
+            assert outcome == {"error": f"item {failing[0]}"}
+            assert set(range(failing[0])) <= set(ran)
+        else:
+            assert outcome == {"results": [2 * k for k in range(200)]}
+            assert sorted(ran) == list(range(200))
 
     @staticmethod
     def _spoil(covs, labels, cls, band, how):
