@@ -11,7 +11,6 @@ cross-entropy.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_softmax
 
 from .errors import LabelOutOfRange, MissingForwardCache, ShapeMismatch
 
@@ -63,9 +62,11 @@ class TangentClassifier:
 
     # --- forward pieces -------------------------------------------------
 
-    def conv_forward(self, x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-        """(B, S, F, J) -> per-band conv output (B, F, C_out) with the
-        (C_out, S, J) ``kernel``.
+    def conv_forward(self, x: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(B, S, F, J) -> ``(conv, features)``: the per-band conv output
+        (B, F, C_out) with the (C_out, S, J) ``kernel``, and the (B*F,
+        S*J) copy of the features it multiplied, which :meth:`backward`
+        reuses for the kernel's gradient.
 
         The kernel spans a band's whole (S, J) plane, so the conv is one
         product with the kernel read as a (C_out, S*J) matrix.  It takes
@@ -87,7 +88,9 @@ class TangentClassifier:
         b, f = x.shape[0], x.shape[2]
         features = x.transpose(0, 2, 1, 3).reshape(b * f, s * j)
         conv = np.dot(features, kernel.transpose(1, 2, 0).reshape(s * j, c_out))
-        return conv.reshape(b, f, c_out) + self.bias
+        conv = conv.reshape(b, f, c_out)
+        conv += self.bias
+        return conv, features
 
     def _gated_head(self, conv_out: np.ndarray):
         """Gate, flatten and linear head of a (B, F, C_out) conv output:
@@ -102,11 +105,11 @@ class TangentClassifier:
     def forward(self, x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         """(B, S, F, J) tangent features -> (B, n_classes) logits, with the
         conv ``kernel`` (see :meth:`conv_forward`)."""
-        conv_out = self.conv_forward(x, kernel)
+        conv_out, features = self.conv_forward(x, kernel)
         squeezed, hidden, gate, flat, logits = self._gated_head(conv_out)
         self._cache = {
-            "x": x, "kernel": kernel, "conv_out": conv_out, "squeezed": squeezed,
-            "hidden": hidden, "gate": gate, "flat": flat,
+            "x_shape": x.shape, "features": features, "kernel": kernel, "conv_out": conv_out,
+            "squeezed": squeezed, "hidden": hidden, "gate": gate, "flat": flat,
         }
         return logits
 
@@ -132,9 +135,13 @@ class TangentClassifier:
         d_pre1 = (d_pre2 @ self.w2.T) * (c["hidden"] > 0)
         self.grads["w1"] = c["squeezed"].T @ d_pre1
         d_squeezed = d_pre1 @ self.w1.T
-        d_conv = d_conv + d_squeezed[..., None] / conv_out.shape[-1]
+        d_conv += d_squeezed[..., None] / conv_out.shape[-1]
 
-        self.grads["kernel"] = np.tensordot(d_conv, c["x"], axes=([0, 1], [0, 2]))
+        # tensordot's own steps with the forward's copy of the features:
+        # d_conv as a (C_out, B*F) view, one np.dot, so its bits
+        b, s, f, j = c["x_shape"]
+        self.grads["kernel"] = np.dot(
+            d_conv.transpose(2, 0, 1).reshape(-1, b * f), c["features"]).reshape(-1, s, j)
         self.grads["bias"] = d_conv.sum(axis=(0, 1))
         return np.tensordot(d_conv, c["kernel"], axes=(2, 0)).swapaxes(1, 2)
 
@@ -146,16 +153,31 @@ class TangentClassifier:
         }
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis of a 2-D array, in the steps of
+    ``scipy.special.log_softmax`` and so with its bits: the row max, set
+    to 0 where it is not finite; the shifted rows, their ``exp`` and its
+    sum; its ``log``, with the log of 0 allowed; the shift minus the
+    log."""
+    row_max = np.max(logits, axis=1, keepdims=True)
+    row_max[~np.isfinite(row_max)] = 0
+    shifted = logits - row_max
+    with np.errstate(divide="ignore"):
+        log_sum = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    return shifted - log_sum
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient w.r.t. the logits."""
+    """Mean softmax cross-entropy and its gradient w.r.t. the logits.
+    The log-softmax is :func:`_log_softmax`, numpy's own steps with the
+    bits of scipy's."""
     logits = np.atleast_2d(logits)
     labels = np.atleast_1d(labels)
     n, c = logits.shape
     if np.any(labels < 0) or np.any(labels >= c):
         raise LabelOutOfRange(f"labels must lie in 0..{c - 1}")
-    logp = log_softmax(logits, axis=1)
+    logp = _log_softmax(logits)
     loss = -float(np.mean(logp[np.arange(n), labels]))
     grad = np.exp(logp)
     grad[np.arange(n), labels] -= 1.0
     return loss, grad / n
-

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, MissingForwardCache
-from .spd import eig_fn, inv_sqrtm, require_positive, spd_exp, spd_log, sym
+from .spd import eig_fn, inv_sqrtm, require_positive, spd_exp, spd_log, sym, transposed
 
 DEGENERATE_EIG_TOL = 1e-12
 
@@ -66,14 +66,27 @@ def _eig_fn_backward(
 ) -> np.ndarray:
     """Daleckii-Krein backward of :func:`~spdbci.spd.eig_fn`:
     grad_X = U (K o (U^T sym(G) U)) U^T with K_ij = (f(w_i) - f(w_j)) /
-    (w_i - w_j) and K_ii = f'(w_i), given ``fw = f(w)`` and ``dfw = f'(w)``."""
-    diff = w[..., :, None] - w[..., None, :]
+    (w_i - w_j) and K_ii = f'(w_i), given ``fw = f(w)`` and ``dfw = f'(w)``.
+
+    The kernel is built with the eigenvalue axis first, as (m, m, ...)
+    arrays whose last axis runs over the batch: each pairwise operation
+    then runs one long contiguous loop instead of a short one per
+    matrix, about twice as fast at (1152, 5, 5).  Near pairs take
+    ``f'(w_i)`` by one masked copy.  ``U^T`` is
+    :func:`~spdbci.spd.transposed`, a contiguous copy at small orders.
+    Each entry takes the same operations on the same operands as the
+    broadcast form, so the bits are the same."""
+    w, fw, dfw = (np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in (w, fw, dfw))
+    diff = w[:, None] - w[None, :]
     near = np.abs(diff) < DEGENERATE_EIG_TOL
-    denom = np.where(near, 1.0, diff)
-    k = np.where(near, dfw[..., :, None], (fw[..., :, None] - fw[..., None, :]) / denom)
-    ut = np.swapaxes(u, -1, -2)
+    np.copyto(diff, 1.0, where=near)
+    k = fw[:, None] - fw[None, :]
+    k /= diff
+    np.copyto(k, np.broadcast_to(dfw[:, None], k.shape), where=near)
+    ut = transposed(u)
     inner = ut @ sym(grad) @ u
-    return u @ (k * inner) @ ut
+    inner *= np.moveaxis(k, (0, 1), (-2, -1))
+    return u @ inner @ ut
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +94,19 @@ def _eig_fn_backward(
 # ---------------------------------------------------------------------------
 
 class BiMapLayer:
-    """Bilinear map X -> W X W^T, W with orthonormal rows."""
+    """Bilinear map X -> W X W^T, W (p, n) with orthonormal rows.
+
+    The forward keeps ``W X`` as its cache, not the batch: the backward's
+    weight gradient needs that product, and the backward drops it, so
+    each backward needs a forward of its own.  Each right product,
+    ``(W X) W^T`` and the input gradient's ``(W^T G) W``, runs as one 2-D
+    ``gemm`` over the flattened C-contiguous stack, where numpy's stacked
+    ``matmul`` runs the broadcast ``W^T`` view on the right about 3 times
+    slower.  Each entry takes the same products in the same order, so
+    the bits are those of ``w @ x @ w.T`` and ``w.T @ g @ w``; at p = 1
+    numpy would send the 2-D product to a matrix-vector kernel, which
+    rounds otherwise, so a one-row W keeps the stacked product.
+    """
 
     def __init__(self, weight: np.ndarray):
         self.weight = np.asarray(weight, dtype=np.float64)
@@ -89,21 +114,25 @@ class BiMapLayer:
         self._cache: np.ndarray | None = None
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        self._cache = batch
         w = self.weight
-        return w @ batch @ w.T
+        p, n = w.shape
+        wx = self._cache = w @ batch
+        if p == 1:
+            return wx @ w.T
+        return (wx.reshape(-1, n) @ w.T).reshape(wx.shape[:-1] + (p,))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise MissingForwardCache("BiMap backward before forward")
-        x = self._cache
+        wx, self._cache = self._cache, None
         w = self.weight
+        p, n = w.shape
         gsym = grad + np.swapaxes(grad, -1, -2)
         # dL/dW = sum_b (G_b + G_b^T) W X_b (X symmetric): one contraction
-        # over the batch and the inner index.  W X_b is formed first
-        # because the cut batch X is strided, and the product is not.
-        self.grad_weight = np.tensordot(gsym, w @ x, ([0, 2], [0, 1]))
-        return w.T @ grad @ w
+        # over the batch and the inner index
+        self.grad_weight = np.tensordot(gsym, wx, ([0, 2], [0, 1]))
+        wtg = w.T @ grad
+        return (wtg.reshape(-1, p) @ w).reshape(wtg.shape[:-1] + (n,))
 
 
 class ReEigLayer:
@@ -251,9 +280,15 @@ class RbnLayer:
         self._mean = value
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        r = self.whitener
-        return r @ batch @ r
+        return self._congruence(batch)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        return self._congruence(grad)
+
+    def _congruence(self, x: np.ndarray) -> np.ndarray:
+        """``r x r``: the left product stacked, the right one a single
+        2-D ``gemm`` over the flattened stack, as :class:`BiMapLayer`
+        takes it, with the bits of ``r @ x @ r``."""
         r = self.whitener
-        return r @ grad @ r
+        rx = r @ x
+        return (rx.reshape(-1, r.shape[0]) @ r).reshape(rx.shape)

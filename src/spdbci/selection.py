@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceFailure, DimensionMismatch, MissingForwardCache
 from .layers import random_stiefel
-from .spd import airm_distances, check_spd, spd_log, sym
+from .spd import airm_distances, check_spd, spd_log, sym, transposed
 
 
 def geodesic_matrix(samples: np.ndarray) -> np.ndarray:
@@ -206,8 +206,7 @@ class MbtHeads:
         w = self.weights
         m = w.shape[-1]
         k = self._cache = kernel.reshape(kernel.shape[:-1] + (self.K, m, m))
-        wt = np.swapaxes(w, -1, -2)
-        folded = k[..., 0, :, :] + (w @ k[..., 1:, :, :] @ wt).sum(axis=-3)
+        folded = k[..., 0, :, :] + (w @ k[..., 1:, :, :] @ transposed(w)).sum(axis=-3)
         return folded.reshape(kernel.shape[:-1] + (m * m,))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -61,6 +61,42 @@ def conv_oracle(x, kernel, bias):
     return np.tensordot(x, kernel, axes=([1, 3], [1, 2])) + bias
 
 
+def classifier_backward_oracle(clf, x, kernel, grad_logits):
+    """``(input gradient, grads)`` of a :class:`TangentClassifier` whose
+    last forward ran on ``x`` with ``kernel``, the kernel's gradient
+    through ``np.tensordot`` of the upstream gradient and ``x`` itself
+    (reference oracle pinning the bits of ``TangentClassifier.backward``,
+    which reuses the forward's copy of the features)."""
+    c = clf._cache
+    grads = {"head_w": c["flat"].T @ grad_logits, "head_b": grad_logits.sum(axis=0)}
+    conv_out, gate = c["conv_out"], c["gate"]
+    d_gated = (grad_logits @ clf.head_w.T).reshape(conv_out.shape)
+    d_gate = np.sum(d_gated * conv_out, axis=-1)
+    d_pre2 = d_gate * gate * (1.0 - gate)
+    grads["w2"] = c["hidden"].T @ d_pre2
+    d_pre1 = (d_pre2 @ clf.w2.T) * (c["hidden"] > 0)
+    grads["w1"] = c["squeezed"].T @ d_pre1
+    d_conv = gate[..., None] * d_gated + (d_pre1 @ clf.w1.T)[..., None] / conv_out.shape[-1]
+    grads["kernel"] = np.tensordot(d_conv, x, axes=([0, 1], [0, 2]))
+    grads["bias"] = d_conv.sum(axis=(0, 1))
+    return np.tensordot(d_conv, kernel, axes=(2, 0)).swapaxes(1, 2), grads
+
+
+def eig_fn_backward_broadcast(grad, w, u, fw, dfw, tol):
+    """The Daleckii-Krein backward ``U (K o (U^T sym(G) U)) U^T`` with
+    its kernel broadcast over length-m axes and ``U^T`` a ``swapaxes``
+    view (reference oracle pinning the bits of ``layers._eig_fn_backward``,
+    which lays the kernel out with the batch last and copies ``U^T`` at
+    small orders)."""
+    diff = w[..., :, None] - w[..., None, :]
+    near = np.abs(diff) < tol
+    denom = np.where(near, 1.0, diff)
+    k = np.where(near, dfw[..., :, None], (fw[..., :, None] - fw[..., None, :]) / denom)
+    ut = np.swapaxes(u, -1, -2)
+    g = 0.5 * (grad + np.swapaxes(grad, -1, -2))
+    return u @ (k * (ut @ g @ u)) @ ut
+
+
 def sigmoid_masked(x):
     """Logistic sigmoid by boolean masks: ``1 / (1 + exp(-x))`` on
     ``x >= 0`` and ``exp(x) / (1 + exp(x))`` elsewhere (reference oracle
@@ -203,7 +239,7 @@ def layered_eval_forward(model, covs):
     tangent = spd_log(rectified)
     stacked = np.stack([tangent] + [w_k.T @ tangent @ w_k for w_k in model.heads.weights],
                        axis=1)
-    conv_out = model.clf.conv_forward(stacked.reshape(b, s, f, -1), model.clf.kernel)
+    conv_out = model.clf.conv_forward(stacked.reshape(b, s, f, -1), model.clf.kernel)[0]
     return model.clf._gated_head(conv_out)[-1]
 
 

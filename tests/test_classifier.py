@@ -1,15 +1,18 @@
 """Tangent-space classifier: per-band convolution, band-importance
 gating, loss, and gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import log_softmax
 
-from spdbci.classifier import TangentClassifier, _sigmoid, cross_entropy
+from spdbci.classifier import TangentClassifier, _log_softmax, _sigmoid, cross_entropy
 from spdbci.errors import LabelOutOfRange, ShapeMismatch
 from spdbci.model import Model
 from spdbci.spd import unpack
 
-from conftest import conv_oracle, sigmoid_masked
+from conftest import classifier_backward_oracle, conv_oracle, sigmoid_masked
 
 
 def _clf(rng, n_bands=3, n_windows=2, feat_len=8, n_classes=2, conv_out=4):
@@ -27,20 +30,20 @@ class TestConv:
     def test_zero_kernel(self, rng):
         clf = _clf(rng)
         clf.kernel = np.zeros_like(clf.kernel)
-        out = clf.conv_forward(rng.standard_normal((2, 2, 3, 8)), clf.kernel)
+        out = clf.conv_forward(rng.standard_normal((2, 2, 3, 8)), clf.kernel)[0]
         assert np.allclose(out, 0.0)
 
     def test_zero_input_bias_passthrough(self, rng):
         clf = _clf(rng)
         clf.bias = np.arange(4, dtype=np.float64)
-        out = clf.conv_forward(np.zeros((2, 2, 3, 8)), clf.kernel)
+        out = clf.conv_forward(np.zeros((2, 2, 3, 8)), clf.kernel)[0]
         assert np.allclose(out, clf.bias)
 
     def test_linearity(self, rng):
         clf = _clf(rng)
         x = rng.standard_normal((2, 2, 3, 8))
-        assert np.allclose(clf.conv_forward(3.0 * x, clf.kernel),
-                           3.0 * clf.conv_forward(x, clf.kernel))
+        assert np.allclose(clf.conv_forward(3.0 * x, clf.kernel)[0],
+                           3.0 * clf.conv_forward(x, clf.kernel)[0])
 
     def test_shape_mismatch(self, rng):
         # wrong feature length, wrong band count, and the old 5-axis layout
@@ -61,7 +64,7 @@ class TestConv:
         clf.bias = rng.standard_normal(clf.bias.shape)
         x = rng.standard_normal((5, 2, 3, 8))
         expected = np.einsum("bsfj,csj->bfc", x, clf.kernel) + clf.bias
-        assert np.allclose(clf.conv_forward(x, clf.kernel), expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(clf.conv_forward(x, clf.kernel)[0], expected, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("k_heads", [4, 1])
     @pytest.mark.parametrize("batch", [64, 1], ids=["training-batch", "one-trial"])
@@ -78,9 +81,10 @@ class TestConv:
         model.clf.bias = rng.standard_normal(model.clf.bias.shape)
         kernel = model.heads.forward(model.clf.kernel)
         x = rng.standard_normal((batch, 2, 9, 25))
-        out = model.clf.conv_forward(x, kernel)
+        out, features = model.clf.conv_forward(x, kernel)
         assert out.shape == (batch, 9, 64)
         assert out.tobytes() == conv_oracle(x, kernel, model.clf.bias).tobytes()
+        assert features.tobytes() == x.transpose(0, 2, 1, 3).reshape(batch * 9, 50).tobytes()
         covs = rng.standard_normal((batch, 2, 9, 36))
         full = unpack(covs)
         ch = model.channels
@@ -141,8 +145,8 @@ class TestBandImportance:
         clf.w2 = np.ones_like(clf.w2)
         x = rng.standard_normal((1, 2, 4, 8))
         perm = [1, 0, 2, 3]
-        out = clf.conv_forward(x, clf.kernel)
-        out_p = clf.conv_forward(x[:, :, perm], clf.kernel)
+        out = clf.conv_forward(x, clf.kernel)[0]
+        out_p = clf.conv_forward(x[:, :, perm], clf.kernel)[0]
         assert np.allclose(out_p, out[:, perm])
         gate, _ = _gate(clf, out)
         gate_p, _ = _gate(clf, out[:, perm])
@@ -174,7 +178,84 @@ class TestLoss:
         assert abs(num - np.sum(grad * v)) / abs(num) < 1e-6
 
 
+class TestLogSoftmax:
+    """``_log_softmax`` takes ``scipy.special.log_softmax``'s steps in
+    numpy, so it gives scipy's bits, warning for warning."""
+
+    @staticmethod
+    def _assert_scipy_bits(logits):
+        want = log_softmax(logits, axis=1)
+        got = _log_softmax(logits)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 1e4])
+    def test_random_rows(self, rng, scale):
+        for shape in [(64, 2), (16, 4), (1, 7), (5, 1)]:
+            self._assert_scipy_bits(scale * rng.standard_normal(shape))
+
+    def test_rows_of_huge_magnitude(self, rng):
+        logits = rng.choice([-1e300, 1e300], (8, 3))
+        logits[0] = 1e300
+        logits[1] = -1e300
+        self._assert_scipy_bits(logits)
+
+    def test_rows_with_negative_infinities(self, rng):
+        logits = rng.standard_normal((6, 4))
+        logits[0, 1] = logits[2, :3] = logits[5, 0] = -np.inf
+        self._assert_scipy_bits(logits)
+
+    def test_rows_with_positive_infinities_and_nans(self, rng):
+        """A row whose max is +inf has it set to 0 before the shift, so
+        its finite entries come out -inf, not nan."""
+        logits = rng.standard_normal((4, 3))
+        logits[0, 1] = logits[1, 0] = np.inf
+        logits[1, 2] = -np.inf
+        logits[2, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = _log_softmax(logits)
+            want = log_softmax(logits, axis=1)
+        assert got[0, 0] == -np.inf
+        assert got.tobytes() == want.tobytes()
+
+    def test_an_all_negative_infinity_row(self, rng):
+        """Its max is set to 0 and the log of its zero sum is -inf, so the
+        row is -inf - -inf = nan in both, and both warn of that subtraction
+        alone, not of the log."""
+        logits = rng.standard_normal((3, 4))
+        logits[1] = -np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _log_softmax(logits)
+        assert [str(w.message) for w in caught] == ["invalid value encountered in subtract"]
+        with np.errstate(invalid="ignore"):
+            want = log_softmax(logits, axis=1)
+        assert np.all(np.isnan(got[1]))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestClassifierGradients:
+    @pytest.mark.parametrize("batch", [64, 1])
+    def test_backward_gives_the_bits_of_the_tensordot_oracle(self, rng, batch):
+        """The kernel's gradient from the forward's feature copy, and every
+        other gradient, equal the oracle's that contracts the features
+        themselves, byte for byte, at train-c5's shape."""
+        clf = _clf(rng, n_bands=9, n_windows=2, feat_len=25, n_classes=2, conv_out=64)
+        for name, p in clf.parameters().items():
+            setattr(clf, name, rng.standard_normal(p.shape))
+        x = rng.standard_normal((batch, 2, 9, 25))
+        kernel = rng.standard_normal(clf.kernel.shape)
+        g = rng.standard_normal((batch, 2))
+        clf.forward(x, kernel)
+        want_dx, want = classifier_backward_oracle(clf, x, kernel, g)
+        got_dx = clf.backward(g)
+        assert got_dx.shape == want_dx.shape
+        assert got_dx.tobytes() == want_dx.tobytes()
+        assert clf.grads.keys() == want.keys()
+        for name, want_g in want.items():
+            assert clf.grads[name].shape == want_g.shape, name
+            assert clf.grads[name].tobytes() == want_g.tobytes(), name
+
     def test_input_gradient_fd(self, rng):
         clf = _clf(rng)
         x = rng.standard_normal((3, 2, 3, 8))

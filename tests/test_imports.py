@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and the
+package imports from scipy only what it needs."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,34 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """The scipy modules an import statement in ``source`` names: the
+    module of ``import scipy.x`` and of ``from scipy.x import y``, and
+    ``scipy.y`` for ``from scipy import y``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            if node.module == "scipy":
+                found += [f"scipy.{a.name}" for a in node.names]
+            else:
+                found.append(node.module)
+    return found
+
+
+def test_scipy_checker_names_each_form():
+    source = ("import scipy\nimport scipy.linalg as sl\nfrom scipy import signal, special\n"
+              "from scipy.special import log_softmax\nimport numpy\n")
+    assert scipy_imports(source) == [
+        "scipy", "scipy.linalg", "scipy.signal", "scipy.special", "scipy.special"]
+
+
+def test_the_only_scipy_import_is_the_filter_banks_signal():
+    """Filter design and filtering are the package's one use of scipy;
+    everything else runs on numpy alone."""
+    found = {(p.name, name) for p in sorted(PACKAGE.glob("*.py"))
+             for name in scipy_imports(p.read_text(encoding="utf-8"))}
+    assert found == {("filterbank.py", "scipy.signal")}

@@ -6,6 +6,7 @@ import pytest
 
 from spdbci.errors import ConfigError, MissingForwardCache, NotPositiveDefinite
 from spdbci.layers import (
+    DEGENERATE_EIG_TOL,
     BiMapLayer,
     LogEigLayer,
     RbnLayer,
@@ -21,7 +22,7 @@ from spdbci.spd import airm_distance, inv_sqrtm, spd_log, sym
 
 import spdbci.layers as layers_module
 
-from conftest import karcher_mean_one_pass, random_spd
+from conftest import eig_fn_backward_broadcast, karcher_mean_one_pass, random_spd
 
 
 def fd_input_grad(layer, x, g, h=1e-6, rng=None):
@@ -92,6 +93,52 @@ class TestBiMap:
     def test_backward_without_forward(self):
         with pytest.raises(MissingForwardCache):
             BiMapLayer(np.eye(3)).backward(np.zeros((1, 3, 3)))
+
+    @pytest.mark.parametrize("batch, n, p", [
+        ((1152,), 5, 5), ((64,), 8, 3), ((5,), 22, 22), ((64,), 22, 20), ((3,), 5, 1),
+        ((2, 3), 4, 2), ((), 5, 3),
+    ])
+    @pytest.mark.parametrize("order", ["F", "C"], ids=["model-layout", "c-contiguous"])
+    def test_products_give_the_bits_of_the_stacked_ones(self, rng, batch, n, p, order):
+        """The forward is ``w @ x @ w.T`` and the input gradient
+        ``w.T @ g @ w``, byte for byte, and the weight gradient contracts
+        the cached ``W X``: at train-c5's (1152, 5, 5), non-square,
+        with a one-row W, with two batch axes and on one matrix; with W
+        the transposed view the model holds, and C-contiguous."""
+        x = random_spd(rng, n, batch=int(np.prod(batch))).reshape(batch + (n, n))
+        w = np.asarray(random_stiefel(rng, n, p).T, order=order)
+        layer = BiMapLayer(w)
+        assert layer.forward(x).tobytes() == (w @ x @ w.T).tobytes()
+        g = rng.standard_normal(batch + (p, p))
+        if len(batch) == 1:
+            # the weight gradient contracts one batch axis
+            assert layer.backward(g).tobytes() == (w.T @ g @ w).tobytes()
+            want = np.tensordot(g + np.swapaxes(g, -1, -2), w @ x, ([0, 2], [0, 1]))
+            assert layer.grad_weight.tobytes() == want.tobytes()
+
+    def test_backward_reads_the_product_of_the_last_forward(self, rng):
+        """The cache is the last forward's ``W X``: a second forward
+        replaces it, and the weight gradient is that of the second batch."""
+        w = random_stiefel(rng, 5, 3).T
+        first, second = (random_spd(rng, 5, batch=4) for _ in range(2))
+        g = rng.standard_normal((4, 3, 3))
+        layer, fresh = BiMapLayer(w), BiMapLayer(w)
+        layer.forward(first)
+        assert layer._cache.tobytes() == (w @ first).tobytes()
+        layer.forward(second)
+        assert layer._cache.tobytes() == (w @ second).tobytes()
+        fresh.forward(second)
+        assert layer.backward(g).tobytes() == fresh.backward(g).tobytes()
+        assert layer.grad_weight.tobytes() == fresh.grad_weight.tobytes()
+
+    def test_backward_drops_the_cache(self, rng):
+        """The backward frees ``W X``, so a second backward raises."""
+        layer = BiMapLayer(random_stiefel(rng, 4, 4).T)
+        layer.forward(random_spd(rng, 4, batch=2))
+        layer.backward(rng.standard_normal((2, 4, 4)))
+        assert layer._cache is None
+        with pytest.raises(MissingForwardCache):
+            layer.backward(rng.standard_normal((2, 4, 4)))
 
 
 class TestReEig:
@@ -175,6 +222,30 @@ class TestReEig:
         want = _eig_fn_backward(g, w, u, np.maximum(w, epsilon), (w > epsilon) * 1.0)
         got = layer.backward(g)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestEigFnBackward:
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 9, 22])
+    @pytest.mark.parametrize("batch", [(), (7,), (2, 3)], ids=["one", "stack", "two-axes"])
+    @pytest.mark.parametrize("f", ["log", "clamp"])
+    def test_gives_the_bits_of_the_broadcast_kernel(self, rng, m, batch, f):
+        """The kernel laid out with the batch last and the contiguous
+        ``U^T`` give the broadcast form's bits, on spectra with exact ties
+        and pairs closer than the degeneracy tolerance."""
+        n = int(np.prod(batch))
+        u = np.linalg.qr(rng.standard_normal((n, m, m)))[0]
+        w = np.sort(rng.uniform(0.05, 3.0, (n, m)), axis=-1)
+        if m > 1:
+            w[0, 1] = w[0, 0]
+            w[-1, -1] = w[-1, -2] + 1e-13
+        w, u = w.reshape(batch + (m,)), u.reshape(batch + (m, m))
+        g = rng.standard_normal(batch + (m, m))
+        fw, dfw = ((np.log(w), 1.0 / w) if f == "log"
+                   else (np.maximum(w, 1.0), (w > 1.0).astype(np.float64)))
+        got = _eig_fn_backward(g, w, u, fw, dfw)
+        want = eig_fn_backward_broadcast(g, w, u, fw, dfw, DEGENERATE_EIG_TOL)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLogEig:
@@ -307,6 +378,18 @@ class TestRbn:
         # one Karcher-flow step commutes with congruence, so the Karcher
         # mean of the output of the batch it was fitted on is the identity
         assert airm_distance(karcher_mean(out), np.eye(6)) < 1e-6
+
+    @pytest.mark.parametrize("m", [1, 5, 8, 22])
+    def test_congruence_gives_the_bits_of_r_x_r(self, rng, m):
+        """Forward and backward are ``r @ x @ r`` byte for byte, their
+        right products taken as one 2-D product."""
+        layer = RbnLayer(m)
+        layer.mean = random_spd(rng, m)
+        r = layer.whitener
+        x = random_spd(rng, m, batch=64)
+        g = rng.standard_normal((2, 32, m, m))
+        assert layer.forward(x).tobytes() == (r @ x @ r).tobytes()
+        assert layer.backward(g).tobytes() == (r @ g @ r).tobytes()
 
     def test_frozen_whitener_gradient_fd(self, rng):
         batch = random_spd(rng, 5, batch=4)

@@ -315,6 +315,20 @@ class TestMbtHeads:
         assert heads.backward(g).tobytes() == g.tobytes()
         assert heads.grad_weights.shape == (0, 4, 4)
 
+    @pytest.mark.parametrize("m, k, lead", [(5, 4, (64, 2)), (8, 3, (5,)), (22, 2, (3, 2))])
+    def test_fold_gives_the_bits_of_the_view_product(self, rng, m, k, lead):
+        """The fold through ``spd.transposed`` (a contiguous ``W_k^T`` up
+        to order 8) equals the one with the ``swapaxes`` view byte for
+        byte, at train-c5's (64, 2) kernel of four 5 x 5 heads among
+        others."""
+        heads = MbtHeads.initialize(m, k=k, rng=rng)
+        kernel = _kernel(rng, k, m, lead=lead)
+        w = heads.weights
+        sliced = kernel.reshape(lead + (k, m, m))
+        want = sliced[..., 0, :, :] + (w @ sliced[..., 1:, :, :] @ np.swapaxes(w, -1, -2)).sum(
+            axis=-3)
+        assert heads.forward(kernel).tobytes() == want.reshape(lead + (m * m,)).tobytes()
+
     def test_stack_axis_length(self, rng):
         heads = MbtHeads.initialize(3, k=4, rng=rng)
         assert heads.K == 4 and heads.weights.shape == (3, 3, 3)

@@ -9,10 +9,12 @@ from spdbci.errors import DimensionMismatch, NotPositiveDefinite, ShapeMismatch
 from spdbci.selection import gamma
 from spdbci.spd import (
     SHRINKAGE_SCALE,
+    SMALL_ORDER,
     SPD_RTOL,
     airm_distance,
     check_spd,
     covariance,
+    eig_fn,
     inv_sqrtm,
     pack,
     packed_layout,
@@ -20,6 +22,7 @@ from spdbci.spd import (
     spd_exp,
     spd_log,
     sym,
+    transposed,
     unpack,
 )
 
@@ -241,6 +244,43 @@ class TestLogExp:
     def test_inv_sqrtm_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite, match="inv_sqrtm"):
             inv_sqrtm(np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+
+
+class TestSmallOrderGlue:
+    """The contiguous transpose, and the eigenvalue function built with
+    it, give the bits of their ``swapaxes`` forms."""
+
+    @staticmethod
+    def _inputs(rng, m):
+        """Batched, unbatched and non-contiguous m x m inputs."""
+        big = rng.standard_normal((3, 4, 2 * m, 2 * m))
+        return {
+            "batched": big[..., :m, :m].copy(),
+            "unbatched": big[0, 0, :m, :m].copy(),
+            "strided": big[:, ::2, ::2, ::2],
+            "transposed": np.swapaxes(big[1, :, m:, m:], -1, -2),
+        }
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 22])
+    def test_transposed_is_swapaxes_byte_for_byte(self, rng, m):
+        """A C-contiguous copy up to ``SMALL_ORDER``, the view above it."""
+        for name, x in self._inputs(rng, m).items():
+            want = np.swapaxes(x, -1, -2)
+            got = transposed(x)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            if m <= SMALL_ORDER:
+                assert got.flags.c_contiguous and not np.shares_memory(got, x), name
+            else:
+                assert got.base is not None and np.shares_memory(got, x), name
+
+    @pytest.mark.parametrize("m", [1, 2, 5, SMALL_ORDER, SMALL_ORDER + 1, 22])
+    @pytest.mark.parametrize("batch", [(), (64,), (2, 9)], ids=["one", "stack", "two-axes"])
+    def test_eig_fn_gives_the_bits_of_the_view_product(self, rng, m, batch):
+        x = random_spd(rng, m, batch=int(np.prod(batch))).reshape(batch + (m, m))
+        out, w, u = eig_fn(x, np.log)
+        want = (u * np.log(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
+        assert out.tobytes() == want.tobytes()
 
 
 class TestCheckSpd:

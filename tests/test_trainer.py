@@ -40,7 +40,7 @@ from spdbci.errors import (
 )
 import spdbci.filterbank as filterbank_module
 from spdbci.filterbank import segment
-from spdbci.layers import karcher_mean
+from spdbci.layers import BiMapLayer, karcher_mean
 from spdbci.model import Model, count_parameters, model_from_bundle, model_to_bundle
 from spdbci.spd import FOLD_RATIO, SHRINKAGE_SCALE, covariance, pack, unpack
 from spdbci.synth import generate_from_spec, synthetic_trials, two_class_covariances
@@ -856,6 +856,27 @@ class TestStep:
         model.step(0.1)
         for name, arr in model.parameter_arrays().items():
             assert arr.tobytes() == want[name].tobytes(), name
+
+    def test_backward_runs_the_bimap_layers_backward(self, rng, monkeypatch):
+        """``Model.backward`` ends in ``BiMapLayer.backward``, once per
+        step, on the gradient RBN passes down: the benchmark's traced
+        train-c5 run expects that layer's span, and its input gradient is
+        the one the gradient battery checks."""
+        model = _fresh_model(rng, k=2)
+        covs = pack(random_spd(rng, 4, batch=5 * 2 * 2).reshape(5, 2, 2, 4, 4))
+        calls = []
+        real = BiMapLayer.backward
+
+        def recording(layer, grad):
+            calls.append((layer, grad.shape))
+            return real(layer, grad)
+
+        monkeypatch.setattr(BiMapLayer, "backward", recording)
+        for _ in range(2):
+            logits = model.forward(covs, training=True)
+            model.backward(cross_entropy(logits, rng.integers(0, 2, 5))[1])
+            model.step(0.1)
+        assert calls == [(model.bimap, (5 * 2 * 2, 2, 2))] * 2
 
     def test_one_head_step_runs_no_qr_on_the_empty_head_stack(self, rng, monkeypatch):
         model = _fresh_model(rng, k=1)
