@@ -4,8 +4,10 @@ normalization, and LogEig.
 All gradients are derived analytically.  Eigenvalue-function backward
 passes use the Daleckii-Krein divided-difference form; eigenvalue pairs
 closer than 1e-12 fall back to the diagonal limit f'(lambda).  LogEig
-and the Karcher mean reject a spectrum with ``w_min <= 0`` through
-:func:`spdbci.spd.require_positive`.
+and the Karcher mean reject a spectrum with ``w_min <= 0`` or a NaN
+through :func:`spdbci.spd.require_positive`, and ReEig a non-finite
+spectrum, so a NaN or infinite input raises
+:class:`~spdbci.errors.NotPositiveDefinite`.
 
 Batches are arrays of shape (B, n, n); layers whose backward needs their
 forward pass cache it and raise :class:`MissingForwardCache` if backward
@@ -16,8 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, MissingForwardCache
-from .spd import eig_fn, inv_sqrtm, require_positive, spd_exp, spd_log, sym, transposed
+from .errors import ConfigError, MissingForwardCache, NotPositiveDefinite
+from .spd import (_eigh, eig_fn, inv_sqrtm, require_positive, right_product, spd_exp, spd_log,
+                  sym, transposed)
 
 DEGENERATE_EIG_TOL = 1e-12
 
@@ -98,14 +101,10 @@ class BiMapLayer:
 
     The forward keeps ``W X`` as its cache, not the batch: the backward's
     weight gradient needs that product, and the backward drops it, so
-    each backward needs a forward of its own.  Each right product,
-    ``(W X) W^T`` and the input gradient's ``(W^T G) W``, runs as one 2-D
-    ``gemm`` over the flattened C-contiguous stack, where numpy's stacked
-    ``matmul`` runs the broadcast ``W^T`` view on the right about 3 times
-    slower.  Each entry takes the same products in the same order, so
-    the bits are those of ``w @ x @ w.T`` and ``w.T @ g @ w``; at p = 1
-    numpy would send the 2-D product to a matrix-vector kernel, which
-    rounds otherwise, so a one-row W keeps the stacked product.
+    each backward needs a forward of its own.  The right products,
+    ``(W X) W^T`` and the input gradient's ``(W^T G) W``, are
+    :func:`~spdbci.spd.right_product`, with the bits of ``w @ x @ w.T``
+    and ``w.T @ g @ w``.
     """
 
     def __init__(self, weight: np.ndarray):
@@ -115,24 +114,19 @@ class BiMapLayer:
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         w = self.weight
-        p, n = w.shape
         wx = self._cache = w @ batch
-        if p == 1:
-            return wx @ w.T
-        return (wx.reshape(-1, n) @ w.T).reshape(wx.shape[:-1] + (p,))
+        return right_product(wx, w.T)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise MissingForwardCache("BiMap backward before forward")
         wx, self._cache = self._cache, None
         w = self.weight
-        p, n = w.shape
         gsym = grad + np.swapaxes(grad, -1, -2)
         # dL/dW = sum_b (G_b + G_b^T) W X_b (X symmetric): one contraction
         # over the batch and the inner index
         self.grad_weight = np.tensordot(gsym, wx, ([0, 2], [0, 1]))
-        wtg = w.T @ grad
-        return (wtg.reshape(-1, p) @ w).reshape(wtg.shape[:-1] + (n,))
+        return right_product(w.T @ grad, w)
 
 
 class ReEigLayer:
@@ -142,7 +136,10 @@ class ReEigLayer:
     The forward keeps ``(w, U)`` for the backward and for
     :attr:`output_eig`.  When every eigenvalue of the batch is above
     ``eps`` the map is the identity on ``sym(X)``, so that is returned
-    as is; only a batch with a clamped eigenvalue forms the product.
+    as is; only a batch with a clamped eigenvalue forms the product.  A
+    spectrum with a NaN or infinite eigenvalue, which a non-finite entry
+    gives, raises :class:`~spdbci.errors.NotPositiveDefinite`: the test
+    runs on the (..., n) spectrum, not on the batch.
     """
 
     def __init__(self, epsilon: float = 1e-4):
@@ -153,7 +150,10 @@ class ReEigLayer:
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         x = sym(batch)
-        w, u = self._cache = np.linalg.eigh(x)
+        w, u = _eigh(x, "ReEig input")
+        if not np.isfinite(w).all():
+            raise NotPositiveDefinite("ReEig input has a non-finite eigenvalue")
+        self._cache = w, u
         eps = self.epsilon
         if np.all(w[..., 0] > eps):
             return x
@@ -232,9 +232,11 @@ def karcher_mean(batch: np.ndarray) -> np.ndarray:
     the slices before it, and the slice is then summed over its first
     axis.  numpy sums an (N, n, n) array over that axis one matrix after
     another when n > 1, so the result equals the one-pass
-    ``spd_log(rm @ batch @ rm).mean(axis=0)`` bit for bit.  At n = 1 it
-    sums pairwise along the contiguous axis, so a 1 x 1 batch runs as
-    one slice.
+    ``spd_log(rm @ batch @ rm).mean(axis=0)`` bit for bit, with each
+    slice's right product by ``rm`` taken by
+    :func:`~spdbci.spd.right_product` (the stacked product's bits at 8
+    and 22 channels).  At n = 1 numpy sums pairwise along the contiguous
+    axis, so a 1 x 1 batch runs as one slice.
     """
     mean = sym(batch.mean(axis=0))
     half, w, u = eig_fn(mean, lambda v: np.sqrt(
@@ -244,7 +246,7 @@ def karcher_mean(batch: np.ndarray) -> np.ndarray:
     step = KARCHER_SLICE if mean.shape[-1] > 1 else n
     total = None
     for start in range(0, n, step):
-        logs = spd_log(rm @ batch[start : start + step] @ rm)
+        logs = spd_log(right_product(rm @ batch[start : start + step], rm))
         if total is not None:
             logs[0] += total
         total = logs.sum(axis=0)
@@ -264,7 +266,9 @@ class RbnLayer:
     load, computes the whitener once.  The output is symmetric to
     round-off; :class:`ReEigLayer` symmetrises it before decomposing.
     The backward is the adjoint ``G -> r G r`` and treats ``r`` as a
-    statistic (no gradient flows through the mean).
+    statistic (no gradient flows through the mean).  Both take the right
+    product by ``r`` as :func:`~spdbci.spd.right_product`, with the bits
+    of ``r @ x @ r``.
     """
 
     def __init__(self, dim: int):
@@ -280,15 +284,7 @@ class RbnLayer:
         self._mean = value
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
-        return self._congruence(batch)
+        return right_product(self.whitener @ batch, self.whitener)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return self._congruence(grad)
-
-    def _congruence(self, x: np.ndarray) -> np.ndarray:
-        """``r x r``: the left product stacked, the right one a single
-        2-D ``gemm`` over the flattened stack, as :class:`BiMapLayer`
-        takes it, with the bits of ``r @ x @ r``."""
-        r = self.whitener
-        rx = r @ x
-        return (rx.reshape(-1, r.shape[0]) @ r).reshape(rx.shape)
+        return right_product(self.whitener @ grad, self.whitener)

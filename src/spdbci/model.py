@@ -27,7 +27,8 @@ a second ``eigh``.
 
 Evaluation runs the same cut, then folds the layers into three steps,
 exact to round-off: BiMap and whitening by the RBN mean,
-``R = mean^(-1/2)``, are one fixed m x m congruence ``A = R W``, ReEig
+``R = mean^(-1/2)``, are one fixed m x m congruence ``A = R W`` (its
+right product by ``A^T`` is :func:`~spdbci.spd.right_product`), ReEig
 and LogEig are one eigenvalue function ``log(max(w, eps))``, and the
 conv reads the tangent through ``E``.
 """
@@ -45,7 +46,7 @@ from .errors import DimensionMismatch, MalformedHeader, ShapeMismatch
 from .layers import (BiMapLayer, LogEigLayer, RbnLayer, ReEigLayer, karcher_mean,
                      random_stiefel, stiefel_step)
 from .selection import MbtHeads
-from .spd import check_spd, eig_fn, packed_layout
+from .spd import check_spd, eig_fn, packed_layout, right_product
 
 #: Largest entry of ``|W^T W - I|`` a bundle's BiMap or head weight may
 #: show; the Stiefel retraction keeps trained weights near round-off.
@@ -143,7 +144,8 @@ class Model:
         :func:`~spdbci.trainer.train` runs it once, on the initial weight."""
         self._plan = None
         w = self.bimap.weight
-        self.rbn.mean = karcher_mean(w @ reps[..., self.channels[:, None], self.channels] @ w.T)
+        self.rbn.mean = karcher_mean(
+            right_product(w @ reps[..., self.channels[:, None], self.channels], w.T))
 
     def forward(self, covs: np.ndarray, training: bool = True) -> np.ndarray:
         """(B, S, F, M(M + 1)/2) packed covariance batch -> (B, C) logits.
@@ -162,7 +164,7 @@ class Model:
         if not training:
             a, kernel = self._folded_plan()
             eps = self.reeig.epsilon
-            tangent, _, _ = eig_fn(a @ x @ a.T, lambda w: np.log(np.maximum(w, eps)))
+            tangent = eig_fn(right_product(a @ x, a.T), lambda w: np.log(np.maximum(w, eps)))[0]
             logits = self.clf.forward(tangent.reshape(b, s, f, m * m), kernel)
             # backward has nothing to differentiate, and the batch is freed
             self.clf._cache = None

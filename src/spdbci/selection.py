@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceFailure, DimensionMismatch, MissingForwardCache
 from .layers import random_stiefel
-from .spd import airm_distances, check_spd, spd_log, sym, transposed
+from .spd import _eigh, airm_distances, check_spd, spd_log, sym, transposed
 
 
 def geodesic_matrix(samples: np.ndarray) -> np.ndarray:
@@ -86,7 +86,7 @@ def update_W(l_matrix: np.ndarray, m: int) -> np.ndarray:
     """Top-m eigenvectors of a symmetric L; maximizes tr(W^T L W) over
     orthonormal W (Rayleigh quotient)."""
     l_matrix = sym(np.asarray(l_matrix, dtype=np.float64))
-    w_eig, u = np.linalg.eigh(l_matrix)
+    w_eig, u = _eigh(l_matrix, "L")
     return u[:, ::-1][:, :m]
 
 

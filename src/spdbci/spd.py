@@ -8,13 +8,17 @@ returns it.  It takes the window as the first rows of the caller's
 buffer, whose one spare row it fills with ones: one general matrix
 product (BLAS ``gemm``) per window then gives its Gram matrix and its
 row sums, and the row means are folded into the Gram matrix.  Then the
-eigenvalue-function primitive and the matrix log, exp and inverse root
-built on it; the one affine-invariant (AIRM) distance kernel; and the
-two positivity guards on a spectrum, the strict one of
+one product of a stack by a shared right factor (:func:`right_product`);
+the eigenvalue-function primitive and the matrix log, exp and inverse
+root built on it; the one affine-invariant (AIRM) distance kernel; and
+the two positivity guards on a spectrum, the strict one of
 :func:`check_spd` and the ``w_min > 0`` one of the maps that only need
-a positive spectrum.  Everything here but that spare row's write is
-pure and operates on plain ``numpy`` arrays; batched inputs use leading
-axes.
+a positive spectrum.  A NaN fails both guards, and numpy's failure of
+the eigensolver on a non-finite entry is raised as
+:class:`~spdbci.errors.NotPositiveDefinite`, so every map here rejects
+a non-finite input typed.  Everything here but that spare row's write
+is pure and operates on plain ``numpy`` arrays; batched inputs use
+leading axes.
 """
 
 from __future__ import annotations
@@ -47,9 +51,13 @@ FOLD_RATIO = 1e2
 
 
 def is_symmetric(x: np.ndarray, rtol: float = SYM_RTOL) -> bool:
-    """True if ``x`` is symmetric within a relative tolerance."""
-    scale = max(float(np.max(np.abs(x))), 1.0)
-    return bool(np.max(np.abs(x - np.swapaxes(x, -1, -2))) <= rtol * scale)
+    """True if ``x`` is finite and symmetric within a relative tolerance.
+    A NaN or infinite entry gives False before any ``inf - inf`` is
+    formed, so the test raises no numpy warning."""
+    scale = float(np.max(np.abs(x)))
+    if not math.isfinite(scale):
+        return False
+    return bool(np.max(np.abs(x - np.swapaxes(x, -1, -2))) <= rtol * max(scale, 1.0))
 
 
 #: Largest matrix order at which :func:`transposed` copies.  numpy's
@@ -74,6 +82,38 @@ def transposed(x: np.ndarray) -> np.ndarray:
     return view.copy() if x.shape[-1] <= SMALL_ORDER else view
 
 
+def right_product(stack: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """``stack @ factor`` for a stack (..., n, k) and one shared (k, p)
+    factor, as one 2-D ``gemm`` over the stack flattened to (N n, k)
+    rows (a stack that is not C-contiguous is copied by the reshape).
+
+    The package's one product by a shared right factor: BiMap, the RBN
+    whitening, the folded eval congruence, the Karcher step and the
+    AIRM kernel.  numpy's stacked ``matmul`` calls BLAS once per matrix,
+    which at small orders costs more than the arithmetic, most with a
+    transposed view on the right: on one thread of a 2-core AVX-512
+    x86-64 VM, 422 against 116 us at (3600, 5, 5) by a view, 66 against
+    52 us at (64, 22, 22).  (A C-contiguous 22 x 22 factor on 1152
+    matrices is the exception, 545 against 1024 us; the Karcher step's
+    slices of 64 run at par, 27 against 26 us.)
+
+    Each entry takes the stacked ``gemm``'s products in the same order,
+    so the bits are those of ``stack @ factor`` for a transposed-view
+    factor at every shape tested, and for a C-contiguous factor at the
+    model's orders 5, 8 and 22.  OpenBLAS 0.3.31's AVX-512 kernels round
+    some stacked products by a C-contiguous factor of 16 or more rows
+    otherwise (square ones at orders 17-20); there the result is the
+    flattened product, as BiMap and RBN have always taken it.  A
+    one-column factor or one-row matrices keep the stacked product:
+    numpy sends either to a matrix-vector kernel, which rounds
+    otherwise than the flattened ``gemm``.
+    """
+    if factor.shape[-1] == 1 or stack.shape[-2] == 1:
+        return stack @ factor
+    return (stack.reshape(-1, stack.shape[-1]) @ factor).reshape(stack.shape[:-1]
+                                                                 + factor.shape[-1:])
+
+
 def sym(x: np.ndarray) -> np.ndarray:
     """Symmetric part ``(x + x^T) / 2`` (over the trailing two axes)."""
     return 0.5 * (x + np.swapaxes(x, -1, -2))
@@ -81,18 +121,34 @@ def sym(x: np.ndarray) -> np.ndarray:
 
 def require_spd(w: np.ndarray, name: str) -> np.ndarray:
     """Ascending spectra ``w`` (``(..., n)``) unchanged, if each has
-    ``w_min > SPD_RTOL * w_max > 0``: the strict rule of :func:`check_spd`."""
-    if np.any(w[..., 0] <= SPD_RTOL * np.maximum(w[..., -1], 0.0)) or np.any(w[..., -1] <= 0):
+    ``w_min > SPD_RTOL * w_max > 0``: the strict rule of :func:`check_spd`.
+    It is tested as ``w > SPD_RTOL * w_max`` for every eigenvalue, which
+    no spectrum with ``w_max <= 0`` passes, and no spectrum with a NaN
+    anywhere, as ``eigh`` gives for a NaN or infinite entry."""
+    if not np.all(w > SPD_RTOL * w[..., -1:]):
         raise NotPositiveDefinite(f"{name} is not positive definite")
     return w
 
 
 def require_positive(w: np.ndarray, name: str) -> np.ndarray:
     """Ascending spectra ``w`` (``(..., n)``) unchanged, if each has
-    ``w_min > 0``: the rule of a map that needs only a positive spectrum."""
-    if np.any(w[..., 0] <= 0):
+    ``w_min > 0``: the rule of a map that needs only a positive spectrum.
+    As in :func:`require_spd`, a NaN anywhere fails it."""
+    if not np.all(w > 0):
         raise NotPositiveDefinite(f"{name} is not positive definite")
     return w
+
+
+def _eigh(x: np.ndarray, name: str, vectors: bool = True):
+    """``np.linalg.eigh(x)``, or ``np.linalg.eigvalsh(x)`` without
+    ``vectors``: the package's one call of LAPACK's symmetric
+    eigensolver, looked up on ``np.linalg`` at each call.  LAPACK fails
+    to converge only on a non-finite entry; numpy's ``LinAlgError`` for
+    that is raised as :class:`NotPositiveDefinite` naming ``name``."""
+    try:
+        return np.linalg.eigh(x) if vectors else np.linalg.eigvalsh(x)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"{name} has no eigendecomposition: {exc}") from None
 
 
 def check_spd(x: np.ndarray, name: str = "matrix") -> None:
@@ -100,8 +156,8 @@ def check_spd(x: np.ndarray, name: str = "matrix") -> None:
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {x.shape}")
     if not is_symmetric(x):
-        raise NotPositiveDefinite(f"{name} is not symmetric")
-    require_spd(np.linalg.eigvalsh(x), name)
+        raise NotPositiveDefinite(f"{name} is not symmetric, or not finite")
+    require_spd(_eigh(x, name, vectors=False), name)
 
 
 class PackedLayout(NamedTuple):
@@ -249,7 +305,7 @@ def eig_fn(
     product's right factor is :func:`transposed`, to the bits of the
     ``swapaxes`` view.
     """
-    w, u = np.linalg.eigh(sym(x)) if eig is None else eig
+    w, u = _eigh(sym(x), "eig_fn input") if eig is None else eig
     return (u * fn(w)[..., None, :]) @ transposed(u), w, u
 
 
@@ -263,7 +319,7 @@ def spd_exp(v: np.ndarray) -> np.ndarray:
     """Matrix exponential of a symmetric matrix (batched)."""
     v = np.asarray(v, dtype=np.float64)
     if not is_symmetric(v):
-        raise NotPositiveDefinite("spd_exp requires a symmetric input")
+        raise NotPositiveDefinite("spd_exp requires a finite symmetric input")
     return eig_fn(v, np.exp)[0]
 
 
@@ -278,9 +334,15 @@ def airm_distances(inv_factor: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     ``L^{-1} y L^{-T}`` has the eigenvalues of ``x^{-1/2} y x^{-1/2}``.
     That whitened pair may be conditioned far past ``1 / SPD_RTOL``
-    when x and y are SPD, so it is held only to ``w_min > 0``.
+    when x and y are SPD, so it is held only to ``w_min > 0``; a NaN or
+    infinite entry raises :class:`NotPositiveDefinite` with no numpy
+    warning.  The congruence is :func:`right_product`, with the bits of
+    ``inv_factor @ ys @ inv_factor.T``.
     """
-    w = np.linalg.eigvalsh(sym(inv_factor @ ys @ inv_factor.T))
+    # a non-finite entry of ys makes a NaN that the spectrum test rejects
+    with np.errstate(invalid="ignore"):
+        white = sym(right_product(inv_factor @ ys, inv_factor.T))
+    w = _eigh(white, "whitened AIRM pair", vectors=False)
     return np.sqrt(np.sum(np.log(require_positive(w, "whitened AIRM pair")) ** 2, axis=-1))
 
 

@@ -124,6 +124,15 @@ def airm_distance_eigh(x, y):
     return float(np.linalg.norm(np.log(np.linalg.eigvalsh(sym(xi @ y @ xi)))))
 
 
+def airm_distances_stacked(inv_factor, ys):
+    """``spd.airm_distances`` with the whitening taken as numpy's stacked
+    ``inv_factor @ ys @ inv_factor.T`` (reference oracle pinning the
+    bits of ``airm_distances``, which takes the right product through
+    ``spd.right_product``)."""
+    w = np.linalg.eigvalsh(sym(inv_factor @ ys @ inv_factor.T))
+    return np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+
+
 def assemble_L_loop(log_samples, gamma_g, w):
     """Literal double-loop form of ``selection.assemble_L`` (reference oracle):
     ``L = -sum_ij (gamma_G)_ij D_ij W W^T D_ij`` with ``D_ij = log X_i - log X_j``."""
@@ -226,6 +235,32 @@ def eval_whitened(model, covs):
     w = model.bimap.weight
     r = inv_sqrtm(model.rbn.mean)
     return sym(r @ (w @ selected(model, covs) @ w.T) @ r)
+
+
+def fit_reference_stacked(model, reps):
+    """The RBN mean ``Model.fit_reference`` fits, with the BiMap
+    congruence taken as numpy's stacked ``w @ cut @ w.T`` and the
+    Karcher step as :func:`karcher_mean_one_pass` (reference oracle
+    pinning the bits of ``fit_reference``, which takes the right
+    products through ``spd.right_product``)."""
+    w = model.bimap.weight
+    ch = model.channels
+    return karcher_mean_one_pass(w @ reps[..., ch[:, None], ch] @ w.T)
+
+
+def folded_eval_stacked(model, covs):
+    """Eval logits of ``model``'s folded plan with its congruence taken
+    as numpy's stacked ``a @ x @ a.T`` (reference oracle pinning the bits
+    of the eval ``Model.forward``, which takes the right product through
+    ``spd.right_product``)."""
+    b, s, f = covs.shape[:3]
+    a, kernel = model._folded_plan()
+    x = model.cut(covs).reshape(-1, model.m, model.m)
+    eps = model.reeig.epsilon
+    tangent = eig_fn(a @ x @ a.T, lambda w: np.log(np.maximum(w, eps)))[0]
+    logits = model.clf.forward(tangent.reshape(b, s, f, -1), kernel)
+    model.clf._cache = None
+    return logits
 
 
 def layered_eval_forward(model, covs):

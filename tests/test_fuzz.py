@@ -1,6 +1,7 @@
-"""Typed-error contract of the file readers: a mutated or truncated EEGB
-file or model bundle either loads or raises an ``SpdBciError`` subclass,
-never a bare builtin exception.
+"""Typed-error contract of the file readers and the SPD algebra: a
+mutated or truncated EEGB file or model bundle either loads or raises an
+``SpdBciError`` subclass, never a bare builtin exception, and a matrix
+with a non-finite entry raises one from every SPD map and layer.
 
 The mutations are plain byte edits (``struct``, ``zlib``, and ``json``
 where a case rewrites a manifest entry); where a case recomputes the
@@ -11,6 +12,7 @@ it.
 import json
 import math
 import struct
+import warnings
 import zlib
 from dataclasses import fields
 
@@ -21,7 +23,10 @@ from spdbci.cli import main as cli_main
 from spdbci.config import TrainConfig
 from spdbci.eeg_io import RawTrialSet, load_model, load_trials, save_model, save_trials
 from spdbci.errors import ConfigError, MalformedHeader, SpdBciError
+from spdbci.layers import LogEigLayer, ReEigLayer, karcher_mean
 from spdbci.model import model_from_bundle
+from spdbci.spd import (airm_distance, airm_distances, check_spd, inv_sqrtm, spd_exp,
+                        spd_log)
 from spdbci.synth import synthetic_trials, two_class_covariances
 from spdbci.trainer import bench_inference
 
@@ -359,3 +364,33 @@ def test_bundle_config_argmax_scoring_fails_typed(bundle_blob, bundle_trials, tm
     path.write_bytes(rewritten(bundle_blob, config={"channel_scoring": "argmax"}))
     with pytest.raises(ConfigError, match="channel_scoring must be 'row-norm'"):
         load_build_and_run(bundle_trials)(path)
+
+
+#: Every SPD map and layer that takes a matrix from a caller, applied to
+#: a 3 x 3 probe.
+SPD_CALLS = {
+    "spd_log": spd_log,
+    "spd_exp": spd_exp,
+    "inv_sqrtm": inv_sqrtm,
+    "check_spd": check_spd,
+    "airm_distance": lambda x: airm_distance(x, 2.0 * np.eye(3)),
+    "airm_distances": lambda x: airm_distances(np.eye(3), np.stack([2.0 * np.eye(3), x])),
+    "karcher_mean": lambda x: karcher_mean(np.stack([2.0 * np.eye(3), x])),
+    "LogEigLayer.forward": lambda x: LogEigLayer().forward(x[None]),
+    "ReEigLayer.forward": lambda x: ReEigLayer().forward(x[None]),
+}
+
+
+@pytest.mark.parametrize("call", SPD_CALLS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_spd_input_with_a_non_finite_entry_fails_typed(call, value):
+    """``2 I`` with ``value`` at any one of its nine entries raises an
+    ``SpdBciError``: never a numpy exception, a numpy warning or a
+    non-finite result."""
+    for i, j in np.ndindex(3, 3):
+        x = 2.0 * np.eye(3)
+        x[i, j] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpdBciError):
+                SPD_CALLS[call](x)

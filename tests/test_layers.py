@@ -320,6 +320,14 @@ class TestKarcher:
         batch = random_spd(rng, n, batch=size) * rng.uniform(0.01, 100.0, (size, 1, 1))
         assert karcher_mean(batch).tobytes() == karcher_mean_one_pass(batch).tobytes()
 
+    @pytest.mark.parametrize("n", [8, 22])
+    def test_class_band_group_keeps_the_stacked_bits(self, rng, n):
+        """At 8 and 22 channels, on a 1152-matrix group as select-22ch
+        means, the slices' whitening by ``spd.right_product`` keeps the
+        bits of the one-pass stacked ``rm @ batch @ rm``."""
+        batch = random_spd(rng, n, batch=1152) * rng.uniform(0.5, 2.0, (1152, 1, 1))
+        assert karcher_mean(batch).tobytes() == karcher_mean_one_pass(batch).tobytes()
+
     def test_strided_batch_equals_the_one_pass_step_bit_for_bit(self, rng):
         whole = random_spd(rng, 5, batch=2 * KARCHER_SLICE + 6)
         batch = np.swapaxes(whole, -1, -2)[::2]

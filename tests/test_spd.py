@@ -19,6 +19,10 @@ from spdbci.spd import (
     pack,
     packed_layout,
     packed_order,
+    airm_distances,
+    require_positive,
+    require_spd,
+    right_product,
     spd_exp,
     spd_log,
     sym,
@@ -26,7 +30,8 @@ from spdbci.spd import (
     unpack,
 )
 
-from conftest import airm_distance_eigh, check_psd_theorem1, covariance_oracle, pad, random_spd
+from conftest import (airm_distance_eigh, airm_distances_stacked, check_psd_theorem1,
+                      covariance_oracle, pad, random_spd)
 
 
 def full_covariance(padded):
@@ -283,6 +288,71 @@ class TestSmallOrderGlue:
         assert out.tobytes() == want.tobytes()
 
 
+class TestRightProduct:
+    """``right_product`` is ``stack @ factor``, byte for byte."""
+
+    SIZES = (1, 18, 64, 1152, 3600)
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_stacked_bits_at_every_order(self, rng, n):
+        """With a transposed-view factor, a one-column factor or one-row
+        matrices, the bits of numpy's stacked product at every order and
+        stack size; with a C-contiguous factor, the one 2-D product of
+        the flattened stack, which is the stacked product's bits at the
+        model's orders 5, 8 and 22."""
+        stack = rng.standard_normal((self.SIZES[-1], n, n))
+        rows = rng.standard_normal((self.SIZES[-1], 1, n))
+        factor = rng.standard_normal((n, n))
+        for size in self.SIZES:
+            for name, x, f in [("transposed view", stack[:size], factor.T),
+                               ("one column", stack[:size], factor[:, :1]),
+                               ("one row", rows[:size], factor.T),
+                               ("one row, contiguous factor", rows[:size], factor)]:
+                assert right_product(x, f).tobytes() == (x @ f).tobytes(), (size, name)
+            part = stack[:size]
+            got = right_product(part, factor)
+            assert got.tobytes() == (part.reshape(-1, n) @ factor).tobytes(), size
+            if n in (5, 8, 22):
+                assert got.tobytes() == (part @ factor).tobytes(), size
+
+    @pytest.mark.parametrize("shape", [(2, 9, 5, 4), (7, 4), (3, 1, 4)])
+    def test_leading_axes_and_non_square(self, rng, shape):
+        """Two batch axes, one matrix and a non-square factor."""
+        stack = rng.standard_normal(shape)
+        for f in (rng.standard_normal((4, 3)), rng.standard_normal((3, 4)).T,
+                  rng.standard_normal((4, 1))):
+            got = right_product(stack, f)
+            assert got.shape == shape[:-1] + f.shape[-1:]
+            assert got.tobytes() == (stack @ f).tobytes()
+
+
+class TestNonFiniteSpectra:
+    """A NaN anywhere in a spectrum fails both guards: ``eigh`` returns
+    one for a NaN or infinite entry."""
+
+    SPECTRA = [[np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [1.0, 2.0, np.nan],
+               [np.nan] * 3]
+
+    @pytest.mark.parametrize("guard", [require_spd, require_positive])
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    def test_guard_rejects_a_nan(self, guard, spectrum):
+        w = np.array([[1.0, 2.0, 3.0], spectrum])
+        with pytest.raises(NotPositiveDefinite, match="probe"):
+            guard(w, "probe")
+
+    @pytest.mark.parametrize("guard", [require_spd, require_positive])
+    def test_guard_passes_a_positive_spectrum_unchanged(self, guard):
+        w = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 4.0]])
+        assert guard(w, "probe") is w
+
+    @pytest.mark.parametrize("fn", [spd_log, inv_sqrtm])
+    def test_map_rejects_a_nan_entry(self, fn):
+        x = 2.0 * np.eye(3)
+        x[1, 1] = np.nan
+        with pytest.raises(NotPositiveDefinite, match="is not positive definite"):
+            fn(x)
+
+
 class TestCheckSpd:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch, match="probe must be square"):
@@ -356,6 +426,17 @@ class TestAirm:
         for _ in range(5):
             x, y = random_spd(rng, 6), random_spd(rng, 6)
             assert abs(airm_distance(x, y) - airm_distance_eigh(x, y)) < 1e-12
+
+    @pytest.mark.parametrize("m", [5, 8, 22])
+    @pytest.mark.parametrize("count", [1, 17, 64])
+    def test_distances_keep_the_stacked_bits(self, rng, m, count):
+        """The whitening's right product is ``spd.right_product``, with the
+        bits of the stacked ``inv_factor @ ys @ inv_factor.T``."""
+        inv_factor = np.linalg.inv(np.linalg.cholesky(random_spd(rng, m)))
+        ys = random_spd(rng, m, batch=count)
+        want = airm_distances_stacked(inv_factor, ys)
+        assert airm_distances(inv_factor, ys).tobytes() == want.tobytes()
+        assert airm_distances(inv_factor, ys[0]).tobytes() == want[0].tobytes()
 
     def test_whitened_pair_past_relative_floor(self):
         # x and y are each SPD to SPD_RTOL, but their whitened pair

@@ -59,6 +59,8 @@ from spdbci.trainer import (
 
 from conftest import (
     eval_whitened,
+    fit_reference_stacked,
+    folded_eval_stacked,
     layered_eval_forward,
     layered_train_step,
     pad,
@@ -722,6 +724,23 @@ class TestFoldedPlan:
         after = model.forward(covs, training=False)
         assert not np.array_equal(after, before)
         assert np.array_equal(after, model_from_bundle(bundle).forward(covs, training=False))
+
+    @pytest.mark.parametrize("channels, n_channels", [
+        ([0, 2, 3, 5, 7], 8), (list(range(8)), 8), (list(range(22)), 22),
+    ], ids=["5-of-8", "8", "22"])
+    def test_shared_right_products_keep_the_stacked_bits(self, rng, channels, n_channels):
+        """``fit_reference``'s mean and the eval logits, whose congruences
+        take their right products through ``spd.right_product``, equal
+        their oracles with numpy's stacked products byte for byte."""
+        model = Model(channels, n_channels=n_channels, n_windows=2, n_bands=9, n_classes=2,
+                      k_heads=4, conv_out=8, seed=5, sample_rate=250.0)
+        reps = random_spd(rng, n_channels, batch=18)
+        model.fit_reference(reps)
+        assert model.rbn.mean.tobytes() == fit_reference_stacked(model, reps).tobytes()
+        batch = 64 if n_channels == 8 else 4
+        covs = pack(random_spd(rng, n_channels, batch=batch * 18)).reshape(batch, 2, 9, -1)
+        logits = model.forward(covs, training=False)
+        assert logits.tobytes() == folded_eval_stacked(model, covs).tobytes()
 
     def test_eigh_budget(self, small_trials, eigh_calls):
         cfg = TrainConfig(**SMALL)
